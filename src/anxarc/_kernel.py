@@ -1,8 +1,4 @@
-"""Pure-Python reference implementation of the hot text kernels.
-
-The compiled kernel (``_ckernel.pyx``) mirrors this module operation for
-operation; the equivalence test suite keeps the two in lock step. Any
-semantic change here must be made in both places.
+"""Hot-path text kernel: tokenization and lexicon class counting.
 
 Tokenization rules, applied to each whitespace-separated chunk of the
 lower-cased input:
@@ -15,13 +11,22 @@ lower-cased input:
 4. chunks that are empty after stripping are dropped;
 5. stripped chunks that now expose a URL prefix are dropped (keeps
    tokenization idempotent on its own output).
+
+Most chunks are plain words. A chunk for which ``str.isalnum()`` holds is
+its own token: it cannot start with ``@`` or a URL prefix (both need a
+non-alphanumeric character) and has no edges to strip, since rule 3 uses
+the same per-character ``isalnum`` test. Only the other chunks go through
+``_clean``.
 """
 
 from __future__ import annotations
 
-# Class codes shared with the compiled kernel and the lexicon's class map.
+# Class codes shared with the lexicon's class map.
 ANX = 1
 CALM = 2
+
+# The only implementation; kept for callers that record which kernel ran.
+IMPL = "pure"
 
 _URL_PREFIXES = ("http://", "https://", "www.")
 
@@ -46,9 +51,12 @@ def tokenize(text: str) -> list[str]:
     """Normalize ``text`` into a list of lower-case word tokens."""
     out = []
     for chunk in text.lower().split():
-        tok = _clean(chunk)
-        if tok is not None:
-            out.append(tok)
+        if chunk.isalnum():
+            out.append(chunk)
+        else:
+            tok = _clean(chunk)
+            if tok is not None:
+                out.append(tok)
     return out
 
 
@@ -81,9 +89,12 @@ def score_text(text: str, class_map: dict[str, int]) -> tuple[int, int, int]:
     n_calm = 0
     get = class_map.get
     for chunk in text.lower().split():
-        tok = _clean(chunk)
-        if tok is None:
-            continue
+        if chunk.isalnum():
+            tok = chunk
+        else:
+            tok = _clean(chunk)
+            if tok is None:
+                continue
         n_tok += 1
         c = get(tok)
         if c == ANX:

@@ -14,12 +14,11 @@ become counted skip events that surface in the final reports.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 FORMATS = ("jsonl", "tsv")
@@ -92,8 +91,17 @@ def localize(post: Post) -> LocalTime:
     return LocalTime(hour=local.hour, weekday=local.weekday())
 
 
-def parse_record(line: str, fmt: str) -> Post:
-    """Parse one corpus line; raises ValueError with a reason on bad records."""
+def parse_record(line: str | bytes, fmt: str) -> Post:
+    """Parse one corpus line, as text or UTF-8 bytes.
+
+    Raises ValueError with a reason on bad records, including bytes that
+    are not valid UTF-8.
+    """
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"invalid UTF-8 at byte {exc.start}") from None
     if fmt == "jsonl":
         try:
             obj = json.loads(line)
@@ -132,32 +140,38 @@ def parse_record(line: str, fmt: str) -> Post:
 
 def iter_data_lines(
     source: str | IO[str] | IO[bytes], fmt: str = "jsonl"
-) -> Iterator[tuple[int, str]]:
+) -> Iterator[tuple[int, str | bytes]]:
     """Yield (line_no, line) for every data line of a corpus source.
 
-    Accepts a path, a text stream, or a byte stream (decoded as UTF-8).
-    Blank lines are skipped without counting as records; an optional
-    literal TSV header on line 1 is skipped. Both the streaming reader and
-    the parallel scan chunker go through this single helper so they agree
-    on record numbering exactly.
+    Accepts a path, a text stream, or a byte stream. Paths and byte streams
+    are split at line feeds and decoded as UTF-8 one line at a time, so a
+    bad byte spoils only its own line: that line is yielded as its raw bytes,
+    which ``parse_record`` rejects as a parse skip. Blank lines are skipped
+    without counting as records; an optional literal TSV header on line 1
+    is skipped. Both the streaming reader and the parallel scan chunker go
+    through this single helper so they agree on record numbering exactly.
     """
     if fmt not in FORMATS:
         raise CorpusError(f"unknown corpus format {fmt!r}")
     if isinstance(source, str):
         try:
-            fh = open(source, "r", encoding="utf-8")
+            fh = open(source, "rb")
         except OSError as exc:
             raise CorpusError(f"cannot read corpus: {exc}") from None
         with fh:
             yield from _iter_data_lines(fh, fmt)
-    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        yield from _iter_data_lines(io.TextIOWrapper(source, encoding="utf-8"), fmt)
     else:
         yield from _iter_data_lines(source, fmt)
 
 
-def _iter_data_lines(lines: Iterator[str], fmt: str) -> Iterator[tuple[int, str]]:
+def _iter_data_lines(lines: Iterable[str | bytes], fmt: str) -> Iterator[tuple[int, str | bytes]]:
     for line_no, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                yield line_no, line
+                continue
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
             continue

@@ -72,7 +72,7 @@ class Lexicon:
     """Immutable term -> association map plus classification thresholds.
 
     Safe to share across threads and processes after load. ``class_map``
-    is the compact term -> {ANX, CALM} dict consumed by the scoring kernels.
+    is the compact term -> {ANX, CALM} dict consumed by the text kernel.
     """
 
     __slots__ = ("_entries", "tau_anx", "tau_calm", "_class_map")

@@ -129,7 +129,7 @@ class ScanResult:
             self.skip_events.extend(other.skip_events[:room])
 
 
-def _scan_chunk(chunk: list[tuple[int, str]], st: _ScanState) -> ScanResult:
+def _scan_chunk(chunk: list[tuple[int, str | bytes]], st: _ScanState) -> ScanResult:
     res = ScanResult(st.families, st.cap)
     class_map = st.class_map
     need_tokens = st.need_tokens
@@ -184,9 +184,9 @@ def _scan_chunk(chunk: list[tuple[int, str]], st: _ScanState) -> ScanResult:
 
 
 def _chunks(
-    pairs: Iterator[tuple[int, str]], chunk_lines: int
-) -> Iterator[list[tuple[int, str]]]:
-    chunk: list[tuple[int, str]] = []
+    pairs: Iterator[tuple[int, str | bytes]], chunk_lines: int
+) -> Iterator[list[tuple[int, str | bytes]]]:
+    chunk: list[tuple[int, str | bytes]] = []
     for pair in pairs:
         chunk.append(pair)
         if len(chunk) >= chunk_lines:
@@ -204,7 +204,7 @@ def _init_pool(state: _ScanState) -> None:
     _POOL_STATE = state
 
 
-def _pool_scan(chunk: list[tuple[int, str]]) -> ScanResult:
+def _pool_scan(chunk: list[tuple[int, str | bytes]]) -> ScanResult:
     assert _POOL_STATE is not None
     return _scan_chunk(chunk, _POOL_STATE)
 

@@ -1,16 +1,13 @@
 """Text normalization into lexicon-matchable token sequences.
 
 The corpus is assumed pre-lemmatized and lower-cased upstream; this module
-does not lemmatize. ``tokenize`` delegates to the selected kernel (compiled
-when available, pure Python otherwise); the exact rules are documented in
-``anxarc._kernel.pure``.
+does not lemmatize. ``tokenize`` delegates to the text kernel; the exact
+rules are documented in ``anxarc._kernel``.
 """
 
 from __future__ import annotations
 
 from . import _kernel
-
-KERNEL_IMPL = _kernel.IMPL
 
 
 def tokenize(text: str) -> list[str]:

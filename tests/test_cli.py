@@ -142,6 +142,21 @@ def test_exit_code_data_errors(workdir):
     assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", "empty.jsonl") == 2
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_invalid_utf8_is_counted_not_fatal(workdir, workers):
+    lines = (workdir / MINI_CORPUS).read_bytes().splitlines()
+    lines.insert(1, b'{"id":"x","text":"\xff\xfe"}')
+    (workdir / "bad_utf8.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+    assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", "bad_utf8.jsonl",
+               "--out", "badout", "--workers", workers) == 0
+    report = (workdir / "badout" / "hour.csv").read_text().splitlines()
+    meta = {k: int(v) for k, v in (l[2:].split("=") for l in report if l.startswith("# n_"))}
+    scored = int(next(l for l in report if l.startswith("all,")).split(",")[1])
+    assert scored == 9  # every post of the mini corpus is still scored
+    assert meta["n_records"] == len([l for l in lines if l.strip()])
+    assert meta["n_records"] == scored + meta["n_parse_skips"] + meta["n_empty_skips"]
+
+
 def test_compare_undersized_slice_names_it(workdir, capsys):
     code = run("compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
                "--slice-a", "hour=0", "--slice-b", "hour=8", "--out", "cmp")

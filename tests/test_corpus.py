@@ -103,6 +103,22 @@ def test_byte_stream_source():
     assert posts[0].id == "1"
 
 
+def test_parse_record_accepts_utf8_bytes():
+    assert parse_record(GOOD_JSONL.encode("utf-8"), "jsonl").id == "1"
+    with pytest.raises(ValueError, match="invalid UTF-8 at byte 2"):
+        parse_record(b'{"\xff\xfe":1}', "jsonl")
+
+
+def test_invalid_utf8_line_skipped_alone():
+    good = GOOD_JSONL.encode("utf-8")
+    reader = open_corpus(io.BytesIO(b"\n".join([good, b'{"id": "\xff\xfe"}', good])), "jsonl")
+    assert len(list(reader)) == 2
+    assert reader.n_records == 3
+    assert reader.n_skipped == 1
+    assert reader.skip_events[0].line_no == 2
+    assert reader.skip_events[0].reason.startswith("invalid UTF-8")
+
+
 def test_blank_lines_not_counted():
     reader = open_corpus(io.StringIO("\n\n" + GOOD_JSONL + "\n\n"), "jsonl")
     assert len(list(reader)) == 1

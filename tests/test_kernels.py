@@ -1,67 +1,101 @@
-"""Compiled and pure kernels must agree on every input."""
+"""The text kernel agrees with a rule-by-rule oracle on every input."""
 
 from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anxarc._kernel import IMPL, pure
+from anxarc import _kernel
 
-try:
-    from anxarc._kernel import _ckernel
-except ImportError:
-    _ckernel = None
+CLASS_MAP = {
+    "panic": _kernel.ANX,
+    "dread": _kernel.ANX,
+    "won't": _kernel.ANX,
+    "\u01c6": _kernel.ANX,
+    "calm": _kernel.CALM,
+    "chill": _kernel.CALM,
+    "\u00b2": _kernel.CALM,
+    "i\u0307": _kernel.CALM,
+}
 
-needs_ext = pytest.mark.skipif(_ckernel is None, reason="compiled kernel not built")
-
-CLASS_MAP = {"panic": 1, "dread": 1, "calm": 2, "chill": 2, "won't": 1}
-
-
-def test_extension_is_active_by_default():
-    # The package ships a compiled kernel; selection prefers it unless the
-    # environment forces the fallback.
-    import os
-
-    if os.environ.get("ANXARC_KERNEL", "").strip().lower() == "pure":
-        assert IMPL == "pure"
-    elif _ckernel is not None:
-        assert IMPL == "compiled"
+URL_PREFIXES = ("http://", "https://", "www.")
 
 
-@needs_ext
+def oracle_tokenize(text: str) -> list[str]:
+    """The five documented rules, applied to every chunk with no shortcut."""
+    out = []
+    for chunk in text.lower().split():
+        if chunk.startswith(URL_PREFIXES):  # rule 1
+            continue
+        if chunk.startswith("@"):  # rule 2
+            continue
+        chars = list(chunk)  # rule 3
+        while chars and not chars[0].isalnum():
+            del chars[0]
+        while chars and not chars[-1].isalnum():
+            chars.pop()
+        core = "".join(chars)
+        if not core:  # rule 4
+            continue
+        if core.startswith(URL_PREFIXES):  # rule 5
+            continue
+        out.append(core)
+    return out
+
+
+def oracle_score(tokens: list[str]) -> tuple[int, int, int]:
+    classes = [CLASS_MAP.get(tok) for tok in tokens]
+    return len(tokens), classes.count(_kernel.ANX), classes.count(_kernel.CALM)
+
+
+# Pieces that exercise every rule and the edges of the all-alphanumeric
+# shortcut: prefixes, edge punctuation, contractions, whitespace other than
+# a space, and characters whose isalnum/lower behaviour is unusual (dotted
+# capital I lower-cases to "i" plus a combining dot, superscript digits,
+# a titlecase digraph, combining marks, the Kelvin and Ohm signs).
+PIECES = [
+    "@", "#", "http://", "https://", "www.", "HTTP://", "WWW.", "'", "!", "(",
+    ")", ".", ",", "...", "_", "won't", "WON'T", "panic", "Calm", "chill",
+    "\u0130", "\u00b2", "\u01c5", "\u0301", "\u0307", "\u0345", "\u212a",
+    "\u2126", "\u00df", "\u0663",
+    " ", "  ", "\t", "\n", "\u00a0", "\u2028", "\x1c",
+]
+
+tricky_text = st.lists(
+    st.one_of(st.sampled_from(PIECES), st.text(max_size=3)), max_size=40
+).map("".join)
+
+
 @given(st.text(max_size=300))
 @settings(max_examples=1000, deadline=None)
-def test_tokenize_equivalence(text):
-    assert _ckernel.tokenize(text) == pure.tokenize(text)
+def test_tokenize_matches_oracle(text):
+    assert _kernel.tokenize(text) == oracle_tokenize(text)
 
 
-@needs_ext
+@given(tricky_text)
+@settings(max_examples=2000, deadline=None)
+def test_tokenize_matches_oracle_on_tricky_text(text):
+    assert _kernel.tokenize(text) == oracle_tokenize(text)
+
+
 @given(st.text(max_size=300))
 @settings(max_examples=500, deadline=None)
-def test_score_text_equivalence(text):
-    assert _ckernel.score_text(text, CLASS_MAP) == pure.score_text(text, CLASS_MAP)
+def test_score_text_matches_oracle(text):
+    assert _kernel.score_text(text, CLASS_MAP) == oracle_score(oracle_tokenize(text))
 
 
-@needs_ext
-def test_score_tokens_equivalence():
-    rng = random.Random(4)
-    vocab = list(CLASS_MAP) + ["road", "sky", "x", "étoile"]
-    for _ in range(200):
-        toks = [rng.choice(vocab) for _ in range(rng.randint(0, 30))]
-        assert _ckernel.score_tokens(toks, CLASS_MAP) == pure.score_tokens(toks, CLASS_MAP)
+@given(tricky_text)
+@settings(max_examples=2000, deadline=None)
+def test_score_text_matches_oracle_on_tricky_text(text):
+    assert _kernel.score_text(text, CLASS_MAP) == oracle_score(oracle_tokenize(text))
 
 
-@needs_ext
-def test_fused_equals_two_step_compiled():
-    rng = random.Random(5)
-    words = ["panic", "calm", "ok!", "#tag", "@m", "http://x.co", "won't", "...", "día"]
-    for _ in range(300):
-        text = " ".join(rng.choice(words) for _ in range(rng.randint(0, 25)))
-        toks = _ckernel.tokenize(text)
-        assert _ckernel.score_text(text, CLASS_MAP) == _ckernel.score_tokens(toks, CLASS_MAP)
+@given(st.lists(st.sampled_from(sorted(CLASS_MAP) + ["road", "sky", "x", "étoile"]), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_score_tokens_matches_oracle(tokens):
+    assert _kernel.score_tokens(tokens, CLASS_MAP) == oracle_score(tokens)
 
 
 def test_fused_equals_two_step_pure():
@@ -69,5 +103,5 @@ def test_fused_equals_two_step_pure():
     words = ["panic", "calm", "ok!", "#tag", "@m", "www.x.co", "won't", "...", "naïve"]
     for _ in range(300):
         text = " ".join(rng.choice(words) for _ in range(rng.randint(0, 25)))
-        toks = pure.tokenize(text)
-        assert pure.score_text(text, CLASS_MAP) == pure.score_tokens(toks, CLASS_MAP)
+        toks = _kernel.tokenize(text)
+        assert _kernel.score_text(text, CLASS_MAP) == _kernel.score_tokens(toks, CLASS_MAP)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import util
 from anxarc.pipeline import FAMILIES, ScanResult, scan_corpus
@@ -104,6 +106,66 @@ def test_parse_and_empty_skips_counted(tmp_path, lexicon):
     assert res.skip_events[0].line_no == 1
     # records = scored + parse skips + empty skips
     assert res.n_records == res.overall.n_posts + res.n_parse_skips + res.n_empty_skips
+
+
+GOOD_RECORD = (
+    b'{"id":"%d","text":"calm000 anx000 day","timestamp_utc":"2020-01-01T05:00:00Z",'
+    b'"timezone":"UTC"}'
+)
+
+
+def assert_all_records_accounted(res: ScanResult):
+    skips = res.n_parse_skips + res.n_empty_skips
+    assert res.n_records == res.overall.n_posts + skips
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_invalid_utf8_line_is_a_parse_skip(tmp_path, lexicon, workers):
+    path = tmp_path / "corpus.jsonl"
+    bad = b'{"id":"2","text":"bad \xff\xfe","timestamp_utc":"2020-01-01T05:00:00Z","timezone":"UTC"}'
+    path.write_bytes(b"\n".join([GOOD_RECORD % 1, bad, GOOD_RECORD % 3]) + b"\n")
+    res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, workers=workers, chunk_lines=1)
+    assert res.n_records == 3
+    assert res.n_parse_skips == 1
+    assert res.overall.n_posts == 2
+    assert [(e.line_no, e.reason) for e in res.skip_events] == [(2, "invalid UTF-8 at byte 22")]
+    assert_all_records_accounted(res)
+
+
+# Random lines of at most 40 bytes never hold a whole valid record (the
+# shortest is longer), so the scored posts are exactly the GOOD_RECORD lines.
+byte_lines = st.lists(
+    st.one_of(
+        st.binary(max_size=40).map(lambda b: b.replace(b"\n", b"")),
+        st.integers(0, 99).map(lambda i: GOOD_RECORD % i),
+    ),
+    max_size=12,
+)
+
+
+def is_record(line: bytes) -> bool:
+    try:
+        return bool(line.decode("utf-8").strip())
+    except UnicodeDecodeError:
+        return True
+
+
+@pytest.mark.parametrize("workers,examples", [(1, 200), (2, 15)])
+def test_any_bytes_scan_without_error(tmp_path, lexicon, workers, examples):
+    path = tmp_path / "corpus.jsonl"
+
+    @given(byte_lines)
+    @settings(max_examples=examples, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def check(lines):
+        path.write_bytes(b"\n".join(lines))
+        res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES,
+                          workers=workers, chunk_lines=4)
+        assert_all_records_accounted(res)
+        assert res.n_records == sum(map(is_record, lines))
+        assert res.overall.n_posts == sum(len(line) > 40 for line in lines)
+
+    check()
 
 
 def test_get_bin_lookup(random_corpus, lexicon):
