@@ -138,24 +138,17 @@ def _scan(cfg: RunConfig, families: tuple[str, ...], lexicon: Lexicon) -> ScanRe
     tables = None
     if "tense" in families:
         tables = load_verb_tables(cfg.verb_tables_dir)
-    total: ScanResult | None = None
-    for path in cfg.corpus_paths:
-        res = scan_corpus(
-            path,
-            lexicon=lexicon,
-            families=families,
-            fmt=cfg.corpus_format,
-            tables=tables,
-            workers=cfg.workers,
-        )
-        if total is None:
-            total = res
-        else:
-            total.merge_from(res)
-    assert total is not None
-    if total.overall.n_posts == 0:
+    res = scan_corpus(
+        *cfg.corpus_paths,
+        lexicon=lexicon,
+        families=families,
+        fmt=cfg.corpus_format,
+        tables=tables,
+        workers=cfg.workers,
+    )
+    if res.overall.n_posts == 0:
         raise DataError("zero scoreable posts in the corpus")
-    return total
+    return res
 
 
 def _scan_meta(cfg: RunConfig, res: ScanResult, **extra: object) -> dict[str, object]:
@@ -303,9 +296,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     agg_a = _slice_bin(res, fam_a, key_a, args.slice_a)
     agg_b = _slice_bin(res, fam_b, key_b, args.slice_b)
     for label, agg in ((args.slice_a, agg_a), (args.slice_b, agg_b)):
-        if len(agg.sample.values) < 2:
-            raise DataError(f"slice {label!r} has fewer than 2 sampled post scores")
-    result = welch_t(agg_a.sample.values, agg_b.sample.values, cfg.alpha)
+        if agg.n_posts < 2:
+            raise DataError(f"slice {label!r} has fewer than 2 scored posts")
+    result = welch_t(agg_a.score_counts(), agg_b.score_counts(), cfg.alpha)
     table = Table(
         name="compare",
         meta=_scan_meta(cfg, res, test="welch two-sided t-test on per-post scores"),
@@ -315,7 +308,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ],
         rows=[[
             args.slice_a, args.slice_b,
-            len(agg_a.sample.values), len(agg_b.sample.values),
+            agg_a.n_posts, agg_b.n_posts,
             agg_a.macro_score, agg_b.macro_score,
             result.t, result.df, result.p, result.significant, result.alpha,
         ]],
@@ -424,11 +417,11 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def _compare_row(label_a: str, label_b: str, agg_a, agg_b, alpha: float) -> list[object]:
-    n_a, n_b = len(agg_a.sample.values), len(agg_b.sample.values)
+    n_a, n_b = agg_a.n_posts, agg_b.n_posts
     if n_a < 2 or n_b < 2:
         return [label_a, label_b, n_a, n_b, agg_a.macro_score, agg_b.macro_score,
                 None, None, None, None, alpha]
-    r = welch_t(agg_a.sample.values, agg_b.sample.values, alpha)
+    r = welch_t(agg_a.score_counts(), agg_b.score_counts(), alpha)
     return [label_a, label_b, n_a, n_b, agg_a.macro_score, agg_b.macro_score,
             r.t, r.df, r.p, r.significant, r.alpha]
 

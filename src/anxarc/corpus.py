@@ -9,7 +9,7 @@ Two record formats are supported:
 
 Timestamps are RFC 3339; timezones are IANA names resolved through the
 system timezone database. Malformed records never abort the stream: they
-become counted skip events that surface in the final reports.
+become counted skips that surface in the final reports.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 FORMATS = ("jsonl", "tsv")
 
 _TSV_HEADER = "id\ttext\ttimestamp_utc\ttimezone"
-
-# Skip details kept for reporting; the total count is always exact.
-MAX_RECORDED_SKIPS = 100
 
 
 class CorpusError(ValueError):
@@ -57,6 +54,7 @@ class LocalTime:
 
 @dataclass(frozen=True)
 class SkipEvent:
+    path: str
     line_no: int
     reason: str
 
@@ -69,7 +67,10 @@ def parse_rfc3339(text: str) -> datetime:
     dt = datetime.fromisoformat(s)
     if dt.tzinfo is None:
         raise ValueError(f"timestamp lacks a UTC offset: {text!r}")
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp out of range in UTC: {text!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -80,14 +81,18 @@ def _zone(name: str) -> ZoneInfo:
 def localize(post: Post) -> LocalTime:
     """Civil local hour and weekday of the post, DST-aware.
 
-    Raises UnknownTimezoneError if the timezone does not resolve; callers
-    treat that as a skip for time-based slices only.
+    Raises UnknownTimezoneError if the timezone does not resolve, or if the
+    local time falls outside the years 1-9999 that ``datetime`` holds;
+    callers treat that as a skip for time-based slices only.
     """
     try:
         tz = _zone(post.timezone)
     except (ZoneInfoNotFoundError, ValueError, KeyError):
         raise UnknownTimezoneError(post.timezone) from None
-    local = post.timestamp_utc.astimezone(tz)
+    try:
+        local = post.timestamp_utc.astimezone(tz)
+    except OverflowError:
+        raise UnknownTimezoneError(post.timezone) from None
     return LocalTime(hour=local.hour, weekday=local.weekday())
 
 
@@ -148,8 +153,7 @@ def iter_data_lines(
     bad byte spoils only its own line: that line is yielded as its raw bytes,
     which ``parse_record`` rejects as a parse skip. Blank lines are skipped
     without counting as records; an optional literal TSV header on line 1
-    is skipped. Both the streaming reader and the parallel scan chunker go
-    through this single helper so they agree on record numbering exactly.
+    is skipped.
     """
     if fmt not in FORMATS:
         raise CorpusError(f"unknown corpus format {fmt!r}")
@@ -178,43 +182,3 @@ def _iter_data_lines(lines: Iterable[str | bytes], fmt: str) -> Iterator[tuple[i
         if fmt == "tsv" and line_no == 1 and line == _TSV_HEADER:
             continue
         yield line_no, line
-
-
-class CorpusReader:
-    """Single-pass iterator over posts with skip-event accounting.
-
-    Memory stays bounded regardless of corpus size: posts are yielded one at
-    a time and only the first MAX_RECORDED_SKIPS skip details are retained
-    (the counts are always exact).
-    """
-
-    def __init__(self, source: str | IO[str] | IO[bytes], fmt: str = "jsonl"):
-        if fmt not in FORMATS:
-            raise CorpusError(f"unknown corpus format {fmt!r}")
-        self._source = source
-        self.fmt = fmt
-        self.n_records = 0
-        self.n_yielded = 0
-        self.n_skipped = 0
-        self.skip_events: list[SkipEvent] = []
-
-    def _skip(self, line_no: int, reason: str) -> None:
-        self.n_skipped += 1
-        if len(self.skip_events) < MAX_RECORDED_SKIPS:
-            self.skip_events.append(SkipEvent(line_no, reason))
-
-    def __iter__(self) -> Iterator[Post]:
-        for line_no, line in iter_data_lines(self._source, self.fmt):
-            self.n_records += 1
-            try:
-                post = parse_record(line, self.fmt)
-            except ValueError as exc:
-                self._skip(line_no, str(exc))
-                continue
-            self.n_yielded += 1
-            yield post
-
-
-def open_corpus(source: str | IO[str] | IO[bytes], fmt: str = "jsonl") -> CorpusReader:
-    """Open a corpus for single-pass streaming; see CorpusReader."""
-    return CorpusReader(source, fmt)

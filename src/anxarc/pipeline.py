@@ -1,9 +1,11 @@
 """Corpus scan: stream posts, score them, and fill per-slice bin aggregates.
 
-Parallelism model: the input is cut into fixed-size line chunks, workers
-scan private aggregates per chunk, and partial results merge back in chunk
-order. Counters are exact integer sums and score samples concatenate in
-stream order, so the final result is identical for any worker count.
+Parallelism model: every corpus source of a run is cut into fixed-size line
+chunks (a chunk never spans two sources), one pool of workers scans private
+aggregates per chunk, and partial results merge back in submission order.
+Every aggregate field is an exact integer sum, so the final result does not
+depend on the worker count or on how the input is split into sources. The
+recorded skip events keep stream order and name their source and line.
 """
 
 from __future__ import annotations
@@ -16,18 +18,17 @@ from typing import IO, Iterable, Iterator
 from . import _kernel
 from .corpus import SkipEvent, UnknownTimezoneError, iter_data_lines, localize, parse_record
 from .lexicon import Lexicon
-from .scoring import DEFAULT_SAMPLE_CAP, BinAggregate
+from .scoring import BinAggregate
 from .slicer import PRONOUNS, Tense, VerbTables, classify_tense, load_verb_tables, pronoun_keys
 
 FAMILIES = ("hour", "weekday", "tense", "pronoun")
 
-# Fixed chunk size: results must not depend on the worker count, so the
-# chunking itself must not either.
+# Lines per chunk. Results do not depend on it: aggregates are exact sums
+# and skip events keep stream order.
 CHUNK_LINES = 32768
 
 MAX_RECORDED_SKIPS = 50
 
-OVERALL_KEY = "all"
 PRONOUN_OVERALL_KEY = "all_pronoun"
 
 
@@ -37,7 +38,6 @@ class _ScanState:
     families: frozenset[str]
     class_map: dict[str, int]
     tables: VerbTables | None
-    cap: int
 
     @property
     def need_tokens(self) -> bool:
@@ -47,26 +47,25 @@ class _ScanState:
 class ScanResult:
     """Aggregates for one scan: overall bin plus the requested slice families."""
 
-    def __init__(self, families: Iterable[str], cap: int = DEFAULT_SAMPLE_CAP):
+    def __init__(self, families: Iterable[str]):
         self.families = frozenset(families)
         unknown = self.families.difference(FAMILIES)
         if unknown:
             raise ValueError(f"unknown slice families: {sorted(unknown)}")
-        self.cap = cap
-        self.overall = BinAggregate.for_key(OVERALL_KEY, cap)
+        self.overall = BinAggregate()
         self.hours: dict[int, BinAggregate] = {}
         self.weekdays: dict[int, BinAggregate] = {}
         self.tenses: dict[Tense, BinAggregate] = {}
         self.pronouns: dict[str, BinAggregate] = {}
-        self.pronoun_overall = BinAggregate.for_key(PRONOUN_OVERALL_KEY, cap)
+        self.pronoun_overall = BinAggregate()
         if "hour" in self.families:
-            self.hours = {h: BinAggregate.for_key(f"hour:{h}", cap) for h in range(24)}
+            self.hours = {h: BinAggregate() for h in range(24)}
         if "weekday" in self.families:
-            self.weekdays = {d: BinAggregate.for_key(f"weekday:{d}", cap) for d in range(7)}
+            self.weekdays = {d: BinAggregate() for d in range(7)}
         if "tense" in self.families:
-            self.tenses = {t: BinAggregate.for_key(f"tense:{t.value}", cap) for t in Tense}
+            self.tenses = {t: BinAggregate() for t in Tense}
         if "pronoun" in self.families:
-            self.pronouns = {p: BinAggregate.for_key(f"pronoun:{p}", cap) for p in PRONOUNS}
+            self.pronouns = {p: BinAggregate() for p in PRONOUNS}
         self.n_records = 0
         self.n_parse_skips = 0
         self.n_empty_skips = 0
@@ -129,22 +128,26 @@ class ScanResult:
             self.skip_events.extend(other.skip_events[:room])
 
 
-def _scan_chunk(chunk: list[tuple[int, str | bytes]], st: _ScanState) -> ScanResult:
-    res = ScanResult(st.families, st.cap)
+_Chunk = tuple[str, list[tuple[int, str | bytes]]]  # (source path, numbered lines)
+
+
+def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
+    path, lines = chunk
+    res = ScanResult(st.families)
     class_map = st.class_map
     need_tokens = st.need_tokens
     need_time = "hour" in st.families or "weekday" in st.families
     hours = res.hours
     weekdays = res.weekdays
 
-    for line_no, line in chunk:
+    for line_no, line in lines:
         res.n_records += 1
         try:
             post = parse_record(line, st.fmt)
         except ValueError as exc:
             res.n_parse_skips += 1
             if len(res.skip_events) < MAX_RECORDED_SKIPS:
-                res.skip_events.append(SkipEvent(line_no, str(exc)))
+                res.skip_events.append(SkipEvent(path, line_no, str(exc)))
             continue
 
         if need_tokens:
@@ -184,16 +187,18 @@ def _scan_chunk(chunk: list[tuple[int, str | bytes]], st: _ScanState) -> ScanRes
 
 
 def _chunks(
-    pairs: Iterator[tuple[int, str | bytes]], chunk_lines: int
-) -> Iterator[list[tuple[int, str | bytes]]]:
-    chunk: list[tuple[int, str | bytes]] = []
-    for pair in pairs:
-        chunk.append(pair)
-        if len(chunk) >= chunk_lines:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+    sources: tuple[str | IO[str] | IO[bytes], ...], fmt: str, chunk_lines: int
+) -> Iterator[_Chunk]:
+    for source in sources:
+        path = source if isinstance(source, str) else "<stream>"
+        lines: list[tuple[int, str | bytes]] = []
+        for pair in iter_data_lines(source, fmt):
+            lines.append(pair)
+            if len(lines) >= chunk_lines:
+                yield path, lines
+                lines = []
+        if lines:
+            yield path, lines
 
 
 _POOL_STATE: _ScanState | None = None
@@ -204,26 +209,26 @@ def _init_pool(state: _ScanState) -> None:
     _POOL_STATE = state
 
 
-def _pool_scan(chunk: list[tuple[int, str | bytes]]) -> ScanResult:
+def _pool_scan(chunk: _Chunk) -> ScanResult:
     assert _POOL_STATE is not None
     return _scan_chunk(chunk, _POOL_STATE)
 
 
 def scan_corpus(
-    source: str | IO[str],
-    *,
+    *sources: str | IO[str] | IO[bytes],
     lexicon: Lexicon,
     families: Iterable[str] = FAMILIES,
     fmt: str = "jsonl",
     tables: VerbTables | None = None,
     workers: int = 1,
-    sample_cap: int = DEFAULT_SAMPLE_CAP,
     chunk_lines: int = CHUNK_LINES,
 ) -> ScanResult:
-    """Scan a corpus and aggregate the requested slice families.
+    """Scan one or more corpus sources as one stream of posts.
 
-    The result is deterministic: it does not depend on the worker count
-    (chunk size is fixed and partial results merge in chunk order).
+    The aggregates do not depend on the worker count or on how the posts
+    are split into sources: every field is an exact sum. Partial results
+    merge in stream order, so the recorded skip events keep it; their line
+    numbers count from the start of each source.
     """
     families = frozenset(families)
     if workers < 1:
@@ -235,19 +240,18 @@ def scan_corpus(
         families=families,
         class_map=lexicon.class_map,
         tables=tables,
-        cap=sample_cap,
     )
-    total = ScanResult(families, sample_cap)
-    chunk_iter = _chunks(iter_data_lines(source, fmt), chunk_lines)
+    total = ScanResult(families)
+    chunk_iter = _chunks(sources, fmt, chunk_lines)
 
     if workers == 1:
         for chunk in chunk_iter:
             total.merge_from(_scan_chunk(chunk, state))
         return total
 
-    # Bounded sliding window of in-flight chunks, merged strictly in
-    # submission order; Pool.imap is avoided because its feeder thread
-    # would buffer the whole corpus.
+    # One pool for every source, with a bounded sliding window of in-flight
+    # chunks merged strictly in submission order; Pool.imap is avoided
+    # because its feeder thread would buffer the whole corpus.
     with multiprocessing.Pool(workers, initializer=_init_pool, initargs=(state,)) as pool:
         pending: deque = deque()
         for chunk in chunk_iter:

@@ -5,36 +5,15 @@ anxiety-associated tokens minus the percentage of calmness-associated
 tokens. Neutral and out-of-vocabulary tokens count only in the denominator.
 
 Bin aggregates are designed for parallel scans: each worker owns private
-aggregates and a final associative merge reproduces the single-threaded
-result exactly (counters are integer sums; score samples concatenate in
-merge order).
+aggregates and a final merge reproduces the single-threaded result exactly,
+in any order. Every field is an integer sum: the token counters, and a
+histogram of the ``(n_anx - n_calm, n_tokens)`` pairs that fix each post's
+score, from which the macro score and the t-tests are computed exactly.
 """
 
 from __future__ import annotations
 
-import math
-import random
-import zlib
-from dataclasses import dataclass
-
-from . import _kernel
-from .lexicon import Lexicon
-
-# Per-bin score samples are kept for significance testing up to this many
-# entries; beyond it, seeded reservoir sampling bounds memory.
-DEFAULT_SAMPLE_CAP = 5_000_000
-
-
-class EmptyPostError(ValueError):
-    """A post had no tokens after normalization; its score is undefined."""
-
-
-@dataclass(frozen=True)
-class PostScore:
-    n_tokens: int
-    n_anx: int
-    n_calm: int
-    score: float
+from .stats import exact_sum
 
 
 def post_score_value(n_tokens: int, n_anx: int, n_calm: int) -> float:
@@ -43,103 +22,45 @@ def post_score_value(n_tokens: int, n_anx: int, n_calm: int) -> float:
     return (100 * (n_anx - n_calm)) / n_tokens
 
 
-def score_post(tokens: list[str], lexicon: Lexicon) -> PostScore:
-    """Score one tokenized post; repeated tokens count per occurrence."""
-    if not tokens:
-        raise EmptyPostError("cannot score a post with zero tokens")
-    n_tokens, n_anx, n_calm = _kernel.score_tokens(tokens, lexicon.class_map)
-    return PostScore(n_tokens, n_anx, n_calm, post_score_value(n_tokens, n_anx, n_calm))
-
-
-def _sample_seed(key: str) -> int:
-    # Stable across processes and runs (unlike hash()).
-    return zlib.crc32(key.encode("utf-8"))
-
-
-class ScoreSample:
-    """Uniform reservoir sample of a score stream (Algorithm R), seeded.
-
-    Below the cap this is simply the full stream in arrival order, so
-    chunked parallel scans that merge in chunk order reproduce the
-    single-threaded sample exactly.
-    """
-
-    __slots__ = ("cap", "seed", "values", "seen", "_rng")
-
-    def __init__(self, cap: int = DEFAULT_SAMPLE_CAP, seed: int = 0):
-        if cap < 1:
-            raise ValueError("sample cap must be >= 1")
-        self.cap = cap
-        self.seed = seed
-        self.values: list[float] = []
-        self.seen = 0
-        self._rng: random.Random | None = None
-
-    @property
-    def truncated(self) -> bool:
-        return self.seen > len(self.values)
-
-    def add(self, score: float) -> None:
-        self.seen += 1
-        if len(self.values) < self.cap:
-            self.values.append(score)
-            return
-        if self._rng is None:
-            self._rng = random.Random(self.seed)
-        j = self._rng.randrange(self.seen)
-        if j < self.cap:
-            self.values[j] = score
-
-    def merge_from(self, other: ScoreSample) -> None:
-        """Continue this reservoir over the other sample's stream.
-
-        Exact (a straight continuation of Algorithm R) when the other side
-        is untruncated, which chunked scans guarantee; a truncated right
-        side is folded in approximately, preserving the seen-count total.
-        """
-        hidden = other.seen - len(other.values)
-        for v in other.values:
-            self.add(v)
-        self.seen += hidden
-
-
 class BinAggregate:
-    """Mergeable counters plus a score sample for one slice bin."""
+    """Mergeable counters plus an exact score histogram for one slice bin."""
 
-    __slots__ = ("n_posts", "n_tokens", "n_anx", "n_calm", "sample")
+    __slots__ = ("n_posts", "n_tokens", "n_anx", "n_calm", "hist")
 
-    def __init__(self, cap: int = DEFAULT_SAMPLE_CAP, seed: int = 0):
+    def __init__(self) -> None:
         self.n_posts = 0
         self.n_tokens = 0
         self.n_anx = 0
         self.n_calm = 0
-        self.sample = ScoreSample(cap, seed)
-
-    @classmethod
-    def for_key(cls, key: str, cap: int = DEFAULT_SAMPLE_CAP) -> BinAggregate:
-        return cls(cap=cap, seed=_sample_seed(key))
-
-    def update(self, ps: PostScore) -> None:
-        self.n_posts += 1
-        self.n_tokens += ps.n_tokens
-        self.n_anx += ps.n_anx
-        self.n_calm += ps.n_calm
-        self.sample.add(ps.score)
+        # (n_anx - n_calm, n_tokens) -> number of posts with that pair.
+        self.hist: dict[tuple[int, int], int] = {}
 
     def update_counts(self, n_tokens: int, n_anx: int, n_calm: int) -> None:
-        """Hot-path update without constructing a PostScore."""
+        """Add one post with ``n_tokens >= 1``."""
         self.n_posts += 1
         self.n_tokens += n_tokens
         self.n_anx += n_anx
         self.n_calm += n_calm
-        self.sample.add(post_score_value(n_tokens, n_anx, n_calm))
+        key = (n_anx - n_calm, n_tokens)
+        hist = self.hist
+        hist[key] = hist.get(key, 0) + 1
 
     def merge_from(self, other: BinAggregate) -> None:
         self.n_posts += other.n_posts
         self.n_tokens += other.n_tokens
         self.n_anx += other.n_anx
         self.n_calm += other.n_calm
-        self.sample.merge_from(other.sample)
+        hist = self.hist
+        for key, count in other.hist.items():
+            hist[key] = hist.get(key, 0) + count
+
+    def score_counts(self) -> dict[float, int]:
+        """Per-post score -> number of posts in the bin with that score."""
+        counts: dict[float, int] = {}
+        for (diff, n_tokens), count in self.hist.items():
+            score = post_score_value(n_tokens, diff, 0)
+            counts[score] = counts.get(score, 0) + count
+        return counts
 
     @property
     def micro_score(self) -> float | None:
@@ -150,21 +71,7 @@ class BinAggregate:
 
     @property
     def macro_score(self) -> float | None:
-        """Mean of the per-post score sample; None for an empty bin."""
-        if not self.sample.values:
+        """Mean of the per-post scores; None for an empty bin."""
+        if self.n_posts == 0:
             return None
-        return math.fsum(self.sample.values) / len(self.sample.values)
-
-
-def update(bin_agg: BinAggregate, ps: PostScore) -> BinAggregate:
-    """Functional wrapper over BinAggregate.update (returns its input)."""
-    bin_agg.update(ps)
-    return bin_agg
-
-
-def merge(a: BinAggregate, b: BinAggregate) -> BinAggregate:
-    """Merge two aggregates into a fresh one; counters sum, samples concatenate."""
-    out = BinAggregate(cap=a.sample.cap, seed=a.sample.seed)
-    out.merge_from(a)
-    out.merge_from(b)
-    return out
+        return exact_sum(self.score_counts().items()) / self.n_posts

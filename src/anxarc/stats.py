@@ -1,4 +1,4 @@
-"""Significance tests and correlation measures over bin samples and arcs.
+"""Significance tests and correlation measures over bin scores and arcs.
 
 Welch's unequal-variance two-sided t-test is the only test variant offered:
 bin sizes and variances differ wildly across slices, making the pooled
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 DEFAULT_ALPHA = 0.05
 
@@ -109,33 +109,47 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
 
 
-def _mean_var(sample: Sequence[float]) -> tuple[float, float]:
-    n = len(sample)
-    m = math.fsum(sample) / n
-    v = math.fsum((s - m) ** 2 for s in sample) / (n - 1)
+def exact_sum(pairs: Iterable[tuple[float, int]]) -> float:
+    """Correctly rounded sum of ``value * count`` over (value, count) pairs.
+
+    Bit-for-bit what ``math.fsum`` gives over the list holding each value
+    ``count`` times: every float is a ratio ``p / q`` with ``q`` a power of
+    two, so the sum is exact in integers over the largest ``q`` and is
+    rounded once by int true division.
+    """
+    terms = [(v.as_integer_ratio(), c) for v, c in pairs]
+    denom = max((q for (_, q), _ in terms), default=1)
+    return sum(c * p * (denom // q) for (p, q), c in terms) / denom
+
+
+def _mean_var(counts: Mapping[float, int], n: int) -> tuple[float, float]:
+    m = exact_sum(counts.items()) / n
+    v = exact_sum(((s - m) ** 2, c) for s, c in counts.items()) / (n - 1)
     return m, v
 
 
 def welch_t(
-    sample_a: Sequence[float],
-    sample_b: Sequence[float],
+    counts_a: Mapping[float, int],
+    counts_b: Mapping[float, int],
     alpha: float = DEFAULT_ALPHA,
 ) -> TTestResult:
     """Welch's unequal-variance two-sided t-test.
 
+    Each sample is given as a map from score to the number of observations
+    with that score; the result is the same as over the expanded lists.
     Degenerate inputs get sentinel behavior instead of exceptions: two
     constant equal samples give t=0, p=1; constant samples with different
     means give t=+/-inf, p=0 (df falls back to n_a + n_b - 2 in both cases).
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    n_a, n_b = len(sample_a), len(sample_b)
+    n_a, n_b = sum(counts_a.values()), sum(counts_b.values())
     if n_a < 2 or n_b < 2:
         raise InsufficientSampleError(
             f"welch_t needs at least 2 observations per sample, got {n_a} and {n_b}"
         )
-    m_a, v_a = _mean_var(sample_a)
-    m_b, v_b = _mean_var(sample_b)
+    m_a, v_a = _mean_var(counts_a, n_a)
+    m_b, v_b = _mean_var(counts_b, n_b)
 
     if v_a == 0.0 and v_b == 0.0:
         df = float(n_a + n_b - 2)

@@ -11,6 +11,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,8 @@ import util
 from anxarc.cli import main as cli_main
 from anxarc.lexicon import loads_lexicon
 from anxarc.pipeline import FAMILIES, scan_corpus
-from anxarc.scoring import score_post
+from anxarc._kernel import score_tokens
+from anxarc.scoring import BinAggregate
 from anxarc.slicer import PRONOUNS, classify_tense, load_verb_tables, pronoun_keys
 from anxarc.stats import pearson, spearman, welch_t
 from anxarc.synth import ArcSpec, evaluate_arc, generate_file
@@ -118,7 +120,7 @@ SCORE_CASES_REAL = [
 
 
 def test_criterion_3_scoring_formula():
-    """score_post matches the hand formula on a 25-case fixture table."""
+    """A one-post bin's score matches the hand formula on a 25-case fixture table."""
     with criterion(3, "scoring formula"):
         lex = loads_lexicon("a1\t2.0\na2\t2.0\nc1\t-2.0\nc2\t-2.0\nn1\t0.0\nn2\t0.0\n")
         assert len(SCORE_CASES_EXACT) + len(SCORE_CASES_REAL) == 25
@@ -130,18 +132,23 @@ def test_criterion_3_scoring_formula():
             toks += [f"unk{i}" for i in range(u)]
             return toks
 
+        def one_post_bin(tokens):
+            agg = BinAggregate()
+            agg.update_counts(*score_tokens(tokens, lex.class_map))
+            return agg
+
         for a, c, n, u in SCORE_CASES_EXACT:
             total = a + c + n + u
-            ps = score_post(tokens_for(a, c, n, u), lex)
-            assert (ps.n_tokens, ps.n_anx, ps.n_calm) == (total, a, c)
+            agg = one_post_bin(tokens_for(a, c, n, u))
+            assert (agg.n_tokens, agg.n_anx, agg.n_calm) == (total, a, c)
             expected = Fraction(100 * (a - c), total)
-            assert ps.score == float(expected), (a, c, n, u)
+            assert agg.macro_score == float(expected), (a, c, n, u)
 
         for a, c, n, u in SCORE_CASES_REAL:
             total = a + c + n + u
-            ps = score_post(tokens_for(a, c, n, u), lex)
+            agg = one_post_bin(tokens_for(a, c, n, u))
             expected = 100.0 * (a - c) / total
-            assert ps.score == pytest.approx(expected, abs=1e-12)
+            assert agg.macro_score == pytest.approx(expected, abs=1e-12)
 
 
 def test_criterion_4_tense_classifier(fixtures_dir):
@@ -204,7 +211,7 @@ def test_criterion_6_statistics(fixtures_dir):
         n_fixtures = sum(len(oracle[k]) for k in ("welch", "pearson", "spearman"))
         assert n_fixtures == 20
         for case in oracle["welch"]:
-            res = welch_t(case["a"], case["b"])
+            res = welch_t(Counter(case["a"]), Counter(case["b"]))
             assert res.t == pytest.approx(case["t"], abs=1e-9)
             assert res.df == pytest.approx(case["df"], abs=1e-9)
             assert res.p == pytest.approx(case["p"], abs=1e-6)
@@ -217,10 +224,10 @@ def test_criterion_6_statistics(fixtures_dir):
         for _ in range(1000):
             a = [rng.gauss(0, 1) for _ in range(rng.randint(2, 15))]
             b = [rng.gauss(0.5, 2) for _ in range(rng.randint(2, 15))]
-            ab, ba = welch_t(a, b), welch_t(b, a)
+            ab, ba = welch_t(Counter(a), Counter(b)), welch_t(Counter(b), Counter(a))
             assert ab.t == pytest.approx(-ba.t, abs=1e-12)
             assert ab.p == pytest.approx(ba.p, abs=1e-12)
-            same = welch_t(a, a)
+            same = welch_t(Counter(a), Counter(a))
             assert same.t == 0.0 and same.p == 1.0
 
         false_positives = 0
@@ -228,7 +235,7 @@ def test_criterion_6_statistics(fixtures_dir):
             r = random.Random(90_000 + seed)
             a = [r.gauss(0.0, 1.0) for _ in range(100)]
             b = [r.gauss(0.0, 1.0) for _ in range(100)]
-            if welch_t(a, b, alpha=0.05).significant:
+            if welch_t(Counter(a), Counter(b), alpha=0.05).significant:
                 false_positives += 1
         print(f"  alpha calibration: {false_positives}/100 flagged at alpha=0.05")
         assert false_positives <= 10

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from datetime import datetime
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import util
 from anxarc.cli import main
@@ -155,6 +161,66 @@ def test_invalid_utf8_is_counted_not_fatal(workdir, workers):
     assert scored == 9  # every post of the mini corpus is still scored
     assert meta["n_records"] == len([l for l in lines if l.strip()])
     assert meta["n_records"] == scored + meta["n_parse_skips"] + meta["n_empty_skips"]
+
+
+# Well-typed records span the whole datetime range with any offset and
+# zones that may not resolve; other records may lack keys or hold any JSON
+# value in them.
+_good_fields = {
+    "id": st.text(min_size=1, max_size=5),
+    "text": st.sampled_from(["i went home", "we panic", "calm sea", ""]),
+    "timestamp_utc": st.builds(
+        lambda dt, off: dt.isoformat() + off,
+        st.one_of(
+            st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59)),
+            st.sampled_from([datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59)]),
+        ),
+        st.sampled_from(["Z", "+00:00", "+14:00", "-12:00", "+23:59", "-23:59", ""]),
+    ),
+    "timezone": st.sampled_from(["UTC", "Asia/Tokyo", "Pacific/Kiritimati", "Etc/GMT+12",
+                                 "Mars/Colony", "America", " ", "../UTC"]),
+}
+_json_values = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=20), st.lists(st.integers(), max_size=2))
+_records = st.one_of(
+    st.fixed_dictionaries(_good_fields),
+    st.fixed_dictionaries({}, optional={k: st.one_of(v, _json_values)
+                                        for k, v in _good_fields.items()}),
+).map(lambda obj: json.dumps(obj).encode("utf-8"))
+_corpus_lines = st.lists(
+    st.one_of(st.binary(max_size=60), _records).map(lambda b: b.replace(b"\n", b"")),
+    max_size=10,
+)
+
+
+@pytest.mark.parametrize("workers,examples", [("1", 150), ("2", 10)])
+def test_no_corpus_bytes_exit_1(workdir, capsys, workers, examples):
+    @given(_corpus_lines)
+    @settings(max_examples=examples, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def check(lines):
+        (workdir / "fuzz.jsonl").write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        code = run("replicate", "--lexicon", MINI_LEX, "--corpus", "fuzz.jsonl",
+                   "--out", "fuzzout", "--workers", workers)
+        assert code in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    check()
+
+
+def test_missing_second_corpus_exits_2_at_two_workers(workdir):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "anxarc.cli", "analyze-hour", "--lexicon", MINI_LEX,
+         "--corpus", MINI_CORPUS, "missing.jsonl", "--workers", "2", "--out", "out"],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "missing.jsonl" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_compare_undersized_slice_names_it(workdir, capsys):

@@ -11,8 +11,8 @@ from anxarc.corpus import (
     LocalTime,
     Post,
     UnknownTimezoneError,
+    iter_data_lines,
     localize,
-    open_corpus,
     parse_rfc3339,
     parse_record,
 )
@@ -60,47 +60,46 @@ def test_rfc3339_offset_normalized_to_utc():
     assert dt == datetime(2020, 6, 15, 12, 0, tzinfo=timezone.utc)
 
 
+def read_posts(source, fmt="jsonl"):
+    """Parse every data line: (posts, [(line_no, reason)] of the skipped lines)."""
+    posts, skips = [], []
+    for line_no, line in iter_data_lines(source, fmt):
+        try:
+            posts.append(parse_record(line, fmt))
+        except ValueError as exc:
+            skips.append((line_no, str(exc)))
+    return posts, skips
+
+
 def test_stream_yields_in_order_and_counts():
     lines = [GOOD_JSONL, "broken", GOOD_JSONL.replace('"1"', '"2"')]
-    reader = open_corpus(io.StringIO("\n".join(lines) + "\n"), "jsonl")
-    posts = list(reader)
+    posts, skips = read_posts(io.StringIO("\n".join(lines) + "\n"))
     assert [p.id for p in posts] == ["1", "2"]
-    assert reader.n_records == 3
-    assert reader.n_yielded == 2
-    assert reader.n_skipped == 1
-    assert reader.skip_events[0].line_no == 2
-    assert reader.n_yielded + reader.n_skipped == reader.n_records
+    assert [line_no for line_no, _ in skips] == [2]
 
 
 def test_tsv_skip_event_and_continue():
     text = "a\tb\tc\n1\thello\t2020-01-01T00:00:00Z\tUTC\n"
-    reader = open_corpus(io.StringIO(text), "tsv")
-    posts = list(reader)
+    posts, skips = read_posts(io.StringIO(text), "tsv")
     assert len(posts) == 1
-    assert reader.n_skipped == 1
-    assert reader.skip_events[0].line_no == 1
+    assert [line_no for line_no, _ in skips] == [1]
 
 
 def test_tsv_header_skipped_silently():
     text = "id\ttext\ttimestamp_utc\ttimezone\n1\thi\t2020-01-01T00:00:00Z\tUTC\n"
-    reader = open_corpus(io.StringIO(text), "tsv")
-    assert len(list(reader)) == 1
-    assert reader.n_records == 1
-    assert reader.n_skipped == 0
+    assert [n for n, _ in iter_data_lines(io.StringIO(text), "tsv")] == [2]
+    posts, skips = read_posts(io.StringIO(text), "tsv")
+    assert len(posts) == 1 and skips == []
 
 
 def test_empty_file_empty_stream():
-    reader = open_corpus(io.StringIO(""), "jsonl")
-    assert list(reader) == []
-    assert reader.n_records == 0
-    assert reader.n_skipped == 0
+    assert list(iter_data_lines(io.StringIO(""), "jsonl")) == []
 
 
 def test_byte_stream_source():
-    reader = open_corpus(io.BytesIO(GOOD_JSONL.encode("utf-8") + b"\n"), "jsonl")
-    posts = list(reader)
-    assert len(posts) == 1
-    assert posts[0].id == "1"
+    posts, skips = read_posts(io.BytesIO(GOOD_JSONL.encode("utf-8") + b"\n"))
+    assert [p.id for p in posts] == ["1"]
+    assert skips == []
 
 
 def test_parse_record_accepts_utf8_bytes():
@@ -111,29 +110,34 @@ def test_parse_record_accepts_utf8_bytes():
 
 def test_invalid_utf8_line_skipped_alone():
     good = GOOD_JSONL.encode("utf-8")
-    reader = open_corpus(io.BytesIO(b"\n".join([good, b'{"id": "\xff\xfe"}', good])), "jsonl")
-    assert len(list(reader)) == 2
-    assert reader.n_records == 3
-    assert reader.n_skipped == 1
-    assert reader.skip_events[0].line_no == 2
-    assert reader.skip_events[0].reason.startswith("invalid UTF-8")
+    posts, skips = read_posts(io.BytesIO(b"\n".join([good, b'{"id": "\xff\xfe"}', good])))
+    assert len(posts) == 2
+    assert len(skips) == 1
+    assert skips[0][0] == 2
+    assert skips[0][1].startswith("invalid UTF-8")
 
 
 def test_blank_lines_not_counted():
-    reader = open_corpus(io.StringIO("\n\n" + GOOD_JSONL + "\n\n"), "jsonl")
-    assert len(list(reader)) == 1
-    assert reader.n_records == 1
+    lines = list(iter_data_lines(io.StringIO("\n\n" + GOOD_JSONL + "\n\n"), "jsonl"))
+    assert lines == [(3, GOOD_JSONL)]
 
 
 def test_unknown_format_rejected():
     with pytest.raises(CorpusError):
-        open_corpus(io.StringIO(""), "xml")
+        list(iter_data_lines(io.StringIO(""), "xml"))
+    with pytest.raises(CorpusError):
+        parse_record(GOOD_JSONL, "xml")
 
 
 def test_missing_file_is_fatal():
-    reader = open_corpus("/nonexistent/corpus.jsonl", "jsonl")
     with pytest.raises(CorpusError):
-        list(reader)
+        list(iter_data_lines("/nonexistent/corpus.jsonl", "jsonl"))
+
+
+@pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-05:00"])
+def test_timestamp_outside_datetime_range_is_a_bad_record(stamp):
+    with pytest.raises(ValueError, match="bad timestamp"):
+        parse_record(GOOD_JSONL.replace("2020-06-15T12:00:00Z", stamp), "jsonl")
 
 
 # localize: expected values computed independently from the tz database
@@ -167,6 +171,12 @@ def test_localize_dst_shift():
 
 def test_localize_unknown_timezone():
     post = Post("x", "", datetime(2020, 1, 1, tzinfo=timezone.utc), "Mars/Colony")
+    with pytest.raises(UnknownTimezoneError):
+        localize(post)
+
+
+def test_localize_past_year_9999_is_a_timezone_skip():
+    post = Post("x", "", datetime(9999, 12, 31, 23, tzinfo=timezone.utc), "Asia/Tokyo")
     with pytest.raises(UnknownTimezoneError):
         localize(post)
 

@@ -62,10 +62,8 @@ def test_worker_counts_agree_exactly(random_corpus, lexicon):
     ]
     base = results[0]
     for other in results[1:]:
-        assert other.overall.sample.values == base.overall.sample.values
-        for h in range(24):
-            assert other.hours[h].sample.values == base.hours[h].sample.values
-        assert util.counters_of(other.overall) == util.counters_of(base.overall)
+        # Every bin's counters and score histogram, and the skip events.
+        assert util.result_state(other) == util.result_state(base)
 
 
 def test_families_limit_work(random_corpus, lexicon):
@@ -104,6 +102,7 @@ def test_parse_and_empty_skips_counted(tmp_path, lexicon):
     assert res.n_empty_skips == 1
     assert res.overall.n_posts == 1
     assert res.skip_events[0].line_no == 1
+    assert res.skip_events[0].path == path
     # records = scored + parse skips + empty skips
     assert res.n_records == res.overall.n_posts + res.n_parse_skips + res.n_empty_skips
 
@@ -128,7 +127,9 @@ def test_invalid_utf8_line_is_a_parse_skip(tmp_path, lexicon, workers):
     assert res.n_records == 3
     assert res.n_parse_skips == 1
     assert res.overall.n_posts == 2
-    assert [(e.line_no, e.reason) for e in res.skip_events] == [(2, "invalid UTF-8 at byte 22")]
+    assert [(e.path, e.line_no, e.reason) for e in res.skip_events] == [
+        (str(path), 2, "invalid UTF-8 at byte 22")
+    ]
     assert_all_records_accounted(res)
 
 
@@ -164,6 +165,54 @@ def test_any_bytes_scan_without_error(tmp_path, lexicon, workers, examples):
         assert_all_records_accounted(res)
         assert res.n_records == sum(map(is_record, lines))
         assert res.overall.n_posts == sum(len(line) > 40 for line in lines)
+
+    check()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_skip_events_name_their_file(tmp_path, lexicon, workers):
+    first = write_corpus(tmp_path, ["bad one", GOOD_RECORD.decode() % 1, "bad two"], "a.jsonl")
+    second = write_corpus(tmp_path, [GOOD_RECORD.decode() % 2, "", "bad three"], "b.jsonl")
+    res = scan_corpus(first, second, lexicon=lexicon, families=FAMILIES,
+                      workers=workers, chunk_lines=2)
+    assert [(e.path, e.line_no) for e in res.skip_events] == [
+        (first, 1), (first, 3), (second, 3)
+    ]
+    assert res.n_records == 5 and res.n_parse_skips == 3 and res.overall.n_posts == 2
+
+
+@pytest.fixture(scope="module")
+def mixed_lines():
+    # Well-formed posts with bad zones, empty texts and pronouns, with
+    # unparseable lines and blank lines mixed in.
+    lines = util.random_corpus_lines(random.Random(77), 600, bad_tz_rate=0.05)
+    for i in range(0, 600, 37):
+        lines[i] = "not json %d" % i
+    for i in range(5, 600, 53):
+        lines[i] = ""
+    return lines
+
+
+@pytest.mark.parametrize("workers,examples", [(1, 25), (2, 6)])
+def test_splitting_into_files_keeps_the_result(tmp_path_factory, lexicon, tables,
+                                               mixed_lines, workers, examples):
+    tmp = tmp_path_factory.mktemp("split")
+    whole = scan_corpus(write_corpus(tmp, mixed_lines), lexicon=lexicon,
+                        families=FAMILIES, tables=tables, chunk_lines=64)
+    expected = util.result_state(whole)
+
+    @given(st.sampled_from([1, 2, 4]).flatmap(
+        lambda k: st.lists(st.integers(0, len(mixed_lines)), min_size=k - 1, max_size=k - 1)))
+    @settings(max_examples=examples, deadline=None)
+    def check(cuts):
+        bounds = [0, *sorted(cuts), len(mixed_lines)]
+        paths = [
+            write_corpus(tmp, mixed_lines[lo:hi], f"part{i}.jsonl")
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ]
+        res = scan_corpus(*paths, lexicon=lexicon, families=FAMILIES, tables=tables,
+                          workers=workers, chunk_lines=64)
+        assert util.result_state(res) == expected
 
     check()
 

@@ -1,53 +1,69 @@
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from anxarc._kernel import score_tokens
 from anxarc.lexicon import loads_lexicon
-from anxarc.scoring import (
-    BinAggregate,
-    EmptyPostError,
-    PostScore,
-    ScoreSample,
-    merge,
-    post_score_value,
-    score_post,
-    update,
-)
+from anxarc.scoring import BinAggregate, post_score_value
+from anxarc.stats import TTestResult, student_t_two_sided_p, welch_t
 
 LEX = loads_lexicon(
     "panic\t3.0\ndread\t2.0\nrelax\t-2.0\ncalm\t-2.5\nstorm\t0.0\nroad\t0.0\n"
 )
 
 
+def one_post(tokens: list[str]) -> BinAggregate:
+    agg = BinAggregate()
+    agg.update_counts(*score_tokens(tokens, LEX.class_map))
+    return agg
+
+
+def state(agg: BinAggregate) -> tuple:
+    return (agg.n_posts, agg.n_tokens, agg.n_anx, agg.n_calm, agg.hist)
+
+
+def filled(posts) -> BinAggregate:
+    agg = BinAggregate()
+    for post in posts:
+        agg.update_counts(*post)
+    return agg
+
+
 def test_score_post_cancel():
-    ps = score_post(["storm", "panic", "relax"], LEX)
-    assert ps == PostScore(3, 1, 1, 0.0)
+    agg = one_post(["storm", "panic", "relax"])
+    assert state(agg) == (1, 3, 1, 1, {(0, 3): 1})
+    assert agg.macro_score == 0.0
 
 
 def test_score_post_mixed_with_unknown():
     # "ok" is out of vocabulary: counts only in the denominator.
-    ps = score_post(["panic", "dread", "calm", "ok"], LEX)
-    assert ps.n_tokens == 4 and ps.n_anx == 2 and ps.n_calm == 1
-    assert ps.score == 25.0
+    agg = one_post(["panic", "dread", "calm", "ok"])
+    assert agg.n_tokens == 4 and agg.n_anx == 2 and agg.n_calm == 1
+    assert agg.macro_score == 25.0
 
 
 def test_score_post_extreme_bound():
-    ps = score_post(["calm", "calm", "calm"], LEX)
-    assert ps.score == -100.0
+    assert one_post(["calm", "calm", "calm"]).macro_score == -100.0
 
 
 def test_repeated_tokens_count_each_occurrence():
-    ps = score_post(["panic", "panic", "road"], LEX)
-    assert ps.n_anx == 2
-    assert ps.score == post_score_value(3, 2, 0)
+    agg = one_post(["panic", "panic", "road"])
+    assert agg.n_anx == 2
+    assert agg.macro_score == post_score_value(3, 2, 0)
 
 
 def test_empty_tokens_error():
-    with pytest.raises(EmptyPostError):
-        score_post([], LEX)
+    # A post with no tokens has no score; the scan counts it as an empty skip.
+    assert score_tokens([], LEX.class_map) == (0, 0, 0)
+    with pytest.raises(ZeroDivisionError):
+        post_score_value(0, 0, 0)
 
 
 def test_score_value_matches_exact_rational():
@@ -60,55 +76,55 @@ def test_score_value_matches_exact_rational():
 
 
 def test_update_single_post():
-    agg = BinAggregate()
-    update(agg, PostScore(4, 2, 1, 25.0))
+    agg = filled([(4, 2, 1)])
     assert agg.n_posts == 1
     assert agg.micro_score == 25.0
     assert agg.macro_score == 25.0
+    assert agg.score_counts() == {25.0: 1}
 
 
 def test_update_pools_token_counts():
-    agg = BinAggregate()
-    agg.update(PostScore(4, 2, 1, 25.0))
-    agg.update(PostScore(3, 0, 3, -100.0))
+    agg = filled([(4, 2, 1), (3, 0, 3)])
     # Pooled: 100 * (2 - 4) / 7
     assert agg.micro_score == pytest.approx(-28.571428571428573, abs=1e-12)
     assert agg.macro_score == pytest.approx((25.0 - 100.0) / 2, abs=1e-12)
 
 
+def test_equal_scores_share_a_histogram_count():
+    agg = filled([(2, 1, 0), (4, 2, 0), (4, 3, 1)])
+    assert agg.hist == {(1, 2): 1, (2, 4): 2}
+    assert agg.score_counts() == {50.0: 3}
+
+
 def test_merge_identities():
-    empty_a, empty_b = BinAggregate(), BinAggregate()
-    merged = merge(empty_a, empty_b)
-    assert merged.n_posts == 0
+    merged = BinAggregate()
+    merged.merge_from(BinAggregate())
+    assert state(merged) == state(BinAggregate())
     assert merged.micro_score is None and merged.macro_score is None
 
-    agg = BinAggregate()
-    agg.update(PostScore(4, 2, 1, 25.0))
-    same = merge(agg, BinAggregate())
-    assert same.n_posts == agg.n_posts
-    assert same.sample.values == agg.sample.values
+    agg = filled([(4, 2, 1)])
+    same = filled([(4, 2, 1)])
+    same.merge_from(BinAggregate())
+    assert state(same) == state(agg)
 
 
 def test_merge_equals_sequential_updates():
-    a, b, c = BinAggregate(), BinAggregate(), BinAggregate()
-    p1, p2 = PostScore(4, 2, 1, 25.0), PostScore(3, 0, 3, -100.0)
-    a.update(p1)
-    b.update(p2)
-    c.update(p1)
-    c.update(p2)
-    m = merge(a, b)
-    assert (m.n_posts, m.n_tokens, m.n_anx, m.n_calm) == (c.n_posts, c.n_tokens, c.n_anx, c.n_calm)
-    assert m.micro_score == c.micro_score
+    a, b = filled([(4, 2, 1)]), filled([(3, 0, 3)])
+    c = filled([(4, 2, 1), (3, 0, 3)])
+    a.merge_from(b)
+    assert state(a) == state(c)
+    assert a.micro_score == c.micro_score
+    assert a.macro_score == c.macro_score
 
 
-def test_merge_commutative_up_to_sample_order():
-    a, b = BinAggregate(), BinAggregate()
-    for i in range(10):
-        a.update(PostScore(5, i % 3, 1, post_score_value(5, i % 3, 1)))
-        b.update(PostScore(7, 1, i % 4, post_score_value(7, 1, i % 4)))
-    ab, ba = merge(a, b), merge(b, a)
-    assert (ab.n_posts, ab.n_tokens, ab.n_anx, ab.n_calm) == (ba.n_posts, ba.n_tokens, ba.n_anx, ba.n_calm)
-    assert sorted(ab.sample.values) == sorted(ba.sample.values)
+def test_merge_commutative():
+    posts_a = [(5, i % 3, 1) for i in range(10)]
+    posts_b = [(7, 1, i % 4) for i in range(10)]
+    ab, ba = filled(posts_a), filled(posts_b)
+    ab.merge_from(filled(posts_b))
+    ba.merge_from(filled(posts_a))
+    assert state(ab) == state(ba)
+    assert ab.macro_score == ba.macro_score
 
 
 def test_sharded_recount_oracle():
@@ -119,42 +135,33 @@ def test_sharded_recount_oracle():
         n = rng.randint(1, 30)
         a = rng.randint(0, n)
         c = rng.randint(0, n - a)
-        posts.append(PostScore(n, a, c, post_score_value(n, a, c)))
+        posts.append((n, a, c))
 
-    single = BinAggregate()
-    for ps in posts:
-        single.update(ps)
-
-    shards = [BinAggregate() for _ in range(8)]
-    for i, ps in enumerate(posts):
-        shards[i % 8].update(ps)
+    single = filled(posts)
+    shards = [filled(posts[i::8]) for i in range(8)]
     total = shards[0]
     for sh in shards[1:]:
         total.merge_from(sh)
 
     # Brute-force recount, independent of BinAggregate.
-    n_posts = len(posts)
-    n_tokens = sum(p.n_tokens for p in posts)
-    n_anx = sum(p.n_anx for p in posts)
-    n_calm = sum(p.n_calm for p in posts)
-    for agg in (single, total):
-        assert (agg.n_posts, agg.n_tokens, agg.n_anx, agg.n_calm) == (n_posts, n_tokens, n_anx, n_calm)
-    assert sorted(total.sample.values) == sorted(single.sample.values)
+    expected = (
+        len(posts),
+        sum(n for n, _, _ in posts),
+        sum(a for _, a, _ in posts),
+        sum(c for _, _, c in posts),
+        dict(Counter((a - c, n) for n, a, c in posts)),
+    )
+    assert state(single) == expected
+    assert state(total) == expected
 
 
 def test_order_independence_of_counters():
     rng = random.Random(43)
-    posts = [PostScore(n, a, c, post_score_value(n, a, c))
-             for n, a, c in ((rng.randint(1, 9), 1, 1) for _ in range(200))]
-    one = BinAggregate()
-    for ps in posts:
-        one.update(ps)
+    posts = [(rng.randint(1, 9), 1, 1) for _ in range(200)]
     shuffled = posts[:]
     rng.shuffle(shuffled)
-    two = BinAggregate()
-    for ps in shuffled:
-        two.update(ps)
-    assert (one.n_posts, one.n_tokens, one.n_anx, one.n_calm) == (two.n_posts, two.n_tokens, two.n_anx, two.n_calm)
+    one, two = filled(posts), filled(shuffled)
+    assert state(one) == state(two)
     assert one.micro_score == two.micro_score
 
 
@@ -165,9 +172,8 @@ def test_scores_bounded():
         n = rng.randint(1, 20)
         a = rng.randint(0, n)
         c = rng.randint(0, n - a)
-        ps = score = post_score_value(n, a, c)
-        assert -100.0 <= score <= 100.0
-        agg.update(PostScore(n, a, c, score))
+        assert -100.0 <= post_score_value(n, a, c) <= 100.0
+        agg.update_counts(n, a, c)
     assert -100.0 <= agg.micro_score <= 100.0
     assert -100.0 <= agg.macro_score <= 100.0
 
@@ -192,25 +198,58 @@ def test_law_of_large_numbers_micro():
     assert agg.micro_score == pytest.approx(100 * (p - q), abs=0.5)
 
 
-def test_reservoir_cap_and_determinism():
-    s1 = ScoreSample(cap=100, seed=7)
-    s2 = ScoreSample(cap=100, seed=7)
-    for i in range(1000):
-        s1.add(float(i))
-        s2.add(float(i))
-    assert len(s1.values) == 100
-    assert s1.seen == 1000
-    assert s1.truncated
-    assert s1.values == s2.values
-    assert set(s1.values) <= {float(i) for i in range(1000)}
+# Property tests: histograms give exactly what per-post score lists gave.
 
 
-def test_reservoir_merge_untruncated_is_concatenation():
-    a = ScoreSample(cap=100, seed=1)
-    b = ScoreSample(cap=100, seed=2)
-    for i in range(10):
-        a.add(float(i))
-        b.add(float(100 + i))
-    a.merge_from(b)
-    assert a.values == [float(i) for i in range(10)] + [float(100 + i) for i in range(10)]
-    assert a.seen == 20
+@st.composite
+def post_counts(draw):
+    n = draw(st.integers(1, 60))
+    a = draw(st.integers(0, n))
+    c = draw(st.integers(0, n - a))
+    return n, a, c
+
+
+def list_welch(a: list[float], b: list[float]) -> TTestResult:
+    """Welch's test over per-post score lists with math.fsum, as a reference."""
+    n_a, n_b = len(a), len(b)
+    m_a, m_b = math.fsum(a) / n_a, math.fsum(b) / n_b
+    v_a = math.fsum((s - m_a) ** 2 for s in a) / (n_a - 1)
+    v_b = math.fsum((s - m_b) ** 2 for s in b) / (n_b - 1)
+    if v_a == 0.0 and v_b == 0.0:
+        df = float(n_a + n_b - 2)
+        if m_a == m_b:
+            return TTestResult(0.0, df, 1.0, False, 0.05)
+        return TTestResult(math.inf if m_a > m_b else -math.inf, df, 0.0, True, 0.05)
+    se_a, se_b = v_a / n_a, v_b / n_b
+    pooled = se_a + se_b
+    t = (m_a - m_b) / math.sqrt(pooled)
+    df = pooled * pooled / (se_a * se_a / (n_a - 1) + se_b * se_b / (n_b - 1))
+    p = student_t_two_sided_p(t, df)
+    return TTestResult(t, df, p, p < 0.05, 0.05)
+
+
+@given(st.lists(post_counts(), min_size=1, max_size=200))
+def test_macro_score_equals_fsum_over_post_scores(posts):
+    scores = [post_score_value(*post) for post in posts]
+    assert filled(posts).macro_score == math.fsum(scores) / len(scores)
+
+
+@given(st.lists(post_counts(), min_size=2, max_size=120),
+       st.lists(post_counts(), min_size=2, max_size=120))
+def test_welch_on_histograms_equals_list_welch(posts_a, posts_b):
+    got = welch_t(filled(posts_a).score_counts(), filled(posts_b).score_counts())
+    want = list_welch([post_score_value(*p) for p in posts_a],
+                      [post_score_value(*p) for p in posts_b])
+    assert got == want
+
+
+@given(st.lists(st.tuples(post_counts(), st.integers(0, 5)), max_size=120), st.randoms())
+def test_merge_any_order_and_grouping(tagged, rnd):
+    posts = [post for post, _ in tagged]
+    shards = [filled(post for post, shard in tagged if shard == k) for k in range(6)]
+    rnd.shuffle(shards)
+    # Merge neighbours pairwise in a random grouping until one is left.
+    while len(shards) > 1:
+        i = rnd.randrange(len(shards) - 1)
+        shards[i].merge_from(shards.pop(i + 1))
+    assert state(shards[0]) == state(filled(posts))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,7 +25,7 @@ def oracle(fixtures_dir):
 
 
 def test_identical_samples():
-    res = welch_t([1, 2, 3], [1, 2, 3])
+    res = welch_t(Counter([1, 2, 3]), Counter([1, 2, 3]))
     assert res.t == 0.0
     assert res.p == 1.0
     assert not res.significant
@@ -32,34 +33,34 @@ def test_identical_samples():
 
 def test_small_sample_rejected():
     with pytest.raises(InsufficientSampleError):
-        welch_t([1.0], [1.0, 2.0])
+        welch_t(Counter([1.0]), Counter([1.0, 2.0]))
     with pytest.raises(InsufficientSampleError):
-        welch_t([1.0, 2.0], [3.0])
+        welch_t(Counter([1.0, 2.0]), Counter([3.0]))
 
 
 def test_constant_equal_sentinel():
-    res = welch_t([2.0, 2.0, 2.0], [2.0, 2.0])
+    res = welch_t(Counter([2.0, 2.0, 2.0]), Counter([2.0, 2.0]))
     assert res == TTestResult(0.0, 3.0, 1.0, False, 0.05)
 
 
 def test_zero_variance_different_means_sentinel():
-    res = welch_t([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0])
+    res = welch_t(Counter([0.0, 0.0, 0.0, 0.0]), Counter([1.0, 1.0, 1.0, 1.0]))
     assert math.isinf(res.t) and res.t < 0
     assert res.p == 0.0
     assert res.significant
-    flipped = welch_t([1.0, 1.0], [0.0, 0.0])
+    flipped = welch_t(Counter([1.0, 1.0]), Counter([0.0, 0.0]))
     assert flipped.t == math.inf
 
 
 def test_one_constant_sample_regular_path():
-    res = welch_t([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
+    res = welch_t(Counter([5.0, 5.0, 5.0]), Counter([1.0, 2.0, 3.0]))
     assert math.isfinite(res.t)
     assert 0.0 <= res.p <= 1.0
 
 
 def test_welch_matches_frozen_oracle(oracle):
     for case in oracle["welch"]:
-        res = welch_t(case["a"], case["b"])
+        res = welch_t(Counter(case["a"]), Counter(case["b"]))
         assert res.t == pytest.approx(case["t"], abs=1e-9)
         assert res.df == pytest.approx(case["df"], abs=1e-9)
         assert res.p == pytest.approx(case["p"], abs=1e-6)
@@ -117,8 +118,8 @@ def test_welch_antisymmetry_and_invariances():
     for _ in range(1000):
         a = [rng.gauss(0, 1) for _ in range(rng.randint(2, 12))]
         b = [rng.gauss(rng.uniform(-1, 1), 1.5) for _ in range(rng.randint(2, 12))]
-        ab = welch_t(a, b)
-        ba = welch_t(b, a)
+        ab = welch_t(Counter(a), Counter(b))
+        ba = welch_t(Counter(b), Counter(a))
         assert ab.t == pytest.approx(-ba.t, abs=1e-12)
         assert ab.df == pytest.approx(ba.df, abs=1e-9)
         assert ab.p == pytest.approx(ba.p, abs=1e-12)
@@ -128,11 +129,11 @@ def test_welch_shift_scale_invariance():
     rng = random.Random(7)
     a = [rng.gauss(0, 1) for _ in range(15)]
     b = [rng.gauss(0.4, 2) for _ in range(9)]
-    base = welch_t(a, b)
-    shifted = welch_t([v + 100 for v in a], [v + 100 for v in b])
+    base = welch_t(Counter(a), Counter(b))
+    shifted = welch_t(Counter(v + 100 for v in a), Counter(v + 100 for v in b))
     assert shifted.t == pytest.approx(base.t, rel=1e-9)
     assert shifted.p == pytest.approx(base.p, rel=1e-6)
-    scaled = welch_t([4.0 * v for v in a], [4.0 * v for v in b])
+    scaled = welch_t(Counter(4.0 * v for v in a), Counter(4.0 * v for v in b))
     assert scaled.t == pytest.approx(base.t, rel=1e-12)
     assert scaled.df == pytest.approx(base.df, rel=1e-12)
     assert scaled.p == pytest.approx(base.p, rel=1e-9)
@@ -163,15 +164,15 @@ def test_incomplete_beta_edges():
 
 def test_alpha_validation():
     with pytest.raises(ValueError):
-        welch_t([1, 2], [3, 4], alpha=0.0)
+        welch_t(Counter([1, 2]), Counter([3, 4]), alpha=0.0)
     with pytest.raises(ValueError):
-        welch_t([1, 2], [3, 4], alpha=1.0)
+        welch_t(Counter([1, 2]), Counter([3, 4]), alpha=1.0)
 
 
 def test_significance_flag_tracks_alpha():
     a = [0.0, 0.1, -0.1, 0.05, -0.05]
     b = [2.0, 2.1, 1.9, 2.05, 1.95]
-    strict = welch_t(a, b, alpha=1e-12)
-    loose = welch_t(a, b, alpha=0.5)
+    strict = welch_t(Counter(a), Counter(b), alpha=1e-12)
+    loose = welch_t(Counter(a), Counter(b), alpha=0.5)
     assert loose.significant
     assert strict.significant == (strict.p < 1e-12)

@@ -148,3 +148,17 @@ def brute_force_recount(path: str, lexicon: Lexicon, tables: VerbTables) -> dict
 
 def counters_of(agg) -> list[int]:
     return [agg.n_posts, agg.n_tokens, agg.n_anx, agg.n_calm]
+
+
+def result_state(res) -> dict:
+    """Every field of a ScanResult as plain values; skip events by reason only."""
+    state = {}
+    for name, value in vars(res).items():
+        if name == "skip_events":
+            value = [event.reason for event in value]
+        elif isinstance(value, dict):
+            value = {key: (*counters_of(agg), agg.hist) for key, agg in value.items()}
+        elif hasattr(value, "hist"):
+            value = (*counters_of(value), value.hist)
+        state[name] = value
+    return state
