@@ -17,18 +17,49 @@ its own token: it cannot start with ``@`` or a URL prefix (both need a
 non-alphanumeric character) and has no edges to strip, since rule 3 uses
 the same per-character ``isalnum`` test. Only the other chunks go through
 ``_clean``.
+
+``score_tokens`` makes one pass over a tokenized post with a *token table*
+(built by ``anxarc.slicer.token_table``): a dict from word to int bits, one
+``get`` per token. A value holds
+
+* bits 0-1: the lexicon class code, ``ANX`` (1), ``CALM`` (2) or 0;
+* ``PAST``, ``PRESENT``: the word alone is a past/present verb form;
+* ``FUTURE``: the word is a future-signal word;
+* ``NEXT``, ``PERIOD``: the word is ``next``, or a period word (``day``,
+  ``week``, ...) that completes a ``next`` bigram;
+* bits ``PRONOUN_SHIFT`` and up: one bit per pronoun key, in the order of
+  ``anxarc.slicer.PRONOUNS``.
+
+The post's flags are the OR of its tokens' bits without the class bits,
+plus ``FUTURE`` when a ``next`` token is directly followed by a period word.
+A word missing from the table gets only the suffix bits: ``PAST`` when it
+has 4 or more characters and ends in ``ed``, ``PRESENT`` when it has 5 or
+more and ends in ``ing``. The table contract is that every lexicon term and
+every word some other rule names (a verb-table form, a stoplisted ``-ed``
+word, an auxiliary, a future or period word, a pronoun) is a key, so the
+suffix rules are all that can apply to a miss.
 """
 
 from __future__ import annotations
 
-# Class codes shared with the lexicon's class map.
+# Class codes shared with the lexicon's class map; each is a single bit.
 ANX = 1
 CALM = 2
+CLASS_MASK = 3
+
+# Token-table and post-flag bits (see the module docstring).
+PAST = 1 << 2
+PRESENT = 1 << 3
+FUTURE = 1 << 4
+NEXT = 1 << 5
+PERIOD = 1 << 6
+PRONOUN_SHIFT = 7
 
 # The only implementation; kept for callers that record which kernel ran.
 IMPL = "pure"
 
 _URL_PREFIXES = ("http://", "https://", "www.")
+_SUFFIXES = ("ed", "ing")
 
 
 def _clean(chunk: str) -> str | None:
@@ -60,29 +91,50 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def score_tokens(tokens: list[str], class_map: dict[str, int]) -> tuple[int, int, int]:
-    """Count (total, anxiety, calm) tokens of an already-tokenized post.
+def score_tokens(tokens: list[str], table: dict[str, int]) -> tuple[int, int, int, int]:
+    """(n_tokens, n_anx, n_calm, flags) of an already-tokenized post.
 
-    ``class_map`` maps terms to ``ANX``/``CALM``; terms absent from the map
-    count only toward the total.
+    ``table`` is a token table (see the module docstring); a plain class
+    map, whose values are only ``ANX``/``CALM``, gives the right counts
+    and meaningless flags.
     """
     n_anx = 0
     n_calm = 0
-    get = class_map.get
+    flags = 0
+    get = table.get
     for tok in tokens:
-        c = get(tok)
-        if c == ANX:
-            n_anx += 1
-        elif c == CALM:
-            n_calm += 1
-    return len(tokens), n_anx, n_calm
+        bits = get(tok)
+        if bits is None:
+            if tok.endswith(_SUFFIXES):
+                if tok[-1] == "d":
+                    if len(tok) >= 4:
+                        flags |= PAST
+                elif len(tok) >= 5:
+                    flags |= PRESENT
+        else:
+            flags |= bits
+            if bits & CLASS_MASK:
+                if bits & ANX:
+                    n_anx += 1
+                else:
+                    n_calm += 1
+    if flags & NEXT and flags & PERIOD and not flags & FUTURE:
+        prev = 0
+        for tok in tokens:
+            bits = get(tok, 0)
+            if prev & NEXT and bits & PERIOD:
+                flags |= FUTURE
+                break
+            prev = bits
+    return len(tokens), n_anx, n_calm, flags & ~CLASS_MASK
 
 
 def score_text(text: str, class_map: dict[str, int]) -> tuple[int, int, int]:
     """Fused tokenize-and-count: (n_tokens, n_anx, n_calm) for raw text.
 
-    Equivalent to ``score_tokens(tokenize(text), class_map)`` without
-    materializing the token list.
+    Equivalent to the first three fields of
+    ``score_tokens(tokenize(text), class_map)`` without materializing the
+    token list.
     """
     n_tok = 0
     n_anx = 0

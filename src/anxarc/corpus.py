@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 FORMATS = ("jsonl", "tsv")
@@ -38,16 +38,14 @@ class UnknownTimezoneError(ValueError):
         self.tz_name = tz_name
 
 
-@dataclass(frozen=True)
-class Post:
+class Post(NamedTuple):
     id: str
     text: str
     timestamp_utc: datetime
     timezone: str
 
 
-@dataclass(frozen=True)
-class LocalTime:
+class LocalTime(NamedTuple):
     hour: int  # 0-23
     weekday: int  # 0-6, Monday = 0
 
@@ -93,7 +91,26 @@ def localize(post: Post) -> LocalTime:
         local = post.timestamp_utc.astimezone(tz)
     except OverflowError:
         raise UnknownTimezoneError(post.timezone) from None
-    return LocalTime(hour=local.hour, weekday=local.weekday())
+    return LocalTime(local.hour, local.weekday())
+
+
+# The C scanner that json.loads runs after skipping leading whitespace. Called
+# directly it skips json.loads' wrapper; its result is kept only when it
+# consumed the whole line, and every other line goes through json.loads, so
+# values and error messages are the same as json.loads gives.
+_scan_json = json.JSONDecoder().scan_once
+
+_KEYS = ("id", "text", "timestamp_utc", "timezone")
+
+
+def _loads(line: str) -> object:
+    try:
+        obj, end = _scan_json(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, json.JSONDecodeError):
+        pass
+    return json.loads(line)
 
 
 def parse_record(line: str | bytes, fmt: str) -> Post:
@@ -109,15 +126,18 @@ def parse_record(line: str | bytes, fmt: str) -> Post:
             raise ValueError(f"invalid UTF-8 at byte {exc.start}") from None
     if fmt == "jsonl":
         try:
-            obj = json.loads(line)
+            obj = _loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise ValueError("invalid JSON: nested too deeply") from None
         if not isinstance(obj, dict):
             raise ValueError("record is not a JSON object")
-        missing = [k for k in ("id", "text", "timestamp_utc", "timezone") if k not in obj]
-        if missing:
-            raise ValueError(f"missing keys: {', '.join(missing)}")
-        rid, text, ts, tz = obj["id"], obj["text"], obj["timestamp_utc"], obj["timezone"]
+        try:
+            rid, text, ts, tz = obj["id"], obj["text"], obj["timestamp_utc"], obj["timezone"]
+        except KeyError:
+            missing = [k for k in _KEYS if k not in obj]
+            raise ValueError(f"missing keys: {', '.join(missing)}") from None
     elif fmt == "tsv":
         fields = line.split("\t")
         if len(fields) != 4:
@@ -140,7 +160,7 @@ def parse_record(line: str | bytes, fmt: str) -> Post:
         stamp = parse_rfc3339(ts)
     except ValueError as exc:
         raise ValueError(f"bad timestamp: {exc}") from None
-    return Post(id=rid, text=text, timestamp_utc=stamp, timezone=tz.strip())
+    return Post(rid, text, stamp, tz.strip())
 
 
 def iter_data_lines(
@@ -158,14 +178,18 @@ def iter_data_lines(
     if fmt not in FORMATS:
         raise CorpusError(f"unknown corpus format {fmt!r}")
     if isinstance(source, str):
-        try:
-            fh = open(source, "rb")
-        except OSError as exc:
-            raise CorpusError(f"cannot read corpus: {exc}") from None
-        with fh:
+        with open_corpus_path(source) as fh:
             yield from _iter_data_lines(fh, fmt)
     else:
         yield from _iter_data_lines(source, fmt)
+
+
+def open_corpus_path(path: str) -> IO[bytes]:
+    """Open a corpus file for ``iter_data_lines``; CorpusError if it cannot be."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus: {exc}") from None
 
 
 def _iter_data_lines(lines: Iterable[str | bytes], fmt: str) -> Iterator[tuple[int, str | bytes]]:

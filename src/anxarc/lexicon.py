@@ -137,10 +137,6 @@ class Lexicon:
             sink.write(f"{e.term}\t{e.association!r}\n")
 
 
-def classify_term(lexicon: Lexicon, term: str) -> TermClass:
-    return lexicon.classify(term)
-
-
 def lexicon_stats(lexicon: Lexicon) -> LexiconStats:
     """Counts of anxiety/calm/neutral entries; always partitions the total."""
     n_anx = n_calm = n_neutral = 0
@@ -190,7 +186,7 @@ def load_lexicon(
         term = term.lower()
         if not term:
             raise LexiconParseError(line_no, "empty term")
-        if any(ch.isspace() for ch in term):
+        if len(term.split()) != 1:
             raise LexiconParseError(line_no, f"term contains whitespace: {term!r}")
         try:
             assoc = float(assoc_text)

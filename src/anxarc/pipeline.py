@@ -10,16 +10,37 @@ recorded skip events keep stream order and name their source and line.
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from . import _kernel
-from .corpus import SkipEvent, UnknownTimezoneError, iter_data_lines, localize, parse_record
+from ._kernel import PRONOUN_SHIFT
+from .corpus import (
+    SkipEvent,
+    UnknownTimezoneError,
+    iter_data_lines,
+    localize,
+    open_corpus_path,
+    parse_record,
+)
 from .lexicon import Lexicon
 from .scoring import BinAggregate
-from .slicer import PRONOUNS, Tense, VerbTables, classify_tense, load_verb_tables, pronoun_keys
+# classify_tense and pronoun_keys are not called by the scan; they stay
+# importable here as the reference rules that tense_of and
+# PRONOUN_KEYS_BY_BITS reproduce.
+from .slicer import (
+    PRONOUN_KEYS_BY_BITS,
+    PRONOUNS,
+    Tense,
+    VerbTables,
+    classify_tense,
+    load_verb_tables,
+    pronoun_keys,
+    tense_of,
+    token_table,
+)
 
 FAMILIES = ("hour", "weekday", "tense", "pronoun")
 
@@ -37,11 +58,9 @@ class _ScanState:
     fmt: str
     families: frozenset[str]
     class_map: dict[str, int]
-    tables: VerbTables | None
-
-    @property
-    def need_tokens(self) -> bool:
-        return "tense" in self.families or "pronoun" in self.families
+    # Token table for tense/pronoun scans; None when neither is requested,
+    # and posts are scored by the fused ``score_text``.
+    table: dict[str, int] | None
 
 
 class ScanResult:
@@ -134,34 +153,49 @@ _Chunk = tuple[str, list[tuple[int, str | bytes]]]  # (source path, numbered lin
 def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
     path, lines = chunk
     res = ScanResult(st.families)
+    res.n_records = len(lines)
+    fmt = st.fmt
+    table = st.table
     class_map = st.class_map
-    need_tokens = st.need_tokens
-    need_time = "hour" in st.families or "weekday" in st.families
+    tokenize = _kernel.tokenize
+    score_tokens = _kernel.score_tokens
+    score_text = _kernel.score_text
+    update = BinAggregate.update_counts
+    overall = res.overall
     hours = res.hours
     weekdays = res.weekdays
+    need_time = bool(hours or weekdays)
+    # A post's tense bin, indexed by its flags below PRONOUN_SHIFT, and its
+    # pronoun bins, indexed by the flags from PRONOUN_SHIFT up.
+    low_bits = (1 << PRONOUN_SHIFT) - 1
+    tense_bins = None
+    if res.tenses:
+        tense_bins = tuple(res.tenses[tense_of(f)] for f in range(low_bits + 1))
+    pronoun_bins = None
+    if res.pronouns:
+        pronoun_bins = tuple(
+            (res.pronoun_overall, *(res.pronouns[k] for k in keys)) if keys else ()
+            for keys in PRONOUN_KEYS_BY_BITS
+        )
 
     for line_no, line in lines:
-        res.n_records += 1
         try:
-            post = parse_record(line, st.fmt)
+            post = parse_record(line, fmt)
         except ValueError as exc:
             res.n_parse_skips += 1
             if len(res.skip_events) < MAX_RECORDED_SKIPS:
                 res.skip_events.append(SkipEvent(path, line_no, str(exc)))
             continue
 
-        if need_tokens:
-            tokens = _kernel.tokenize(post.text)
-            n_tok, n_anx, n_calm = _kernel.score_tokens(tokens, class_map)
+        if table is not None:
+            n_tok, n_anx, n_calm, flags = score_tokens(tokenize(post.text), table)
         else:
-            tokens = None
-            n_tok, n_anx, n_calm = _kernel.score_text(post.text, class_map)
+            n_tok, n_anx, n_calm = score_text(post.text, class_map)
         if n_tok == 0:
             res.n_empty_skips += 1
             continue
 
-        res.overall.update_counts(n_tok, n_anx, n_calm)
-
+        bins = [overall]
         if need_time:
             try:
                 local = localize(post)
@@ -169,30 +203,23 @@ def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
                 res.n_tz_skips += 1
             else:
                 if hours:
-                    hours[local.hour].update_counts(n_tok, n_anx, n_calm)
+                    bins.append(hours[local.hour])
                 if weekdays:
-                    weekdays[local.weekday].update_counts(n_tok, n_anx, n_calm)
-
-        if tokens is not None:
-            if res.tenses:
-                label = classify_tense(tokens, st.tables)
-                res.tenses[label].update_counts(n_tok, n_anx, n_calm)
-            if res.pronouns:
-                keys = pronoun_keys(tokens)
-                if keys:
-                    res.pronoun_overall.update_counts(n_tok, n_anx, n_calm)
-                    for key in keys:
-                        res.pronouns[key].update_counts(n_tok, n_anx, n_calm)
+                    bins.append(weekdays[local.weekday])
+        if tense_bins is not None:
+            bins.append(tense_bins[flags & low_bits])
+        if pronoun_bins is not None:
+            bins += pronoun_bins[flags >> PRONOUN_SHIFT]
+        update(bins, n_tok, n_anx, n_calm)
     return res
 
 
 def _chunks(
-    sources: tuple[str | IO[str] | IO[bytes], ...], fmt: str, chunk_lines: int
+    sources: list[tuple[str, IO[str] | IO[bytes]]], fmt: str, chunk_lines: int
 ) -> Iterator[_Chunk]:
-    for source in sources:
-        path = source if isinstance(source, str) else "<stream>"
+    for path, stream in sources:
         lines: list[tuple[int, str | bytes]] = []
-        for pair in iter_data_lines(source, fmt):
+        for pair in iter_data_lines(stream, fmt):
             lines.append(pair)
             if len(lines) >= chunk_lines:
                 yield path, lines
@@ -233,31 +260,42 @@ def scan_corpus(
     families = frozenset(families)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if "tense" in families and tables is None:
-        tables = load_verb_tables()
-    state = _ScanState(
-        fmt=fmt,
-        families=families,
-        class_map=lexicon.class_map,
-        tables=tables,
-    )
+    table = None
+    if "tense" in families:
+        if tables is None:
+            tables = load_verb_tables()
+        table = token_table(lexicon.class_map, tables)
+    elif "pronoun" in families:
+        table = token_table(lexicon.class_map, None)
+    state = _ScanState(fmt=fmt, families=families, class_map=lexicon.class_map, table=table)
     total = ScanResult(families)
-    chunk_iter = _chunks(sources, fmt, chunk_lines)
 
-    if workers == 1:
-        for chunk in chunk_iter:
-            total.merge_from(_scan_chunk(chunk, state))
-        return total
+    with ExitStack() as stack:
+        # Every path is opened before the first chunk is read, so a missing
+        # or unreadable later file fails the run before any scanning.
+        opened = [
+            (source, stack.enter_context(open_corpus_path(source)))
+            if isinstance(source, str) else ("<stream>", source)
+            for source in sources
+        ]
+        chunk_iter = _chunks(opened, fmt, chunk_lines)
 
-    # One pool for every source, with a bounded sliding window of in-flight
-    # chunks merged strictly in submission order; Pool.imap is avoided
-    # because its feeder thread would buffer the whole corpus.
-    with multiprocessing.Pool(workers, initializer=_init_pool, initargs=(state,)) as pool:
-        pending: deque = deque()
-        for chunk in chunk_iter:
-            pending.append(pool.apply_async(_pool_scan, (chunk,)))
-            while len(pending) > 2 * workers:
+        if workers == 1:
+            for chunk in chunk_iter:
+                total.merge_from(_scan_chunk(chunk, state))
+            return total
+
+        import multiprocessing
+
+        # One pool for every source, with a bounded sliding window of
+        # in-flight chunks merged strictly in submission order; Pool.imap is
+        # avoided because its feeder thread would buffer the whole corpus.
+        with multiprocessing.Pool(workers, initializer=_init_pool, initargs=(state,)) as pool:
+            pending: deque = deque()
+            for chunk in chunk_iter:
+                pending.append(pool.apply_async(_pool_scan, (chunk,)))
+                while len(pending) > 2 * workers:
+                    total.merge_from(pending.popleft().get())
+            while pending:
                 total.merge_from(pending.popleft().get())
-        while pending:
-            total.merge_from(pending.popleft().get())
     return total

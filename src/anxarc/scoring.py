@@ -13,6 +13,8 @@ score, from which the macro score and the t-tests are computed exactly.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .stats import exact_sum
 
 
@@ -35,15 +37,17 @@ class BinAggregate:
         # (n_anx - n_calm, n_tokens) -> number of posts with that pair.
         self.hist: dict[tuple[int, int], int] = {}
 
-    def update_counts(self, n_tokens: int, n_anx: int, n_calm: int) -> None:
-        """Add one post with ``n_tokens >= 1``."""
-        self.n_posts += 1
-        self.n_tokens += n_tokens
-        self.n_anx += n_anx
-        self.n_calm += n_calm
+    @staticmethod
+    def update_counts(bins: Iterable[BinAggregate], n_tokens: int, n_anx: int, n_calm: int) -> None:
+        """Add one post with ``n_tokens >= 1`` to every bin in ``bins``."""
         key = (n_anx - n_calm, n_tokens)
-        hist = self.hist
-        hist[key] = hist.get(key, 0) + 1
+        for agg in bins:
+            agg.n_posts += 1
+            agg.n_tokens += n_tokens
+            agg.n_anx += n_anx
+            agg.n_calm += n_calm
+            hist = agg.hist
+            hist[key] = hist.get(key, 0) + 1
 
     def merge_from(self, other: BinAggregate) -> None:
         self.n_posts += other.n_posts

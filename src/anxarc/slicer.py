@@ -4,6 +4,23 @@ Tense detection is deliberately a deterministic, auditable heuristic: small
 bundled tables of irregular/base verb forms plus suffix rules, no POS
 tagger. Tables are user-replaceable via a directory of plain-text files
 (``irregular_past.txt``, ``irregular_base.txt``, ``ed_stoplist.txt``).
+
+A scan does not call ``classify_tense`` and ``pronoun_keys`` per post: they
+are the reference rules. ``token_table`` folds them, with the lexicon's
+class map, into one word -> bits dict, once per scan, and
+``anxarc._kernel.score_tokens`` ORs the bits of a post's tokens in the same
+pass that counts its lexicon classes. ``tense_of`` turns those flags into
+the label ``classify_tense`` gives, and ``PRONOUN_KEYS_BY_BITS`` into the
+keys ``pronoun_keys`` gives.
+
+The table's keys are the class-map terms and every word that a set rule
+names: irregular past and base forms, base+``s`` and base+``es``, the
+auxiliaries, the future-signal words, ``next`` and the period words, the
+pronouns and the ``-ed`` stoplist. Each value is what the per-token rules
+give for that word alone. So for a word outside the table no set rule can
+fire, and only the two suffix rules are left (4+ characters ending in
+``ed`` is past, 5+ ending in ``ing`` is present), which the kernel applies
+itself: a miss is exact.
 """
 
 from __future__ import annotations
@@ -14,7 +31,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import LocalTime
+from ._kernel import FUTURE, NEXT, PAST, PERIOD, PRESENT, PRONOUN_SHIFT
 
 
 class Tense(enum.Enum):
@@ -147,6 +164,52 @@ def pronoun_keys(tokens: Iterable[str]) -> set[str]:
     return set(_PRONOUN_SET.intersection(tokens))
 
 
-def time_keys(local: LocalTime) -> tuple[int, int]:
-    """(hour_bin, weekday_bin) projection of a LocalTime."""
-    return (local.hour, local.weekday)
+def token_table(class_map: dict[str, int], tables: VerbTables | None) -> dict[str, int]:
+    """Word -> class code | rule bits | pronoun bits, for ``_kernel.score_tokens``.
+
+    With ``tables`` None (no tense slice) only the class and pronoun bits
+    are filled in.
+    """
+    table = dict(class_map)
+    for i, pron in enumerate(PRONOUNS):
+        table[pron] = table.get(pron, 0) | 1 << (PRONOUN_SHIFT + i)
+    if tables is None:
+        return table
+    words = set(table)
+    words.update(tables.irregular_past, tables.irregular_base, tables.ed_stoplist)
+    for base in tables.irregular_base:
+        words.add(base + "s")
+        words.add(base + "es")
+    words.update(AUX_PAST, AUX_PRESENT, FUTURE_SIGNAL_WORDS, FUTURE_BIGRAM_SECOND)
+    words.add(FUTURE_BIGRAM_FIRST)
+    for word in words:
+        one = (word,)
+        bits = table.get(word, 0)
+        if detect_past_verb(one, tables):
+            bits |= PAST
+        if detect_present_verb(one, tables):
+            bits |= PRESENT
+        if has_future_signal(one):
+            bits |= FUTURE
+        if word == FUTURE_BIGRAM_FIRST:
+            bits |= NEXT
+        if word in FUTURE_BIGRAM_SECOND:
+            bits |= PERIOD
+        table[word] = bits
+    return table
+
+
+def tense_of(flags: int) -> Tense:
+    """The ``classify_tense`` label of a post from its ``score_tokens`` flags."""
+    if flags & PAST:
+        return Tense.PAST
+    if flags & PRESENT:
+        return Tense.FUTURE if flags & FUTURE else Tense.PRESENT
+    return Tense.NO_VERB
+
+
+# Pronoun keys of a post, indexed by ``flags >> PRONOUN_SHIFT``.
+PRONOUN_KEYS_BY_BITS: tuple[tuple[str, ...], ...] = tuple(
+    tuple(p for i, p in enumerate(PRONOUNS) if bits >> i & 1)
+    for bits in range(1 << len(PRONOUNS))
+)

@@ -134,7 +134,7 @@ def test_criterion_3_scoring_formula():
 
         def one_post_bin(tokens):
             agg = BinAggregate()
-            agg.update_counts(*score_tokens(tokens, lex.class_map))
+            BinAggregate.update_counts([agg], *score_tokens(tokens, lex.class_map)[:3])
             return agg
 
         for a, c, n, u in SCORE_CASES_EXACT:

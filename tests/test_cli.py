@@ -209,6 +209,22 @@ def test_no_corpus_bytes_exit_1(workdir, capsys, workers, examples):
     check()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_deeply_nested_json_is_a_parse_skip(workdir, capsys, workers):
+    lines = (workdir / MINI_CORPUS).read_text().splitlines()
+    lines.insert(2, "[" * 100_000 + "]" * 100_000)
+    lines.insert(4, '{"id": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    (workdir / "deep.jsonl").write_text("\n".join(lines) + "\n")
+    code = run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", "deep.jsonl",
+               "--out", "deepout", "--workers", workers)
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = (workdir / "deepout" / "hour.csv").read_text().splitlines()
+    meta = {k: int(v) for k, v in (l[2:].split("=") for l in report if l.startswith("# n_"))}
+    assert meta["n_parse_skips"] == 1 + 2  # the mini corpus holds one bad record
+    assert meta["n_records"] == len([line for line in lines if line.strip()])
+
+
 def test_missing_second_corpus_exits_2_at_two_workers(workdir):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")

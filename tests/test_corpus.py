@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anxarc.corpus import (
     CorpusError,
@@ -53,6 +56,85 @@ def test_parse_tsv_record():
 def test_malformed_records_raise(line, fmt):
     with pytest.raises(ValueError):
         parse_record(line, fmt)
+
+
+def reference_parse_jsonl(line: str) -> Post:
+    """parse_record's JSON checks written over plain json.loads."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
+    missing = [k for k in ("id", "text", "timestamp_utc", "timezone") if k not in obj]
+    if missing:
+        raise ValueError(f"missing keys: {', '.join(missing)}")
+    rid, text, ts, tz = obj["id"], obj["text"], obj["timestamp_utc"], obj["timezone"]
+    if isinstance(rid, int):
+        rid = str(rid)
+    if not isinstance(rid, str) or not rid:
+        raise ValueError("id must be a non-empty string")
+    if not isinstance(text, str):
+        raise ValueError("text must be a string")
+    if not isinstance(tz, str) or not tz.strip():
+        raise ValueError("timezone must be a non-empty string")
+    if not isinstance(ts, str):
+        raise ValueError("timestamp_utc must be a string")
+    try:
+        stamp = parse_rfc3339(ts)
+    except ValueError as exc:
+        raise ValueError(f"bad timestamp: {exc}") from None
+    return Post(id=rid, text=text, timestamp_utc=stamp, timezone=tz.strip())
+
+
+def outcome(parse, line):
+    try:
+        return parse(line)
+    except ValueError as exc:
+        return str(exc)
+
+
+_field_values = st.one_of(
+    st.sampled_from(["1", "", "i went home", " UTC ", "Asia/Tokyo", "2020-01-01T05:00:00Z",
+                     "2020-01-01T05:00:00", "2020-13-01T00:00:00Z", "\ufeff"]),
+    st.text(max_size=8), st.integers(-2, 2), st.none(), st.booleans(), st.floats(),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
+)
+_objects = st.fixed_dictionaries(
+    {}, optional={k: _field_values for k in ("id", "text", "timestamp_utc", "timezone", "x")}
+)
+_records = st.fixed_dictionaries({
+    "id": st.sampled_from(["1", "abc", 7, -1]),
+    "text": st.text(max_size=8),
+    "timestamp_utc": st.sampled_from(["2020-01-01T05:00:00Z", "2020-06-15T14:00:00+02:00",
+                                      "0001-01-01T00:00:00+01:00"]),
+    "timezone": st.sampled_from(["UTC", " Asia/Tokyo ", "Mars/Colony"]),
+})
+_values = st.one_of(_records, _objects,
+                    st.sampled_from([[], [1, {}], 0, -3, 1e400, float("nan"), "x", "", None, True]))
+_edges = st.one_of(st.just(""), st.sampled_from(
+    [" ", "\t", "\r", "\n", "\ufeff", "\u00a0", "x", "{}", " 1", "]", ",", "//"]
+))
+_json_lines = st.one_of(
+    _values.map(json.dumps),
+    st.builds(lambda pre, v, post: pre + json.dumps(v) + post, _edges, _values, _edges),
+    st.builds(lambda v, k: json.dumps(v)[:k], _values, st.integers(0, 60)),
+    st.text(max_size=12),
+)
+
+
+@given(_json_lines)
+@settings(max_examples=1500, deadline=None)
+def test_parse_record_matches_json_loads_reference(line):
+    expected = outcome(reference_parse_jsonl, line)
+    assert outcome(lambda x: parse_record(x, "jsonl"), line) == expected
+    assert outcome(lambda x: parse_record(x.encode("utf-8"), "jsonl"), line) == expected
+
+
+def test_deeply_nested_json_is_a_bad_record():
+    for line in ("[" * 100_000 + "]" * 100_000, ' {"id": ' + "[" * 100_000):
+        with pytest.raises(ValueError, match="invalid JSON: nested too deeply"):
+            parse_record(line, "jsonl")
 
 
 def test_rfc3339_offset_normalized_to_utc():
@@ -151,6 +233,18 @@ def test_localize_new_york_summer():
 def test_localize_utc_newyear():
     post = Post("x", "", datetime(2020, 1, 1, tzinfo=timezone.utc), "UTC")
     assert localize(post) == LocalTime(hour=0, weekday=2)
+
+
+def test_localize_fields_are_hour_and_weekday():
+    # 2020-01-01 is a Wednesday (weekday 2); Tokyo is UTC+9 all year.
+    for dt, zone, expected in (
+        (datetime(2020, 1, 1, 8, tzinfo=timezone.utc), "UTC", (8, 2)),
+        (datetime(2020, 1, 5, 23, 30, tzinfo=timezone.utc), "UTC", (23, 6)),
+        (datetime(2020, 1, 5, 15, tzinfo=timezone.utc), "Asia/Tokyo", (0, 0)),
+    ):
+        local = localize(Post("x", "", dt, zone))
+        assert (local.hour, local.weekday) == expected
+        assert local == LocalTime(*expected)
 
 
 def test_localize_utc_identity_hour():

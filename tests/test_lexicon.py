@@ -12,7 +12,6 @@ from anxarc.lexicon import (
     LexiconParseError,
     LexiconStats,
     TermClass,
-    classify_term,
     lexicon_stats,
     load_lexicon,
     loads_lexicon,
@@ -92,12 +91,12 @@ def test_terms_lower_cased_at_load():
 
 def test_classify_term_boundaries():
     lex = loads_lexicon("panic\t3.0\nroad\t0.0\ncalm\t-2.5\nedge\t1.0\nlow\t-1.0\n", (1.0, -1.0))
-    assert classify_term(lex, "panic") is TermClass.ANXIETY
-    assert classify_term(lex, "road") is TermClass.NEUTRAL
-    assert classify_term(lex, "calm") is TermClass.CALM
-    assert classify_term(lex, "edge") is TermClass.ANXIETY  # >= tau_anx
-    assert classify_term(lex, "low") is TermClass.CALM  # <= tau_calm
-    assert classify_term(lex, "zyzzyva") is TermClass.UNKNOWN
+    assert lex.classify("panic") is TermClass.ANXIETY
+    assert lex.classify("road") is TermClass.NEUTRAL
+    assert lex.classify("calm") is TermClass.CALM
+    assert lex.classify("edge") is TermClass.ANXIETY  # >= tau_anx
+    assert lex.classify("low") is TermClass.CALM  # <= tau_calm
+    assert lex.classify("zyzzyva") is TermClass.UNKNOWN
 
 
 def test_stats_hand_count():

@@ -7,6 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import util
+from anxarc import pipeline
+from anxarc.corpus import CorpusError
 from anxarc.pipeline import FAMILIES, ScanResult, scan_corpus
 from anxarc.slicer import PRONOUNS, Tense
 
@@ -179,6 +181,16 @@ def test_skip_events_name_their_file(tmp_path, lexicon, workers):
         (first, 1), (first, 3), (second, 3)
     ]
     assert res.n_records == 5 and res.n_parse_skips == 3 and res.overall.n_posts == 2
+
+
+def test_missing_later_corpus_fails_before_any_record_is_read(tmp_path, lexicon, monkeypatch):
+    first = write_corpus(tmp_path, [GOOD_RECORD.decode() % 1])
+    parsed = []
+    real_parse = pipeline.parse_record
+    monkeypatch.setattr(pipeline, "parse_record", lambda *a: parsed.append(a) or real_parse(*a))
+    with pytest.raises(CorpusError, match="missing.jsonl"):
+        scan_corpus(first, str(tmp_path / "missing.jsonl"), lexicon=lexicon, workers=1)
+    assert parsed == []
 
 
 @pytest.fixture(scope="module")

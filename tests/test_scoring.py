@@ -21,7 +21,7 @@ LEX = loads_lexicon(
 
 def one_post(tokens: list[str]) -> BinAggregate:
     agg = BinAggregate()
-    agg.update_counts(*score_tokens(tokens, LEX.class_map))
+    BinAggregate.update_counts([agg], *score_tokens(tokens, LEX.class_map)[:3])
     return agg
 
 
@@ -32,7 +32,7 @@ def state(agg: BinAggregate) -> tuple:
 def filled(posts) -> BinAggregate:
     agg = BinAggregate()
     for post in posts:
-        agg.update_counts(*post)
+        BinAggregate.update_counts([agg], *post)
     return agg
 
 
@@ -61,7 +61,7 @@ def test_repeated_tokens_count_each_occurrence():
 
 def test_empty_tokens_error():
     # A post with no tokens has no score; the scan counts it as an empty skip.
-    assert score_tokens([], LEX.class_map) == (0, 0, 0)
+    assert score_tokens([], LEX.class_map) == (0, 0, 0, 0)
     with pytest.raises(ZeroDivisionError):
         post_score_value(0, 0, 0)
 
@@ -73,6 +73,15 @@ def test_score_value_matches_exact_rational():
         a = rng.randint(0, n)
         c = rng.randint(0, n - a)
         assert post_score_value(n, a, c) == float(Fraction(100 * (a - c), n))
+
+
+def test_update_counts_adds_the_post_to_every_bin():
+    bins = [BinAggregate() for _ in range(3)]
+    BinAggregate.update_counts(bins, 5, 2, 1)
+    BinAggregate.update_counts(bins[1:], 4, 0, 0)
+    BinAggregate.update_counts([], 3, 1, 0)
+    assert state(bins[0]) == (1, 5, 2, 1, {(1, 5): 1})
+    assert state(bins[1]) == state(bins[2]) == (2, 9, 2, 1, {(1, 5): 1, (0, 4): 1})
 
 
 def test_update_single_post():
@@ -173,7 +182,7 @@ def test_scores_bounded():
         a = rng.randint(0, n)
         c = rng.randint(0, n - a)
         assert -100.0 <= post_score_value(n, a, c) <= 100.0
-        agg.update_counts(n, a, c)
+        BinAggregate.update_counts([agg], n, a, c)
     assert -100.0 <= agg.micro_score <= 100.0
     assert -100.0 <= agg.macro_score <= 100.0
 
@@ -193,7 +202,7 @@ def test_law_of_large_numbers_micro():
                 a += 1
             elif r < p + q:
                 c += 1
-        agg.update_counts(n, a, c)
+        BinAggregate.update_counts([agg], n, a, c)
         tokens_left -= n
     assert agg.micro_score == pytest.approx(100 * (p - q), abs=0.5)
 

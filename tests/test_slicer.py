@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import functools
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anxarc.corpus import LocalTime
+from anxarc._kernel import ANX, CALM, PRONOUN_SHIFT, score_tokens
 from anxarc.slicer import (
     AUX_PAST,
     AUX_PRESENT,
+    FUTURE_BIGRAM_SECOND,
     FUTURE_SIGNAL_WORDS,
+    PRONOUN_KEYS_BY_BITS,
     PRONOUNS,
     Tense,
     VerbTableError,
@@ -21,7 +26,8 @@ from anxarc.slicer import (
     has_future_signal,
     load_verb_tables,
     pronoun_keys,
-    time_keys,
+    tense_of,
+    token_table,
 )
 
 
@@ -168,7 +174,97 @@ def test_pronoun_keys_monotone_under_extension():
         assert pronoun_keys(base) <= pronoun_keys(base + extra)
 
 
-def test_time_keys_projection():
-    assert time_keys(LocalTime(8, 2)) == (8, 2)
-    assert time_keys(LocalTime(0, 0)) == (0, 0)
-    assert time_keys(LocalTime(23, 6)) == (23, 6)
+
+# One pass with a token table gives the counts, tense and pronoun keys of the
+# reference rules, for the bundled tables and for a custom table directory.
+
+TABLE_CLASS_MAP = {
+    "panic": ANX, "worried": ANX, "dreading": ANX, "hopes": ANX, "red": ANX,
+    "calm": CALM, "relaxed": CALM, "rested": CALM, "she": CALM, "week": ANX,
+}
+
+
+@pytest.fixture(scope="module")
+def custom_tables(tmp_path_factory):
+    # Odd but legal tables: verb forms that are also pronouns, period words
+    # or future words, a base form whose +s/+es forms are real words, and
+    # stoplisted -ed words of every length.
+    root = tmp_path_factory.mktemp("verb_tables")
+    for name, words in (
+        ("irregular_past.txt", ["went", "ran", "them", "week"]),
+        ("irregular_base.txt", ["go", "run", "mov", "her", "hope", "da", "i"]),
+        ("ed_stoplist.txt", ["hundred", "bed", "red", "need", "rested"]),
+    ):
+        (root / name).write_text("\n".join(words) + "\n")
+    return load_verb_tables(root)
+
+
+def table_words(tables: VerbTables) -> st.SearchStrategy[str]:
+    base = sorted(tables.irregular_base)
+    suffixed = st.builds(lambda stem, end: stem + end, st.text("abcdeginrs'", max_size=5),
+                         st.sampled_from(["ed", "ing", "s", "es"]))
+    return st.one_of(
+        st.sampled_from(sorted(tables.irregular_past)),
+        st.sampled_from(base),
+        st.sampled_from(base).map(lambda w: w + "s"),
+        st.sampled_from(base).map(lambda w: w + "es"),
+        st.sampled_from(sorted(tables.ed_stoplist)),
+        st.sampled_from(sorted(AUX_PAST | AUX_PRESENT | FUTURE_SIGNAL_WORDS)),
+        st.sampled_from(["next", "day", "week", "month", "year", "us", "ed", "ing", "king"]),
+        st.sampled_from(PRONOUNS),
+        st.sampled_from(sorted(TABLE_CLASS_MAP)),
+        suffixed,
+        st.text(max_size=4),
+    )
+
+
+def token_lists(tables: VerbTables) -> st.SearchStrategy[list[str]]:
+    words = table_words(tables)
+    pair = st.tuples(st.just("next"), st.sampled_from(sorted(FUTURE_BIGRAM_SECOND)))
+    return st.lists(st.one_of(words.map(lambda w: [w]), pair.map(list)), max_size=12).map(
+        lambda parts: [w for part in parts for w in part]
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def tables_for(tables: VerbTables) -> dict[bool, dict[str, int]]:
+    return {True: token_table(TABLE_CLASS_MAP, tables), False: token_table(TABLE_CLASS_MAP, None)}
+
+
+def check_one_pass(tokens: list[str], tables: VerbTables) -> None:
+    classes = [TABLE_CLASS_MAP.get(tok) for tok in tokens]
+    counts = (len(tokens), classes.count(ANX), classes.count(CALM))
+    for with_tense, table in tables_for(tables).items():
+        *got, flags = score_tokens(tokens, table)
+        assert tuple(got) == counts
+        keys = PRONOUN_KEYS_BY_BITS[flags >> PRONOUN_SHIFT]
+        assert set(keys) == pronoun_keys(tokens)
+        assert list(keys) == [p for p in PRONOUNS if p in keys]
+        if with_tense:
+            assert tense_of(flags) is classify_tense(tokens, tables)
+
+
+@given(st.data())
+@settings(max_examples=500, deadline=None)
+def test_token_table_pass_matches_reference_rules(tables, data):
+    check_one_pass(data.draw(token_lists(tables)), tables)
+
+
+@given(st.data())
+@settings(max_examples=500, deadline=None)
+def test_token_table_pass_matches_reference_rules_custom_tables(custom_tables, data):
+    check_one_pass(data.draw(token_lists(custom_tables)), custom_tables)
+
+
+def test_token_table_examples(tables):
+    table = token_table(TABLE_CLASS_MAP, tables)
+    for tokens, tense, keys in (
+        (["she", "worried"], Tense.PAST, ("she",)),
+        (["i", "hope", "next", "week"], Tense.FUTURE, ("i",)),
+        (["they", "run", "next", "big", "week"], Tense.PRESENT, ("they",)),
+        (["a", "hundred", "dreading"], Tense.PRESENT, ()),
+        (["lovely", "day", "next"], Tense.NO_VERB, ()),
+    ):
+        flags = score_tokens(tokens, table)[3]
+        assert tense_of(flags) is tense is classify_tense(tokens, tables)
+        assert PRONOUN_KEYS_BY_BITS[flags >> PRONOUN_SHIFT] == keys
