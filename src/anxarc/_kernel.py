@@ -1,4 +1,4 @@
-"""Hot-path text kernel: tokenization and lexicon class counting.
+"""Hot-path text kernel: tokenization and one-pass post scoring.
 
 Tokenization rules, applied to each whitespace-separated chunk of the
 lower-cased input:
@@ -18,9 +18,10 @@ non-alphanumeric character) and has no edges to strip, since rule 3 uses
 the same per-character ``isalnum`` test. Only the other chunks go through
 ``_clean``.
 
-``score_tokens`` makes one pass over a tokenized post with a *token table*
-(built by ``anxarc.slicer.token_table``): a dict from word to int bits, one
-``get`` per token. A value holds
+``score_text`` is the one scoring call: it tokenizes a post by these rules
+and scores it in the same pass, with a *token table* (built by
+``anxarc.slicer.token_table``): a dict from word to int bits, one ``get``
+per token. A value holds
 
 * bits 0-1: the lexicon class code, ``ANX`` (1), ``CALM`` (2) or 0;
 * ``PAST``, ``PRESENT``: the word alone is a past/present verb form;
@@ -59,7 +60,6 @@ PRONOUN_SHIFT = 7
 IMPL = "pure"
 
 _URL_PREFIXES = ("http://", "https://", "www.")
-_SUFFIXES = ("ed", "ing")
 
 
 def _clean(chunk: str) -> str | None:
@@ -91,55 +91,19 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def score_tokens(tokens: list[str], table: dict[str, int]) -> tuple[int, int, int, int]:
-    """(n_tokens, n_anx, n_calm, flags) of an already-tokenized post.
+def score_text(text: str, table: dict[str, int]) -> tuple[int, int, int, int]:
+    """(n_tokens, n_anx, n_calm, flags) of raw text, in one pass.
 
     ``table`` is a token table (see the module docstring); a plain class
     map, whose values are only ``ANX``/``CALM``, gives the right counts
-    and meaningless flags.
-    """
-    n_anx = 0
-    n_calm = 0
-    flags = 0
-    get = table.get
-    for tok in tokens:
-        bits = get(tok)
-        if bits is None:
-            if tok.endswith(_SUFFIXES):
-                if tok[-1] == "d":
-                    if len(tok) >= 4:
-                        flags |= PAST
-                elif len(tok) >= 5:
-                    flags |= PRESENT
-        else:
-            flags |= bits
-            if bits & CLASS_MASK:
-                if bits & ANX:
-                    n_anx += 1
-                else:
-                    n_calm += 1
-    if flags & NEXT and flags & PERIOD and not flags & FUTURE:
-        prev = 0
-        for tok in tokens:
-            bits = get(tok, 0)
-            if prev & NEXT and bits & PERIOD:
-                flags |= FUTURE
-                break
-            prev = bits
-    return len(tokens), n_anx, n_calm, flags & ~CLASS_MASK
-
-
-def score_text(text: str, class_map: dict[str, int]) -> tuple[int, int, int]:
-    """Fused tokenize-and-count: (n_tokens, n_anx, n_calm) for raw text.
-
-    Equivalent to the first three fields of
-    ``score_tokens(tokenize(text), class_map)`` without materializing the
-    token list.
+    and meaningless flags. No token list is built unless the post holds
+    both a ``next`` and a period word and no other future signal.
     """
     n_tok = 0
     n_anx = 0
     n_calm = 0
-    get = class_map.get
+    flags = 0
+    get = table.get
     for chunk in text.lower().split():
         if chunk.isalnum():
             tok = chunk
@@ -148,9 +112,25 @@ def score_text(text: str, class_map: dict[str, int]) -> tuple[int, int, int]:
             if tok is None:
                 continue
         n_tok += 1
-        c = get(tok)
-        if c == ANX:
-            n_anx += 1
-        elif c == CALM:
-            n_calm += 1
-    return n_tok, n_anx, n_calm
+        bits = get(tok)
+        if bits:
+            flags |= bits
+            if bits & ANX:
+                n_anx += 1
+            elif bits & CALM:
+                n_calm += 1
+        elif bits is None and tok[-1] in "dg":
+            if tok[-1] == "d":
+                if len(tok) >= 4 and tok[-2] == "e":
+                    flags |= PAST
+            elif len(tok) >= 5 and tok.endswith("ing"):
+                flags |= PRESENT
+    if flags & NEXT and flags & PERIOD and not flags & FUTURE:
+        prev = 0
+        for tok in tokenize(text):
+            bits = get(tok, 0)
+            if prev & NEXT and bits & PERIOD:
+                flags |= FUTURE
+                break
+            prev = bits
+    return n_tok, n_anx, n_calm, flags & ~CLASS_MASK

@@ -32,6 +32,13 @@ WEEKDAY_LABELS = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 
 _TIME_COLUMNS = ["n_posts", "n_tokens", "n_anx", "n_calm", "micro_score", "macro_score"]
 
+_COMPARE_COLUMNS = [
+    "slice_a", "slice_b", "n_a", "n_b", "mean_a", "mean_b",
+    "t", "df", "p", "significant", "alpha",
+]
+_COMPARE_FORMATS = {"t": fmt_stat, "df": fmt_stat, "p": fmt_p}
+_COMPARE_TEST = "welch two-sided t-test on per-post scores"
+
 
 class UsageError(Exception):
     """Bad flags or configuration; exits with code 1."""
@@ -298,27 +305,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for label, agg in ((args.slice_a, agg_a), (args.slice_b, agg_b)):
         if agg.n_posts < 2:
             raise DataError(f"slice {label!r} has fewer than 2 scored posts")
-    result = welch_t(agg_a.score_counts(), agg_b.score_counts(), cfg.alpha)
+    row = _compare_row(args.slice_a, args.slice_b, agg_a, agg_b, cfg.alpha)
     table = Table(
         name="compare",
-        meta=_scan_meta(cfg, res, test="welch two-sided t-test on per-post scores"),
-        columns=[
-            "slice_a", "slice_b", "n_a", "n_b", "mean_a", "mean_b",
-            "t", "df", "p", "significant", "alpha",
-        ],
-        rows=[[
-            args.slice_a, args.slice_b,
-            agg_a.n_posts, agg_b.n_posts,
-            agg_a.macro_score, agg_b.macro_score,
-            result.t, result.df, result.p, result.significant, result.alpha,
-        ]],
-        csv_formats={"t": fmt_stat, "df": fmt_stat, "p": fmt_p},
+        meta=_scan_meta(cfg, res, test=_COMPARE_TEST),
+        columns=_COMPARE_COLUMNS,
+        rows=[row],
+        csv_formats=_COMPARE_FORMATS,
     )
     _write(table, cfg)
-    verdict = "significant" if result.significant else "not significant"
+    cell = dict(zip(_COMPARE_COLUMNS, row))
+    verdict = "significant" if cell["significant"] else "not significant"
     print(
-        f"{args.slice_a} vs {args.slice_b}: t={fmt_stat(result.t)} "
-        f"df={fmt_stat(result.df)} p={fmt_p(result.p)} ({verdict} at alpha={result.alpha})"
+        f"{args.slice_a} vs {args.slice_b}: t={fmt_stat(cell['t'])} "
+        f"df={fmt_stat(cell['df'])} p={fmt_p(cell['p'])} ({verdict} at alpha={cell['alpha']})"
     )
     return EXIT_OK
 
@@ -403,13 +403,10 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     rows.append(_compare_row("all", "all_pronoun", res.overall, res.pronoun_overall, cfg.alpha))
     table = Table(
         name="comparisons",
-        meta=_scan_meta(cfg, res, test="welch two-sided t-test on per-post scores"),
-        columns=[
-            "slice_a", "slice_b", "n_a", "n_b", "mean_a", "mean_b",
-            "t", "df", "p", "significant", "alpha",
-        ],
+        meta=_scan_meta(cfg, res, test=_COMPARE_TEST),
+        columns=_COMPARE_COLUMNS,
         rows=rows,
-        csv_formats={"t": fmt_stat, "df": fmt_stat, "p": fmt_p},
+        csv_formats=_COMPARE_FORMATS,
     )
     _write(table, cfg)
     print("replication tables written; see docs/replication.md for the expected shapes")

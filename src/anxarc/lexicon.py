@@ -10,9 +10,10 @@ words and are lower-cased at load.
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
+
+from ._kernel import ANX, CALM
 
 ASSOC_MIN = -3.0
 ASSOC_MAX = 3.0
@@ -93,9 +94,9 @@ class Lexicon:
         class_map: dict[str, int] = {}
         for term, e in self._entries.items():
             if e.association >= self.tau_anx:
-                class_map[term] = 1
+                class_map[term] = ANX
             elif e.association <= self.tau_calm:
-                class_map[term] = 2
+                class_map[term] = CALM
         self._class_map = class_map
 
     def __len__(self) -> int:
@@ -139,15 +140,10 @@ class Lexicon:
 
 def lexicon_stats(lexicon: Lexicon) -> LexiconStats:
     """Counts of anxiety/calm/neutral entries; always partitions the total."""
-    n_anx = n_calm = n_neutral = 0
-    for e in lexicon:
-        if e.association >= lexicon.tau_anx:
-            n_anx += 1
-        elif e.association <= lexicon.tau_calm:
-            n_calm += 1
-        else:
-            n_neutral += 1
-    return LexiconStats(len(lexicon), n_anx, n_calm, n_neutral)
+    codes = list(lexicon.class_map.values())
+    n_anx = codes.count(ANX)
+    n_calm = codes.count(CALM)
+    return LexiconStats(len(lexicon), n_anx, n_calm, len(lexicon) - n_anx - n_calm)
 
 
 def load_lexicon(
@@ -206,11 +202,3 @@ def load_lexicon(
     if not entries:
         raise EmptyLexiconError("lexicon source contains no records")
     return Lexicon(entries.values(), tau_anx, tau_calm)
-
-
-def loads_lexicon(
-    text: str,
-    thresholds: tuple[float, float] = (DEFAULT_TAU_ANX, DEFAULT_TAU_CALM),
-) -> Lexicon:
-    """Convenience wrapper: load a lexicon from an in-memory string."""
-    return load_lexicon(io.StringIO(text), thresholds)

@@ -57,10 +57,10 @@ PRONOUN_OVERALL_KEY = "all_pronoun"
 class _ScanState:
     fmt: str
     families: frozenset[str]
-    class_map: dict[str, int]
-    # Token table for tense/pronoun scans; None when neither is requested,
-    # and posts are scored by the fused ``score_text``.
-    table: dict[str, int] | None
+    # The token table that scores every post (``slicer.token_table``); it
+    # holds tense bits only when the tense slice is requested. Forked
+    # workers inherit it.
+    table: dict[str, int]
 
 
 class ScanResult:
@@ -90,10 +90,6 @@ class ScanResult:
         self.n_empty_skips = 0
         self.n_tz_skips = 0
         self.skip_events: list[SkipEvent] = []
-
-    @property
-    def n_scored_posts(self) -> int:
-        return self.overall.n_posts
 
     def skip_counts(self) -> dict[str, int]:
         return {
@@ -156,9 +152,6 @@ def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
     res.n_records = len(lines)
     fmt = st.fmt
     table = st.table
-    class_map = st.class_map
-    tokenize = _kernel.tokenize
-    score_tokens = _kernel.score_tokens
     score_text = _kernel.score_text
     update = BinAggregate.update_counts
     overall = res.overall
@@ -187,10 +180,7 @@ def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
                 res.skip_events.append(SkipEvent(path, line_no, str(exc)))
             continue
 
-        if table is not None:
-            n_tok, n_anx, n_calm, flags = score_tokens(tokenize(post.text), table)
-        else:
-            n_tok, n_anx, n_calm = score_text(post.text, class_map)
+        n_tok, n_anx, n_calm, flags = score_text(post.text, table)
         if n_tok == 0:
             res.n_empty_skips += 1
             continue
@@ -260,14 +250,11 @@ def scan_corpus(
     families = frozenset(families)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    table = None
-    if "tense" in families:
-        if tables is None:
-            tables = load_verb_tables()
-        table = token_table(lexicon.class_map, tables)
-    elif "pronoun" in families:
-        table = token_table(lexicon.class_map, None)
-    state = _ScanState(fmt=fmt, families=families, class_map=lexicon.class_map, table=table)
+    if "tense" not in families:
+        tables = None
+    elif tables is None:
+        tables = load_verb_tables()
+    state = _ScanState(fmt=fmt, families=families, table=token_table(lexicon.class_map, tables))
     total = ScanResult(families)
 
     with ExitStack() as stack:

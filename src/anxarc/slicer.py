@@ -8,10 +8,10 @@ tagger. Tables are user-replaceable via a directory of plain-text files
 A scan does not call ``classify_tense`` and ``pronoun_keys`` per post: they
 are the reference rules. ``token_table`` folds them, with the lexicon's
 class map, into one word -> bits dict, once per scan, and
-``anxarc._kernel.score_tokens`` ORs the bits of a post's tokens in the same
-pass that counts its lexicon classes. ``tense_of`` turns those flags into
-the label ``classify_tense`` gives, and ``PRONOUN_KEYS_BY_BITS`` into the
-keys ``pronoun_keys`` gives.
+``anxarc._kernel.score_text`` ORs the bits of a post's tokens in the same
+pass that tokenizes the post and counts its lexicon classes. ``tense_of``
+turns those flags into the label ``classify_tense`` gives, and
+``PRONOUN_KEYS_BY_BITS`` into the keys ``pronoun_keys`` gives.
 
 The table's keys are the class-map terms and every word that a set rule
 names: irregular past and base forms, base+``s`` and base+``es``, the
@@ -165,10 +165,11 @@ def pronoun_keys(tokens: Iterable[str]) -> set[str]:
 
 
 def token_table(class_map: dict[str, int], tables: VerbTables | None) -> dict[str, int]:
-    """Word -> class code | rule bits | pronoun bits, for ``_kernel.score_tokens``.
+    """Word -> class code | rule bits | pronoun bits, for ``_kernel.score_text``.
 
     With ``tables`` None (no tense slice) only the class and pronoun bits
-    are filled in.
+    are filled in; the suffix bits ``score_text`` gives a miss are then
+    never read.
     """
     table = dict(class_map)
     for i, pron in enumerate(PRONOUNS):
@@ -200,7 +201,7 @@ def token_table(class_map: dict[str, int], tables: VerbTables | None) -> dict[st
 
 
 def tense_of(flags: int) -> Tense:
-    """The ``classify_tense`` label of a post from its ``score_tokens`` flags."""
+    """The ``classify_tense`` label of a post from its ``score_text`` flags."""
     if flags & PAST:
         return Tense.PAST
     if flags & PRESENT:

@@ -19,9 +19,8 @@ import pytest
 
 import util
 from anxarc.cli import main as cli_main
-from anxarc.lexicon import loads_lexicon
 from anxarc.pipeline import FAMILIES, scan_corpus
-from anxarc._kernel import score_tokens
+from anxarc._kernel import score_text
 from anxarc.scoring import BinAggregate
 from anxarc.slicer import PRONOUNS, classify_tense, load_verb_tables, pronoun_keys
 from anxarc.stats import pearson, spearman, welch_t
@@ -122,7 +121,7 @@ SCORE_CASES_REAL = [
 def test_criterion_3_scoring_formula():
     """A one-post bin's score matches the hand formula on a 25-case fixture table."""
     with criterion(3, "scoring formula"):
-        lex = loads_lexicon("a1\t2.0\na2\t2.0\nc1\t-2.0\nc2\t-2.0\nn1\t0.0\nn2\t0.0\n")
+        lex = util.loads_lexicon("a1\t2.0\na2\t2.0\nc1\t-2.0\nc2\t-2.0\nn1\t0.0\nn2\t0.0\n")
         assert len(SCORE_CASES_EXACT) + len(SCORE_CASES_REAL) == 25
 
         def tokens_for(a, c, n, u):
@@ -134,7 +133,7 @@ def test_criterion_3_scoring_formula():
 
         def one_post_bin(tokens):
             agg = BinAggregate()
-            BinAggregate.update_counts([agg], *score_tokens(tokens, lex.class_map)[:3])
+            BinAggregate.update_counts([agg], *score_text(" ".join(tokens), lex.class_map)[:3])
             return agg
 
         for a, c, n, u in SCORE_CASES_EXACT:

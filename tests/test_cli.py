@@ -58,12 +58,16 @@ def test_golden_hour_json(workdir, fixtures_dir):
     assert got == (fixtures_dir / "golden" / "hour.json").read_bytes()
 
 
-def test_golden_compare(workdir, fixtures_dir):
+def test_golden_compare(workdir, fixtures_dir, capsys):
     code = run("compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
                "--slice-a", "tense=past", "--slice-b", "tense=future", "--out", "reports")
     assert code == 0
     got = (workdir / "reports" / "compare.csv").read_bytes()
     assert got == (fixtures_dir / "golden" / "compare.csv").read_bytes()
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "tense=past vs tense=future: t=1.000000 df=1.000000 p=5.000000e-01 "
+        "(not significant at alpha=0.05)"
+    )
 
 
 def test_reruns_are_byte_identical(workdir):

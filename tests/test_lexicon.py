@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from anxarc._kernel import ANX, CALM
 from anxarc.lexicon import (
     DuplicateTermError,
     EmptyLexiconError,
@@ -14,8 +15,8 @@ from anxarc.lexicon import (
     TermClass,
     lexicon_stats,
     load_lexicon,
-    loads_lexicon,
 )
+from util import loads_lexicon
 
 
 def test_load_three_rows():
@@ -105,17 +106,22 @@ def test_stats_hand_count():
 
 
 def test_stats_partition_on_random_lexicons():
-    # Counts must partition the total for arbitrary association values.
+    # Counts must partition the total for arbitrary association values, and
+    # agree with classify, also for associations exactly at a threshold.
     rng = random.Random(99)
     for _ in range(1000):
         n = rng.randint(1, 40)
-        lines = [f"w{i}\t{rng.uniform(-3, 3):.3f}" for i in range(n)]
-        tau_anx = rng.uniform(0.1, 2.9)
-        tau_calm = -rng.uniform(0.1, 2.9)
+        tau_anx = round(rng.uniform(0.1, 2.9), 3)
+        tau_calm = -round(rng.uniform(0.1, 2.9), 3)
+        values = [rng.choice([tau_anx, tau_calm, round(rng.uniform(-3, 3), 3)]) for _ in range(n)]
+        lines = [f"w{i}\t{v!r}" for i, v in enumerate(values)]
         lex = loads_lexicon("\n".join(lines) + "\n", (tau_anx, tau_calm))
         stats = lexicon_stats(lex)
         assert stats.total == n
         assert stats.n_anxiety + stats.n_calm + stats.n_neutral == stats.total
+        classes = [lex.classify(f"w{i}") for i in range(n)]
+        assert stats.n_anxiety == classes.count(TermClass.ANXIETY)
+        assert stats.n_calm == classes.count(TermClass.CALM)
 
 
 def test_classify_consistent_with_stats(lexicon):
@@ -146,7 +152,7 @@ def test_round_trip(lexicon):
 
 def test_class_map_contains_only_affect_terms(lexicon):
     for term, code in lexicon.class_map.items():
-        assert code in (1, 2)
+        assert code in (ANX, CALM)
         assert lexicon.classify(term) in (TermClass.ANXIETY, TermClass.CALM)
     n_affect = sum(
         1 for e in lexicon if lexicon.classify(e.term) is not TermClass.NEUTRAL

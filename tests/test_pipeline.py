@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -68,13 +69,28 @@ def test_worker_counts_agree_exactly(random_corpus, lexicon):
         assert util.result_state(other) == util.result_state(base)
 
 
+FAMILY_FIELDS = {"hour": "hours", "weekday": "weekdays", "tense": "tenses", "pronoun": "pronouns"}
+
+
 def test_families_limit_work(random_corpus, lexicon):
+    # Every family subset fills exactly its own bins, each equal to the same
+    # bin of the full scan, whatever the worker count.
     path, oracle = random_corpus
-    res = scan_corpus(path, lexicon=lexicon, families=("hour",))
-    assert res.tenses == {} and res.pronouns == {} and res.weekdays == {}
-    assert util.counters_of(res.overall) == oracle["overall"]
-    for h in range(24):
-        assert util.counters_of(res.hours[h]) == oracle["hour"][h]
+    full = scan_corpus(path, lexicon=lexicon, families=FAMILIES)
+    assert_matches_oracle(full, oracle)
+    want = util.result_state(full)
+    for n in range(1, len(FAMILIES) + 1):
+        for families in itertools.combinations(FAMILIES, n):
+            for workers in (1, 2):
+                res = scan_corpus(path, lexicon=lexicon, families=families,
+                                  workers=workers, chunk_lines=512)
+                got = util.result_state(res)
+                where = (families, workers)
+                assert got["overall"] == want["overall"], where
+                for family, field in FAMILY_FIELDS.items():
+                    assert got[field] == (want[field] if family in families else {}), where
+                if "pronoun" in families:
+                    assert got["pronoun_overall"] == want["pronoun_overall"], where
 
 
 def test_tz_skips_exclude_time_bins_only(tmp_path, lexicon):

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anxarc._kernel import score_tokens
-from anxarc.lexicon import loads_lexicon
+from anxarc._kernel import score_text
 from anxarc.scoring import BinAggregate, post_score_value
 from anxarc.stats import TTestResult, student_t_two_sided_p, welch_t
+from util import loads_lexicon
 
 LEX = loads_lexicon(
     "panic\t3.0\ndread\t2.0\nrelax\t-2.0\ncalm\t-2.5\nstorm\t0.0\nroad\t0.0\n"
@@ -21,7 +21,7 @@ LEX = loads_lexicon(
 
 def one_post(tokens: list[str]) -> BinAggregate:
     agg = BinAggregate()
-    BinAggregate.update_counts([agg], *score_tokens(tokens, LEX.class_map)[:3])
+    BinAggregate.update_counts([agg], *score_text(" ".join(tokens), LEX.class_map)[:3])
     return agg
 
 
@@ -61,7 +61,7 @@ def test_repeated_tokens_count_each_occurrence():
 
 def test_empty_tokens_error():
     # A post with no tokens has no score; the scan counts it as an empty skip.
-    assert score_tokens([], LEX.class_map) == (0, 0, 0, 0)
+    assert score_text("", LEX.class_map) == (0, 0, 0, 0)
     with pytest.raises(ZeroDivisionError):
         post_score_value(0, 0, 0)
 

@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from anxarc.lexicon import loads_lexicon
 from anxarc.synth import ArcReport, ArcSpec, ArcSpecError, EmptyBinError, evaluate_arc, generate, generate_file
+from util import loads_lexicon
 
 
 def flat_spec(**overrides) -> ArcSpec:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anxarc.textproc import tokenize
+from anxarc._kernel import tokenize
 
 
 def test_spec_example():

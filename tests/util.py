@@ -9,14 +9,15 @@ merge machinery.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from datetime import datetime, timezone
 from zoneinfo import ZoneInfo
 
-from anxarc.lexicon import Lexicon, TermClass, loads_lexicon
+from anxarc._kernel import tokenize
+from anxarc.lexicon import DEFAULT_TAU_ANX, DEFAULT_TAU_CALM, Lexicon, TermClass, load_lexicon
 from anxarc.slicer import PRONOUNS, VerbTables, classify_tense
-from anxarc.textproc import tokenize
 
 ANX_WORDS = [f"anx{i:03d}" for i in range(30)]
 CALM_WORDS = [f"calm{i:03d}" for i in range(20)]
@@ -45,6 +46,14 @@ def lexicon_text() -> str:
     rows += [f"{w}\t-2.5" for w in CALM_WORDS]
     rows += [f"{w}\t0.0" for w in NEUTRAL_WORDS]
     return "\n".join(rows) + "\n"
+
+
+def loads_lexicon(
+    text: str,
+    thresholds: tuple[float, float] = (DEFAULT_TAU_ANX, DEFAULT_TAU_CALM),
+) -> Lexicon:
+    """Load a lexicon from an in-memory string."""
+    return load_lexicon(io.StringIO(text), thresholds)
 
 
 def make_lexicon() -> Lexicon:
