@@ -91,13 +91,18 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def score_text(text: str, table: dict[str, int]) -> tuple[int, int, int, int]:
+def score_text(
+    text: str, table: dict[str, int], miss: int | None = None
+) -> tuple[int, int, int, int]:
     """(n_tokens, n_anx, n_calm, flags) of raw text, in one pass.
 
     ``table`` is a token table (see the module docstring); a plain class
     map, whose values are only ``ANX``/``CALM``, gives the right counts
-    and meaningless flags. No token list is built unless the post holds
-    both a ``next`` and a period word and no other future signal.
+    and meaningless flags. ``miss`` is the value of a word missing from the
+    table: None applies the suffix rules to it, 0 gives it no bits, which
+    saves the suffix test when no caller reads the tense flags. No token
+    list is built unless the post holds both a ``next`` and a period word
+    and no other future signal.
     """
     n_tok = 0
     n_anx = 0
@@ -112,7 +117,7 @@ def score_text(text: str, table: dict[str, int]) -> tuple[int, int, int, int]:
             if tok is None:
                 continue
         n_tok += 1
-        bits = get(tok)
+        bits = get(tok, miss)
         if bits:
             flags |= bits
             if bits & ANX:

@@ -19,7 +19,7 @@ from .lexicon import DEFAULT_TAU_ANX, DEFAULT_TAU_CALM, Lexicon, LexiconError, l
 from .pipeline import FAMILIES, ScanResult, scan_corpus
 from .report import Table, base_meta, fmt_p, fmt_stat
 from .slicer import PRONOUNS, Tense, VerbTableError, load_verb_tables
-from .stats import DEFAULT_ALPHA, InsufficientSampleError, welch_t
+from .stats import DEFAULT_ALPHA, ConstantInputError, InsufficientSampleError, welch_t
 from .synth import ArcSpec, ArcSpecError, EmptyBinError, evaluate_arc, generate_file
 
 EXIT_OK = 0
@@ -541,7 +541,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ArcSpecError, VerbTableError) as exc:
         print(f"anxarc: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LexiconError, CorpusError, EmptyBinError, InsufficientSampleError) as exc:
+    except (LexiconError, CorpusError, EmptyBinError, InsufficientSampleError,
+            ConstantInputError) as exc:
         print(f"anxarc: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DataError as exc:

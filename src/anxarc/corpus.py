@@ -1,6 +1,8 @@
-"""Streaming corpus ingestion and timestamp localization.
+"""Corpus ingestion and timestamp localization.
 
-Two record formats are supported:
+A corpus file is read as blocks of whole lines (``read_blocks``); the scan
+splits each block into numbered data lines (``data_lines``) and parses each
+line into a post (``parse_record``). Two record formats are supported:
 
 * ``jsonl`` -- one JSON object per line with keys ``id``, ``text``,
   ``timestamp_utc``, ``timezone``;
@@ -14,11 +16,12 @@ become counted skips that surface in the final reports.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 FORMATS = ("jsonl", "tsv")
@@ -163,44 +166,44 @@ def parse_record(line: str | bytes, fmt: str) -> Post:
     return Post(rid, text, stamp, tz.strip())
 
 
-def iter_data_lines(
-    source: str | IO[str] | IO[bytes], fmt: str = "jsonl"
-) -> Iterator[tuple[int, str | bytes]]:
-    """Yield (line_no, line) for every data line of a corpus source.
-
-    Accepts a path, a text stream, or a byte stream. Paths and byte streams
-    are split at line feeds and decoded as UTF-8 one line at a time, so a
-    bad byte spoils only its own line: that line is yielded as its raw bytes,
-    which ``parse_record`` rejects as a parse skip. Blank lines are skipped
-    without counting as records; an optional literal TSV header on line 1
-    is skipped.
-    """
-    if fmt not in FORMATS:
-        raise CorpusError(f"unknown corpus format {fmt!r}")
-    if isinstance(source, str):
-        with open_corpus_path(source) as fh:
-            yield from _iter_data_lines(fh, fmt)
-    else:
-        yield from _iter_data_lines(source, fmt)
-
-
 def open_corpus_path(path: str) -> IO[bytes]:
-    """Open a corpus file for ``iter_data_lines``; CorpusError if it cannot be."""
+    """Open a corpus file for ``read_blocks``; CorpusError if it cannot be."""
     try:
         return open(path, "rb")
     except OSError as exc:
         raise CorpusError(f"cannot read corpus: {exc}") from None
 
 
-def _iter_data_lines(lines: Iterable[str | bytes], fmt: str) -> Iterator[tuple[int, str | bytes]]:
-    for line_no, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError:
-                yield line_no, line
-                continue
-        line = line.rstrip("\n").rstrip("\r")
+def read_blocks(fh: IO[bytes], size: int) -> Iterator[tuple[int, bytes]]:
+    """Yield (first_line_no, block): the stream cut into blocks of whole lines.
+
+    A block is ``size`` bytes read on to the end of their line, so no line
+    spans two blocks and every block but the last ends in a line feed.
+    """
+    line_no = 1
+    while block := fh.read(size) + fh.readline():
+        yield line_no, block
+        line_no += block.count(b"\n")
+
+
+def data_lines(block: bytes, first_line_no: int, fmt: str) -> Iterator[tuple[int, str | bytes]]:
+    """Yield (line_no, line) for every data line of a block of whole lines.
+
+    The block is split at line feeds and each line is decoded as UTF-8 on
+    its own, so a bad byte spoils only its own line: that line is yielded
+    as its raw bytes, which ``parse_record`` rejects as a parse skip. A
+    trailing ``\\r`` is dropped, blank lines are skipped without counting as
+    records, and a literal TSV header on line 1 is skipped.
+    """
+    # Iterating a BytesIO splits at b"\n" as block.split does, but one line
+    # at a time, so each line is still in cache when it is decoded.
+    for line_no, raw in enumerate(io.BytesIO(block), first_line_no):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            yield line_no, raw
+            continue
+        line = line.rstrip("\r\n")
         if not line.strip():
             continue
         if fmt == "tsv" and line_no == 1 and line == _TSV_HEADER:

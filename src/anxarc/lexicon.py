@@ -131,12 +131,6 @@ class Lexicon:
         """All lexicon terms of the given class, sorted for determinism."""
         return tuple(sorted(t for t in self._entries if self.classify(t) is cls))
 
-    def dump(self, sink: IO[str]) -> None:
-        """Serialize back to the TSV format accepted by load_lexicon."""
-        sink.write("term\tassociation\n")
-        for e in self._entries.values():
-            sink.write(f"{e.term}\t{e.association!r}\n")
-
 
 def lexicon_stats(lexicon: Lexicon) -> LexiconStats:
     """Counts of anxiety/calm/neutral entries; always partitions the total."""
@@ -165,7 +159,11 @@ def load_lexicon(
             return load_lexicon(fh, thresholds)
 
     raw = source.read()
-    text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    try:
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise LexiconParseError(line_no, f"invalid UTF-8 at byte {exc.start}") from None
 
     entries: dict[str, LexiconEntry] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):

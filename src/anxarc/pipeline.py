@@ -1,11 +1,13 @@
 """Corpus scan: stream posts, score them, and fill per-slice bin aggregates.
 
-Parallelism model: every corpus source of a run is cut into fixed-size line
-chunks (a chunk never spans two sources), one pool of workers scans private
-aggregates per chunk, and partial results merge back in submission order.
-Every aggregate field is an exact integer sum, so the final result does not
-depend on the worker count or on how the input is split into sources. The
-recorded skip events keep stream order and name their source and line.
+Parallelism model: the parent cuts every corpus file of a run into chunks
+of ``CHUNK_BYTES`` read on to the end of a line (a chunk never spans two
+files), and one pool of workers splits, decodes and scans each chunk into
+private aggregates; partial results merge back in submission order. Every
+aggregate field is an exact integer sum, so the final result does not
+depend on the worker count or on how the input is split into files. Each
+chunk carries its first line number, so the recorded skip events keep
+stream order and name their file and line.
 """
 
 from __future__ import annotations
@@ -13,40 +15,38 @@ from __future__ import annotations
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import Iterable
 
 from . import _kernel
 from ._kernel import PRONOUN_SHIFT
 from .corpus import (
+    FORMATS,
+    CorpusError,
     SkipEvent,
     UnknownTimezoneError,
-    iter_data_lines,
+    data_lines,
     localize,
     open_corpus_path,
     parse_record,
+    read_blocks,
 )
 from .lexicon import Lexicon
 from .scoring import BinAggregate
-# classify_tense and pronoun_keys are not called by the scan; they stay
-# importable here as the reference rules that tense_of and
-# PRONOUN_KEYS_BY_BITS reproduce.
 from .slicer import (
     PRONOUN_KEYS_BY_BITS,
     PRONOUNS,
     Tense,
     VerbTables,
-    classify_tense,
     load_verb_tables,
-    pronoun_keys,
     tense_of,
     token_table,
 )
 
 FAMILIES = ("hour", "weekday", "tense", "pronoun")
 
-# Lines per chunk. Results do not depend on it: aggregates are exact sums
-# and skip events keep stream order.
-CHUNK_LINES = 32768
+# Bytes per chunk, before reading on to the end of the line. Results do not
+# depend on it: aggregates are exact sums and skip events keep stream order.
+CHUNK_BYTES = 1 << 22
 
 MAX_RECORDED_SKIPS = 50
 
@@ -61,6 +61,9 @@ class _ScanState:
     # holds tense bits only when the tense slice is requested. Forked
     # workers inherit it.
     table: dict[str, int]
+    # The kernel's value for a word missing from the table: None applies
+    # the tense suffix rules, 0 skips them when no tense slice reads them.
+    miss: int | None
 
 
 class ScanResult:
@@ -143,15 +146,16 @@ class ScanResult:
             self.skip_events.extend(other.skip_events[:room])
 
 
-_Chunk = tuple[str, list[tuple[int, str | bytes]]]  # (source path, numbered lines)
+_Chunk = tuple[str, int, bytes]  # (file path, first line number, whole lines)
 
 
 def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
-    path, lines = chunk
+    path, first_line_no, block = chunk
     res = ScanResult(st.families)
-    res.n_records = len(lines)
+    n_records = 0
     fmt = st.fmt
     table = st.table
+    miss = st.miss
     score_text = _kernel.score_text
     update = BinAggregate.update_counts
     overall = res.overall
@@ -171,7 +175,8 @@ def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
             for keys in PRONOUN_KEYS_BY_BITS
         )
 
-    for line_no, line in lines:
+    for line_no, line in data_lines(block, first_line_no, fmt):
+        n_records += 1
         try:
             post = parse_record(line, fmt)
         except ValueError as exc:
@@ -180,7 +185,7 @@ def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
                 res.skip_events.append(SkipEvent(path, line_no, str(exc)))
             continue
 
-        n_tok, n_anx, n_calm, flags = score_text(post.text, table)
+        n_tok, n_anx, n_calm, flags = score_text(post.text, table, miss)
         if n_tok == 0:
             res.n_empty_skips += 1
             continue
@@ -201,21 +206,8 @@ def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
         if pronoun_bins is not None:
             bins += pronoun_bins[flags >> PRONOUN_SHIFT]
         update(bins, n_tok, n_anx, n_calm)
+    res.n_records = n_records
     return res
-
-
-def _chunks(
-    sources: list[tuple[str, IO[str] | IO[bytes]]], fmt: str, chunk_lines: int
-) -> Iterator[_Chunk]:
-    for path, stream in sources:
-        lines: list[tuple[int, str | bytes]] = []
-        for pair in iter_data_lines(stream, fmt):
-            lines.append(pair)
-            if len(lines) >= chunk_lines:
-                yield path, lines
-                lines = []
-        if lines:
-            yield path, lines
 
 
 _POOL_STATE: _ScanState | None = None
@@ -232,40 +224,42 @@ def _pool_scan(chunk: _Chunk) -> ScanResult:
 
 
 def scan_corpus(
-    *sources: str | IO[str] | IO[bytes],
+    *paths: str,
     lexicon: Lexicon,
     families: Iterable[str] = FAMILIES,
     fmt: str = "jsonl",
     tables: VerbTables | None = None,
     workers: int = 1,
-    chunk_lines: int = CHUNK_LINES,
 ) -> ScanResult:
-    """Scan one or more corpus sources as one stream of posts.
+    """Scan one or more corpus files as one stream of posts.
 
     The aggregates do not depend on the worker count or on how the posts
-    are split into sources: every field is an exact sum. Partial results
+    are split into files: every field is an exact sum. Partial results
     merge in stream order, so the recorded skip events keep it; their line
-    numbers count from the start of each source.
+    numbers count from the start of each file.
     """
     families = frozenset(families)
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if fmt not in FORMATS:
+        raise CorpusError(f"unknown corpus format {fmt!r}")
     if "tense" not in families:
         tables = None
     elif tables is None:
         tables = load_verb_tables()
-    state = _ScanState(fmt=fmt, families=families, table=token_table(lexicon.class_map, tables))
+    state = _ScanState(fmt=fmt, families=families, table=token_table(lexicon.class_map, tables),
+                       miss=0 if tables is None else None)
     total = ScanResult(families)
 
     with ExitStack() as stack:
         # Every path is opened before the first chunk is read, so a missing
         # or unreadable later file fails the run before any scanning.
-        opened = [
-            (source, stack.enter_context(open_corpus_path(source)))
-            if isinstance(source, str) else ("<stream>", source)
-            for source in sources
-        ]
-        chunk_iter = _chunks(opened, fmt, chunk_lines)
+        files = [(path, stack.enter_context(open_corpus_path(path))) for path in paths]
+        chunk_iter = (
+            (path, line_no, block)
+            for path, fh in files
+            for line_no, block in read_blocks(fh, CHUNK_BYTES)
+        )
 
         if workers == 1:
             for chunk in chunk_iter:

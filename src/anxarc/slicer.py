@@ -99,7 +99,7 @@ def load_verb_tables(directory: str | Path | None = None) -> VerbTables:
             path = base / name
             try:
                 texts.append(path.read_text(encoding="utf-8"))
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise VerbTableError(f"cannot read verb table {path}: {exc}") from None
     past, base_forms, stoplist = (_read_wordlist(t) for t in texts)
     return VerbTables(past, base_forms, stoplist)

@@ -72,7 +72,8 @@ class ArcSpec:
         if not (len(self.bins) == len(self.p_anx) == len(self.p_calm)):
             raise ArcSpecError("bins, p_anx, and p_calm must have equal lengths")
         for pa, pc in zip(self.p_anx, self.p_calm):
-            if pa < 0 or pc < 0 or pa + pc > 1.0:
+            # Written so that NaN, for which every comparison is false, fails.
+            if not (0 <= pa and 0 <= pc and pa + pc <= 1):
                 raise ArcSpecError(
                     f"need p_anx, p_calm >= 0 and p_anx + p_calm <= 1, got ({pa}, {pc})"
                 )
@@ -103,15 +104,18 @@ class ArcSpec:
                 seed=int(obj["seed"]),
                 axis=str(obj.get("axis", "hour")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ArcSpecError):
                 raise
             raise ArcSpecError(f"bad arc spec: {exc}") from None
 
     @classmethod
     def from_json(cls, path: str) -> ArcSpec:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
+            raise ArcSpecError(f"cannot parse arc spec: {exc}") from None
         if not isinstance(obj, dict):
             raise ArcSpecError("arc spec must be a JSON object")
         return cls.from_dict(obj)
@@ -135,16 +139,6 @@ class ArcReport:
     recovered: tuple[float, ...]
     pearson_r: float
     spearman_r: float
-
-    def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "bins": list(self.bins),
-            "planted": list(self.planted),
-            "recovered": list(self.recovered),
-            "pearson_r": self.pearson_r,
-            "spearman_r": self.spearman_r,
-        }
 
 
 def _class_terms(lexicon: Lexicon) -> dict[TermClass, tuple[str, ...]]:

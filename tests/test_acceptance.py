@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import util
+from anxarc import pipeline
 from anxarc.cli import main as cli_main
 from anxarc.pipeline import FAMILIES, scan_corpus
 from anxarc._kernel import score_text
@@ -76,9 +77,10 @@ def test_criterion_1_arc_recovery(lex, acceptance_tmp):
         assert elapsed < 120.0
 
 
-def test_criterion_2_oracle_equivalence(lex, acceptance_tmp):
+def test_criterion_2_oracle_equivalence(lex, acceptance_tmp, monkeypatch):
     """50 random corpora: every bin counter equals a brute-force recount at
     worker counts 1, 4, and 8."""
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 16384)
     with criterion(2, "oracle equivalence"):
         tables = load_verb_tables()
         for case in range(50):
@@ -87,10 +89,7 @@ def test_criterion_2_oracle_equivalence(lex, acceptance_tmp):
             path.write_text("\n".join(util.random_corpus_lines(rng, 1000)) + "\n")
             oracle = util.brute_force_recount(str(path), lex, tables)
             for workers in (1, 4, 8):
-                res = scan_corpus(
-                    str(path), lexicon=lex, families=FAMILIES,
-                    workers=workers, chunk_lines=128,
-                )
+                res = scan_corpus(str(path), lexicon=lex, families=FAMILIES, workers=workers)
                 assert util.counters_of(res.overall) == oracle["overall"], (case, workers)
                 assert util.counters_of(res.pronoun_overall) == oracle["pronoun_overall"]
                 for h in range(24):

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from datetime import datetime
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,9 @@ from hypothesis import strategies as st
 
 import util
 from anxarc.cli import main
+from anxarc.lexicon import LexiconError, lexicon_stats, load_lexicon
+from anxarc.slicer import VerbTableError, load_verb_tables
+from anxarc.synth import ArcSpec, ArcSpecError
 
 MINI_LEX = "mini_lexicon.tsv"
 MINI_CORPUS = "mini_corpus.jsonl"
@@ -486,3 +490,207 @@ def test_replicate_emits_four_tables_and_comparisons(synth_env):
 def test_version_flag(capsys):
     assert run("--version") == 0
     assert "anxarc" in capsys.readouterr().out
+
+
+def assert_one_error_line(code: int, err: str, expected_code: int) -> None:
+    assert code == expected_code, err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("anxarc: ") and err.count("\n") == 1, err
+
+
+def test_lexicon_invalid_utf8_exits_2(workdir, capsys):
+    (workdir / "bad_lex.tsv").write_bytes(b"panic\t3.0\r\ncalm\t-2.0\nqu\xffiet\t-1.0\n")
+    for argv in (["lexicon-stats"], ["analyze-hour", "--corpus", MINI_CORPUS, "--out", "o"]):
+        code = run(*argv, "--lexicon", "bad_lex.tsv")
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err, 2)
+        assert "line 3: invalid UTF-8 at byte 23" in err
+
+
+def test_verb_tables_invalid_utf8_exits_1(workdir, capsys):
+    tables = workdir / "verbs"
+    tables.mkdir()
+    for name in ("irregular_past.txt", "irregular_base.txt", "ed_stoplist.txt"):
+        (tables / name).write_bytes((resources.files("anxarc") / "data" / name).read_bytes())
+    with open(tables / "ed_stoplist.txt", "ab") as fh:
+        fh.write(b"caf\xe9\n")
+    code = run("analyze-tense", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
+               "--verb-tables", str(tables), "--out", "o")
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err, 1)
+    assert "ed_stoplist.txt" in err
+
+
+@pytest.mark.parametrize("text", [
+    b'{"bins": [0, 1],',
+    b'\xff{"bins": [0]}',
+    b'[' * 100_000,
+    b'{"bins": [0, 1], "p_anx": 0.2, "p_calm": 0.1, "posts_per_bin": 1e400, '
+    b'"tokens_per_post": [1, 2], "seed": 1}',
+    b'{"bins": [0, 1], "p_anx": 0.2, "p_calm": 0.1, "posts_per_bin": 2, '
+    b'"tokens_per_post": [1, 1e400], "seed": 1}',
+    b'{"bins": [0, 1], "p_anx": 0.2, "p_calm": 0.1, "posts_per_bin": 2, '
+    b'"tokens_per_post": [1, 2], "seed": -1e400}',
+    b'{"bins": [0, 1], "p_anx": NaN, "p_calm": 0.1, "posts_per_bin": 2, '
+    b'"tokens_per_post": [1, 2], "seed": 1}',
+    b'{"bins": [0, 1], "p_anx": [0.2, 0.1], "p_calm": [0.1, NaN], "posts_per_bin": 2, '
+    b'"tokens_per_post": [1, 2], "seed": 1}',
+], ids=["truncated", "not-utf8", "nested", "posts-inf", "tokens-inf", "seed-inf",
+        "p-anx-nan", "p-calm-nan"])
+def test_arc_spec_faults_exit_1(synth_env, capsys, text):
+    (synth_env / "bad.json").write_bytes(text)
+    # eval-arc reads the spec before the corpus, which need not exist.
+    for argv in (["synth", "--out-corpus", "x.jsonl"], ["eval-arc", "--corpus", "c.jsonl"]):
+        code = run(*argv, "--lexicon", "lex.tsv", "--arc-spec", "bad.json")
+        assert_one_error_line(code, capsys.readouterr().err, 1)
+
+
+def test_eval_arc_of_a_flat_arc_exits_2(synth_env, capsys):
+    _write_arc_spec(synth_env / "flat.json", p_anx=0.2, posts_per_bin=20)
+    assert run("synth", "--lexicon", "lex.tsv", "--arc-spec", "flat.json",
+               "--out-corpus", "flat.jsonl") == 0
+    capsys.readouterr()
+    code = run("eval-arc", "--lexicon", "lex.tsv", "--arc-spec", "flat.json",
+               "--corpus", "flat.jsonl", "--out", "reports")
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err, 2)
+    assert "constant" in err
+
+
+# Near-valid documents: the pieces of a valid file mixed with byte-order
+# marks, CRLF line ends, duplicates, non-finite and out-of-range numbers,
+# wrong types and arbitrary bytes.
+_ends = st.sampled_from([b"\n", b"\r\n"])
+_lexicon_lines = st.one_of(
+    st.sampled_from([
+        b"term\tassociation", b"\xef\xbb\xbfterm\tassociation", b"panic\t3.0", b"PANIC\t1",
+        b"calm\t-2.6", b"road\t0.0", b"dread\t2", b"relax\t-1.0", b"x\tNaN", b"x\tInfinity",
+        b"x\t-inf", b"x\t1e400", b"x\t3.0000001", b"x\t", b"\t1.0", b"two words\t1.0",
+        b"a\tb\tc", b"x", b"", b" ", b"w\xe9\t1.0", b"\xff",
+    ]),
+    st.binary(max_size=12),
+)
+_lexicon_files = st.lists(st.tuples(_lexicon_lines, _ends).map(b"".join), max_size=8).map(b"".join)
+
+
+@given(_lexicon_files)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_lexicon_exits_as_documented(synth_env, fixtures_dir, capsys, data):
+    (synth_env / "fuzz.tsv").write_bytes(data)
+    _write_arc_spec(synth_env / "small.json", bins=[0, 1], p_anx=[0.1, 0.3],
+                    posts_per_bin=2, tokens_per_post=[1, 3])
+    shutil.copy(fixtures_dir / MINI_CORPUS, synth_env / MINI_CORPUS)
+    try:
+        lexicon = load_lexicon(str(synth_env / "fuzz.tsv"))
+    except LexiconError:
+        lexicon = None
+    for argv, ok_code in (
+        (["lexicon-stats"], 0),
+        (["analyze-hour", "--corpus", MINI_CORPUS, "--out", "o"], 0),
+        (["synth", "--arc-spec", "small.json", "--out-corpus", "s.jsonl"],
+         # synth needs a term of every class.
+         0 if lexicon is not None and all(lexicon_stats(lexicon)[1:]) else 1),
+    ):
+        capsys.readouterr()
+        code = run(*argv, "--lexicon", "fuzz.tsv")
+        assert_one_error_line(code, capsys.readouterr().err, 2 if lexicon is None else ok_code)
+
+
+_spec_values = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from([0, 1, 2, -1, 0.0, 0.1, 0.5, 1.5, "1", None, True, [], {}, [0, 1], [1, 2],
+                     [2, 1], [0.2, 0.1], [0.1, float("nan")], [1, float("inf")], [23, 24],
+                     [0, 0], "weekday", "minute"]),
+)
+_spec_base = {"axis": "hour", "bins": [0, 1], "p_anx": [0.1, 0.3], "p_calm": 0.1,
+              "posts_per_bin": 2, "tokens_per_post": [1, 3], "seed": 1}
+_spec_dicts = st.builds(
+    lambda base, changes, drop: {k: v for k, v in {**base, **changes}.items() if k not in drop},
+    st.just(_spec_base),
+    st.dictionaries(st.sampled_from(sorted(_spec_base)), _spec_values, min_size=1, max_size=3),
+    st.sets(st.sampled_from(sorted(_spec_base)), max_size=1),
+)
+_spec_files = st.one_of(
+    st.builds(
+        lambda obj, bom, crlf, cut, big: (
+            bom + json.dumps(obj, indent=1).replace("\n", crlf).replace("Infinity", big)
+        ).encode("utf-8")[:cut],
+        _spec_dicts, st.sampled_from(["", "\ufeff"]), st.sampled_from(["\n", "\r\n"]),
+        st.sampled_from([None, 1, 40]), st.sampled_from(["Infinity", "1e400"]),
+    ),
+    st.sampled_from([b"[]", b"null", b'"spec"', b"\xff\xfe{}"]),
+    st.binary(max_size=20),
+)
+
+
+@given(_spec_files)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_arc_spec_exits_as_documented(synth_env, capsys, data):
+    if not (synth_env / "c.jsonl").exists():
+        _write_arc_spec(synth_env / "arc.json", posts_per_bin=5)
+        assert run("synth", "--lexicon", "lex.tsv", "--arc-spec", "arc.json",
+                   "--out-corpus", "c.jsonl") == 0
+    (synth_env / "fuzz.json").write_bytes(data)
+    try:
+        ArcSpec.from_json(str(synth_env / "fuzz.json"))
+        valid = True
+    except ArcSpecError:
+        valid = False
+    for argv, ok_codes in (
+        (["synth", "--out-corpus", "s.jsonl"], (0,)),
+        # A spec whose bins hold no posts, or whose arc is flat or one bin
+        # long, is a data error.
+        (["eval-arc", "--corpus", "c.jsonl", "--out", "o"], (0, 2)),
+    ):
+        capsys.readouterr()
+        code = run(*argv, "--lexicon", "lex.tsv", "--arc-spec", "fuzz.json")
+        err = capsys.readouterr().err
+        assert code in (ok_codes if valid else (1,)), err
+        assert_one_error_line(code, err, code)
+    if code == 0:
+        report = json.loads((synth_env / "o" / "arc.json").read_text())
+        for value in [report["meta"]["pearson_r"], report["meta"]["spearman_r"],
+                      *(cell for row in report["rows"] for cell in row.values())]:
+            assert math.isfinite(value)
+
+
+_word_lines = st.one_of(
+    st.sampled_from([b"went", b"go", b"walked", b"# comment", b"", b"  ", b"\xef\xbb\xbfwent",
+                     b"GO", b"caf\xc3\xa9", b"caf\xe9", b"\xff"]),
+    st.binary(max_size=8),
+)
+_word_files = st.lists(st.tuples(_word_lines, _ends).map(b"".join), max_size=5).map(b"".join)
+
+
+@given(st.tuples(_word_files, _word_files, _word_files), st.sets(st.integers(0, 2), max_size=1))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_verb_tables_exit_as_documented(workdir, capsys, files, missing):
+    tables = workdir / "verbs"
+    shutil.rmtree(tables, ignore_errors=True)
+    tables.mkdir()
+    for i, (name, data) in enumerate(zip(
+            ("irregular_past.txt", "irregular_base.txt", "ed_stoplist.txt"), files)):
+        if i not in missing:
+            (tables / name).write_bytes(data)
+    try:
+        load_verb_tables(str(tables))
+        valid = True
+    except VerbTableError:
+        valid = False
+    for argv, ok_codes in (
+        (["analyze-tense"], (0,)),
+        (["replicate"], (0,)),
+        # Either tense slice may hold fewer than 2 posts.
+        (["compare", "--slice-a", "tense=past", "--slice-b", "tense=present"], (0, 2)),
+    ):
+        capsys.readouterr()
+        code = run(*argv, "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
+                   "--verb-tables", "verbs", "--out", "o")
+        err = capsys.readouterr().err
+        assert code in (ok_codes if valid else (1,)), err
+        assert_one_error_line(code, err, code)

@@ -14,11 +14,14 @@ from anxarc.corpus import (
     LocalTime,
     Post,
     UnknownTimezoneError,
-    iter_data_lines,
+    data_lines,
     localize,
+    open_corpus_path,
     parse_rfc3339,
     parse_record,
+    read_blocks,
 )
+from anxarc.pipeline import scan_corpus
 
 GOOD_JSONL = (
     '{"id":"1","text":"i hope it works",'
@@ -142,44 +145,52 @@ def test_rfc3339_offset_normalized_to_utc():
     assert dt == datetime(2020, 6, 15, 12, 0, tzinfo=timezone.utc)
 
 
-def read_posts(source, fmt="jsonl"):
+def read_posts(data: bytes, fmt="jsonl", size=1 << 20):
     """Parse every data line: (posts, [(line_no, reason)] of the skipped lines)."""
     posts, skips = [], []
-    for line_no, line in iter_data_lines(source, fmt):
-        try:
-            posts.append(parse_record(line, fmt))
-        except ValueError as exc:
-            skips.append((line_no, str(exc)))
+    for first_line_no, block in read_blocks(io.BytesIO(data), size):
+        for line_no, line in data_lines(block, first_line_no, fmt):
+            try:
+                posts.append(parse_record(line, fmt))
+            except ValueError as exc:
+                skips.append((line_no, str(exc)))
     return posts, skips
 
 
 def test_stream_yields_in_order_and_counts():
     lines = [GOOD_JSONL, "broken", GOOD_JSONL.replace('"1"', '"2"')]
-    posts, skips = read_posts(io.StringIO("\n".join(lines) + "\n"))
-    assert [p.id for p in posts] == ["1", "2"]
-    assert [line_no for line_no, _ in skips] == [2]
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    for size in (1, 10, len(data)):
+        posts, skips = read_posts(data, size=size)
+        assert [p.id for p in posts] == ["1", "2"]
+        assert [line_no for line_no, _ in skips] == [2]
 
 
 def test_tsv_skip_event_and_continue():
     text = "a\tb\tc\n1\thello\t2020-01-01T00:00:00Z\tUTC\n"
-    posts, skips = read_posts(io.StringIO(text), "tsv")
+    posts, skips = read_posts(text.encode("utf-8"), "tsv")
     assert len(posts) == 1
     assert [line_no for line_no, _ in skips] == [1]
 
 
 def test_tsv_header_skipped_silently():
     text = "id\ttext\ttimestamp_utc\ttimezone\n1\thi\t2020-01-01T00:00:00Z\tUTC\n"
-    assert [n for n, _ in iter_data_lines(io.StringIO(text), "tsv")] == [2]
-    posts, skips = read_posts(io.StringIO(text), "tsv")
+    block = text.encode("utf-8")
+    assert [n for n, _ in data_lines(block, 1, "tsv")] == [2]
+    posts, skips = read_posts(block, "tsv")
     assert len(posts) == 1 and skips == []
+    # Only line 1 of a file is a header, not the first line of a later block.
+    assert [n for n, _ in data_lines(block, 5, "tsv")] == [5, 6]
+    assert [n for n, _ in data_lines(block, 1, "jsonl")] == [1, 2]
 
 
 def test_empty_file_empty_stream():
-    assert list(iter_data_lines(io.StringIO(""), "jsonl")) == []
+    assert list(read_blocks(io.BytesIO(b""), 4)) == []
+    assert list(data_lines(b"", 1, "jsonl")) == []
 
 
 def test_byte_stream_source():
-    posts, skips = read_posts(io.BytesIO(GOOD_JSONL.encode("utf-8") + b"\n"))
+    posts, skips = read_posts(GOOD_JSONL.encode("utf-8") + b"\n")
     assert [p.id for p in posts] == ["1"]
     assert skips == []
 
@@ -192,7 +203,7 @@ def test_parse_record_accepts_utf8_bytes():
 
 def test_invalid_utf8_line_skipped_alone():
     good = GOOD_JSONL.encode("utf-8")
-    posts, skips = read_posts(io.BytesIO(b"\n".join([good, b'{"id": "\xff\xfe"}', good])))
+    posts, skips = read_posts(b"\n".join([good, b'{"id": "\xff\xfe"}', good]))
     assert len(posts) == 2
     assert len(skips) == 1
     assert skips[0][0] == 2
@@ -200,20 +211,43 @@ def test_invalid_utf8_line_skipped_alone():
 
 
 def test_blank_lines_not_counted():
-    lines = list(iter_data_lines(io.StringIO("\n\n" + GOOD_JSONL + "\n\n"), "jsonl"))
+    lines = list(data_lines(("\n\n" + GOOD_JSONL + "\n\n").encode("utf-8"), 1, "jsonl"))
     assert lines == [(3, GOOD_JSONL)]
 
 
-def test_unknown_format_rejected():
+def test_line_ends():
+    # Only a line feed ends a line; trailing carriage returns are dropped,
+    # and a bare one inside a line stays.
+    block = b"a\r\n\r\nb\r\r\nc\rd\ne"
+    assert list(data_lines(block, 7, "jsonl")) == [(7, "a"), (9, "b"), (10, "c\rd"), (11, "e")]
+
+
+@given(st.lists(st.sampled_from([b"\n", b"\r", b"\r\n", b"x", b"yz", b"\xff"]), max_size=30)
+       .map(b"".join), st.data())
+@settings(max_examples=500, deadline=None)
+def test_read_blocks_cuts_whole_lines(data, draw):
+    size = draw.draw(st.integers(1, len(data) + 1))
+    blocks = list(read_blocks(io.BytesIO(data), size))
+    assert b"".join(block for _, block in blocks) == data
+    assert all(block.endswith(b"\n") for _, block in blocks[:-1])
+    offset = 0
+    for first_line_no, block in blocks:
+        assert first_line_no == 1 + data.count(b"\n", 0, offset)
+        offset += len(block)
+
+
+def test_unknown_format_rejected(tmp_path, lexicon):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(GOOD_JSONL + "\n", encoding="utf-8")
     with pytest.raises(CorpusError):
-        list(iter_data_lines(io.StringIO(""), "xml"))
+        scan_corpus(str(path), lexicon=lexicon, fmt="xml")
     with pytest.raises(CorpusError):
         parse_record(GOOD_JSONL, "xml")
 
 
 def test_missing_file_is_fatal():
     with pytest.raises(CorpusError):
-        list(iter_data_lines("/nonexistent/corpus.jsonl", "jsonl"))
+        open_corpus_path("/nonexistent/corpus.jsonl")
 
 
 @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-05:00"])

@@ -115,11 +115,14 @@ table_text = st.lists(
 ).map(" ".join)
 
 
-def oracle_table_score(tokens: list[str], table: dict[str, int]) -> tuple[int, int, int, int]:
-    """The token-table contract of the module docstring, token by token."""
+def oracle_table_score(
+    tokens: list[str], table: dict[str, int], miss: int | None
+) -> tuple[int, int, int, int]:
+    """The token-table contract of the module docstring, token by token;
+    a miss gets the suffix bits only when ``miss`` is None."""
     flags = 0
     for tok in tokens:
-        bits = table.get(tok)
+        bits = table.get(tok, miss)
         if bits is None:
             if len(tok) >= 4 and tok.endswith("ed"):
                 flags |= _kernel.PAST
@@ -135,10 +138,13 @@ def oracle_table_score(tokens: list[str], table: dict[str, int]) -> tuple[int, i
             flags & ~_kernel.CLASS_MASK)
 
 
-@given(table_text, token_tables)
+@given(table_text, token_tables, st.sampled_from([None, 0]))
 @settings(max_examples=2000, deadline=None)
-def test_score_text_matches_token_table_oracle(text, table):
-    assert _kernel.score_text(text, table) == oracle_table_score(oracle_tokenize(text), table)
+def test_score_text_matches_token_table_oracle(text, table, miss):
+    expected = oracle_table_score(oracle_tokenize(text), table, miss)
+    assert _kernel.score_text(text, table, miss) == expected
+    if miss is None:
+        assert _kernel.score_text(text, table) == expected
 
 
 # Lexicon and unknown words that are each their own token ("i\u0307" is not:

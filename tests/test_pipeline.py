@@ -51,16 +51,18 @@ def test_scan_matches_brute_force(random_corpus, lexicon):
     assert_matches_oracle(res, oracle)
 
 
-def test_scan_parallel_matches_brute_force(random_corpus, lexicon):
+def test_scan_parallel_matches_brute_force(random_corpus, lexicon, monkeypatch):
     path, oracle = random_corpus
-    res = scan_corpus(path, lexicon=lexicon, families=FAMILIES, workers=4, chunk_lines=128)
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 16384)
+    res = scan_corpus(path, lexicon=lexicon, families=FAMILIES, workers=4)
     assert_matches_oracle(res, oracle)
 
 
-def test_worker_counts_agree_exactly(random_corpus, lexicon):
+def test_worker_counts_agree_exactly(random_corpus, lexicon, monkeypatch):
     path, _ = random_corpus
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 32768)
     results = [
-        scan_corpus(path, lexicon=lexicon, families=FAMILIES, workers=w, chunk_lines=256)
+        scan_corpus(path, lexicon=lexicon, families=FAMILIES, workers=w)
         for w in (1, 2, 4)
     ]
     base = results[0]
@@ -72,18 +74,18 @@ def test_worker_counts_agree_exactly(random_corpus, lexicon):
 FAMILY_FIELDS = {"hour": "hours", "weekday": "weekdays", "tense": "tenses", "pronoun": "pronouns"}
 
 
-def test_families_limit_work(random_corpus, lexicon):
+def test_families_limit_work(random_corpus, lexicon, monkeypatch):
     # Every family subset fills exactly its own bins, each equal to the same
     # bin of the full scan, whatever the worker count.
     path, oracle = random_corpus
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 65536)
     full = scan_corpus(path, lexicon=lexicon, families=FAMILIES)
     assert_matches_oracle(full, oracle)
     want = util.result_state(full)
     for n in range(1, len(FAMILIES) + 1):
         for families in itertools.combinations(FAMILIES, n):
             for workers in (1, 2):
-                res = scan_corpus(path, lexicon=lexicon, families=families,
-                                  workers=workers, chunk_lines=512)
+                res = scan_corpus(path, lexicon=lexicon, families=families, workers=workers)
                 got = util.result_state(res)
                 where = (families, workers)
                 assert got["overall"] == want["overall"], where
@@ -137,11 +139,12 @@ def assert_all_records_accounted(res: ScanResult):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_invalid_utf8_line_is_a_parse_skip(tmp_path, lexicon, workers):
+def test_invalid_utf8_line_is_a_parse_skip(tmp_path, lexicon, workers, monkeypatch):
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 1)
     path = tmp_path / "corpus.jsonl"
     bad = b'{"id":"2","text":"bad \xff\xfe","timestamp_utc":"2020-01-01T05:00:00Z","timezone":"UTC"}'
     path.write_bytes(b"\n".join([GOOD_RECORD % 1, bad, GOOD_RECORD % 3]) + b"\n")
-    res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, workers=workers, chunk_lines=1)
+    res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, workers=workers)
     assert res.n_records == 3
     assert res.n_parse_skips == 1
     assert res.overall.n_posts == 2
@@ -170,16 +173,16 @@ def is_record(line: bytes) -> bool:
 
 
 @pytest.mark.parametrize("workers,examples", [(1, 200), (2, 15)])
-def test_any_bytes_scan_without_error(tmp_path, lexicon, workers, examples):
+def test_any_bytes_scan_without_error(tmp_path, lexicon, workers, examples, monkeypatch):
     path = tmp_path / "corpus.jsonl"
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 128)
 
     @given(byte_lines)
     @settings(max_examples=examples, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def check(lines):
         path.write_bytes(b"\n".join(lines))
-        res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES,
-                          workers=workers, chunk_lines=4)
+        res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, workers=workers)
         assert_all_records_accounted(res)
         assert res.n_records == sum(map(is_record, lines))
         assert res.overall.n_posts == sum(len(line) > 40 for line in lines)
@@ -187,12 +190,60 @@ def test_any_bytes_scan_without_error(tmp_path, lexicon, workers, examples):
     check()
 
 
+GOOD_TSV = b"%d\tcalm000 anx000 day\t2020-01-01T05:00:00Z\tUTC"
+TSV_HEADER = b"id\ttext\ttimestamp_utc\ttimezone"
+
+# Lines of either format, a TSV header (skipped only on line 1), blank and
+# whitespace-only lines, invalid UTF-8 and random bytes, each ended by a
+# line feed or CRLF, with or without a final line end.
+block_lines = st.lists(
+    st.tuples(
+        st.one_of(
+            st.integers(0, 99).map(lambda i: GOOD_RECORD % i),
+            st.integers(0, 99).map(lambda i: GOOD_TSV % i),
+            st.sampled_from([TSV_HEADER, b"", b" ", b"\r", b"a\rb", b"\xff\xfe",
+                             GOOD_RECORD.replace(b"day", b"d\xe9y")]),
+            st.binary(max_size=20).map(lambda b: b.replace(b"\n", b"")),
+        ),
+        st.sampled_from([b"\n", b"\r\n"]),
+    ).map(b"".join),
+    max_size=12,
+).map(b"".join)
+
+
+@pytest.mark.parametrize("workers,examples", [(1, 300), (2, 15)])
+def test_any_block_size_keeps_the_result(tmp_path, lexicon, tables, workers, examples,
+                                         monkeypatch):
+    # A scan cut into blocks of any size gives the one-block scan's result,
+    # skip events with their file and line included.
+    path = tmp_path / "corpus.txt"
+
+    @given(block_lines, st.booleans(), st.sampled_from(["jsonl", "tsv"]), st.data())
+    @settings(max_examples=examples, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def check(data, cut_last_end, fmt, draw):
+        if cut_last_end:
+            data = data.rstrip(b"\n")
+        path.write_bytes(data)
+
+        def scan(size, workers):
+            monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
+            res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, fmt=fmt,
+                              tables=tables, workers=workers)
+            return util.result_state(res), res.skip_events
+
+        size = draw.draw(st.integers(1, len(data) + 1))
+        assert scan(size, workers) == scan(len(data) + 1, 1)
+
+    check()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_skip_events_name_their_file(tmp_path, lexicon, workers):
+def test_skip_events_name_their_file(tmp_path, lexicon, workers, monkeypatch):
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 16)
     first = write_corpus(tmp_path, ["bad one", GOOD_RECORD.decode() % 1, "bad two"], "a.jsonl")
     second = write_corpus(tmp_path, [GOOD_RECORD.decode() % 2, "", "bad three"], "b.jsonl")
-    res = scan_corpus(first, second, lexicon=lexicon, families=FAMILIES,
-                      workers=workers, chunk_lines=2)
+    res = scan_corpus(first, second, lexicon=lexicon, families=FAMILIES, workers=workers)
     assert [(e.path, e.line_no) for e in res.skip_events] == [
         (first, 1), (first, 3), (second, 3)
     ]
@@ -222,11 +273,12 @@ def mixed_lines():
 
 
 @pytest.mark.parametrize("workers,examples", [(1, 25), (2, 6)])
-def test_splitting_into_files_keeps_the_result(tmp_path_factory, lexicon, tables,
-                                               mixed_lines, workers, examples):
+def test_splitting_into_files_keeps_the_result(tmp_path_factory, lexicon, tables, mixed_lines,
+                                               workers, examples, monkeypatch):
     tmp = tmp_path_factory.mktemp("split")
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 8192)
     whole = scan_corpus(write_corpus(tmp, mixed_lines), lexicon=lexicon,
-                        families=FAMILIES, tables=tables, chunk_lines=64)
+                        families=FAMILIES, tables=tables)
     expected = util.result_state(whole)
 
     @given(st.sampled_from([1, 2, 4]).flatmap(
@@ -239,7 +291,7 @@ def test_splitting_into_files_keeps_the_result(tmp_path_factory, lexicon, tables
             for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
         ]
         res = scan_corpus(*paths, lexicon=lexicon, families=FAMILIES, tables=tables,
-                          workers=workers, chunk_lines=64)
+                          workers=workers)
         assert util.result_state(res) == expected
 
     check()
