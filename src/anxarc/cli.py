@@ -3,15 +3,17 @@
 Exit codes are a stable contract: 0 success, 1 usage/configuration error,
 2 data error. Every flag has an environment-variable override with the
 ``ANXARC_`` prefix (``--tau-anx`` -> ``ANXARC_TAU_ANX``); explicit flags win.
+The ``synth`` module is imported only by the ``synth`` and ``eval-arc``
+commands, so the start-up of every other run does not pay for it.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from typing import NamedTuple
 
 from . import __version__
 from .corpus import FORMATS, CorpusError
@@ -20,7 +22,6 @@ from .pipeline import FAMILIES, ScanResult, scan_corpus
 from .report import Table, base_meta, fmt_p, fmt_stat
 from .slicer import PRONOUNS, Tense, VerbTableError, load_verb_tables
 from .stats import DEFAULT_ALPHA, ConstantInputError, InsufficientSampleError, welch_t
-from .synth import ArcSpec, ArcSpecError, EmptyBinError, evaluate_arc, generate_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,12 +45,15 @@ class UsageError(Exception):
     """Bad flags or configuration; exits with code 1."""
 
 
+class ConfigError(Exception):
+    """A bad arc spec; exits with code 1."""
+
+
 class DataError(Exception):
     """Bad input data; exits with code 2."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     lexicon_path: str
     corpus_paths: list[str]
     corpus_format: str
@@ -323,25 +327,42 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _synth():
+    """The synth module, imported on first use, with its errors made the CLI's own."""
+    from . import synth
+
+    try:
+        yield synth
+    except synth.ArcSpecError as exc:
+        raise ConfigError(exc) from None
+    except synth.EmptyBinError as exc:
+        raise DataError(exc) from None
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     cfg = _build_config(args, need_corpus=False)
-    spec = ArcSpec.from_json(args.arc_spec)
-    seed = args.seed if args.seed is not None else _env("SEED")
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=_int_arg(seed, "--seed", spec.seed))
-    lexicon = _load_lexicon(cfg)
-    n = generate_file(spec, lexicon, args.out_corpus)
+    with _synth() as synth:
+        spec = synth.ArcSpec.from_json(args.arc_spec)
+        seed = args.seed if args.seed is not None else _env("SEED")
+        if seed is not None:
+            spec = replace(spec, seed=_int_arg(seed, "--seed", spec.seed))
+        lexicon = _load_lexicon(cfg)
+        n = synth.generate_file(spec, lexicon, args.out_corpus)
     print(f"wrote {n} posts to {args.out_corpus} (axis={spec.axis}, seed={spec.seed})")
     return EXIT_OK
 
 
 def cmd_eval_arc(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    spec = ArcSpec.from_json(args.arc_spec)
-    lexicon = _load_lexicon(cfg)
-    if len(cfg.corpus_paths) != 1:
-        raise UsageError("eval-arc takes exactly one --corpus file")
-    report = evaluate_arc(cfg.corpus_paths[0], lexicon, spec, workers=cfg.workers)
+    with _synth() as synth:
+        spec = synth.ArcSpec.from_json(args.arc_spec)
+        lexicon = _load_lexicon(cfg)
+        if len(cfg.corpus_paths) != 1:
+            raise UsageError("eval-arc takes exactly one --corpus file")
+        report = synth.evaluate_arc(cfg.corpus_paths[0], lexicon, spec, workers=cfg.workers)
     table = Table(
         name="arc",
         meta=base_meta(
@@ -538,14 +559,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"anxarc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArcSpecError, VerbTableError) as exc:
+    except (ConfigError, VerbTableError) as exc:
         print(f"anxarc: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LexiconError, CorpusError, EmptyBinError, InsufficientSampleError,
+    except (DataError, LexiconError, CorpusError, InsufficientSampleError,
             ConstantInputError) as exc:
-        print(f"anxarc: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DataError as exc:
         print(f"anxarc: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

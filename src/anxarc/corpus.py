@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from typing import IO, Iterator, NamedTuple
@@ -53,8 +52,7 @@ class LocalTime(NamedTuple):
     weekday: int  # 0-6, Monday = 0
 
 
-@dataclass(frozen=True)
-class SkipEvent:
+class SkipEvent(NamedTuple):
     path: str
     line_no: int
     reason: str

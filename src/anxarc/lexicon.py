@@ -1,17 +1,17 @@
 """Word-anxiety association lexicon: loading, validation, and term classification.
 
 The lexicon file format is two-column TSV, ``term<TAB>association``, one
-record per line, UTF-8, with an optional literal ``term<TAB>association``
-header. Associations are real values in [-3.0, +3.0]; positive means
-anxiety-associated, negative means calmness-associated. Terms are single
-words and are lower-cased at load.
+record per line (lines end at ``\n``, as in a corpus), UTF-8, with an
+optional literal ``term<TAB>association`` header. Associations are real
+values in [-3.0, +3.0]; positive means anxiety-associated, negative means
+calmness-associated. Terms are single words and are lower-cased at load.
+A loaded ``Lexicon`` holds a plain term -> association dict.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 from ._kernel import ANX, CALM
 
@@ -56,8 +56,7 @@ class TermClass(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     term: str
     association: float
 
@@ -72,64 +71,46 @@ class LexiconStats(NamedTuple):
 class Lexicon:
     """Immutable term -> association map plus classification thresholds.
 
-    Safe to share across threads and processes after load. ``class_map``
-    is the compact term -> {ANX, CALM} dict consumed by the text kernel.
+    Built by ``load_lexicon``; safe to share across threads and processes.
+    ``class_map`` is the compact term -> {ANX, CALM} dict consumed by the
+    text kernel: the terms at or beyond a threshold.
     """
 
-    __slots__ = ("_entries", "tau_anx", "tau_calm", "_class_map")
+    __slots__ = ("_assoc", "class_map", "tau_anx", "tau_calm")
 
-    def __init__(self, entries: Iterable[LexiconEntry], tau_anx: float, tau_calm: float):
-        if not (tau_calm < 0.0 < tau_anx):
-            raise LexiconError(
-                f"thresholds must satisfy tau_calm < 0 < tau_anx, "
-                f"got ({tau_anx}, {tau_calm})"
-            )
-        self.tau_anx = float(tau_anx)
-        self.tau_calm = float(tau_calm)
-        self._entries: dict[str, LexiconEntry] = {}
-        for e in entries:
-            if e.term in self._entries:
-                raise DuplicateTermError(e.term, 0)
-            self._entries[e.term] = e
-        class_map: dict[str, int] = {}
-        for term, e in self._entries.items():
-            if e.association >= self.tau_anx:
-                class_map[term] = ANX
-            elif e.association <= self.tau_calm:
-                class_map[term] = CALM
-        self._class_map = class_map
+    def __init__(self, assoc: dict[str, float], class_map: dict[str, int],
+                 tau_anx: float, tau_calm: float):
+        self._assoc = assoc
+        self.class_map = class_map
+        self.tau_anx = tau_anx
+        self.tau_calm = tau_calm
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._assoc)
 
     def __contains__(self, term: str) -> bool:
-        return term in self._entries
+        return term in self._assoc
 
     def __iter__(self) -> Iterator[LexiconEntry]:
-        return iter(self._entries.values())
+        return map(LexiconEntry._make, self._assoc.items())
 
     def association(self, term: str) -> float | None:
-        e = self._entries.get(term)
-        return None if e is None else e.association
-
-    @property
-    def class_map(self) -> dict[str, int]:
-        return self._class_map
+        return self._assoc.get(term)
 
     def classify(self, term: str) -> TermClass:
         """Classify a normalized term; Unknown for out-of-vocabulary terms."""
-        e = self._entries.get(term)
-        if e is None:
+        assoc = self._assoc.get(term)
+        if assoc is None:
             return TermClass.UNKNOWN
-        if e.association >= self.tau_anx:
+        if assoc >= self.tau_anx:
             return TermClass.ANXIETY
-        if e.association <= self.tau_calm:
+        if assoc <= self.tau_calm:
             return TermClass.CALM
         return TermClass.NEUTRAL
 
     def terms_of_class(self, cls: TermClass) -> tuple[str, ...]:
         """All lexicon terms of the given class, sorted for determinism."""
-        return tuple(sorted(t for t in self._entries if self.classify(t) is cls))
+        return tuple(sorted(t for t in self._assoc if self.classify(t) is cls))
 
 
 def lexicon_stats(lexicon: Lexicon) -> LexiconStats:
@@ -165,8 +146,11 @@ def load_lexicon(
         line_no = raw.count(b"\n", 0, exc.start) + 1
         raise LexiconParseError(line_no, f"invalid UTF-8 at byte {exc.start}") from None
 
-    entries: dict[str, LexiconEntry] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    tau_anx, tau_calm = float(tau_anx), float(tau_calm)
+    assoc: dict[str, float] = {}
+    class_map: dict[str, int] = {}
+    # A CRLF line's "\r" goes with the whitespace stripped from its fields.
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -183,20 +167,24 @@ def load_lexicon(
         if len(term.split()) != 1:
             raise LexiconParseError(line_no, f"term contains whitespace: {term!r}")
         try:
-            assoc = float(assoc_text)
+            value = float(assoc_text)
         except ValueError:
             raise LexiconParseError(
                 line_no, f"non-numeric association: {assoc_text!r}"
             ) from None
-        if not (ASSOC_MIN <= assoc <= ASSOC_MAX):
+        if not (ASSOC_MIN <= value <= ASSOC_MAX):
             raise LexiconParseError(
                 line_no,
-                f"association {assoc} outside [{ASSOC_MIN}, {ASSOC_MAX}]",
+                f"association {value} outside [{ASSOC_MIN}, {ASSOC_MAX}]",
             )
-        if term in entries:
+        if term in assoc:
             raise DuplicateTermError(term, line_no)
-        entries[term] = LexiconEntry(term, assoc)
+        assoc[term] = value
+        if value >= tau_anx:
+            class_map[term] = ANX
+        elif value <= tau_calm:
+            class_map[term] = CALM
 
-    if not entries:
+    if not assoc:
         raise EmptyLexiconError("lexicon source contains no records")
-    return Lexicon(entries.values(), tau_anx, tau_calm)
+    return Lexicon(assoc, class_map, tau_anx, tau_calm)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import ExitStack
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import _kernel
 from ._kernel import PRONOUN_SHIFT
@@ -53,8 +52,7 @@ MAX_RECORDED_SKIPS = 50
 PRONOUN_OVERALL_KEY = "all_pronoun"
 
 
-@dataclass
-class _ScanState:
+class _ScanState(NamedTuple):
     fmt: str
     families: frozenset[str]
     # The token table that scores every post (``slicer.token_table``); it

@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .slicer import TENSE_PRECEDENCE
@@ -55,18 +54,18 @@ def _fmt_default(value: object) -> str:
     return str(value)
 
 
-@dataclass
-class Table:
+class Table(NamedTuple):
     name: str
     meta: dict[str, object]
     columns: list[str]
     rows: list[list[object]]
-    csv_formats: dict[str, Formatter] = field(default_factory=dict)
+    csv_formats: dict[str, Formatter] | None = None
 
     def to_csv(self) -> str:
         lines = [f"# {key}={value}" for key, value in self.meta.items()]
         lines.append(",".join(self.columns))
-        formatters = [self.csv_formats.get(col, _fmt_default) for col in self.columns]
+        formats = self.csv_formats or {}
+        formatters = [formats.get(col, _fmt_default) for col in self.columns]
         for row in self.rows:
             lines.append(",".join(fmt(v) for fmt, v in zip(formatters, row)))
         return "\n".join(lines) + "\n"

@@ -26,7 +26,6 @@ itself: a miss is exact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -63,15 +62,16 @@ class VerbTableError(ValueError):
     """A verb table file is missing, unreadable, or empty."""
 
 
-@dataclass(frozen=True)
 class VerbTables:
-    irregular_past: frozenset[str]
-    irregular_base: frozenset[str]
-    ed_stoplist: frozenset[str]
+    """The word lists of the tense rules; both irregular tables are non-empty."""
 
-    def __post_init__(self):
-        if not self.irregular_past or not self.irregular_base:
+    def __init__(self, irregular_past: frozenset[str], irregular_base: frozenset[str],
+                 ed_stoplist: frozenset[str]):
+        if not irregular_past or not irregular_base:
             raise VerbTableError("irregular verb tables must be non-empty")
+        self.irregular_past = irregular_past
+        self.irregular_base = irregular_base
+        self.ed_stoplist = ed_stoplist
 
 
 def _read_wordlist(text: str) -> frozenset[str]:

@@ -11,8 +11,7 @@ validates it against a pre-computed reference oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 DEFAULT_ALPHA = 0.05
 
@@ -29,8 +28,7 @@ class ConstantInputError(ValueError):
     """Correlation is undefined for a constant input vector."""
 
 
-@dataclass(frozen=True)
-class TTestResult:
+class TTestResult(NamedTuple):
     t: float
     df: float
     p: float

@@ -217,6 +217,52 @@ def test_no_corpus_bytes_exit_1(workdir, capsys, workers, examples):
     check()
 
 
+# Near-valid TSV rows: 3, 4 or 5 fields (a tab in the text makes 5), bad
+# ids, stamps and zones, invalid UTF-8 and a header line anywhere, with LF
+# or CRLF line ends; and arbitrary bytes.
+_tsv_fields = (
+    st.sampled_from(["1", "p2", "", " "]),
+    st.sampled_from(["i went home", "we panic", "calm\tsea", "", "caf\u00e9 panic"]),
+    st.sampled_from(["2021-06-15T08:00:00Z", "2021-06-15T08:00:00+14:00", "2021-06-15 08:00",
+                     "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-12:00", "now", ""]),
+    st.sampled_from(["UTC", "Asia/Tokyo", "Etc/GMT+12", "Mars/Colony", " ", "../UTC"]),
+)
+_tsv_rows = st.one_of(
+    st.tuples(*_tsv_fields).map("\t".join).map(lambda row: row.encode("utf-8")),
+    st.tuples(*_tsv_fields[:3]).map("\t".join).map(lambda row: row.encode("utf-8")),
+    st.sampled_from([b"id\ttext\ttimestamp_utc\ttimezone",
+                     b"7\tcaf\xe9 panic\t2021-06-15T08:00:00Z\tUTC", b"\xff\tx\ty\tz", b""]),
+    st.binary(max_size=40),
+)
+_tsv_files = st.lists(
+    st.tuples(_tsv_rows, st.sampled_from([b"\n", b"\r\n"])).map(b"".join), max_size=10,
+).map(b"".join)
+
+
+@pytest.mark.parametrize("workers,examples", [("1", 150), ("2", 10)])
+def test_fuzzed_tsv_corpus_exits_as_documented(workdir, capsys, workers, examples):
+    @given(_tsv_files)
+    @settings(max_examples=examples, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def check(data):
+        (workdir / "fuzz.tsv").write_bytes(data)
+        capsys.readouterr()
+        code = run("replicate", "--lexicon", MINI_LEX, "--corpus", "fuzz.tsv", "--format", "tsv",
+                   "--out", "fuzzout", "--workers", workers)
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err == "anxarc: data error: zero scoreable posts in the corpus\n"
+            return
+        assert code == 0 and err == ""
+        report = (workdir / "fuzzout" / "hour.csv").read_text().splitlines()
+        meta = {k: int(v) for k, v in (l[2:].split("=") for l in report if l.startswith("# n_"))}
+        scored = int(next(l for l in report if l.startswith("all,")).split(",")[1])
+        assert scored > 0
+        assert meta["n_records"] == scored + meta["n_parse_skips"] + meta["n_empty_skips"]
+
+    check()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_deeply_nested_json_is_a_parse_skip(workdir, capsys, workers):
     lines = (workdir / MINI_CORPUS).read_text().splitlines()
@@ -544,7 +590,9 @@ def test_arc_spec_faults_exit_1(synth_env, capsys, text):
     # eval-arc reads the spec before the corpus, which need not exist.
     for argv in (["synth", "--out-corpus", "x.jsonl"], ["eval-arc", "--corpus", "c.jsonl"]):
         code = run(*argv, "--lexicon", "lex.tsv", "--arc-spec", "bad.json")
-        assert_one_error_line(code, capsys.readouterr().err, 1)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err, 1)
+        assert err.startswith("anxarc: config error: ")
 
 
 def test_eval_arc_of_a_flat_arc_exits_2(synth_env, capsys):
@@ -557,6 +605,33 @@ def test_eval_arc_of_a_flat_arc_exits_2(synth_env, capsys):
     err = capsys.readouterr().err
     assert_one_error_line(code, err, 2)
     assert "constant" in err
+
+
+def test_eval_arc_of_a_bin_without_posts_exits_2(synth_env, capsys):
+    _write_arc_spec(synth_env / "two.json", bins=[0, 1], p_anx=[0.1, 0.3], posts_per_bin=5)
+    _write_arc_spec(synth_env / "three.json", bins=[0, 1, 2], p_anx=[0.1, 0.3, 0.2],
+                    posts_per_bin=5)
+    assert run("synth", "--lexicon", "lex.tsv", "--arc-spec", "two.json",
+               "--out-corpus", "two.jsonl") == 0
+    capsys.readouterr()
+    for workers in ("1", "2"):
+        code = run("eval-arc", "--lexicon", "lex.tsv", "--arc-spec", "three.json",
+                   "--corpus", "two.jsonl", "--out", "reports", "--workers", workers)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "anxarc: data error: hour bin 2 contains no posts\n"
+
+
+def test_cli_import_leaves_out_what_a_scan_does_not_need():
+    # Every run pays for importing the CLI; a scan needs none of these.
+    unwanted = ["dataclasses", "inspect", "anxarc.synth", "multiprocessing"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import anxarc.cli; "
+             "print(','.join(m for m in sys.argv[2:] if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, src, *unwanted],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 # Near-valid documents: the pieces of a valid file mixed with byte-order

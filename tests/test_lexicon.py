@@ -4,6 +4,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anxarc._kernel import ANX, CALM
 from anxarc.lexicon import (
@@ -68,6 +70,26 @@ def test_parse_error_carries_correct_line_number():
     with pytest.raises(LexiconParseError) as exc:
         loads_lexicon("fine\t1.0\nbad\toops\n")
     assert exc.value.line_no == 2
+
+
+# Characters at which str.splitlines() breaks a line and a lexicon does not.
+_NOT_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_salt = st.text(alphabet=_NOT_LINE_ENDS, max_size=3)
+
+
+@given(st.lists(st.sampled_from(["row", ""]), max_size=6), st.data())
+def test_parse_error_line_counts_line_feeds_only(rows, data):
+    # Good and blank rows with the bad one among them, each salted at both
+    # ends (where the characters are stripped as whitespace).
+    rows = [f"w{i}\t{i % 7 - 3}" if row else row for i, row in enumerate(rows)]
+    bad_at = data.draw(st.integers(0, len(rows)))
+    rows.insert(bad_at, data.draw(st.sampled_from(["bad", "x\toops", "a\tb\tc", "x\t9", "\t1"])))
+    salted = [data.draw(_salt) + row + data.draw(_salt) for row in rows]
+    text = "\n".join(salted) + "\n"
+    offset = len("\n".join(salted[:bad_at])) + (1 if bad_at else 0)
+    with pytest.raises(LexiconParseError) as exc:
+        loads_lexicon(text)
+    assert exc.value.line_no == 1 + text.count("\n", 0, offset) == bad_at + 1
 
 
 def test_empty_source_is_error():
