@@ -157,7 +157,7 @@ def _scan(cfg: RunConfig, families: tuple[str, ...], lexicon: Lexicon) -> ScanRe
         tables=tables,
         workers=cfg.workers,
     )
-    if res.overall.n_posts == 0:
+    if not res.overall.hist:
         raise DataError("zero scoreable posts in the corpus")
     return res
 
@@ -176,7 +176,9 @@ def _scan_meta(cfg: RunConfig, res: ScanResult, **extra: object) -> dict[str, ob
 
 
 def _agg_cells(agg) -> list[object]:
-    return [agg.n_posts, agg.n_tokens, agg.n_anx, agg.n_calm, agg.micro_score, agg.macro_score]
+    """One bin's ``_TIME_COLUMNS`` cells; the first is ``n_posts``."""
+    totals = agg.totals()
+    return [*totals, totals.micro_score, agg.macro_score]
 
 
 def _write(table: Table, cfg: RunConfig) -> str:
@@ -208,14 +210,13 @@ def _weekday_table(cfg: RunConfig, res: ScanResult) -> Table:
 
 
 def _tense_table(cfg: RunConfig, res: ScanResult) -> Table:
-    verb_posts = sum(
-        res.tenses[t].n_posts for t in (Tense.PAST, Tense.PRESENT, Tense.FUTURE)
-    )
+    verb_tenses = (Tense.PAST, Tense.PRESENT, Tense.FUTURE)
+    verb_cells = [_agg_cells(res.tenses[t]) for t in verb_tenses]
+    verb_posts = sum(cells[0] for cells in verb_cells)
     rows = []
-    for tense in (Tense.PAST, Tense.PRESENT, Tense.FUTURE):
-        agg = res.tenses[tense]
-        pct = 100.0 * agg.n_posts / verb_posts if verb_posts else None
-        rows.append([tense.value, pct, *_agg_cells(agg)])
+    for tense, cells in zip(verb_tenses, verb_cells):
+        pct = 100.0 * cells[0] / verb_posts if verb_posts else None
+        rows.append([tense.value, pct, *cells])
     rows.append([Tense.NO_VERB.value, None, *_agg_cells(res.tenses[Tense.NO_VERB])])
     rows.append(["all", None, *_agg_cells(res.overall)])
     return Table(
@@ -232,13 +233,14 @@ def _tense_table(cfg: RunConfig, res: ScanResult) -> Table:
 
 
 def _pronoun_table(cfg: RunConfig, res: ScanResult) -> Table:
-    n_pronoun_posts = res.pronoun_overall.n_posts
+    overall_cells = _agg_cells(res.pronoun_overall)
+    n_pronoun_posts = overall_cells[0]
     rows = []
     for pron in PRONOUNS:
-        agg = res.pronouns[pron]
-        pct = 100.0 * agg.n_posts / n_pronoun_posts if n_pronoun_posts else None
-        rows.append([pron, pct, *_agg_cells(agg)])
-    rows.append(["all_pronoun", None, *_agg_cells(res.pronoun_overall)])
+        cells = _agg_cells(res.pronouns[pron])
+        pct = 100.0 * cells[0] / n_pronoun_posts if n_pronoun_posts else None
+        rows.append([pron, pct, *cells])
+    rows.append(["all_pronoun", None, *overall_cells])
     rows.append(["all", None, *_agg_cells(res.overall)])
     return Table(
         name="pronoun",
@@ -307,7 +309,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     agg_a = _slice_bin(res, fam_a, key_a, args.slice_a)
     agg_b = _slice_bin(res, fam_b, key_b, args.slice_b)
     for label, agg in ((args.slice_a, agg_a), (args.slice_b, agg_b)):
-        if agg.n_posts < 2:
+        if agg.totals().n_posts < 2:
             raise DataError(f"slice {label!r} has fewer than 2 scored posts")
     row = _compare_row(args.slice_a, args.slice_b, agg_a, agg_b, cfg.alpha)
     table = Table(
@@ -435,7 +437,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def _compare_row(label_a: str, label_b: str, agg_a, agg_b, alpha: float) -> list[object]:
-    n_a, n_b = agg_a.n_posts, agg_b.n_posts
+    n_a, n_b = agg_a.totals().n_posts, agg_b.totals().n_posts
     if n_a < 2 or n_b < 2:
         return [label_a, label_b, n_a, n_b, agg_a.macro_score, agg_b.macro_score,
                 None, None, None, None, alpha]

@@ -2,7 +2,9 @@
 
 A corpus file is read as blocks of whole lines (``read_blocks``); the scan
 splits each block into numbered data lines (``data_lines``) and parses each
-line into a post (``parse_record``). Two record formats are supported:
+line into a plain ``(text, timestamp_utc, timezone)`` tuple
+(``parse_record``); ``localize`` turns the last two into a plain
+``(hour, weekday)`` tuple. Two record formats are supported:
 
 * ``jsonl`` -- one JSON object per line with keys ``id``, ``text``,
   ``timestamp_utc``, ``timezone``;
@@ -40,18 +42,6 @@ class UnknownTimezoneError(ValueError):
         self.tz_name = tz_name
 
 
-class Post(NamedTuple):
-    id: str
-    text: str
-    timestamp_utc: datetime
-    timezone: str
-
-
-class LocalTime(NamedTuple):
-    hour: int  # 0-23
-    weekday: int  # 0-6, Monday = 0
-
-
 class SkipEvent(NamedTuple):
     path: str
     line_no: int
@@ -77,22 +67,24 @@ def _zone(name: str) -> ZoneInfo:
     return ZoneInfo(name)
 
 
-def localize(post: Post) -> LocalTime:
-    """Civil local hour and weekday of the post, DST-aware.
+def localize(timestamp_utc: datetime, zone: str) -> tuple[int, int]:
+    """Civil local ``(hour, weekday)`` of a UTC instant in a zone, DST-aware.
+
+    The hour is 0-23 and the weekday 0-6, Monday = 0.
 
     Raises UnknownTimezoneError if the timezone does not resolve, or if the
     local time falls outside the years 1-9999 that ``datetime`` holds;
     callers treat that as a skip for time-based slices only.
     """
     try:
-        tz = _zone(post.timezone)
+        tz = _zone(zone)
     except (ZoneInfoNotFoundError, ValueError, KeyError):
-        raise UnknownTimezoneError(post.timezone) from None
+        raise UnknownTimezoneError(zone) from None
     try:
-        local = post.timestamp_utc.astimezone(tz)
+        local = timestamp_utc.astimezone(tz)
     except OverflowError:
-        raise UnknownTimezoneError(post.timezone) from None
-    return LocalTime(local.hour, local.weekday())
+        raise UnknownTimezoneError(zone) from None
+    return local.hour, local.weekday()
 
 
 # The C scanner that json.loads runs after skipping leading whitespace. Called
@@ -114,11 +106,11 @@ def _loads(line: str) -> object:
     return json.loads(line)
 
 
-def parse_record(line: str | bytes, fmt: str) -> Post:
-    """Parse one corpus line, as text or UTF-8 bytes.
+def parse_record(line: str | bytes, fmt: str) -> tuple[str, datetime, str]:
+    """Parse one corpus line, as text or UTF-8 bytes, to ``(text, timestamp_utc, timezone)``.
 
-    Raises ValueError with a reason on bad records, including bytes that
-    are not valid UTF-8.
+    The id is validated but not returned. Raises ValueError with a reason on
+    bad records, including bytes that are not valid UTF-8.
     """
     if isinstance(line, bytes):
         try:
@@ -147,9 +139,8 @@ def parse_record(line: str | bytes, fmt: str) -> Post:
     else:
         raise CorpusError(f"unknown corpus format {fmt!r}")
 
-    if isinstance(rid, int):
-        rid = str(rid)
-    if not isinstance(rid, str) or not rid:
+    # An integer id is accepted, as its decimal string would be.
+    if not (isinstance(rid, str) and rid or isinstance(rid, int)):
         raise ValueError("id must be a non-empty string")
     if not isinstance(text, str):
         raise ValueError("text must be a string")
@@ -161,7 +152,7 @@ def parse_record(line: str | bytes, fmt: str) -> Post:
         stamp = parse_rfc3339(ts)
     except ValueError as exc:
         raise ValueError(f"bad timestamp: {exc}") from None
-    return Post(rid, text, stamp, tz.strip())
+    return text, stamp, tz.strip()
 
 
 def open_corpus_path(path: str) -> IO[bytes]:

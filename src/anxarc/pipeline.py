@@ -49,8 +49,6 @@ CHUNK_BYTES = 1 << 22
 
 MAX_RECORDED_SKIPS = 50
 
-PRONOUN_OVERALL_KEY = "all_pronoun"
-
 
 class _ScanState(NamedTuple):
     fmt: str
@@ -118,8 +116,6 @@ class ScanResult:
         elif family == "pronoun":
             bins = self.pronouns
             parsed = key
-        elif family == "overall":
-            return self.overall if key != PRONOUN_OVERALL_KEY else self.pronoun_overall
         else:
             raise KeyError(family)
         return bins[parsed]
@@ -176,14 +172,14 @@ def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
     for line_no, line in data_lines(block, first_line_no, fmt):
         n_records += 1
         try:
-            post = parse_record(line, fmt)
+            text, stamp, zone = parse_record(line, fmt)
         except ValueError as exc:
             res.n_parse_skips += 1
             if len(res.skip_events) < MAX_RECORDED_SKIPS:
                 res.skip_events.append(SkipEvent(path, line_no, str(exc)))
             continue
 
-        n_tok, n_anx, n_calm, flags = score_text(post.text, table, miss)
+        n_tok, n_anx, n_calm, flags = score_text(text, table, miss)
         if n_tok == 0:
             res.n_empty_skips += 1
             continue
@@ -191,14 +187,14 @@ def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
         bins = [overall]
         if need_time:
             try:
-                local = localize(post)
+                hour, weekday = localize(stamp, zone)
             except UnknownTimezoneError:
                 res.n_tz_skips += 1
             else:
                 if hours:
-                    bins.append(hours[local.hour])
+                    bins.append(hours[hour])
                 if weekdays:
-                    bins.append(weekdays[local.weekday])
+                    bins.append(weekdays[weekday])
         if tense_bins is not None:
             bins.append(tense_bins[flags & low_bits])
         if pronoun_bins is not None:

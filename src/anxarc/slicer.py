@@ -26,8 +26,7 @@ itself: a miss is exact.
 from __future__ import annotations
 
 import enum
-from importlib import resources
-from pathlib import Path
+import os
 from typing import Iterable
 
 from ._kernel import FUTURE, NEXT, PAST, PERIOD, PRESENT, PRONOUN_SHIFT
@@ -86,21 +85,18 @@ def _read_wordlist(text: str) -> frozenset[str]:
 _TABLE_FILES = ("irregular_past.txt", "irregular_base.txt", "ed_stoplist.txt")
 
 
-def load_verb_tables(directory: str | Path | None = None) -> VerbTables:
+def load_verb_tables(directory: str | os.PathLike[str] | None = None) -> VerbTables:
     """Load verb tables from a directory, or the bundled defaults."""
-    texts = []
     if directory is None:
-        pkg_data = resources.files("anxarc") / "data"
-        for name in _TABLE_FILES:
-            texts.append((pkg_data / name).read_text(encoding="utf-8"))
-    else:
-        base = Path(directory)
-        for name in _TABLE_FILES:
-            path = base / name
-            try:
-                texts.append(path.read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError) as exc:
-                raise VerbTableError(f"cannot read verb table {path}: {exc}") from None
+        directory = os.path.join(os.path.dirname(__file__), "data")
+    texts = []
+    for name in _TABLE_FILES:
+        path = os.path.join(directory, name)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                texts.append(fh.read())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise VerbTableError(f"cannot read verb table {path}: {exc}") from None
     past, base_forms, stoplist = (_read_wordlist(t) for t in texts)
     return VerbTables(past, base_forms, stoplist)
 

@@ -225,10 +225,10 @@ def evaluate_arc(
     bins = result.hours if spec.axis == "hour" else result.weekdays
     recovered = []
     for bin_id in spec.bins:
-        agg = bins[bin_id]
-        if agg.n_posts == 0:
+        totals = bins[bin_id].totals()
+        if totals.n_posts == 0:
             raise EmptyBinError(spec.axis, bin_id)
-        recovered.append(agg.micro_score)
+        recovered.append(totals.micro_score)
     planted = spec.planted_scores
     return ArcReport(
         axis=spec.axis,

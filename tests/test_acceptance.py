@@ -138,7 +138,7 @@ def test_criterion_3_scoring_formula():
         for a, c, n, u in SCORE_CASES_EXACT:
             total = a + c + n + u
             agg = one_post_bin(tokens_for(a, c, n, u))
-            assert (agg.n_tokens, agg.n_anx, agg.n_calm) == (total, a, c)
+            assert agg.totals()[1:] == (total, a, c)
             expected = Fraction(100 * (a - c), total)
             assert agg.macro_score == float(expected), (a, c, n, u)
 
@@ -197,8 +197,8 @@ def test_criterion_5_pronoun_slicing(lex, acceptance_tmp):
         path.write_text("\n".join(json.dumps(p) for p in posts) + "\n")
         res = scan_corpus(str(path), lexicon=lex, families=("pronoun",))
         for p in PRONOUNS:
-            assert res.pronouns[p].n_posts == expected[p], p
-        assert res.pronoun_overall.n_posts == n_with
+            assert res.pronouns[p].totals().n_posts == expected[p], p
+        assert res.pronoun_overall.totals().n_posts == n_with
 
 
 def test_criterion_6_statistics(fixtures_dir):

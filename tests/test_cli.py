@@ -301,6 +301,13 @@ def test_compare_undersized_slice_names_it(workdir, capsys):
     assert "hour=0" in err
 
 
+def test_compare_rejects_unknown_slice_family(workdir, capsys):
+    code = run("compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
+               "--slice-a", "overall=all", "--slice-b", "hour=8", "--out", "cmp")
+    assert code == 1
+    assert "unknown slice family 'overall'" in capsys.readouterr().err
+
+
 def test_compare_self_is_p1(workdir, capsys):
     code = run("compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
                "--slice-a", "tense=past", "--slice-b", "tense=past", "--out", "cmp")
@@ -624,7 +631,8 @@ def test_eval_arc_of_a_bin_without_posts_exits_2(synth_env, capsys):
 
 def test_cli_import_leaves_out_what_a_scan_does_not_need():
     # Every run pays for importing the CLI; a scan needs none of these.
-    unwanted = ["dataclasses", "inspect", "anxarc.synth", "multiprocessing"]
+    unwanted = ["dataclasses", "inspect", "anxarc.synth", "multiprocessing",
+                "importlib.resources", "pathlib", "tempfile"]
     src = str(Path(__file__).resolve().parent.parent / "src")
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import anxarc.cli; "
              "print(','.join(m for m in sys.argv[2:] if m in sys.modules))")

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from anxarc.corpus import (
     CorpusError,
-    LocalTime,
-    Post,
     UnknownTimezoneError,
     data_lines,
     localize,
@@ -30,18 +28,18 @@ GOOD_JSONL = (
 
 
 def test_parse_jsonl_record():
-    post = parse_record(GOOD_JSONL, "jsonl")
-    assert post.id == "1"
-    assert post.text == "i hope it works"
-    assert post.timestamp_utc == datetime(2020, 6, 15, 12, 0, tzinfo=timezone.utc)
-    assert post.timezone == "America/New_York"
+    assert parse_record(GOOD_JSONL, "jsonl") == (
+        "i hope it works",
+        datetime(2020, 6, 15, 12, 0, tzinfo=timezone.utc),
+        "America/New_York",
+    )
 
 
 def test_parse_tsv_record():
-    line = "42\thello world\t2020-01-01T00:00:00Z\tUTC"
-    post = parse_record(line, "tsv")
-    assert post.id == "42"
-    assert post.text == "hello world"
+    line = "42\thello world\t2020-01-01T00:00:00Z\t UTC "
+    assert parse_record(line, "tsv") == (
+        "hello world", datetime(2020, 1, 1, tzinfo=timezone.utc), "UTC"
+    )
 
 
 @pytest.mark.parametrize(
@@ -61,7 +59,7 @@ def test_malformed_records_raise(line, fmt):
         parse_record(line, fmt)
 
 
-def reference_parse_jsonl(line: str) -> Post:
+def reference_parse_jsonl(line: str) -> tuple[str, datetime, str]:
     """parse_record's JSON checks written over plain json.loads."""
     try:
         obj = json.loads(line)
@@ -87,7 +85,7 @@ def reference_parse_jsonl(line: str) -> Post:
         stamp = parse_rfc3339(ts)
     except ValueError as exc:
         raise ValueError(f"bad timestamp: {exc}") from None
-    return Post(id=rid, text=text, timestamp_utc=stamp, timezone=tz.strip())
+    return text, stamp, tz.strip()
 
 
 def outcome(parse, line):
@@ -158,11 +156,11 @@ def read_posts(data: bytes, fmt="jsonl", size=1 << 20):
 
 
 def test_stream_yields_in_order_and_counts():
-    lines = [GOOD_JSONL, "broken", GOOD_JSONL.replace('"1"', '"2"')]
+    lines = [GOOD_JSONL, "broken", GOOD_JSONL.replace("i hope", "we hope")]
     data = ("\n".join(lines) + "\n").encode("utf-8")
     for size in (1, 10, len(data)):
         posts, skips = read_posts(data, size=size)
-        assert [p.id for p in posts] == ["1", "2"]
+        assert [text for text, _, _ in posts] == ["i hope it works", "we hope it works"]
         assert [line_no for line_no, _ in skips] == [2]
 
 
@@ -191,12 +189,12 @@ def test_empty_file_empty_stream():
 
 def test_byte_stream_source():
     posts, skips = read_posts(GOOD_JSONL.encode("utf-8") + b"\n")
-    assert [p.id for p in posts] == ["1"]
+    assert posts == [parse_record(GOOD_JSONL, "jsonl")]
     assert skips == []
 
 
 def test_parse_record_accepts_utf8_bytes():
-    assert parse_record(GOOD_JSONL.encode("utf-8"), "jsonl").id == "1"
+    assert parse_record(GOOD_JSONL.encode("utf-8"), "jsonl") == parse_record(GOOD_JSONL, "jsonl")
     with pytest.raises(ValueError, match="invalid UTF-8 at byte 2"):
         parse_record(b'{"\xff\xfe":1}', "jsonl")
 
@@ -260,13 +258,12 @@ def test_timestamp_outside_datetime_range_is_a_bad_record(stamp):
 # (2020-06-15 is a Monday; New York is UTC-4 on that date; 2020-01-01 is a
 # Wednesday).
 def test_localize_new_york_summer():
-    post = parse_record(GOOD_JSONL, "jsonl")
-    assert localize(post) == LocalTime(hour=8, weekday=0)
+    _, stamp, zone = parse_record(GOOD_JSONL, "jsonl")
+    assert localize(stamp, zone) == (8, 0)
 
 
 def test_localize_utc_newyear():
-    post = Post("x", "", datetime(2020, 1, 1, tzinfo=timezone.utc), "UTC")
-    assert localize(post) == LocalTime(hour=0, weekday=2)
+    assert localize(datetime(2020, 1, 1, tzinfo=timezone.utc), "UTC") == (0, 2)
 
 
 def test_localize_fields_are_hour_and_weekday():
@@ -276,37 +273,32 @@ def test_localize_fields_are_hour_and_weekday():
         (datetime(2020, 1, 5, 23, 30, tzinfo=timezone.utc), "UTC", (23, 6)),
         (datetime(2020, 1, 5, 15, tzinfo=timezone.utc), "Asia/Tokyo", (0, 0)),
     ):
-        local = localize(Post("x", "", dt, zone))
-        assert (local.hour, local.weekday) == expected
-        assert local == LocalTime(*expected)
+        assert localize(dt, zone) == expected
 
 
 def test_localize_utc_identity_hour():
     rng = random.Random(7)
     for _ in range(50):
         dt = datetime(2019, 3, rng.randint(1, 28), rng.randint(0, 23), tzinfo=timezone.utc)
-        post = Post("x", "", dt, "UTC")
-        assert localize(post).hour == dt.hour
+        assert localize(dt, "UTC")[0] == dt.hour
 
 
 def test_localize_dst_shift():
     # New York is UTC-5 in January (EST) but UTC-4 in June (EDT).
-    winter = Post("w", "", datetime(2020, 1, 15, 12, 0, tzinfo=timezone.utc), "America/New_York")
-    summer = Post("s", "", datetime(2020, 6, 15, 12, 0, tzinfo=timezone.utc), "America/New_York")
-    assert localize(winter).hour == 7
-    assert localize(summer).hour == 8
+    winter = datetime(2020, 1, 15, 12, 0, tzinfo=timezone.utc)
+    summer = datetime(2020, 6, 15, 12, 0, tzinfo=timezone.utc)
+    assert localize(winter, "America/New_York")[0] == 7
+    assert localize(summer, "America/New_York")[0] == 8
 
 
 def test_localize_unknown_timezone():
-    post = Post("x", "", datetime(2020, 1, 1, tzinfo=timezone.utc), "Mars/Colony")
     with pytest.raises(UnknownTimezoneError):
-        localize(post)
+        localize(datetime(2020, 1, 1, tzinfo=timezone.utc), "Mars/Colony")
 
 
 def test_localize_past_year_9999_is_a_timezone_skip():
-    post = Post("x", "", datetime(9999, 12, 31, 23, tzinfo=timezone.utc), "Asia/Tokyo")
     with pytest.raises(UnknownTimezoneError):
-        localize(post)
+        localize(datetime(9999, 12, 31, 23, tzinfo=timezone.utc), "Asia/Tokyo")
 
 
 def test_localize_ranges_over_random_instants():
@@ -316,6 +308,6 @@ def test_localize_ranges_over_random_instants():
     end = datetime(2021, 12, 31, tzinfo=timezone.utc).timestamp()
     for _ in range(500):
         dt = datetime.fromtimestamp(start + rng.random() * (end - start), tz=timezone.utc)
-        lt = localize(Post("x", "", dt, rng.choice(zones)))
-        assert 0 <= lt.hour <= 23
-        assert 0 <= lt.weekday <= 6
+        hour, weekday = localize(dt, rng.choice(zones))
+        assert 0 <= hour <= 23
+        assert 0 <= weekday <= 6

@@ -103,10 +103,10 @@ def test_tz_skips_exclude_time_bins_only(tmp_path, lexicon):
     path = write_corpus(tmp_path, lines)
     res = scan_corpus(path, lexicon=lexicon, families=FAMILIES)
     assert res.n_tz_skips == 1
-    assert res.overall.n_posts == 2  # bad-tz post still scored overall
-    assert sum(a.n_posts for a in res.hours.values()) == 1
-    assert res.tenses[Tense.PAST].n_posts == 1  # "went" still tense-sliced
-    assert res.pronouns["i"].n_posts == 1
+    assert res.overall.totals().n_posts == 2  # bad-tz post still scored overall
+    assert sum(a.totals().n_posts for a in res.hours.values()) == 1
+    assert res.tenses[Tense.PAST].totals().n_posts == 1  # "went" still tense-sliced
+    assert res.pronouns["i"].totals().n_posts == 1
 
 
 def test_parse_and_empty_skips_counted(tmp_path, lexicon):
@@ -120,11 +120,11 @@ def test_parse_and_empty_skips_counted(tmp_path, lexicon):
     assert res.n_records == 3
     assert res.n_parse_skips == 1
     assert res.n_empty_skips == 1
-    assert res.overall.n_posts == 1
+    assert res.overall.totals().n_posts == 1
     assert res.skip_events[0].line_no == 1
     assert res.skip_events[0].path == path
     # records = scored + parse skips + empty skips
-    assert res.n_records == res.overall.n_posts + res.n_parse_skips + res.n_empty_skips
+    assert res.n_records == res.overall.totals().n_posts + res.n_parse_skips + res.n_empty_skips
 
 
 GOOD_RECORD = (
@@ -135,7 +135,7 @@ GOOD_RECORD = (
 
 def assert_all_records_accounted(res: ScanResult):
     skips = res.n_parse_skips + res.n_empty_skips
-    assert res.n_records == res.overall.n_posts + skips
+    assert res.n_records == res.overall.totals().n_posts + skips
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -147,7 +147,7 @@ def test_invalid_utf8_line_is_a_parse_skip(tmp_path, lexicon, workers, monkeypat
     res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, workers=workers)
     assert res.n_records == 3
     assert res.n_parse_skips == 1
-    assert res.overall.n_posts == 2
+    assert res.overall.totals().n_posts == 2
     assert [(e.path, e.line_no, e.reason) for e in res.skip_events] == [
         (str(path), 2, "invalid UTF-8 at byte 22")
     ]
@@ -185,7 +185,7 @@ def test_any_bytes_scan_without_error(tmp_path, lexicon, workers, examples, monk
         res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, workers=workers)
         assert_all_records_accounted(res)
         assert res.n_records == sum(map(is_record, lines))
-        assert res.overall.n_posts == sum(len(line) > 40 for line in lines)
+        assert res.overall.totals().n_posts == sum(len(line) > 40 for line in lines)
 
     check()
 
@@ -247,7 +247,7 @@ def test_skip_events_name_their_file(tmp_path, lexicon, workers, monkeypatch):
     assert [(e.path, e.line_no) for e in res.skip_events] == [
         (first, 1), (first, 3), (second, 3)
     ]
-    assert res.n_records == 5 and res.n_parse_skips == 3 and res.overall.n_posts == 2
+    assert res.n_records == 5 and res.n_parse_skips == 3 and res.overall.totals().n_posts == 2
 
 
 def test_missing_later_corpus_fails_before_any_record_is_read(tmp_path, lexicon, monkeypatch):
@@ -324,5 +324,5 @@ def test_merge_results_accumulates(random_corpus, lexicon):
     a = scan_corpus(path, lexicon=lexicon, families=("hour",))
     b = scan_corpus(path, lexicon=lexicon, families=("hour",))
     a.merge_from(b)
-    assert a.overall.n_posts == 2 * oracle["overall"][0]
+    assert a.overall.totals().n_posts == 2 * oracle["overall"][0]
     assert a.n_records == 2 * oracle["n_records"]

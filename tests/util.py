@@ -156,7 +156,7 @@ def brute_force_recount(path: str, lexicon: Lexicon, tables: VerbTables) -> dict
 
 
 def counters_of(agg) -> list[int]:
-    return [agg.n_posts, agg.n_tokens, agg.n_anx, agg.n_calm]
+    return list(agg.totals())
 
 
 def result_state(res) -> dict:
