@@ -1,10 +1,10 @@
 """Corpus ingestion and timestamp localization.
 
-A corpus file is read as blocks of whole lines (``read_blocks``); the scan
-splits each block into numbered data lines (``data_lines``) and parses each
-line into a plain ``(text, timestamp_utc, timezone)`` tuple
-(``parse_record``); ``localize`` turns the last two into a plain
-``(hour, weekday)`` tuple. Two record formats are supported:
+A corpus file is read as blocks of whole lines, each a list of the lines'
+bytes (``read_blocks``); the scan numbers each block's data lines
+(``data_lines``) and parses each line into a plain ``(text, timestamp_utc,
+timezone)`` tuple (``parse_record``); ``localize`` turns the last two into a
+plain ``(hour, weekday)`` tuple. Two record formats are supported:
 
 * ``jsonl`` -- one JSON object per line with keys ``id``, ``text``,
   ``timestamp_utc``, ``timezone``;
@@ -18,7 +18,6 @@ become counted skips that surface in the final reports.
 
 from __future__ import annotations
 
-import io
 import json
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -163,30 +162,36 @@ def open_corpus_path(path: str) -> IO[bytes]:
         raise CorpusError(f"cannot read corpus: {exc}") from None
 
 
-def read_blocks(fh: IO[bytes], size: int) -> Iterator[tuple[int, bytes]]:
-    """Yield (first_line_no, block): the stream cut into blocks of whole lines.
+def read_blocks(fh: IO[bytes], size: int) -> Iterator[tuple[int, list[bytes]]]:
+    """Yield (first_line_no, lines): the stream cut into blocks of whole lines.
 
-    A block is ``size`` bytes read on to the end of their line, so no line
-    spans two blocks and every block but the last ends in a line feed.
+    A block is what ``fh.readlines(size)`` returns: whole lines, up to the
+    first that brings the block to ``size`` bytes. No line spans two blocks,
+    and every line but the stream's last ends in a line feed. The lines are
+    never joined or copied, and the generator lets go of a block before it
+    reads the next: a consumer that also drops each block before taking the
+    next holds one block at a time.
     """
     line_no = 1
-    while block := fh.read(size) + fh.readline():
-        yield line_no, block
-        line_no += block.count(b"\n")
+    while lines := fh.readlines(size):
+        n_lines = len(lines)
+        yield line_no, lines
+        del lines
+        line_no += n_lines
 
 
-def data_lines(block: bytes, first_line_no: int, fmt: str) -> Iterator[tuple[int, str | bytes]]:
-    """Yield (line_no, line) for every data line of a block of whole lines.
+def data_lines(
+    lines: list[bytes], first_line_no: int, fmt: str
+) -> Iterator[tuple[int, str | bytes]]:
+    """Yield (line_no, line) for every data line of a block from ``read_blocks``.
 
-    The block is split at line feeds and each line is decoded as UTF-8 on
-    its own, so a bad byte spoils only its own line: that line is yielded
-    as its raw bytes, which ``parse_record`` rejects as a parse skip. A
-    trailing ``\\r`` is dropped, blank lines are skipped without counting as
-    records, and a literal TSV header on line 1 is skipped.
+    Each line is decoded as UTF-8 on its own, so a bad byte spoils only its
+    own line: that line is yielded as its raw bytes, which ``parse_record``
+    rejects as a parse skip. A trailing ``\\r`` is dropped, blank lines are
+    skipped without counting as records, and a literal TSV header on line 1
+    is skipped.
     """
-    # Iterating a BytesIO splits at b"\n" as block.split does, but one line
-    # at a time, so each line is still in cache when it is decoded.
-    for line_no, raw in enumerate(io.BytesIO(block), first_line_no):
+    for line_no, raw in enumerate(lines, first_line_no):
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError:

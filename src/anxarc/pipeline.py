@@ -1,13 +1,16 @@
 """Corpus scan: stream posts, score them, and fill per-slice bin aggregates.
 
-Parallelism model: the parent cuts every corpus file of a run into chunks
-of ``CHUNK_BYTES`` read on to the end of a line (a chunk never spans two
-files), and one pool of workers splits, decodes and scans each chunk into
-private aggregates; partial results merge back in submission order. Every
-aggregate field is an exact integer sum, so the final result does not
-depend on the worker count or on how the input is split into files. Each
-chunk carries its first line number, so the recorded skip events keep
-stream order and name their file and line.
+Every corpus file of a run is read as blocks of whole lines of about
+``CHUNK_BYTES`` each (``corpus.read_blocks``; a block never spans two
+files). At ``--workers 1`` each block is scanned into the run's one
+``ScanResult`` in place and dropped before the next is read, so the scan's
+working set is one block plus the aggregates, whatever the corpus size.
+With more workers the parent sends each block to one pool, whose workers
+scan it into a result of its own; those results merge back in submission
+order. Every aggregate field is an exact integer sum, so the final result
+does not depend on the worker count, the block size or how the input is
+split into files. Each block carries its first line number, so the
+recorded skip events keep stream order and name their file and line.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ from .slicer import (
 
 FAMILIES = ("hour", "weekday", "tense", "pronoun")
 
-# Bytes per chunk, before reading on to the end of the line. Results do not
-# depend on it: aggregates are exact sums and skip events keep stream order.
-CHUNK_BYTES = 1 << 22
+# Bytes per block, up to the end of the line that reaches it; the scan holds
+# one block at a time at one worker. Results do not depend on it: aggregates
+# are exact sums and skip events keep stream order.
+CHUNK_BYTES = 1 << 20
 
 MAX_RECORDED_SKIPS = 50
 
@@ -140,12 +144,35 @@ class ScanResult:
             self.skip_events.extend(other.skip_events[:room])
 
 
-_Chunk = tuple[str, int, bytes]  # (file path, first line number, whole lines)
+_Chunk = tuple[str, int, list[bytes]]  # (file path, first line number, whole lines)
 
 
-def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
-    path, first_line_no, block = chunk
-    res = ScanResult(st.families)
+# (tense_bins, pronoun_bins) of one result, from _bin_lookups.
+_Lookups = tuple[tuple[BinAggregate, ...] | None, tuple[tuple[BinAggregate, ...], ...] | None]
+
+
+def _bin_lookups(res: ScanResult) -> _Lookups:
+    """A result's bins by the kernel's flags, built once per result.
+
+    A post's tense bin is indexed by its flags below PRONOUN_SHIFT, and its
+    pronoun bins by the flags from PRONOUN_SHIFT up; either is None when
+    the result has no such family.
+    """
+    tense_bins = None
+    if res.tenses:
+        tense_bins = tuple(res.tenses[tense_of(f)] for f in range(1 << PRONOUN_SHIFT))
+    pronoun_bins = None
+    if res.pronouns:
+        pronoun_bins = tuple(
+            (res.pronoun_overall, *(res.pronouns[k] for k in keys)) if keys else ()
+            for keys in PRONOUN_KEYS_BY_BITS
+        )
+    return tense_bins, pronoun_bins
+
+
+def _scan_chunk(chunk: _Chunk, st: _ScanState, res: ScanResult, lookups: _Lookups) -> None:
+    """Scan one chunk into ``res`` in place; ``lookups`` is ``_bin_lookups(res)``."""
+    path, first_line_no, lines = chunk
     n_records = 0
     fmt = st.fmt
     table = st.table
@@ -156,20 +183,10 @@ def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
     hours = res.hours
     weekdays = res.weekdays
     need_time = bool(hours or weekdays)
-    # A post's tense bin, indexed by its flags below PRONOUN_SHIFT, and its
-    # pronoun bins, indexed by the flags from PRONOUN_SHIFT up.
+    tense_bins, pronoun_bins = lookups
     low_bits = (1 << PRONOUN_SHIFT) - 1
-    tense_bins = None
-    if res.tenses:
-        tense_bins = tuple(res.tenses[tense_of(f)] for f in range(low_bits + 1))
-    pronoun_bins = None
-    if res.pronouns:
-        pronoun_bins = tuple(
-            (res.pronoun_overall, *(res.pronouns[k] for k in keys)) if keys else ()
-            for keys in PRONOUN_KEYS_BY_BITS
-        )
 
-    for line_no, line in data_lines(block, first_line_no, fmt):
+    for line_no, line in data_lines(lines, first_line_no, fmt):
         n_records += 1
         try:
             text, stamp, zone = parse_record(line, fmt)
@@ -200,8 +217,7 @@ def _scan_chunk(chunk: _Chunk, st: _ScanState) -> ScanResult:
         if pronoun_bins is not None:
             bins += pronoun_bins[flags >> PRONOUN_SHIFT]
         update(bins, n_tok, n_anx, n_calm)
-    res.n_records = n_records
-    return res
+    res.n_records += n_records
 
 
 _POOL_STATE: _ScanState | None = None
@@ -214,7 +230,9 @@ def _init_pool(state: _ScanState) -> None:
 
 def _pool_scan(chunk: _Chunk) -> ScanResult:
     assert _POOL_STATE is not None
-    return _scan_chunk(chunk, _POOL_STATE)
+    res = ScanResult(_POOL_STATE.families)
+    _scan_chunk(chunk, _POOL_STATE, res, _bin_lookups(res))
+    return res
 
 
 def scan_corpus(
@@ -249,15 +267,15 @@ def scan_corpus(
         # Every path is opened before the first chunk is read, so a missing
         # or unreadable later file fails the run before any scanning.
         files = [(path, stack.enter_context(open_corpus_path(path))) for path in paths]
-        chunk_iter = (
-            (path, line_no, block)
-            for path, fh in files
-            for line_no, block in read_blocks(fh, CHUNK_BYTES)
-        )
 
         if workers == 1:
-            for chunk in chunk_iter:
-                total.merge_from(_scan_chunk(chunk, state))
+            # Each block is scanned into the run's one result and dropped
+            # before the next is read, so one block is live at a time.
+            lookups = _bin_lookups(total)
+            for path, fh in files:
+                for line_no, lines in read_blocks(fh, CHUNK_BYTES):
+                    _scan_chunk((path, line_no, lines), state, total, lookups)
+                    del lines
             return total
 
         import multiprocessing
@@ -267,10 +285,11 @@ def scan_corpus(
         # avoided because its feeder thread would buffer the whole corpus.
         with multiprocessing.Pool(workers, initializer=_init_pool, initargs=(state,)) as pool:
             pending: deque = deque()
-            for chunk in chunk_iter:
-                pending.append(pool.apply_async(_pool_scan, (chunk,)))
-                while len(pending) > 2 * workers:
-                    total.merge_from(pending.popleft().get())
+            for path, fh in files:
+                for line_no, lines in read_blocks(fh, CHUNK_BYTES):
+                    pending.append(pool.apply_async(_pool_scan, ((path, line_no, lines),)))
+                    while len(pending) > 2 * workers:
+                        total.merge_from(pending.popleft().get())
             while pending:
                 total.merge_from(pending.popleft().get())
     return total

@@ -44,6 +44,13 @@ def fmt_stat(value: object) -> str:
     return f"{value:.6f}"
 
 
+def _json_value(value: object) -> object:
+    """A non-finite float as the string the CSV writes for it; JSON has no such number."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "inf" if value > 0 else "-inf" if value < 0 else "nan"
+    return value
+
+
 def _fmt_default(value: object) -> str:
     if value is None:
         return ""
@@ -72,11 +79,14 @@ class Table(NamedTuple):
 
     def to_json(self) -> str:
         payload = {
-            "meta": self.meta,
+            "meta": {key: _json_value(value) for key, value in self.meta.items()},
             "columns": self.columns,
-            "rows": [dict(zip(self.columns, row)) for row in self.rows],
+            "rows": [
+                {col: _json_value(v) for col, v in zip(self.columns, row)} for row in self.rows
+            ],
         }
-        return json.dumps(payload, ensure_ascii=False, indent=2, default=str) + "\n"
+        return json.dumps(payload, ensure_ascii=False, indent=2, default=str,
+                          allow_nan=False) + "\n"
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":

@@ -32,6 +32,10 @@ AXES = ("hour", "weekday")
 _HOUR_AXIS_DATE = "2021-06-15"
 _WEEKDAY_AXIS_MONDAY = 14
 
+# The most tokens a spec may plant: len(bins) * posts_per_bin *
+# tokens_per_post[1]. A larger spec would write a corpus of many gigabytes.
+MAX_PLANTED_TOKENS = 10**9
+
 
 class ArcSpecError(ValueError):
     """Invalid arc specification."""
@@ -82,6 +86,12 @@ class ArcSpec:
         lo, hi = self.tokens_per_post
         if lo < 1 or hi < lo:
             raise ArcSpecError(f"tokens_per_post must satisfy 1 <= min <= max, got ({lo}, {hi})")
+        planted = len(self.bins) * self.posts_per_bin * hi
+        if planted > MAX_PLANTED_TOKENS:
+            raise ArcSpecError(
+                f"spec plants up to {planted} tokens (bins x posts_per_bin x "
+                f"tokens_per_post max), more than the {MAX_PLANTED_TOKENS} allowed"
+            )
 
     @property
     def planted_scores(self) -> list[float]:

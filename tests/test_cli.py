@@ -18,7 +18,7 @@ import util
 from anxarc.cli import main
 from anxarc.lexicon import LexiconError, lexicon_stats, load_lexicon
 from anxarc.slicer import VerbTableError, load_verb_tables
-from anxarc.synth import ArcSpec, ArcSpecError
+from anxarc.synth import MAX_PLANTED_TOKENS, ArcSpec, ArcSpecError
 
 MINI_LEX = "mini_lexicon.tsv"
 MINI_CORPUS = "mini_corpus.jsonl"
@@ -308,6 +308,32 @@ def test_compare_rejects_unknown_slice_family(workdir, capsys):
     assert "unknown slice family 'overall'" in capsys.readouterr().err
 
 
+def _strict_json(text: str) -> dict:
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_infinite_t_is_valid_json(workdir):
+    # Two bins of constant, different scores: t=+inf, written as "inf".
+    stamps = ["2020-01-01T05:00:00Z", "2020-01-01T08:00:00Z"]
+    with open("const.jsonl", "w", encoding="utf-8") as fh:
+        for i in range(4):
+            text = "panic" if i % 2 == 0 else "road"
+            fh.write(json.dumps({"id": str(i), "text": text, "timestamp_utc": stamps[i % 2],
+                                 "timezone": "UTC"}) + "\n")
+    common = ["--lexicon", MINI_LEX, "--corpus", "const.jsonl", "--out-format", "json"]
+    assert run("compare", *common, "--slice-a", "hour=5", "--slice-b", "hour=8",
+               "--out", "cmp") == 0
+    row = _strict_json((workdir / "cmp" / "compare.json").read_text())["rows"][0]
+    assert (row["t"], row["p"]) == ("inf", 0.0)
+    assert run("replicate", *common, "--out", "rep") == 0
+    rows = _strict_json((workdir / "rep" / "comparisons.json").read_text())["rows"]
+    assert rows[0]["slice_a"] == "hour=5" and rows[0]["t"] == "inf"
+    for name in ("hour", "weekday", "tense", "pronoun"):
+        _strict_json((workdir / "rep" / f"{name}.json").read_text())
+
+
 def test_compare_self_is_p1(workdir, capsys):
     code = run("compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
                "--slice-a", "tense=past", "--slice-b", "tense=past", "--out", "cmp")
@@ -590,12 +616,16 @@ def test_verb_tables_invalid_utf8_exits_1(workdir, capsys):
     b'"tokens_per_post": [1, 2], "seed": 1}',
     b'{"bins": [0, 1], "p_anx": [0.2, 0.1], "p_calm": [0.1, NaN], "posts_per_bin": 2, '
     b'"tokens_per_post": [1, 2], "seed": 1}',
+    b'{"bins": [0, 1], "p_anx": 0.2, "p_calm": 0.1, "posts_per_bin": 1000000000000, '
+    b'"tokens_per_post": [1, 2], "seed": 1}',
 ], ids=["truncated", "not-utf8", "nested", "posts-inf", "tokens-inf", "seed-inf",
-        "p-anx-nan", "p-calm-nan"])
+        "p-anx-nan", "p-calm-nan", "over-the-cap"])
 def test_arc_spec_faults_exit_1(synth_env, capsys, text):
     (synth_env / "bad.json").write_bytes(text)
-    # eval-arc reads the spec before the corpus, which need not exist.
-    for argv in (["synth", "--out-corpus", "x.jsonl"], ["eval-arc", "--corpus", "c.jsonl"]):
+    # eval-arc reads the spec before the corpus, which need not exist. It
+    # runs first, so a spec wrongly let through fails the test there
+    # instead of having synth write the whole corpus it asks for.
+    for argv in (["eval-arc", "--corpus", "c.jsonl"], ["synth", "--out-corpus", "x.jsonl"]):
         code = run(*argv, "--lexicon", "lex.tsv", "--arc-spec", "bad.json")
         err = capsys.readouterr().err
         assert_one_error_line(code, err, 1)
@@ -684,6 +714,9 @@ def test_fuzzed_lexicon_exits_as_documented(synth_env, fixtures_dir, capsys, dat
 
 _spec_values = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    # Sizes up to the cap on planted tokens and past it.
+    st.integers(1, 2 * MAX_PLANTED_TOKENS),
+    st.lists(st.integers(1, 2 * MAX_PLANTED_TOKENS), min_size=2, max_size=2).map(sorted),
     st.sampled_from([0, 1, 2, -1, 0.0, 0.1, 0.5, 1.5, "1", None, True, [], {}, [0, 1], [1, 2],
                      [2, 1], [0.2, 0.1], [0.1, float("nan")], [1, float("inf")], [23, 24],
                      [0, 0], "weekday", "minute"]),
@@ -719,16 +752,20 @@ def test_fuzzed_arc_spec_exits_as_documented(synth_env, capsys, data):
                    "--out-corpus", "c.jsonl") == 0
     (synth_env / "fuzz.json").write_bytes(data)
     try:
-        ArcSpec.from_json(str(synth_env / "fuzz.json"))
+        spec = ArcSpec.from_json(str(synth_env / "fuzz.json"))
         valid = True
     except ArcSpecError:
         valid = False
-    for argv, ok_codes in (
-        (["synth", "--out-corpus", "s.jsonl"], (0,)),
+    commands = [
         # A spec whose bins hold no posts, or whose arc is flat or one bin
         # long, is a data error.
         (["eval-arc", "--corpus", "c.jsonl", "--out", "o"], (0, 2)),
-    ):
+    ]
+    # synth writes every token a spec plants: a valid spec near the cap
+    # would take minutes, so only specs that plant few tokens run it.
+    if not valid or len(spec.bins) * spec.posts_per_bin * spec.tokens_per_post[1] <= 1000:
+        commands.insert(0, (["synth", "--out-corpus", "s.jsonl"], (0,)))
+    for argv, ok_codes in commands:
         capsys.readouterr()
         code = run(*argv, "--lexicon", "lex.tsv", "--arc-spec", "fuzz.json")
         err = capsys.readouterr().err

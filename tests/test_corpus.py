@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import weakref
 from datetime import datetime, timezone
 
 import pytest
@@ -143,6 +144,11 @@ def test_rfc3339_offset_normalized_to_utc():
     assert dt == datetime(2020, 6, 15, 12, 0, tzinfo=timezone.utc)
 
 
+def lines_of(data: bytes) -> list[bytes]:
+    """A block in ``read_blocks`` form: the lines of ``data``, cut after each line feed."""
+    return io.BytesIO(data).readlines()
+
+
 def read_posts(data: bytes, fmt="jsonl", size=1 << 20):
     """Parse every data line: (posts, [(line_no, reason)] of the skipped lines)."""
     posts, skips = [], []
@@ -173,9 +179,9 @@ def test_tsv_skip_event_and_continue():
 
 def test_tsv_header_skipped_silently():
     text = "id\ttext\ttimestamp_utc\ttimezone\n1\thi\t2020-01-01T00:00:00Z\tUTC\n"
-    block = text.encode("utf-8")
+    block = lines_of(text.encode("utf-8"))
     assert [n for n, _ in data_lines(block, 1, "tsv")] == [2]
-    posts, skips = read_posts(block, "tsv")
+    posts, skips = read_posts(text.encode("utf-8"), "tsv")
     assert len(posts) == 1 and skips == []
     # Only line 1 of a file is a header, not the first line of a later block.
     assert [n for n, _ in data_lines(block, 5, "tsv")] == [5, 6]
@@ -184,7 +190,7 @@ def test_tsv_header_skipped_silently():
 
 def test_empty_file_empty_stream():
     assert list(read_blocks(io.BytesIO(b""), 4)) == []
-    assert list(data_lines(b"", 1, "jsonl")) == []
+    assert list(data_lines([], 1, "jsonl")) == []
 
 
 def test_byte_stream_source():
@@ -209,14 +215,15 @@ def test_invalid_utf8_line_skipped_alone():
 
 
 def test_blank_lines_not_counted():
-    lines = list(data_lines(("\n\n" + GOOD_JSONL + "\n\n").encode("utf-8"), 1, "jsonl"))
+    lines = list(data_lines(lines_of(("\n\n" + GOOD_JSONL + "\n\n").encode("utf-8")), 1, "jsonl"))
     assert lines == [(3, GOOD_JSONL)]
 
 
 def test_line_ends():
     # Only a line feed ends a line; trailing carriage returns are dropped,
     # and a bare one inside a line stays.
-    block = b"a\r\n\r\nb\r\r\nc\rd\ne"
+    block = lines_of(b"a\r\n\r\nb\r\r\nc\rd\ne")
+    assert block == [b"a\r\n", b"\r\n", b"b\r\r\n", b"c\rd\n", b"e"]
     assert list(data_lines(block, 7, "jsonl")) == [(7, "a"), (9, "b"), (10, "c\rd"), (11, "e")]
 
 
@@ -226,12 +233,44 @@ def test_line_ends():
 def test_read_blocks_cuts_whole_lines(data, draw):
     size = draw.draw(st.integers(1, len(data) + 1))
     blocks = list(read_blocks(io.BytesIO(data), size))
-    assert b"".join(block for _, block in blocks) == data
-    assert all(block.endswith(b"\n") for _, block in blocks[:-1])
+    lines = [line for _, block in blocks for line in block]
+    # The stream, cut after each line feed and nowhere else.
+    assert lines == lines_of(data)
     offset = 0
     for first_line_no, block in blocks:
         assert first_line_no == 1 + data.count(b"\n", 0, offset)
-        offset += len(block)
+        offset += sum(map(len, block))
+        # A block stops at the first line that brings it to ``size`` bytes.
+        assert sum(map(len, block[:-1])) < size
+        if block is not blocks[-1][1]:
+            assert sum(map(len, block)) >= size
+
+
+class _Lines(list):
+    """A block that, unlike a plain list, can be weakly referenced."""
+
+
+class _WatchedSource:
+    """A line source that records, at each read, whether the last block is still alive."""
+
+    def __init__(self, data: bytes):
+        self.fh = io.BytesIO(data)
+        self.last = None
+        self.live_at_read = []
+
+    def readlines(self, size: int) -> list[bytes]:
+        self.live_at_read.append(self.last is not None and self.last() is not None)
+        lines = _Lines(self.fh.readlines(size))
+        self.last = weakref.ref(lines)
+        return lines
+
+
+def test_read_blocks_drops_a_block_before_reading_the_next():
+    source = _WatchedSource(b"".join(b"line %d\n" % i for i in range(100)))
+    for _, block in read_blocks(source, 64):
+        del block
+    assert len(source.live_at_read) > 2
+    assert not any(source.live_at_read)
 
 
 def test_unknown_format_rejected(tmp_path, lexicon):

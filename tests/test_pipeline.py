@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -326,3 +327,22 @@ def test_merge_results_accumulates(random_corpus, lexicon):
     a.merge_from(b)
     assert a.overall.totals().n_posts == 2 * oracle["overall"][0]
     assert a.n_records == 2 * oracle["n_records"]
+
+
+def test_one_worker_scan_holds_one_block(tmp_path, lexicon, tables, monkeypatch):
+    # Peak traced memory grows by about one block per block byte: the scan
+    # holds the block it is scanning and no copy, no joined block and no
+    # block read ahead. A scan that also held the previous block, or a
+    # joined copy, would grow by two bytes or more per block byte.
+    path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(5), 16_000))
+    peaks = {}
+    for size in (1 << 18, 1 << 20):
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
+        tracemalloc.start()
+        try:
+            scan_corpus(path, lexicon=lexicon, families=FAMILIES, tables=tables)
+            peaks[size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    slope = (peaks[1 << 20] - peaks[1 << 18]) / ((1 << 20) - (1 << 18))
+    assert slope < 1.6, peaks

@@ -6,7 +6,16 @@ import math
 
 import pytest
 
-from anxarc.synth import ArcReport, ArcSpec, ArcSpecError, EmptyBinError, evaluate_arc, generate, generate_file
+from anxarc.synth import (
+    MAX_PLANTED_TOKENS,
+    ArcReport,
+    ArcSpec,
+    ArcSpecError,
+    EmptyBinError,
+    evaluate_arc,
+    generate,
+    generate_file,
+)
 from util import loads_lexicon
 
 
@@ -47,6 +56,20 @@ def sinusoidal_spec(posts_per_bin=200, seed=11) -> ArcSpec:
 def test_spec_validation(overrides):
     with pytest.raises(ArcSpecError):
         flat_spec(**overrides)
+
+
+def test_planted_tokens_are_capped():
+    def spec(posts_per_bin, max_tokens=10):
+        # 20 bins x posts_per_bin x max_tokens planted tokens at most.
+        return flat_spec(bins=tuple(range(20)), p_anx=(0.2,) * 20, p_calm=(0.1,) * 20,
+                         posts_per_bin=posts_per_bin, tokens_per_post=(1, max_tokens))
+
+    assert MAX_PLANTED_TOKENS == 20 * 5_000_000 * 10
+    assert spec(5_000_000).posts_per_bin == 5_000_000
+    with pytest.raises(ArcSpecError, match="more than the 1000000000 allowed"):
+        spec(5_000_001)
+    with pytest.raises(ArcSpecError):
+        spec(1, MAX_PLANTED_TOKENS)
 
 
 def test_weekday_axis_bin_range():
