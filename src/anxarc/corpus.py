@@ -1,10 +1,13 @@
 """Corpus ingestion and timestamp localization.
 
 A corpus file is read as blocks of whole lines, each a list of the lines'
-bytes (``read_blocks``); the scan numbers each block's data lines
-(``data_lines``) and parses each line into a plain ``(text, timestamp_utc,
-timezone)`` tuple (``parse_record``); ``localize`` turns the last two into a
-plain ``(hour, weekday)`` tuple. Two record formats are supported:
+bytes (``read_blocks``). The scan's parent process is the only reader that
+cuts and numbers blocks; a pool worker reads a block's lines back from the
+file at the byte offset and line count the parent sends it. The scan
+numbers each block's data lines (``data_lines``) and parses each line into
+a plain ``(text, timestamp_utc, timezone)`` tuple (``parse_record``);
+``localize`` turns the last two into a plain ``(hour, weekday)`` tuple.
+Two record formats are supported:
 
 * ``jsonl`` -- one JSON object per line with keys ``id``, ``text``,
   ``timestamp_utc``, ``timezone``;
@@ -61,9 +64,15 @@ def parse_rfc3339(text: str) -> datetime:
         raise ValueError(f"timestamp out of range in UTC: {text!r}") from None
 
 
-@lru_cache(maxsize=None)
-def _zone(name: str) -> ZoneInfo:
-    return ZoneInfo(name)
+# Room for several times the timezone database's names; the bound only keeps
+# a corpus of endless distinct bad names from growing the cache without limit.
+@lru_cache(maxsize=4096)
+def _zone(name: str) -> ZoneInfo | None:
+    """The zone of an IANA name, or None if it does not resolve (cached too)."""
+    try:
+        return ZoneInfo(name)
+    except (ZoneInfoNotFoundError, ValueError, KeyError):
+        return None
 
 
 def localize(timestamp_utc: datetime, zone: str) -> tuple[int, int]:
@@ -75,10 +84,9 @@ def localize(timestamp_utc: datetime, zone: str) -> tuple[int, int]:
     local time falls outside the years 1-9999 that ``datetime`` holds;
     callers treat that as a skip for time-based slices only.
     """
-    try:
-        tz = _zone(zone)
-    except (ZoneInfoNotFoundError, ValueError, KeyError):
-        raise UnknownTimezoneError(zone) from None
+    tz = _zone(zone)
+    if tz is None:
+        raise UnknownTimezoneError(zone)
     try:
         local = timestamp_utc.astimezone(tz)
     except OverflowError:
@@ -165,12 +173,16 @@ def open_corpus_path(path: str) -> IO[bytes]:
 def read_blocks(fh: IO[bytes], size: int) -> Iterator[tuple[int, list[bytes]]]:
     """Yield (first_line_no, lines): the stream cut into blocks of whole lines.
 
-    A block is what ``fh.readlines(size)`` returns: whole lines, up to the
-    first that brings the block to ``size`` bytes. No line spans two blocks,
-    and every line but the stream's last ends in a line feed. The lines are
-    never joined or copied, and the generator lets go of a block before it
-    reads the next: a consumer that also drops each block before taking the
-    next holds one block at a time.
+    A block is what ``fh.readlines(size)`` returns: whole lines, ending at
+    the first line that takes it to ``size`` bytes or past. Whether a line
+    that ends exactly at ``size`` ends the block depends on the stream: a
+    buffered file reads one more line, ``io.BytesIO`` stops there. Either
+    way a block holds at most ``size`` bytes before its last line, and every
+    block but the stream's last holds at least ``size`` bytes. No line spans
+    two blocks, and every line but the stream's last ends in a line feed.
+    The lines are never joined or copied, and the generator lets go of a
+    block before it reads the next: a consumer that also drops each block
+    before taking the next holds one block at a time.
     """
     line_no = 1
     while lines := fh.readlines(size):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import ExitStack
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 from . import _kernel
@@ -145,6 +146,9 @@ class ScanResult:
 
 
 _Chunk = tuple[str, int, list[bytes]]  # (file path, first line number, whole lines)
+# What a pool task carries instead of a block's lines: (file path, first line
+# number, byte offset, line count, byte count).
+_Span = tuple[str, int, int, int, int]
 
 
 # (tense_bins, pronoun_bins) of one result, from _bin_lookups.
@@ -228,10 +232,23 @@ def _init_pool(state: _ScanState) -> None:
     _POOL_STATE = state
 
 
-def _pool_scan(chunk: _Chunk) -> ScanResult:
+def _pool_scan(span: _Span) -> ScanResult:
+    """Read a block's lines back from its file and scan them into a new result.
+
+    Raises CorpusError if the lines read back are not the block the parent
+    cut, as when the file changed during the scan.
+    """
     assert _POOL_STATE is not None
+    path, first_line_no, offset, n_lines, nbytes = span
+    # Read back by line count: fh.readlines(nbytes) would overshoot, since on
+    # a buffered file it stops at the first line that goes past the hint.
+    with open_corpus_path(path) as fh:
+        fh.seek(offset)
+        lines = list(islice(fh, n_lines))
+    if len(lines) != n_lines or sum(map(len, lines)) != nbytes:
+        raise CorpusError(f"corpus changed during the scan: {path} (from line {first_line_no})")
     res = ScanResult(_POOL_STATE.families)
-    _scan_chunk(chunk, _POOL_STATE, res, _bin_lookups(res))
+    _scan_chunk((path, first_line_no, lines), _POOL_STATE, res, _bin_lookups(res))
     return res
 
 
@@ -281,13 +298,20 @@ def scan_corpus(
         import multiprocessing
 
         # One pool for every source, with a bounded sliding window of
-        # in-flight chunks merged strictly in submission order; Pool.imap is
-        # avoided because its feeder thread would buffer the whole corpus.
+        # in-flight spans merged strictly in submission order; Pool.imap is
+        # avoided because its feeder thread would read the whole corpus
+        # ahead. The parent cuts and numbers the blocks, keeps only their
+        # spans and drops each block's lines before reading the next.
         with multiprocessing.Pool(workers, initializer=_init_pool, initargs=(state,)) as pool:
             pending: deque = deque()
             for path, fh in files:
+                offset = 0
                 for line_no, lines in read_blocks(fh, CHUNK_BYTES):
-                    pending.append(pool.apply_async(_pool_scan, ((path, line_no, lines),)))
+                    n_lines, nbytes = len(lines), sum(map(len, lines))
+                    del lines
+                    span = (path, line_no, offset, n_lines, nbytes)
+                    pending.append(pool.apply_async(_pool_scan, (span,)))
+                    offset += nbytes
                     while len(pending) > 2 * workers:
                         total.merge_from(pending.popleft().get())
             while pending:

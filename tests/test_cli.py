@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import util
+from anxarc import pipeline
 from anxarc.cli import main
 from anxarc.lexicon import LexiconError, lexicon_stats, load_lexicon
 from anxarc.slicer import VerbTableError, load_verb_tables
@@ -291,6 +292,26 @@ def test_missing_second_corpus_exits_2_at_two_workers(workdir):
     assert proc.returncode == 2
     assert "missing.jsonl" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_corpus_changed_during_a_two_worker_scan_exits_2(workdir, capsys, monkeypatch):
+    # The parent cuts the first block, then the file is emptied before a
+    # worker reads that block back: one error line names the file.
+    real_read_blocks = pipeline.read_blocks
+
+    def read_then_truncate(fh, size):
+        for block in real_read_blocks(fh, size):
+            Path(MINI_CORPUS).write_bytes(b"")
+            yield block
+
+    monkeypatch.setattr(pipeline, "read_blocks", read_then_truncate)
+    code = run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
+               "--workers", "2", "--out", "out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        f"anxarc: data error: corpus changed during the scan: {MINI_CORPUS} (from line 1)"
+    ]
 
 
 def test_compare_undersized_slice_names_it(workdir, capsys):

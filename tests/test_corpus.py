@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
+import tempfile
 import weakref
 from datetime import datetime, timezone
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anxarc import corpus
 from anxarc.corpus import (
     CorpusError,
     UnknownTimezoneError,
@@ -227,23 +231,44 @@ def test_line_ends():
     assert list(data_lines(block, 7, "jsonl")) == [(7, "a"), (9, "b"), (10, "c\rd"), (11, "e")]
 
 
+def file_blocks(data: bytes, size: int) -> list[tuple[int, list[bytes]]]:
+    """``read_blocks`` of ``data`` read from a real (buffered) file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with open_corpus_path(path) as fh:
+            return list(read_blocks(fh, size))
+
+
 @given(st.lists(st.sampled_from([b"\n", b"\r", b"\r\n", b"x", b"yz", b"\xff"]), max_size=30)
        .map(b"".join), st.data())
 @settings(max_examples=500, deadline=None)
 def test_read_blocks_cuts_whole_lines(data, draw):
     size = draw.draw(st.integers(1, len(data) + 1))
-    blocks = list(read_blocks(io.BytesIO(data), size))
-    lines = [line for _, block in blocks for line in block]
-    # The stream, cut after each line feed and nowhere else.
-    assert lines == lines_of(data)
-    offset = 0
-    for first_line_no, block in blocks:
-        assert first_line_no == 1 + data.count(b"\n", 0, offset)
-        offset += sum(map(len, block))
-        # A block stops at the first line that brings it to ``size`` bytes.
-        assert sum(map(len, block[:-1])) < size
-        if block is not blocks[-1][1]:
-            assert sum(map(len, block)) >= size
+    for blocks in (list(read_blocks(io.BytesIO(data), size)), file_blocks(data, size)):
+        lines = [line for _, block in blocks for line in block]
+        # The stream, cut after each line feed and nowhere else.
+        assert lines == lines_of(data)
+        offset = 0
+        for first_line_no, block in blocks:
+            assert first_line_no == 1 + data.count(b"\n", 0, offset)
+            offset += sum(map(len, block))
+            # A block ends at the first line that takes it to ``size`` bytes
+            # or past: at most ``size`` bytes before its last line, and at
+            # least ``size`` in every block but the last.
+            assert sum(map(len, block[:-1])) <= size
+            if block is not blocks[-1][1]:
+                assert sum(map(len, block)) >= size
+
+
+def test_read_blocks_cut_at_a_line_end_depends_on_the_stream():
+    # A line that ends exactly at ``size`` ends a BytesIO block, while a
+    # buffered file reads one more line; both obey the documented rule.
+    data = b"ab\ncd\nef\n"
+    assert list(read_blocks(io.BytesIO(data), 3)) == [(1, [b"ab\n"]), (2, [b"cd\n"]),
+                                                      (3, [b"ef\n"])]
+    assert file_blocks(data, 3) == [(1, [b"ab\n", b"cd\n"]), (3, [b"ef\n"])]
 
 
 class _Lines(list):
@@ -333,6 +358,28 @@ def test_localize_dst_shift():
 def test_localize_unknown_timezone():
     with pytest.raises(UnknownTimezoneError):
         localize(datetime(2020, 1, 1, tzinfo=timezone.utc), "Mars/Colony")
+
+
+def test_unknown_timezone_is_looked_up_once(tmp_path, lexicon, monkeypatch):
+    # A name that does not resolve is cached as such, like a zone that does.
+    looked_up = []
+
+    def counting_zone_info(name):
+        looked_up.append(name)
+        return ZoneInfo(name)
+
+    path = tmp_path / "corpus.jsonl"
+    bad = GOOD_JSONL.replace("America/New_York", "Mars/Colony")
+    path.write_text("".join(bad.replace('"id":"1"', f'"id":"{i}"') + "\n" for i in range(100)),
+                    encoding="utf-8")
+    monkeypatch.setattr(corpus, "ZoneInfo", counting_zone_info)
+    corpus._zone.cache_clear()
+    try:
+        res = scan_corpus(str(path), lexicon=lexicon, families=("hour",))
+    finally:
+        corpus._zone.cache_clear()
+    assert looked_up == ["Mars/Colony"]
+    assert res.n_records == 100 and res.n_tz_skips == 100
 
 
 def test_localize_past_year_9999_is_a_timezone_skip():

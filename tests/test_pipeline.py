@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import multiprocessing.pool
+import pickle
 import random
 import tracemalloc
 
@@ -12,7 +14,7 @@ import util
 from anxarc import pipeline
 from anxarc.corpus import CorpusError
 from anxarc.pipeline import FAMILIES, ScanResult, scan_corpus
-from anxarc.slicer import PRONOUNS, Tense
+from anxarc.slicer import PRONOUNS, Tense, token_table
 
 
 def write_corpus(tmp_path, lines, name="corpus.jsonl"):
@@ -346,3 +348,95 @@ def test_one_worker_scan_holds_one_block(tmp_path, lexicon, tables, monkeypatch)
             tracemalloc.stop()
     slope = (peaks[1 << 20] - peaks[1 << 18]) / ((1 << 20) - (1 << 18))
     assert slope < 1.6, peaks
+
+
+def spy_pool_tasks(monkeypatch) -> list[tuple]:
+    """Record the arguments of every task given to a pool."""
+    tasks = []
+    real = multiprocessing.pool.Pool.apply_async
+
+    def apply_async(self, func, args=(), *rest, **kw):
+        tasks.append(args)
+        return real(self, func, args, *rest, **kw)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", apply_async)
+    return tasks
+
+
+@pytest.mark.parametrize("size", [4096, 1 << 20])
+def test_pool_tasks_are_small_spans(random_corpus, lexicon, monkeypatch, size):
+    # A task carries a block's span, not its lines, whatever the block size.
+    path, oracle = random_corpus
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
+    tasks = spy_pool_tasks(monkeypatch)
+    res = scan_corpus(path, lexicon=lexicon, families=FAMILIES, workers=2)
+    assert_matches_oracle(res, oracle)
+    assert tasks
+    assert max(len(pickle.dumps(args)) for args in tasks) < 1024
+
+
+def test_block_cut_at_a_line_end_keeps_the_result(tmp_path, lexicon, tables, monkeypatch):
+    # Every line is as long as GOOD_RECORD, so a block of CHUNK_BYTES ends
+    # exactly at a line end, where a buffered file reads one line past it.
+    # The worker must read back the block's lines, not one more.
+    width = len(GOOD_RECORD % 10)
+    lines = [GOOD_RECORD % i if i % 7 else b"not json".ljust(width, b"#") for i in range(10, 100)]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+    def scan(size, workers):
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
+        res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, tables=tables,
+                          workers=workers)
+        return util.result_state(res), res.skip_events
+
+    one_block = scan(len(lines) * (width + 1) + 1, 1)
+    assert len(one_block[1]) == 13
+    tasks = spy_pool_tasks(monkeypatch)
+    assert scan(4 * (width + 1), 2) == one_block
+    spans = [args[0] for args in tasks]
+    # Five-line spans that tile the file: the cut landed on a line end.
+    assert [span[3] for span in spans] == [5] * 18
+    assert [span[1:3] for span in spans] == [(1 + 5 * k, 5 * k * (width + 1)) for k in range(18)]
+
+
+def test_two_worker_scan_parent_holds_one_block(tmp_path, lexicon, tables, monkeypatch):
+    # At two workers the parent reads each block only to cut and number it
+    # and drops it before the next, so its traced peak grows by about one
+    # block per block byte. A parent that kept the blocks in flight, or
+    # their pickles, would grow by several bytes per block byte.
+    path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(5), 16_000))
+    peaks = {}
+    for size in (1 << 18, 1 << 20):
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
+        tracemalloc.start()
+        try:
+            scan_corpus(path, lexicon=lexicon, families=FAMILIES, tables=tables, workers=2)
+            peaks[size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    slope = (peaks[1 << 20] - peaks[1 << 18]) / ((1 << 20) - (1 << 18))
+    assert slope < 1.6, peaks
+
+
+def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon, monkeypatch):
+    # A worker that cannot read its span back as the block the parent cut
+    # raises CorpusError naming the file, which the CLI turns into exit 2.
+    data = b"".join(GOOD_RECORD % i + b"\n" for i in range(4))
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(data)
+    monkeypatch.setattr(pipeline, "_POOL_STATE", None)
+    pipeline._init_pool(pipeline._ScanState(fmt="jsonl", families=frozenset(["hour"]),
+                                            table=token_table(lexicon.class_map, None), miss=0))
+    span = (str(path), 1, 0, 4, len(data))
+    assert pipeline._pool_scan(span).n_records == 4
+
+    path.write_bytes(data[: len(data) // 2])  # truncated: the span reads back short
+    with pytest.raises(CorpusError, match="corpus.jsonl"):
+        pipeline._pool_scan(span)
+    path.write_bytes(data.replace(b"calm000", b"calm0000"))  # same lines, other bytes
+    with pytest.raises(CorpusError, match="corpus.jsonl"):
+        pipeline._pool_scan(span)
+    path.unlink()
+    with pytest.raises(CorpusError, match="corpus.jsonl"):
+        pipeline._pool_scan(span)
