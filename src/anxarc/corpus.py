@@ -2,7 +2,7 @@
 
 A corpus file is read as blocks of whole lines, each a list of the lines'
 bytes (``read_blocks``). The scan's parent process is the only reader that
-cuts and numbers blocks; a pool worker reads a block's lines back from the
+cuts and numbers blocks; a scan worker reads a block's lines back from the
 file at the byte offset and line count the parent sends it. The scan
 numbers each block's data lines (``data_lines``) and parses each line into
 a plain ``(text, timestamp_utc, timezone)`` tuple (``parse_record``);

@@ -1,24 +1,26 @@
 """Corpus scan: stream posts, score them, and fill per-slice bin aggregates.
 
-Every corpus file of a run is read as blocks of whole lines of about
+Every corpus file of a run is checked before the first block is read, then
+opened only when its turn comes, and read as blocks of whole lines of about
 ``CHUNK_BYTES`` each (``corpus.read_blocks``; a block never spans two
 files). At ``--workers 1`` each block is scanned into the run's one
 ``ScanResult`` in place and dropped before the next is read, so the scan's
 working set is one block plus the aggregates, whatever the corpus size.
-With more workers the parent sends each block to one pool, whose workers
-scan it into a result of its own; those results merge back in submission
-order. Every aggregate field is an exact integer sum, so the final result
-does not depend on the worker count, the block size or how the input is
-split into files. Each block carries its first line number, so the
-recorded skip events keep stream order and name their file and line.
+With more workers (``workers.scan_in_workers``) the parent still cuts and
+numbers every block, but it hands each worker only the spans of the blocks
+it asks for; a worker reads its spans back from the file, scans them all
+into one result of its own and sends that result back once, at the end.
+Every aggregate field is an exact integer sum, so the final result does not
+depend on the worker count, the block size or how the input is split into
+files. Each block carries its file and first line number, so the recorded
+skip events keep stream order and name their file and line.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from contextlib import ExitStack
-from itertools import islice
-from typing import Iterable, NamedTuple
+import os
+from stat import S_ISREG
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from . import _kernel
 from ._kernel import PRONOUN_SHIFT
@@ -146,9 +148,6 @@ class ScanResult:
 
 
 _Chunk = tuple[str, int, list[bytes]]  # (file path, first line number, whole lines)
-# What a pool task carries instead of a block's lines: (file path, first line
-# number, byte offset, line count, byte count).
-_Span = tuple[str, int, int, int, int]
 
 
 # (tense_bins, pronoun_bins) of one result, from _bin_lookups.
@@ -224,32 +223,50 @@ def _scan_chunk(chunk: _Chunk, st: _ScanState, res: ScanResult, lookups: _Lookup
     res.n_records += n_records
 
 
-_POOL_STATE: _ScanState | None = None
+_FileKey = tuple[int, int, int]  # (st_dev, st_ino, st_size) of a corpus file
+# A checked corpus file: its path and the key it had when the run began.
+_Checked = tuple[str, _FileKey]
 
 
-def _init_pool(state: _ScanState) -> None:
-    global _POOL_STATE
-    _POOL_STATE = state
+def _file_key(fh: IO[bytes]) -> _FileKey:
+    st = os.fstat(fh.fileno())
+    if not S_ISREG(st.st_mode):
+        # Blocks are read back by byte offset, and a pipe cannot be reopened.
+        raise CorpusError(f"cannot read corpus: not a regular file: {fh.name}")
+    return st.st_dev, st.st_ino, st.st_size
 
 
-def _pool_scan(span: _Span) -> ScanResult:
-    """Read a block's lines back from its file and scan them into a new result.
+def _changed(path: str, line_no: int) -> CorpusError:
+    return CorpusError(f"corpus changed during the scan: {path} (from line {line_no})")
 
-    Raises CorpusError if the lines read back are not the block the parent
-    cut, as when the file changed during the scan.
+
+def _open_checked(checked: _Checked, line_no: int) -> IO[bytes]:
+    """Open a checked corpus file; CorpusError if it is not the file checked.
+
+    ``line_no`` is the first line the caller is about to read, for the error.
     """
-    assert _POOL_STATE is not None
-    path, first_line_no, offset, n_lines, nbytes = span
-    # Read back by line count: fh.readlines(nbytes) would overshoot, since on
-    # a buffered file it stops at the first line that goes past the hint.
-    with open_corpus_path(path) as fh:
-        fh.seek(offset)
-        lines = list(islice(fh, n_lines))
-    if len(lines) != n_lines or sum(map(len, lines)) != nbytes:
-        raise CorpusError(f"corpus changed during the scan: {path} (from line {first_line_no})")
-    res = ScanResult(_POOL_STATE.families)
-    _scan_chunk((path, first_line_no, lines), _POOL_STATE, res, _bin_lookups(res))
-    return res
+    path, key = checked
+    fh = open_corpus_path(path)
+    try:
+        if _file_key(fh) != key:
+            raise _changed(path, line_no)
+    except CorpusError:
+        fh.close()
+        raise
+    return fh
+
+
+def _blocks(files: list[_Checked]) -> Iterator[tuple[int, int, list[bytes]]]:
+    """Yield (file index, first line number, lines) for every block of the run.
+
+    Each file is opened only when its turn comes and closed after its last
+    block, so one file is open at a time however many there are.
+    """
+    for index, checked in enumerate(files):
+        with _open_checked(checked, 1) as fh:
+            for line_no, lines in read_blocks(fh, CHUNK_BYTES):
+                yield index, line_no, lines
+                del lines
 
 
 def scan_corpus(
@@ -263,9 +280,9 @@ def scan_corpus(
     """Scan one or more corpus files as one stream of posts.
 
     The aggregates do not depend on the worker count or on how the posts
-    are split into files: every field is an exact sum. Partial results
-    merge in stream order, so the recorded skip events keep it; their line
-    numbers count from the start of each file.
+    are split into files: every field is an exact sum. The recorded skip
+    events keep stream order whatever the worker count; their line numbers
+    count from the start of each file.
     """
     families = frozenset(families)
     if workers < 1:
@@ -278,42 +295,26 @@ def scan_corpus(
         tables = load_verb_tables()
     state = _ScanState(fmt=fmt, families=families, table=token_table(lexicon.class_map, tables),
                        miss=0 if tables is None else None)
+
+    # Every path is checked before the first block is read, so a missing or
+    # unreadable later file fails the run before any scanning. Each is
+    # closed again at once: any number of files can be scanned.
+    files = []
+    for path in paths:
+        with open_corpus_path(path) as fh:
+            files.append((path, _file_key(fh)))
+
+    if workers > 1:
+        # Loaded here: a one-worker run never compiles or imports the worker
+        # scan, nor multiprocessing.
+        from .workers import scan_in_workers
+
+        return scan_in_workers(files, state, workers)
+    # Each block is scanned into the run's one result and dropped before
+    # the next is read, so one block is live at a time.
     total = ScanResult(families)
-
-    with ExitStack() as stack:
-        # Every path is opened before the first chunk is read, so a missing
-        # or unreadable later file fails the run before any scanning.
-        files = [(path, stack.enter_context(open_corpus_path(path))) for path in paths]
-
-        if workers == 1:
-            # Each block is scanned into the run's one result and dropped
-            # before the next is read, so one block is live at a time.
-            lookups = _bin_lookups(total)
-            for path, fh in files:
-                for line_no, lines in read_blocks(fh, CHUNK_BYTES):
-                    _scan_chunk((path, line_no, lines), state, total, lookups)
-                    del lines
-            return total
-
-        import multiprocessing
-
-        # One pool for every source, with a bounded sliding window of
-        # in-flight spans merged strictly in submission order; Pool.imap is
-        # avoided because its feeder thread would read the whole corpus
-        # ahead. The parent cuts and numbers the blocks, keeps only their
-        # spans and drops each block's lines before reading the next.
-        with multiprocessing.Pool(workers, initializer=_init_pool, initargs=(state,)) as pool:
-            pending: deque = deque()
-            for path, fh in files:
-                offset = 0
-                for line_no, lines in read_blocks(fh, CHUNK_BYTES):
-                    n_lines, nbytes = len(lines), sum(map(len, lines))
-                    del lines
-                    span = (path, line_no, offset, n_lines, nbytes)
-                    pending.append(pool.apply_async(_pool_scan, (span,)))
-                    offset += nbytes
-                    while len(pending) > 2 * workers:
-                        total.merge_from(pending.popleft().get())
-            while pending:
-                total.merge_from(pending.popleft().get())
+    lookups = _bin_lookups(total)
+    for index, line_no, lines in _blocks(files):
+        _scan_chunk((paths[index], line_no, lines), state, total, lookups)
+        del lines
     return total

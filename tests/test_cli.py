@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -122,6 +123,23 @@ def test_env_overrides(workdir, monkeypatch):
     monkeypatch.setenv("ANXARC_OUT", "envout")
     assert run("analyze-hour") == 0
     assert (workdir / "envout" / "hour.csv").exists()
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("TAU_ANX", "abc", "--tau-anx must be a number, got 'abc'"),
+    ("TAU_CALM", "-", "--tau-calm must be a number, got '-'"),
+    ("ALPHA", "x", "--alpha must be a number, got 'x'"),
+    ("WORKERS", "two", "--workers must be an integer, got 'two'"),
+    ("OUT_FORMAT", "xml", "--out-format must be csv or json"),
+])
+def test_bad_env_values_exit_1(workdir, capsys, monkeypatch, name, value, message):
+    # The flags' own types and choices cannot check values that come
+    # through the environment; the config checks them instead.
+    monkeypatch.setenv("ANXARC_" + name, value)
+    assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
+               "--out", "envout") == 1
+    assert capsys.readouterr().err == f"anxarc: error: {message}\n"
+    assert not (workdir / "envout").exists()
 
 
 def test_flag_beats_env(workdir, monkeypatch):
@@ -312,6 +330,7 @@ def test_corpus_changed_during_a_two_worker_scan_exits_2(workdir, capsys, monkey
     assert err.splitlines() == [
         f"anxarc: data error: corpus changed during the scan: {MINI_CORPUS} (from line 1)"
     ]
+    assert multiprocessing.active_children() == []
 
 
 def test_compare_undersized_slice_names_it(workdir, capsys):

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import itertools
-import multiprocessing.pool
+import multiprocessing
+import multiprocessing.connection
+import os
 import pickle
 import random
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +21,7 @@ from anxarc import pipeline
 from anxarc.corpus import CorpusError
 from anxarc.pipeline import FAMILIES, ScanResult, scan_corpus
 from anxarc.slicer import PRONOUNS, Tense, token_table
+from anxarc.workers import _scan_worker
 
 
 def write_corpus(tmp_path, lines, name="corpus.jsonl"):
@@ -66,7 +73,7 @@ def test_worker_counts_agree_exactly(random_corpus, lexicon, monkeypatch):
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 32768)
     results = [
         scan_corpus(path, lexicon=lexicon, families=FAMILIES, workers=w)
-        for w in (1, 2, 4)
+        for w in (1, 2, 3, 4)
     ]
     base = results[0]
     for other in results[1:]:
@@ -263,6 +270,13 @@ def test_missing_later_corpus_fails_before_any_record_is_read(tmp_path, lexicon,
     assert parsed == []
 
 
+def test_corpus_that_is_not_a_regular_file_is_refused(tmp_path, lexicon):
+    # Blocks are read back by offset, so a device or pipe cannot be a corpus.
+    first = write_corpus(tmp_path, [GOOD_RECORD.decode() % 1])
+    with pytest.raises(CorpusError, match=f"not a regular file: {os.devnull}"):
+        scan_corpus(first, os.devnull, lexicon=lexicon)
+
+
 @pytest.fixture(scope="module")
 def mixed_lines():
     # Well-formed posts with bad zones, empty texts and pronouns, with
@@ -337,6 +351,9 @@ def test_one_worker_scan_holds_one_block(tmp_path, lexicon, tables, monkeypatch)
     # block read ahead. A scan that also held the previous block, or a
     # joined copy, would grow by two bytes or more per block byte.
     path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(5), 16_000))
+    # A first scan pays for one-time imports and caches; without it, the
+    # slope would depend on which test ran first.
+    scan_corpus(path, lexicon=lexicon, families=FAMILIES, tables=tables)
     peaks = {}
     for size in (1 << 18, 1 << 20):
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
@@ -350,29 +367,34 @@ def test_one_worker_scan_holds_one_block(tmp_path, lexicon, tables, monkeypatch)
     assert slope < 1.6, peaks
 
 
-def spy_pool_tasks(monkeypatch) -> list[tuple]:
-    """Record the arguments of every task given to a pool."""
-    tasks = []
-    real = multiprocessing.pool.Pool.apply_async
+def spy_worker_spans(monkeypatch) -> list[tuple]:
+    """Record every span the parent sends to a scan worker."""
+    spans = []
+    real = multiprocessing.connection.Connection.send
 
-    def apply_async(self, func, args=(), *rest, **kw):
-        tasks.append(args)
-        return real(self, func, args, *rest, **kw)
+    def send(self, obj):
+        # The parent answers a request with a span or None (stop); what a
+        # forked worker sends lands in its own copy of the list.
+        if obj is not None:
+            spans.append(obj)
+        return real(self, obj)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", apply_async)
-    return tasks
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", send)
+    return spans
 
 
 @pytest.mark.parametrize("size", [4096, 1 << 20])
 def test_pool_tasks_are_small_spans(random_corpus, lexicon, monkeypatch, size):
-    # A task carries a block's span, not its lines, whatever the block size.
+    # A message to a worker carries a block's span, not its lines, whatever
+    # the block size.
     path, oracle = random_corpus
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
-    tasks = spy_pool_tasks(monkeypatch)
+    spans = spy_worker_spans(monkeypatch)
     res = scan_corpus(path, lexicon=lexicon, families=FAMILIES, workers=2)
     assert_matches_oracle(res, oracle)
-    assert tasks
-    assert max(len(pickle.dumps(args)) for args in tasks) < 1024
+    assert spans
+    assert max(len(pickle.dumps(span)) for span in spans) < 1024
+    assert multiprocessing.active_children() == []
 
 
 def test_block_cut_at_a_line_end_keeps_the_result(tmp_path, lexicon, tables, monkeypatch):
@@ -392,9 +414,8 @@ def test_block_cut_at_a_line_end_keeps_the_result(tmp_path, lexicon, tables, mon
 
     one_block = scan(len(lines) * (width + 1) + 1, 1)
     assert len(one_block[1]) == 13
-    tasks = spy_pool_tasks(monkeypatch)
+    spans = spy_worker_spans(monkeypatch)
     assert scan(4 * (width + 1), 2) == one_block
-    spans = [args[0] for args in tasks]
     # Five-line spans that tile the file: the cut landed on a line end.
     assert [span[3] for span in spans] == [5] * 18
     assert [span[1:3] for span in spans] == [(1 + 5 * k, 5 * k * (width + 1)) for k in range(18)]
@@ -406,6 +427,7 @@ def test_two_worker_scan_parent_holds_one_block(tmp_path, lexicon, tables, monke
     # block per block byte. A parent that kept the blocks in flight, or
     # their pickles, would grow by several bytes per block byte.
     path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(5), 16_000))
+    scan_corpus(path, lexicon=lexicon, families=FAMILIES, tables=tables, workers=2)  # warm-up
     peaks = {}
     for size in (1 << 18, 1 << 20):
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
@@ -419,24 +441,141 @@ def test_two_worker_scan_parent_holds_one_block(tmp_path, lexicon, tables, monke
     assert slope < 1.6, peaks
 
 
-def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon, monkeypatch):
-    # A worker that cannot read its span back as the block the parent cut
-    # raises CorpusError naming the file, which the CLI turns into exit 2.
+def run_worker(files, lexicon, *spans):
+    """Run a scan worker in-process on the given spans; return its reply."""
+    state = pipeline._ScanState(fmt="jsonl", families=frozenset(["hour"]),
+                                table=token_table(lexicon.class_map, None), miss=0)
+    parent, child = multiprocessing.Pipe()
+    try:
+        for span in spans:
+            parent.send(span)
+        parent.send(None)
+        _scan_worker(child, state, files, [])
+        while (reply := parent.recv()) is None:  # a request for the next span
+            pass
+        return reply
+    finally:
+        parent.close()
+        child.close()
+
+
+def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon):
+    # A worker that cannot read its span back as the block the parent cut,
+    # or finds another file than the one checked, replies with a CorpusError
+    # naming the file, which the CLI turns into exit 2.
     data = b"".join(GOOD_RECORD % i + b"\n" for i in range(4))
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(data)
-    monkeypatch.setattr(pipeline, "_POOL_STATE", None)
-    pipeline._init_pool(pipeline._ScanState(fmt="jsonl", families=frozenset(["hour"]),
-                                            table=token_table(lexicon.class_map, None), miss=0))
-    span = (str(path), 1, 0, 4, len(data))
-    assert pipeline._pool_scan(span).n_records == 4
 
-    path.write_bytes(data[: len(data) // 2])  # truncated: the span reads back short
-    with pytest.raises(CorpusError, match="corpus.jsonl"):
-        pipeline._pool_scan(span)
+    def key():
+        with open(path, "rb") as fh:
+            return pipeline._file_key(fh)
+
+    span = (0, 1, 0, 4, len(data))
+    status, res, keys = run_worker([(str(path), key())], lexicon, span)
+    assert status == "ok" and res.n_records == 4 and keys == []
+
+    def assert_fault(files, match):
+        status, exc, _ = run_worker(files, lexicon, span)
+        assert status == "error" and isinstance(exc, CorpusError)
+        assert "corpus.jsonl" in str(exc) and match in str(exc)
+
+    checked = [(str(path), key())]
+    path.write_bytes(data[: len(data) // 2])  # truncated since the check
+    assert_fault(checked, "changed during the scan")
+    assert_fault([(str(path), key())], "changed during the scan")  # span reads back short
     path.write_bytes(data.replace(b"calm000", b"calm0000"))  # same lines, other bytes
-    with pytest.raises(CorpusError, match="corpus.jsonl"):
-        pipeline._pool_scan(span)
+    assert_fault([(str(path), key())], "changed during the scan")
+    other = tmp_path / "other.jsonl"
+    other.write_bytes(data)
+    checked = [(str(path), key())]
+    os.replace(other, path)  # another file of the same size
+    assert_fault(checked, "changed during the scan")
     path.unlink()
-    with pytest.raises(CorpusError, match="corpus.jsonl"):
-        pipeline._pool_scan(span)
+    assert_fault(checked, "cannot read corpus")
+
+
+# Runs the CLI at two workers with every scan worker ending itself by
+# os._exit(1), as an OOM kill would: on its second span, or before its first.
+DEAD_WORKER_RUN = """
+import multiprocessing, os, sys
+sys.path.insert(0, sys.argv[1])
+from anxarc import cli, pipeline
+
+calls = []
+
+def die_on_second_span(*args):
+    calls.append(args)
+    if len(calls) == 2:
+        os._exit(1)
+    return real_scan_chunk(*args)
+
+real_scan_chunk = pipeline._scan_chunk
+pipeline.CHUNK_BYTES = 256
+if sys.argv[2] == "second-span":
+    pipeline._scan_chunk = die_on_second_span
+else:
+    pipeline._bin_lookups = lambda res: os._exit(1)
+code = cli.main(["analyze-hour", "--lexicon", "lexicon.tsv", "--corpus", "corpus.jsonl",
+                 "--workers", "2", "--out", "out"])
+print(code, len(multiprocessing.active_children()))
+"""
+
+
+@pytest.mark.parametrize("when,message", [
+    ("second-span", r"a scan worker died at corpus\.jsonl line \d+"),
+    ("start", "a scan worker died before its first span"),
+])
+def test_dead_worker_exits_2(tmp_path, when, message):
+    (tmp_path / "lexicon.tsv").write_text(util.lexicon_text(), encoding="utf-8")
+    write_corpus(tmp_path, util.random_corpus_lines(random.Random(3), 100))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", DEAD_WORKER_RUN, src, when], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["2", "0"], proc.stderr
+    assert re.fullmatch(f"anxarc: data error: {message}\n", proc.stderr), proc.stderr
+
+
+# Scans the same posts as many files under a lowered open-file limit at one
+# and two workers, and as one file with no limit, each into its own folder.
+MANY_FILES_RUN = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from anxarc import cli
+
+n_files, limit = int(sys.argv[2]), int(sys.argv[3])
+args = ["replicate", "--lexicon", "lexicon.tsv"]
+parts = [f"part{i}.jsonl" for i in range(n_files)]
+codes = [cli.main([*args, "--corpus", "whole.jsonl", "--out", "whole"])]
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+for workers in ("1", "2"):
+    codes.append(cli.main([*args, "--corpus", *parts, "--workers", workers, "--out", "w" + workers]))
+print(*codes)
+"""
+
+
+def test_more_corpus_files_than_open_file_limit(tmp_path):
+    n_files, limit = 60, 40
+    lines = util.random_corpus_lines(random.Random(9), 20 * n_files)
+    (tmp_path / "lexicon.tsv").write_text(util.lexicon_text(), encoding="utf-8")
+    write_corpus(tmp_path, lines, "whole.jsonl")
+    for i in range(n_files):
+        write_corpus(tmp_path, lines[20 * i:20 * (i + 1)], f"part{i}.jsonl")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", MANY_FILES_RUN, src, str(n_files), str(limit)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1].split() == ["0", "0", "0"], proc.stderr
+
+    def reports(folder):
+        # Every report line but the one that names the corpus files.
+        return {
+            path.name: [line for line in path.read_text().splitlines()
+                        if not line.startswith(("# corpus=", '  "corpus"'))]
+            for path in sorted((tmp_path / folder).iterdir())
+        }
+
+    whole = reports("whole")
+    assert whole
+    assert reports("w1") == whole
+    assert reports("w2") == whole
