@@ -293,21 +293,24 @@ def _parse_slice(text: str) -> tuple[str, str]:
     return family, key
 
 
-def _slice_bin(res: ScanResult, family: str, key: str, text: str):
+def _slice_bin(res: ScanResult, text: str):
+    """The bin of a ``family=key`` slice; a key out of range is not in its family's dict."""
+    family, key = _parse_slice(text)
+    bins, key_type = {"hour": (res.hours, int), "weekday": (res.weekdays, int),
+                      "tense": (res.tenses, Tense), "pronoun": (res.pronouns, str)}[family]
     try:
-        return res.get_bin(family, key)
+        return bins[key_type(key)]
     except (KeyError, ValueError):
         raise UsageError(f"no such slice: {text!r}") from None
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    fam_a, key_a = _parse_slice(args.slice_a)
-    fam_b, key_b = _parse_slice(args.slice_b)
+    families = tuple({_parse_slice(text)[0] for text in (args.slice_a, args.slice_b)})
     lexicon = _load_lexicon(cfg)
-    res = _scan(cfg, tuple({fam_a, fam_b}), lexicon)
-    agg_a = _slice_bin(res, fam_a, key_a, args.slice_a)
-    agg_b = _slice_bin(res, fam_b, key_b, args.slice_b)
+    res = _scan(cfg, families, lexicon)
+    agg_a = _slice_bin(res, args.slice_a)
+    agg_b = _slice_bin(res, args.slice_b)
     for label, agg in ((args.slice_a, agg_a), (args.slice_b, agg_b)):
         if agg.totals().n_posts < 2:
             raise DataError(f"slice {label!r} has fewer than 2 scored posts")
@@ -418,10 +421,8 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     # Headline pairwise tests, plus the two baselines.
     rows = []
     for slice_a, slice_b in _REPLICATE_PAIRS:
-        fam_a, key_a = _parse_slice(slice_a)
-        fam_b, key_b = _parse_slice(slice_b)
-        agg_a = _slice_bin(res, fam_a, key_a, slice_a)
-        agg_b = _slice_bin(res, fam_b, key_b, slice_b)
+        agg_a = _slice_bin(res, slice_a)
+        agg_b = _slice_bin(res, slice_b)
         rows.append(_compare_row(slice_a, slice_b, agg_a, agg_b, cfg.alpha))
     rows.append(_compare_row("all", "all_pronoun", res.overall, res.pronoun_overall, cfg.alpha))
     table = Table(

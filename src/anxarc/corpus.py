@@ -45,8 +45,11 @@ class UnknownTimezoneError(ValueError):
 
 
 class SkipEvent(NamedTuple):
-    path: str
+    # The stream position, (file index, line number), leads: events sort in
+    # stream order.
+    file_index: int
     line_no: int
+    path: str
     reason: str
 
 

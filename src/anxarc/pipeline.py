@@ -12,8 +12,9 @@ it asks for; a worker reads its spans back from the file, scans them all
 into one result of its own and sends that result back once, at the end.
 Every aggregate field is an exact integer sum, so the final result does not
 depend on the worker count, the block size or how the input is split into
-files. Each block carries its file and first line number, so the recorded
-skip events keep stream order and name their file and line.
+files. Each skip event carries its stream position (file index, line
+number), and a merge keeps the first ``MAX_RECORDED_SKIPS`` events of the
+union in that order, so results merge to the same events in any order.
 """
 
 from __future__ import annotations
@@ -105,28 +106,6 @@ class ScanResult:
             "n_tz_skips": self.n_tz_skips,
         }
 
-    def get_bin(self, family: str, key: str) -> BinAggregate:
-        """Look up one bin by family name and string key (CLI slice syntax)."""
-        if family == "hour":
-            bins: dict = self.hours
-            parsed: object = int(key)
-            if not 0 <= parsed <= 23:
-                raise KeyError(key)
-        elif family == "weekday":
-            bins = self.weekdays
-            parsed = int(key)
-            if not 0 <= parsed <= 6:
-                raise KeyError(key)
-        elif family == "tense":
-            bins = self.tenses
-            parsed = Tense(key)
-        elif family == "pronoun":
-            bins = self.pronouns
-            parsed = key
-        else:
-            raise KeyError(family)
-        return bins[parsed]
-
     def merge_from(self, other: ScanResult) -> None:
         self.overall.merge_from(other.overall)
         self.pronoun_overall.merge_from(other.pronoun_overall)
@@ -142,12 +121,10 @@ class ScanResult:
         self.n_parse_skips += other.n_parse_skips
         self.n_empty_skips += other.n_empty_skips
         self.n_tz_skips += other.n_tz_skips
-        room = MAX_RECORDED_SKIPS - len(self.skip_events)
-        if room > 0:
-            self.skip_events.extend(other.skip_events[:room])
-
-
-_Chunk = tuple[str, int, list[bytes]]  # (file path, first line number, whole lines)
+        if other.skip_events:
+            # Each result holds the first events of its own stream, so the
+            # first of the union are among them, whatever the merge order.
+            self.skip_events = sorted(self.skip_events + other.skip_events)[:MAX_RECORDED_SKIPS]
 
 
 # (tense_bins, pronoun_bins) of one result, from _bin_lookups.
@@ -173,9 +150,9 @@ def _bin_lookups(res: ScanResult) -> _Lookups:
     return tense_bins, pronoun_bins
 
 
-def _scan_chunk(chunk: _Chunk, st: _ScanState, res: ScanResult, lookups: _Lookups) -> None:
-    """Scan one chunk into ``res`` in place; ``lookups`` is ``_bin_lookups(res)``."""
-    path, first_line_no, lines = chunk
+def _scan_chunk(index: int, path: str, first_line_no: int, lines: list[bytes], st: _ScanState,
+                res: ScanResult, lookups: _Lookups) -> None:
+    """Scan one block of file ``index`` into ``res`` in place; ``lookups`` is ``_bin_lookups(res)``."""
     n_records = 0
     fmt = st.fmt
     table = st.table
@@ -196,7 +173,7 @@ def _scan_chunk(chunk: _Chunk, st: _ScanState, res: ScanResult, lookups: _Lookup
         except ValueError as exc:
             res.n_parse_skips += 1
             if len(res.skip_events) < MAX_RECORDED_SKIPS:
-                res.skip_events.append(SkipEvent(path, line_no, str(exc)))
+                res.skip_events.append(SkipEvent(index, line_no, path, str(exc)))
             continue
 
         n_tok, n_anx, n_calm, flags = score_text(text, table, miss)
@@ -315,6 +292,6 @@ def scan_corpus(
     total = ScanResult(families)
     lookups = _bin_lookups(total)
     for index, line_no, lines in _blocks(files):
-        _scan_chunk((paths[index], line_no, lines), state, total, lookups)
+        _scan_chunk(index, paths[index], line_no, lines, state, total, lookups)
         del lines
     return total

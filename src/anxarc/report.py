@@ -21,9 +21,7 @@ Formatter = Callable[[object], str]
 
 
 def fmt_score(value: object) -> str:
-    """Fixed 6-decimal formatting for scores; empty cell for missing."""
-    if value is None:
-        return ""
+    """Fixed 6-decimal formatting for scores."""
     return f"{value:.6f}"
 
 
@@ -31,8 +29,6 @@ def fmt_p(value: object) -> str:
     """Scientific formatting for p-values (keeps tiny tails visible)."""
     if value is None:
         return ""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
     return f"{value:.6e}"
 
 
@@ -88,18 +84,11 @@ class Table(NamedTuple):
         return json.dumps(payload, ensure_ascii=False, indent=2, default=str,
                           allow_nan=False) + "\n"
 
-    def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "json":
-            return self.to_json()
-        raise ValueError(f"unknown output format {fmt!r}")
-
     def write(self, directory: str, fmt: str) -> str:
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"{self.name}.{fmt}")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.render(fmt))
+            fh.write(self.to_json() if fmt == "json" else self.to_csv())
         return path
 
 

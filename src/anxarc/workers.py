@@ -9,9 +9,12 @@ end; the parent merges the N results. The protocol on each pipe:
 
 * worker -> parent: ``None``, a request for the next span;
 * parent -> worker: a span, or ``None`` to stop;
-* worker -> parent, last: ``("ok", result, keys)``, or
-  ``("error", exception, None)`` if a span could not be read back or
-  scanned; the parent raises that exception.
+* worker -> parent, last: ``("ok", result)``, or ``("error", exception)``
+  if a span could not be read back or scanned; the parent raises that
+  exception.
+
+Results are merged as they arrive: ``ScanResult.merge_from`` gives the
+same result, skip events included, in any order.
 
 The parent blocks only in ``wait`` on the pipes and sends one small
 message per request, so neither side can wait on the other forever, and a
@@ -24,7 +27,6 @@ import multiprocessing
 from itertools import islice
 from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
-from operator import itemgetter
 from typing import Iterator
 
 from . import pipeline
@@ -53,9 +55,8 @@ def _scan_worker(conn: Connection, state: pipeline._ScanState, files: list[pipel
 
     Each span's lines are read back from the file by line count and checked
     against the byte total of the block the parent cut. Spans come in
-    stream order, so the worker holds one file open at a time. In the
-    ``("ok", result, keys)`` reply, ``keys[i]`` is the (file index, line
-    number) of ``result.skip_events[i]``.
+    stream order, so the worker holds one file open at a time, and its
+    result records the first skip events of its own spans.
 
     ``parent_ends`` are the parent's ends of the pipes made so far, which
     the fork copied; the worker closes them, so that its ``recv`` reads EOF
@@ -65,7 +66,6 @@ def _scan_worker(conn: Connection, state: pipeline._ScanState, files: list[pipel
         end.close()
     res = pipeline.ScanResult(state.families)
     lookups = pipeline._bin_lookups(res)
-    keys: list[tuple[int, int]] = []
     open_index, fh = -1, None
     try:
         while True:
@@ -87,13 +87,11 @@ def _scan_worker(conn: Connection, state: pipeline._ScanState, files: list[pipel
             lines = list(islice(fh, n_lines))
             if len(lines) != n_lines or sum(map(len, lines)) != nbytes:
                 raise pipeline._changed(path, first_line_no)
-            n_events = len(res.skip_events)
-            pipeline._scan_chunk((path, first_line_no, lines), state, res, lookups)
+            pipeline._scan_chunk(index, path, first_line_no, lines, state, res, lookups)
             del lines
-            keys += [(index, event.line_no) for event in res.skip_events[n_events:]]
-        reply = ("ok", res, keys)
+        reply = ("ok", res)
     except Exception as exc:  # sent to the parent, which raises it
-        reply = ("error", exc, None)
+        reply = ("error", exc)
     finally:
         if fh is not None:
             fh.close()
@@ -117,7 +115,7 @@ def scan_in_workers(files: list[pipeline._Checked], state: pipeline._ScanState,
     spans = _spans(files)
     procs: dict[Connection, BaseProcess] = {}
     last: dict[Connection, _Span] = {}
-    replies = []
+    total = pipeline.ScanResult(state.families)
     try:
         for _ in range(workers):
             conn, child_conn = ctx.Pipe()
@@ -146,10 +144,10 @@ def scan_in_workers(files: list[pipeline._Checked], state: pipeline._ScanState,
                         last[conn] = span
                         span = next(spans, None)
                     continue
-                status, value, keys = msg
+                status, value = msg
                 if status == "error":
                     raise value
-                replies.append((value, keys))
+                total.merge_from(value)
                 live.remove(conn)
     finally:
         for proc in procs.values():
@@ -157,14 +155,4 @@ def scan_in_workers(files: list[pipeline._Checked], state: pipeline._ScanState,
         for conn, proc in procs.items():
             proc.join()
             conn.close()
-
-    total = pipeline.ScanResult(state.families)
-    events = []
-    for res, keys in replies:
-        total.merge_from(res)
-        events += zip(keys, res.skip_events)
-    # Each worker recorded its first events in stream order, so the run's
-    # first MAX_RECORDED_SKIPS are the first of their union.
-    events.sort(key=itemgetter(0))
-    total.skip_events = [event for _, event in events[:pipeline.MAX_RECORDED_SKIPS]]
     return total

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -131,6 +132,7 @@ def test_env_overrides(workdir, monkeypatch):
     ("ALPHA", "x", "--alpha must be a number, got 'x'"),
     ("WORKERS", "two", "--workers must be an integer, got 'two'"),
     ("OUT_FORMAT", "xml", "--out-format must be csv or json"),
+    ("FORMAT", "xml", "--format must be one of ('jsonl', 'tsv')"),
 ])
 def test_bad_env_values_exit_1(workdir, capsys, monkeypatch, name, value, message):
     # The flags' own types and choices cannot check values that come
@@ -150,7 +152,7 @@ def test_flag_beats_env(workdir, monkeypatch):
     assert not (workdir / "envout").exists()
 
 
-def test_exit_code_usage_errors(workdir):
+def test_exit_code_usage_errors(workdir, capsys):
     assert run("analyze-hour", "--corpus", MINI_CORPUS) == 1  # no lexicon
     assert run("analyze-hour", "--lexicon", MINI_LEX) == 1  # no corpus
     assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
@@ -162,8 +164,43 @@ def test_exit_code_usage_errors(workdir):
     assert run("bogus-command") == 1
     assert run("compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
                "--slice-a", "hour8", "--slice-b", "hour=9") == 1
-    assert run("compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
-               "--slice-a", "pronoun=us", "--slice-b", "pronoun=i") == 1
+    # A key out of range, of the wrong type or not in the family is no bin.
+    for bad in ("pronoun=us", "hour=24", "hour=eight", "tense=pluperfect"):
+        capsys.readouterr()
+        assert run("compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
+                   "--slice-a", bad, "--slice-b", "pronoun=i") == 1
+        assert capsys.readouterr().err == f"anxarc: error: no such slice: {bad!r}\n"
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_compare_slices_are_the_report_bins(workdir):
+    # Each slice of compare is the bin that the analysis report shows for
+    # it: the same post count and macro score.
+    with open("corpus.jsonl", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(util.random_corpus_lines(random.Random(8), 400)) + "\n")
+    common = ["--lexicon", MINI_LEX, "--corpus", "corpus.jsonl"]
+    assert run("replicate", *common, "--out", "rep") == 0
+    cells = {}
+    for name in ("hour", "weekday", "tense", "pronoun"):
+        header, *rows = _csv_rows(workdir / "rep" / f"{name}.csv")
+        for row in rows:
+            cell = dict(zip(header, row))
+            cells[f"{name}={row[0]}"] = (cell["n_posts"], cell["macro_score"])
+    # (slice a, its report row, slice b, its report row) of each compare run.
+    for slice_a, row_a, slice_b, row_b in (
+        ("hour=8", "hour=8", "weekday=0", "weekday=0"),
+        ("tense=past", "tense=past", "pronoun=i", "pronoun=i"),
+        ("weekday=mon", "weekday=0", "hour=08", "hour=8"),
+    ):
+        assert run("compare", *common, "--slice-a", slice_a, "--slice-b", slice_b,
+                   "--out", "cmp") == 0
+        header, row = _csv_rows(workdir / "cmp" / "compare.csv")
+        cell = dict(zip(header, row))
+        assert (cell["n_a"], cell["mean_a"]) == cells[row_a]
+        assert (cell["n_b"], cell["mean_b"]) == cells[row_b]
 
 
 def test_exit_code_data_errors(workdir):
@@ -389,6 +426,74 @@ def test_lexicon_stats_output(workdir, capsys):
     assert "anxiety: 4" in out
     assert "calm: 4" in out
     assert "neutral: 4" in out
+
+
+LEXICON_STATS_CSV = """\
+# generator=anxarc
+# version=0.1.0
+# micro_score=100*(anxiety_tokens-calm_tokens)/tokens, pooled per bin
+# macro_score=mean of per-post scores in the bin
+# tense_precedence=past>future>present
+# lexicon=mini_lexicon.tsv
+# tau_anx=1.0
+# tau_calm=-1.0
+class,count,fraction
+anxiety,4,0.333333
+calm,4,0.333333
+neutral,4,0.333333
+total,12,1.000000
+"""
+
+LEXICON_STATS_JSON = """\
+{
+  "meta": {
+    "generator": "anxarc",
+    "version": "0.1.0",
+    "micro_score": "100*(anxiety_tokens-calm_tokens)/tokens, pooled per bin",
+    "macro_score": "mean of per-post scores in the bin",
+    "tense_precedence": "past>future>present",
+    "lexicon": "mini_lexicon.tsv",
+    "tau_anx": 1.0,
+    "tau_calm": -1.0
+  },
+  "columns": [
+    "class",
+    "count",
+    "fraction"
+  ],
+  "rows": [
+    {
+      "class": "anxiety",
+      "count": 4,
+      "fraction": 0.3333333333333333
+    },
+    {
+      "class": "calm",
+      "count": 4,
+      "fraction": 0.3333333333333333
+    },
+    {
+      "class": "neutral",
+      "count": 4,
+      "fraction": 0.3333333333333333
+    },
+    {
+      "class": "total",
+      "count": 12,
+      "fraction": 1.0
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("fmt,expected", [("csv", LEXICON_STATS_CSV), ("json", LEXICON_STATS_JSON)],
+                         ids=["csv", "json"])
+def test_lexicon_stats_table_bytes(workdir, capsys, fmt, expected):
+    assert run("lexicon-stats", "--lexicon", MINI_LEX, "--out", "stats", "--out-format", fmt) == 0
+    path = os.path.join("stats", f"lexicon_stats.{fmt}")
+    assert capsys.readouterr().out.endswith(f"wrote {path}\n")
+    assert (workdir / path).read_bytes() == expected.encode()
 
 
 def _write_arc_spec(path: Path, **overrides) -> dict:
@@ -670,6 +775,24 @@ def test_arc_spec_faults_exit_1(synth_env, capsys, text):
         err = capsys.readouterr().err
         assert_one_error_line(code, err, 1)
         assert err.startswith("anxarc: config error: ")
+
+
+def test_eval_arc_of_two_corpus_files_exits_1(synth_env, capsys):
+    code = run("eval-arc", "--lexicon", "lex.tsv", "--arc-spec", "arc.json",
+               "--corpus", "a.jsonl", "b.jsonl", "--out", "reports")
+    assert code == 1
+    assert capsys.readouterr().err == "anxarc: error: eval-arc takes exactly one --corpus file\n"
+    assert not (synth_env / "reports").exists()
+
+
+def test_arc_spec_with_too_few_per_bin_values_exits_1(synth_env, capsys):
+    _write_arc_spec(synth_env / "short.json", p_anx=[0.2] * 23)
+    code = run("synth", "--lexicon", "lex.tsv", "--arc-spec", "short.json",
+               "--out-corpus", "x.jsonl")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "anxarc: config error: expected 24 per-bin values, got 23\n")
+    assert not (synth_env / "x.jsonl").exists()
 
 
 def test_eval_arc_of_a_flat_arc_exits_2(synth_env, capsys):

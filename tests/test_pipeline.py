@@ -21,7 +21,7 @@ from anxarc import pipeline
 from anxarc.corpus import CorpusError
 from anxarc.pipeline import FAMILIES, ScanResult, scan_corpus
 from anxarc.slicer import PRONOUNS, Tense, token_table
-from anxarc.workers import _scan_worker
+from anxarc.workers import _scan_worker, _spans
 
 
 def write_corpus(tmp_path, lines, name="corpus.jsonl"):
@@ -314,23 +314,6 @@ def test_splitting_into_files_keeps_the_result(tmp_path_factory, lexicon, tables
     check()
 
 
-def test_get_bin_lookup(random_corpus, lexicon):
-    path, _ = random_corpus
-    res = scan_corpus(path, lexicon=lexicon, families=FAMILIES)
-    assert res.get_bin("hour", "8") is res.hours[8]
-    assert res.get_bin("weekday", "0") is res.weekdays[0]
-    assert res.get_bin("tense", "past") is res.tenses[Tense.PAST]
-    assert res.get_bin("pronoun", "i") is res.pronouns["i"]
-    with pytest.raises(KeyError):
-        res.get_bin("hour", "24")
-    with pytest.raises(ValueError):
-        res.get_bin("hour", "eight")
-    with pytest.raises(ValueError):
-        res.get_bin("tense", "pluperfect")
-    with pytest.raises(KeyError):
-        res.get_bin("pronoun", "us")
-
-
 def test_unknown_family_rejected(lexicon):
     with pytest.raises(ValueError):
         ScanResult(("hour", "minute"))
@@ -441,10 +424,14 @@ def test_two_worker_scan_parent_holds_one_block(tmp_path, lexicon, tables, monke
     assert slope < 1.6, peaks
 
 
-def run_worker(files, lexicon, *spans):
-    """Run a scan worker in-process on the given spans; return its reply."""
-    state = pipeline._ScanState(fmt="jsonl", families=frozenset(["hour"]),
-                                table=token_table(lexicon.class_map, None), miss=0)
+def run_worker(files, lexicon, *spans, state=None):
+    """Run a scan worker in-process on the given spans; return its reply.
+
+    ``state`` defaults to an hour-only scan of JSONL with ``lexicon``.
+    """
+    if state is None:
+        state = pipeline._ScanState(fmt="jsonl", families=frozenset(["hour"]),
+                                    table=token_table(lexicon.class_map, None), miss=0)
     parent, child = multiprocessing.Pipe()
     try:
         for span in spans:
@@ -472,11 +459,11 @@ def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon):
             return pipeline._file_key(fh)
 
     span = (0, 1, 0, 4, len(data))
-    status, res, keys = run_worker([(str(path), key())], lexicon, span)
-    assert status == "ok" and res.n_records == 4 and keys == []
+    status, res = run_worker([(str(path), key())], lexicon, span)
+    assert status == "ok" and res.n_records == 4 and res.skip_events == []
 
     def assert_fault(files, match):
-        status, exc, _ = run_worker(files, lexicon, span)
+        status, exc = run_worker(files, lexicon, span)
         assert status == "error" and isinstance(exc, CorpusError)
         assert "corpus.jsonl" in str(exc) and match in str(exc)
 
@@ -493,6 +480,38 @@ def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon):
     assert_fault(checked, "changed during the scan")
     path.unlink()
     assert_fault(checked, "cannot read corpus")
+
+
+def test_worker_results_merge_alike_in_any_order(tmp_path, lexicon, tables, monkeypatch):
+    # Three workers' results of one three-file scan, each over every third
+    # span, merge to the one-worker result in every order: aggregates and
+    # the first MAX_RECORDED_SKIPS skip events of the union, by stream
+    # position, whichever result comes first.
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 2048)
+    lines = util.random_corpus_lines(random.Random(11), 450, bad_tz_rate=0.05)
+    for i in range(0, len(lines), 5):
+        lines[i] = "not json %d" % i
+    paths = [write_corpus(tmp_path, lines[k::3], f"part{k}.jsonl") for k in range(3)]
+    files = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            files.append((path, pipeline._file_key(fh)))
+    state = pipeline._ScanState(fmt="jsonl", families=frozenset(FAMILIES),
+                                table=token_table(lexicon.class_map, tables), miss=None)
+    spans = list(_spans(files))
+    results = []
+    for k in range(3):
+        status, res = run_worker(files, lexicon, *spans[k::3], state=state)
+        assert status == "ok" and res.skip_events
+        results.append(res)
+    whole = scan_corpus(*paths, lexicon=lexicon, families=FAMILIES, tables=tables)
+    assert whole.n_parse_skips > pipeline.MAX_RECORDED_SKIPS
+    for order in itertools.permutations(results):
+        merged = ScanResult(FAMILIES)
+        for res in order:
+            merged.merge_from(res)
+        assert util.result_state(merged) == util.result_state(whole)
+        assert merged.skip_events == whole.skip_events
 
 
 # Runs the CLI at two workers with every scan worker ending itself by
