@@ -1,8 +1,12 @@
 """Command-line surface: analysis commands, significance tests, synth harness.
 
 Exit codes are a stable contract: 0 success, 1 usage/configuration error,
-2 data error. Every flag has an environment-variable override with the
-``ANXARC_`` prefix (``--tau-anx`` -> ``ANXARC_TAU_ANX``); explicit flags win.
+2 data error. Every option of the command being run can also be set by an
+environment variable: ``--tau-anx`` by ``ANXARC_TAU_ANX``. A set variable is
+read as that command's own ``--flag=value`` placed before the command line's
+flags, so argparse types, checks and defaults both alike, a bad value is
+reported as the flag would be, and the command line wins. An empty variable
+counts as unset; ``ANXARC_CORPUS`` names one file.
 The ``synth`` module is imported only by the ``synth`` and ``eval-arc``
 commands, so the start-up of every other run does not pay for it.
 """
@@ -13,7 +17,6 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from typing import NamedTuple
 
 from . import __version__
 from .corpus import FORMATS, CorpusError
@@ -53,122 +56,39 @@ class DataError(Exception):
     """Bad input data; exits with code 2."""
 
 
-class RunConfig(NamedTuple):
-    lexicon_path: str
-    corpus_paths: list[str]
-    corpus_format: str
-    tau_anx: float
-    tau_calm: float
-    verb_tables_dir: str | None
-    alpha: float
-    out_dir: str
-    out_format: str
-    workers: int
-
-    def validate(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise UsageError(f"--alpha must be in (0, 1), got {self.alpha}")
-        if self.workers < 1:
-            raise UsageError(f"--workers must be >= 1, got {self.workers}")
-        if not (self.tau_calm < 0.0 < self.tau_anx):
-            raise UsageError(
-                f"thresholds must satisfy --tau-calm < 0 < --tau-anx, "
-                f"got ({self.tau_anx}, {self.tau_calm})"
-            )
-        if self.corpus_format not in FORMATS:
-            raise UsageError(f"--format must be one of {FORMATS}")
-        if self.out_format not in ("csv", "json"):
-            raise UsageError("--out-format must be csv or json")
+def _check(args: argparse.Namespace) -> None:
+    """The range checks that the flags' types and choices cannot make."""
+    if "alpha" in args and not (0.0 < args.alpha < 1.0):
+        raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
+    if "workers" in args and args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    if not (args.tau_calm < 0.0 < args.tau_anx):
+        raise UsageError(
+            f"thresholds must satisfy --tau-calm < 0 < --tau-anx, "
+            f"got ({args.tau_anx}, {args.tau_calm})"
+        )
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
+def _load_lexicon(args: argparse.Namespace) -> Lexicon:
+    return load_lexicon(args.lexicon, (args.tau_anx, args.tau_calm))
 
 
-def _float_arg(value, name: str, fallback: float) -> float:
-    if value is None:
-        return fallback
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name} must be a number, got {value!r}") from None
-
-
-def _int_arg(value, name: str, fallback: int) -> int:
-    if value is None:
-        return fallback
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _first_set(*values):
-    # Flag > environment > default; 0 and 0.0 are legitimate flag values,
-    # so this must not use `or`.
-    for v in values:
-        if v is not None:
-            return v
-    return None
-
-
-def _build_config(args: argparse.Namespace, need_corpus: bool = True) -> RunConfig:
-    lexicon_path = _first_set(args.lexicon, _env("LEXICON"))
-    if not lexicon_path:
-        raise UsageError("--lexicon is required (or set ANXARC_LEXICON)")
-    corpus_paths = list(getattr(args, "corpus", None) or [])
-    if not corpus_paths and _env("CORPUS"):
-        corpus_paths = [_env("CORPUS")]
-    if need_corpus and not corpus_paths:
-        raise UsageError("--corpus is required (or set ANXARC_CORPUS)")
-    cfg = RunConfig(
-        lexicon_path=lexicon_path,
-        corpus_paths=corpus_paths,
-        corpus_format=_first_set(getattr(args, "format", None), _env("FORMAT"), "jsonl"),
-        tau_anx=_float_arg(_first_set(args.tau_anx, _env("TAU_ANX")),
-                           "--tau-anx", DEFAULT_TAU_ANX),
-        tau_calm=_float_arg(_first_set(args.tau_calm, _env("TAU_CALM")),
-                            "--tau-calm", DEFAULT_TAU_CALM),
-        verb_tables_dir=_first_set(getattr(args, "verb_tables", None), _env("VERB_TABLES")),
-        alpha=_float_arg(_first_set(getattr(args, "alpha", None), _env("ALPHA")),
-                         "--alpha", DEFAULT_ALPHA),
-        out_dir=_first_set(getattr(args, "out", None), _env("OUT"), "."),
-        out_format=_first_set(getattr(args, "out_format", None), _env("OUT_FORMAT"), "csv"),
-        workers=_int_arg(_first_set(getattr(args, "workers", None), _env("WORKERS")),
-                         "--workers", 1),
-    )
-    cfg.validate()
-    return cfg
-
-
-def _load_lexicon(cfg: RunConfig) -> Lexicon:
-    return load_lexicon(cfg.lexicon_path, (cfg.tau_anx, cfg.tau_calm))
-
-
-def _scan(cfg: RunConfig, families: tuple[str, ...], lexicon: Lexicon) -> ScanResult:
-    tables = None
-    if "tense" in families:
-        tables = load_verb_tables(cfg.verb_tables_dir)
-    res = scan_corpus(
-        *cfg.corpus_paths,
-        lexicon=lexicon,
-        families=families,
-        fmt=cfg.corpus_format,
-        tables=tables,
-        workers=cfg.workers,
-    )
+def _scan(args: argparse.Namespace, families: tuple[str, ...], lexicon: Lexicon) -> ScanResult:
+    tables = load_verb_tables(args.verb_tables) if "tense" in families else None
+    res = scan_corpus(*args.corpus, lexicon=lexicon, families=families, fmt=args.format,
+                      tables=tables, workers=args.workers)
     if not res.overall.hist:
         raise DataError("zero scoreable posts in the corpus")
     return res
 
 
-def _scan_meta(cfg: RunConfig, res: ScanResult, **extra: object) -> dict[str, object]:
+def _scan_meta(args: argparse.Namespace, res: ScanResult, **extra: object) -> dict[str, object]:
     meta = base_meta(
-        lexicon=cfg.lexicon_path,
-        corpus=";".join(cfg.corpus_paths),
-        corpus_format=cfg.corpus_format,
-        tau_anx=cfg.tau_anx,
-        tau_calm=cfg.tau_calm,
+        lexicon=args.lexicon,
+        corpus=";".join(args.corpus),
+        corpus_format=args.format,
+        tau_anx=args.tau_anx,
+        tau_calm=args.tau_calm,
         **extra,
     )
     meta.update(res.skip_counts())
@@ -181,35 +101,33 @@ def _agg_cells(agg) -> list[object]:
     return [*totals, totals.micro_score, agg.macro_score]
 
 
-def _write(table: Table, cfg: RunConfig) -> str:
-    path = table.write(cfg.out_dir, cfg.out_format)
-    print(f"wrote {path}")
-    return path
+def _write(table: Table, args: argparse.Namespace) -> None:
+    print(f"wrote {table.write(args.out, args.out_format)}")
 
 
-def _hour_table(cfg: RunConfig, res: ScanResult) -> Table:
+def _hour_table(args: argparse.Namespace, res: ScanResult) -> Table:
     rows = [[h, *_agg_cells(res.hours[h])] for h in range(24)]
     rows.append(["all", *_agg_cells(res.overall)])
     return Table(
         name="hour",
-        meta=_scan_meta(cfg, res),
+        meta=_scan_meta(args, res),
         columns=["hour", *_TIME_COLUMNS],
         rows=rows,
     )
 
 
-def _weekday_table(cfg: RunConfig, res: ScanResult) -> Table:
+def _weekday_table(args: argparse.Namespace, res: ScanResult) -> Table:
     rows = [[d, WEEKDAY_LABELS[d], *_agg_cells(res.weekdays[d])] for d in range(7)]
     rows.append(["all", "all", *_agg_cells(res.overall)])
     return Table(
         name="weekday",
-        meta=_scan_meta(cfg, res),
+        meta=_scan_meta(args, res),
         columns=["weekday", "label", *_TIME_COLUMNS],
         rows=rows,
     )
 
 
-def _tense_table(cfg: RunConfig, res: ScanResult) -> Table:
+def _tense_table(args: argparse.Namespace, res: ScanResult) -> Table:
     verb_tenses = (Tense.PAST, Tense.PRESENT, Tense.FUTURE)
     verb_cells = [_agg_cells(res.tenses[t]) for t in verb_tenses]
     verb_posts = sum(cells[0] for cells in verb_cells)
@@ -222,9 +140,9 @@ def _tense_table(cfg: RunConfig, res: ScanResult) -> Table:
     return Table(
         name="tense",
         meta=_scan_meta(
-            cfg,
+            args,
             res,
-            verb_tables=cfg.verb_tables_dir or "bundled",
+            verb_tables=args.verb_tables or "bundled",
             pct_denominator="verb-bearing posts (past+present+future)",
         ),
         columns=["tense", "pct_verb_posts", *_TIME_COLUMNS],
@@ -232,7 +150,7 @@ def _tense_table(cfg: RunConfig, res: ScanResult) -> Table:
     )
 
 
-def _pronoun_table(cfg: RunConfig, res: ScanResult) -> Table:
+def _pronoun_table(args: argparse.Namespace, res: ScanResult) -> Table:
     overall_cells = _agg_cells(res.pronoun_overall)
     n_pronoun_posts = overall_cells[0]
     rows = []
@@ -245,7 +163,7 @@ def _pronoun_table(cfg: RunConfig, res: ScanResult) -> Table:
     return Table(
         name="pronoun",
         meta=_scan_meta(
-            cfg,
+            args,
             res,
             pronoun_keys=",".join(PRONOUNS),
             pct_denominator="posts containing at least one pronoun key",
@@ -256,28 +174,16 @@ def _pronoun_table(cfg: RunConfig, res: ScanResult) -> Table:
     )
 
 
-def _analyze(args: argparse.Namespace, family: str, build) -> int:
-    cfg = _build_config(args)
-    lexicon = _load_lexicon(cfg)
-    res = _scan(cfg, (family,), lexicon)
-    _write(build(cfg, res), cfg)
+# Each slice family and the builder of its table, in report order.
+_TABLES = {"hour": _hour_table, "weekday": _weekday_table, "tense": _tense_table,
+           "pronoun": _pronoun_table}
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    lexicon = _load_lexicon(args)
+    res = _scan(args, (args.family,), lexicon)
+    _write(_TABLES[args.family](args, res), args)
     return EXIT_OK
-
-
-def cmd_analyze_hour(args: argparse.Namespace) -> int:
-    return _analyze(args, "hour", _hour_table)
-
-
-def cmd_analyze_weekday(args: argparse.Namespace) -> int:
-    return _analyze(args, "weekday", _weekday_table)
-
-
-def cmd_analyze_tense(args: argparse.Namespace) -> int:
-    return _analyze(args, "tense", _tense_table)
-
-
-def cmd_analyze_pronoun(args: argparse.Namespace) -> int:
-    return _analyze(args, "pronoun", _pronoun_table)
 
 
 def _parse_slice(text: str) -> tuple[str, str]:
@@ -305,24 +211,27 @@ def _slice_bin(res: ScanResult, text: str):
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    families = tuple({_parse_slice(text)[0] for text in (args.slice_a, args.slice_b)})
-    lexicon = _load_lexicon(cfg)
-    res = _scan(cfg, families, lexicon)
+    slices = (args.slice_a, args.slice_b)
+    families = tuple({_parse_slice(text)[0] for text in slices})
+    # A key that names no bin is a usage error before any post is read.
+    for text in slices:
+        _slice_bin(ScanResult(families), text)
+    lexicon = _load_lexicon(args)
+    res = _scan(args, families, lexicon)
     agg_a = _slice_bin(res, args.slice_a)
     agg_b = _slice_bin(res, args.slice_b)
     for label, agg in ((args.slice_a, agg_a), (args.slice_b, agg_b)):
         if agg.totals().n_posts < 2:
             raise DataError(f"slice {label!r} has fewer than 2 scored posts")
-    row = _compare_row(args.slice_a, args.slice_b, agg_a, agg_b, cfg.alpha)
+    row = _compare_row(args.slice_a, args.slice_b, agg_a, agg_b, args.alpha)
     table = Table(
         name="compare",
-        meta=_scan_meta(cfg, res, test=_COMPARE_TEST),
+        meta=_scan_meta(args, res, test=_COMPARE_TEST),
         columns=_COMPARE_COLUMNS,
         rows=[row],
         csv_formats=_COMPARE_FORMATS,
     )
-    _write(table, cfg)
+    _write(table, args)
     cell = dict(zip(_COMPARE_COLUMNS, row))
     verdict = "significant" if cell["significant"] else "not significant"
     print(
@@ -348,33 +257,30 @@ def _synth():
 def cmd_synth(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    cfg = _build_config(args, need_corpus=False)
     with _synth() as synth:
         spec = synth.ArcSpec.from_json(args.arc_spec)
-        seed = args.seed if args.seed is not None else _env("SEED")
-        if seed is not None:
-            spec = replace(spec, seed=_int_arg(seed, "--seed", spec.seed))
-        lexicon = _load_lexicon(cfg)
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
+        lexicon = _load_lexicon(args)
         n = synth.generate_file(spec, lexicon, args.out_corpus)
     print(f"wrote {n} posts to {args.out_corpus} (axis={spec.axis}, seed={spec.seed})")
     return EXIT_OK
 
 
 def cmd_eval_arc(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
     with _synth() as synth:
         spec = synth.ArcSpec.from_json(args.arc_spec)
-        lexicon = _load_lexicon(cfg)
-        if len(cfg.corpus_paths) != 1:
+        lexicon = _load_lexicon(args)
+        if len(args.corpus) != 1:
             raise UsageError("eval-arc takes exactly one --corpus file")
-        report = synth.evaluate_arc(cfg.corpus_paths[0], lexicon, spec, workers=cfg.workers)
+        report = synth.evaluate_arc(args.corpus[0], lexicon, spec, workers=args.workers)
     table = Table(
         name="arc",
         meta=base_meta(
-            lexicon=cfg.lexicon_path,
-            corpus=cfg.corpus_paths[0],
-            tau_anx=cfg.tau_anx,
-            tau_calm=cfg.tau_calm,
+            lexicon=args.lexicon,
+            corpus=args.corpus[0],
+            tau_anx=args.tau_anx,
+            tau_calm=args.tau_calm,
             axis=report.axis,
             arc_spec=args.arc_spec,
             pearson_r=report.pearson_r,
@@ -388,9 +294,9 @@ def cmd_eval_arc(args: argparse.Namespace) -> int:
     )
     # The arc report proper is JSON; a plot-ready CSV is emitted alongside
     # when CSV output was requested.
-    path = table.write(cfg.out_dir, "json")
-    if cfg.out_format == "csv":
-        table.write(cfg.out_dir, "csv")
+    path = table.write(args.out, "json")
+    if args.out_format == "csv":
+        table.write(args.out, "csv")
     print(f"wrote {path}")
     print(f"pearson_r={report.pearson_r!r} spearman_r={report.spearman_r!r}")
     return EXIT_OK
@@ -410,29 +316,28 @@ _REPLICATE_PAIRS = [
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    lexicon = _load_lexicon(cfg)
-    res = _scan(cfg, FAMILIES, lexicon)
+    lexicon = _load_lexicon(args)
+    res = _scan(args, FAMILIES, lexicon)
 
     # The four headline tables from a single scan.
-    for build in (_hour_table, _weekday_table, _tense_table, _pronoun_table):
-        _write(build(cfg, res), cfg)
+    for build in _TABLES.values():
+        _write(build(args, res), args)
 
     # Headline pairwise tests, plus the two baselines.
     rows = []
     for slice_a, slice_b in _REPLICATE_PAIRS:
         agg_a = _slice_bin(res, slice_a)
         agg_b = _slice_bin(res, slice_b)
-        rows.append(_compare_row(slice_a, slice_b, agg_a, agg_b, cfg.alpha))
-    rows.append(_compare_row("all", "all_pronoun", res.overall, res.pronoun_overall, cfg.alpha))
+        rows.append(_compare_row(slice_a, slice_b, agg_a, agg_b, args.alpha))
+    rows.append(_compare_row("all", "all_pronoun", res.overall, res.pronoun_overall, args.alpha))
     table = Table(
         name="comparisons",
-        meta=_scan_meta(cfg, res, test=_COMPARE_TEST),
+        meta=_scan_meta(args, res, test=_COMPARE_TEST),
         columns=_COMPARE_COLUMNS,
         rows=rows,
         csv_formats=_COMPARE_FORMATS,
     )
-    _write(table, cfg)
+    _write(table, args)
     print("replication tables written; see docs/replication.md for the expected shapes")
     return EXIT_OK
 
@@ -448,8 +353,7 @@ def _compare_row(label_a: str, label_b: str, agg_a, agg_b, alpha: float) -> list
 
 
 def cmd_lexicon_stats(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, need_corpus=False)
-    lexicon = _load_lexicon(cfg)
+    lexicon = _load_lexicon(args)
     stats = lexicon_stats(lexicon)
     print(f"terms: {stats.total}")
     for name, count in (
@@ -458,10 +362,10 @@ def cmd_lexicon_stats(args: argparse.Namespace) -> int:
         ("neutral", stats.n_neutral),
     ):
         print(f"{name}: {count} ({100.0 * count / stats.total:.2f}%)")
-    if getattr(args, "out", None):
+    if args.out:
         table = Table(
             name="lexicon_stats",
-            meta=base_meta(lexicon=cfg.lexicon_path, tau_anx=cfg.tau_anx, tau_calm=cfg.tau_calm),
+            meta=base_meta(lexicon=args.lexicon, tau_anx=args.tau_anx, tau_calm=args.tau_calm),
             columns=["class", "count", "fraction"],
             rows=[
                 ["anxiety", stats.n_anxiety, stats.n_anxiety / stats.total],
@@ -470,7 +374,7 @@ def cmd_lexicon_stats(args: argparse.Namespace) -> int:
                 ["total", stats.total, 1.0],
             ],
         )
-        _write(table, cfg)
+        _write(table, args)
     return EXIT_OK
 
 
@@ -485,42 +389,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="anxarc",
         description="Lexicon-based anxiety scoring and temporal arc analysis of post streams.",
-        epilog="Every flag can be set via an ANXARC_* environment variable "
-               "(e.g. ANXARC_LEXICON); explicit flags win.",
+        epilog="Every option of a command can be set by an ANXARC_* environment variable "
+               "(--tau-anx by ANXARC_TAU_ANX); an empty one is unset, and the command line wins.",
     )
     parser.add_argument("--version", action="version", version=f"anxarc {__version__}")
 
     lex = _Parser(add_help=False)
-    lex.add_argument("--lexicon", help="path to the term<TAB>association lexicon TSV")
-    lex.add_argument("--tau-anx", type=float, default=None,
+    lex.add_argument("--lexicon", required=True, help="path to the term<TAB>association lexicon TSV")
+    lex.add_argument("--tau-anx", type=float, default=DEFAULT_TAU_ANX,
                      help=f"anxiety threshold (> 0, default {DEFAULT_TAU_ANX})")
-    lex.add_argument("--tau-calm", type=float, default=None,
+    lex.add_argument("--tau-calm", type=float, default=DEFAULT_TAU_CALM,
                      help=f"calmness threshold (< 0, default {DEFAULT_TAU_CALM})")
 
     corp = _Parser(add_help=False)
-    corp.add_argument("--corpus", nargs="+", help="corpus file(s)")
-    corp.add_argument("--format", choices=FORMATS, default=None, help="corpus format")
+    corp.add_argument("--corpus", nargs="+", required=True, help="corpus file(s)")
+    corp.add_argument("--format", choices=FORMATS, default="jsonl", help="corpus format")
 
     out = _Parser(add_help=False)
-    out.add_argument("--out", help="output directory (default: current directory)")
-    out.add_argument("--out-format", choices=("csv", "json"), default=None)
+    out.add_argument("--out", default=".", help="output directory (default: current directory)")
+    out.add_argument("--out-format", choices=("csv", "json"), default="csv")
 
     scan = _Parser(add_help=False)
-    scan.add_argument("--workers", type=int, default=None, help="worker processes (default 1)")
+    scan.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     scan.add_argument("--verb-tables", help="directory overriding the bundled verb tables")
-    scan.add_argument("--alpha", type=float, default=None,
+    scan.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                       help=f"significance level (default {DEFAULT_ALPHA})")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, help_text in (
-        ("analyze-hour", cmd_analyze_hour, "per-hour anxiety scores (24 bins + overall)"),
-        ("analyze-weekday", cmd_analyze_weekday, "per-weekday anxiety scores (Monday-first)"),
-        ("analyze-tense", cmd_analyze_tense, "tense distribution and per-tense scores"),
-        ("analyze-pronoun", cmd_analyze_pronoun, "per-pronoun scores and baselines"),
+    for family, help_text in (
+        ("hour", "per-hour anxiety scores (24 bins + overall)"),
+        ("weekday", "per-weekday anxiety scores (Monday-first)"),
+        ("tense", "tense distribution and per-tense scores"),
+        ("pronoun", "per-pronoun scores and baselines"),
     ):
-        p = sub.add_parser(name, parents=[lex, corp, out, scan], help=help_text)
-        p.set_defaults(func=fn)
+        p = sub.add_parser(f"analyze-{family}", parents=[lex, corp, out, scan], help=help_text)
+        p.set_defaults(func=cmd_analyze, family=family)
 
     p = sub.add_parser("compare", parents=[lex, corp, out, scan],
                        help="Welch t-test between two slices")
@@ -544,20 +448,49 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit all four analysis tables plus headline comparisons")
     p.set_defaults(func=cmd_replicate)
 
-    p = sub.add_parser("lexicon-stats", parents=[lex, out],
+    # Its own --out, without a default: the table is written only when asked
+    # for. (set_defaults would change the default of the shared --out too.)
+    p = sub.add_parser("lexicon-stats", parents=[lex],
                        help="lexicon size and class proportions")
+    p.add_argument("--out", help="write the class table to this directory")
+    p.add_argument("--out-format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_lexicon_stats)
 
     return parser
 
 
+def _env_argv(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with each set ``ANXARC_<FLAG>`` of its command put in as ``--flag=value``.
+
+    The flags are the options of the command's own parser, so each of them,
+    and no other, can be set. They go right after the command name, before
+    the command line's own flags, which therefore win; the ``=`` keeps a
+    value such as ``-1.5`` from being read as an option.
+    """
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices.get(argv[0]) if argv else None
+    if command is None:  # no command, or --version/--help: nothing to set
+        return argv
+    env = []
+    for action in command._actions:
+        if action.nargs == 0:  # -h
+            continue
+        flag = action.option_strings[-1]
+        value = os.environ.get(ENV_PREFIX + flag[2:].upper().replace("-", "_"))
+        if value:
+            env.append(f"{flag}={value}")
+    return [argv[0], *env, *argv[1:]]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_env_argv(parser, argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check(args)
         return args.func(args)
     except UsageError as exc:
         print(f"anxarc: error: {exc}", file=sys.stderr)

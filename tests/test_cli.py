@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+from multiprocessing.context import ForkProcess
 import os
 import random
 import shutil
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import util
-from anxarc import pipeline
+from anxarc import cli, pipeline
 from anxarc.cli import main
 from anxarc.lexicon import LexiconError, lexicon_stats, load_lexicon
 from anxarc.slicer import VerbTableError, load_verb_tables
@@ -83,10 +84,26 @@ def test_reruns_are_byte_identical(workdir):
     assert a == b
 
 
-def test_worker_count_does_not_change_bytes(workdir):
+def test_worker_count_does_not_change_bytes(workdir, monkeypatch):
     base = analyze("hour", workdir, out="w1").read_bytes()
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)  # blocks enough for four workers
     multi = analyze("hour", workdir, "--workers", "4", out="w4").read_bytes()
     assert base == multi
+
+
+def test_no_more_workers_than_blocks(workdir, monkeypatch, fixtures_dir):
+    # The mini corpus is one block, which one worker scans.
+    started = []
+    real_start = ForkProcess.start
+
+    def start(proc):
+        started.append(proc)
+        real_start(proc)
+
+    monkeypatch.setattr(ForkProcess, "start", start)
+    got = analyze("hour", workdir, "--workers", "3").read_bytes()
+    assert len(started) == 1
+    assert got == (fixtures_dir / "golden" / "hour.csv").read_bytes()
 
 
 def test_tsv_corpus_roundtrip(workdir):
@@ -126,30 +143,118 @@ def test_env_overrides(workdir, monkeypatch):
     assert (workdir / "envout" / "hour.csv").exists()
 
 
-@pytest.mark.parametrize("name,value,message", [
-    ("TAU_ANX", "abc", "--tau-anx must be a number, got 'abc'"),
-    ("TAU_CALM", "-", "--tau-calm must be a number, got '-'"),
-    ("ALPHA", "x", "--alpha must be a number, got 'x'"),
-    ("WORKERS", "two", "--workers must be an integer, got 'two'"),
-    ("OUT_FORMAT", "xml", "--out-format must be csv or json"),
-    ("FORMAT", "xml", "--format must be one of ('jsonl', 'tsv')"),
+@pytest.mark.parametrize("name,value", [
+    ("TAU_ANX", "abc"), ("TAU_CALM", "-"), ("ALPHA", "x"), ("WORKERS", "two"),
+    ("OUT_FORMAT", "xml"), ("FORMAT", "xml"),
 ])
-def test_bad_env_values_exit_1(workdir, capsys, monkeypatch, name, value, message):
-    # The flags' own types and choices cannot check values that come
-    # through the environment; the config checks them instead.
+def test_bad_env_values_exit_1(workdir, capsys, monkeypatch, name, value):
+    # A bad variable is reported exactly as the same bad flag: argparse's
+    # usage line and its message, exit 1, and nothing written.
+    argv = ["analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS, "--out", "envout"]
+    flag = "--" + name.lower().replace("_", "-")
+    assert run(*argv, f"{flag}={value}") == 1
+    by_flag = capsys.readouterr().err
+    assert by_flag.startswith("usage: anxarc analyze-hour ")
+    assert by_flag.splitlines()[-1].startswith(
+        f"anxarc analyze-hour: error: argument {flag}: invalid ")
+    assert repr(value) in by_flag.splitlines()[-1]
     monkeypatch.setenv("ANXARC_" + name, value)
-    assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
-               "--out", "envout") == 1
-    assert capsys.readouterr().err == f"anxarc: error: {message}\n"
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == by_flag
     assert not (workdir / "envout").exists()
 
 
-def test_flag_beats_env(workdir, monkeypatch):
+# Values for the options of the property below: a few that parse and a few
+# that do not, and any text that an environment variable can hold (no NUL,
+# no lone surrogate). An empty variable is unset, so values are not empty.
+# The keys are in the order of the command's options, which is the order in
+# which the variables are read.
+_env_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                    min_size=1, max_size=6)
+_env_options = {
+    "TAU_ANX": st.one_of(st.sampled_from(["1.0", "2.5", "0", "-1", "nan", "inf", " 3 "]), _env_text),
+    "TAU_CALM": st.one_of(st.sampled_from(["-1.0", "-1.5", "-0", "1", "-inf", "-1e308"]), _env_text),
+    "FORMAT": st.one_of(st.sampled_from(["jsonl", "tsv", "JSONL", "xml"]), _env_text),
+    "OUT_FORMAT": st.one_of(st.sampled_from(["csv", "json", "xml"]), _env_text),
+    # Fixed values only: no run may ask for more than 3 workers.
+    "WORKERS": st.sampled_from(["0", "1", "2", "-1", "two"]),
+    "ALPHA": st.one_of(st.sampled_from(["0.05", "0.5", "0", "1", "2.0", "1e-9", "nan"]), _env_text),
+}
+
+
+@given(st.fixed_dictionaries({}, optional=_env_options))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_env_values_read_as_their_flags(workdir, capsys, env_values):
+    # The same options set by variables and by --flag=value give the same
+    # exit code, the same stderr and the same report bytes.
+    argv = ["analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS]
+    flags = [f"--{name.lower().replace('_', '-')}={env_values[name]}"
+             for name in _env_options if name in env_values]
+    outcomes = []
+    for out, env, extra in (("byflag", {}, flags), ("byenv", env_values, [])):
+        shutil.rmtree(workdir / out, ignore_errors=True)
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in env.items():
+                mp.setenv("ANXARC_" + name, value)
+            code = run(*argv, "--out", out, *extra)
+        reports = sorted((workdir / out).iterdir()) if (workdir / out).exists() else []
+        outcomes.append((code, capsys.readouterr().err,
+                         [(path.name, path.read_bytes()) for path in reports]))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_env_sets_every_option_of_its_command(workdir, capsys, monkeypatch, fixtures_dir):
+    golden = fixtures_dir / "golden"
+    # compare reads both slices from the environment.
+    monkeypatch.setenv("ANXARC_SLICE_A", "tense=past")
+    monkeypatch.setenv("ANXARC_SLICE_B", "tense=future")
+    assert run("compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS, "--out", "cmp") == 0
+    assert (workdir / "cmp" / "compare.csv").read_bytes() == (golden / "compare.csv").read_bytes()
+    # lexicon-stats writes its table when ANXARC_OUT names a directory.
+    monkeypatch.setenv("ANXARC_OUT", "stats")
+    assert run("lexicon-stats", "--lexicon", MINI_LEX) == 0
+    assert (workdir / "stats" / "lexicon_stats.csv").read_text() == LEXICON_STATS_CSV
+    # An empty variable is unset: the defaults hold.
+    for name in ("OUT", "TAU_ANX", "OUT_FORMAT", "WORKERS", "LEXICON"):
+        monkeypatch.setenv("ANXARC_" + name, "")
+    assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS) == 0
+    assert (workdir / "hour.csv").read_bytes() == (golden / "hour.csv").read_bytes()
+    # A negative value after the = is a value, not an option.
+    monkeypatch.setenv("ANXARC_TAU_CALM", "-1.5")
+    assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS, "--out", "env") == 0
+    monkeypatch.delenv("ANXARC_TAU_CALM")
+    assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS, "--out", "flag",
+               "--tau-calm", "-1.5") == 0
+    by_env = (workdir / "env" / "hour.csv").read_bytes()
+    assert b"# tau_calm=-1.5\n" in by_env
+    assert by_env == (workdir / "flag" / "hour.csv").read_bytes()
+
+
+def test_env_for_an_option_the_command_lacks_is_ignored(synth_env, capsys, monkeypatch):
+    # synth has no --workers (nor --format, --alpha): those variables are
+    # not read, even when they hold no valid value.
+    for name in ("WORKERS", "FORMAT", "ALPHA"):
+        monkeypatch.setenv("ANXARC_" + name, "two")
+    assert run("synth", "--lexicon", "lex.tsv", "--arc-spec", "arc.json",
+               "--out-corpus", "corpus.jsonl") == 0
+    assert capsys.readouterr().err == ""
+    assert (synth_env / "corpus.jsonl").exists()
+
+
+def test_flag_beats_env(workdir, monkeypatch, fixtures_dir):
     monkeypatch.setenv("ANXARC_OUT", "envout")
+    monkeypatch.setenv("ANXARC_TAU_ANX", "2.5")
+    monkeypatch.setenv("ANXARC_CORPUS", "missing.jsonl")
     assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
-               "--out", "flagout") == 0
-    assert (workdir / "flagout" / "hour.csv").exists()
+               "--out", "flagout", "--tau-anx", "1.0") == 0
+    got = (workdir / "flagout" / "hour.csv").read_bytes()
+    assert got == (fixtures_dir / "golden" / "hour.csv").read_bytes()
     assert not (workdir / "envout").exists()
+    # A bad variable is still an error, as the same flag given twice is.
+    monkeypatch.setenv("ANXARC_TAU_ANX", "abc")
+    assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
+               "--out", "flagout", "--tau-anx", "1.0") == 1
 
 
 def test_exit_code_usage_errors(workdir, capsys):
@@ -170,6 +275,18 @@ def test_exit_code_usage_errors(workdir, capsys):
         assert run("compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
                    "--slice-a", bad, "--slice-b", "pronoun=i") == 1
         assert capsys.readouterr().err == f"anxarc: error: no such slice: {bad!r}\n"
+
+
+def test_compare_checks_slice_keys_before_the_scan(workdir, capsys, monkeypatch):
+    # A key that names no bin is a usage error before any corpus is read.
+    def no_scan(*paths, **kwargs):
+        raise AssertionError("the corpus was scanned")
+
+    monkeypatch.setattr(cli, "scan_corpus", no_scan)
+    for corpus in ("missing.jsonl", MINI_CORPUS):
+        assert run("compare", "--lexicon", MINI_LEX, "--corpus", corpus,
+                   "--slice-a", "hour=24", "--slice-b", "hour=8") == 1
+        assert capsys.readouterr().err == "anxarc: error: no such slice: 'hour=24'\n"
 
 
 def _csv_rows(path: Path) -> list[list[str]]:
@@ -213,7 +330,8 @@ def test_exit_code_data_errors(workdir):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_invalid_utf8_is_counted_not_fatal(workdir, workers):
+def test_invalid_utf8_is_counted_not_fatal(workdir, workers, monkeypatch):
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)  # blocks enough for two workers
     lines = (workdir / MINI_CORPUS).read_bytes().splitlines()
     lines.insert(1, b'{"id":"x","text":"\xff\xfe"}')
     (workdir / "bad_utf8.jsonl").write_bytes(b"\n".join(lines) + b"\n")
@@ -258,7 +376,8 @@ _corpus_lines = st.lists(
 
 
 @pytest.mark.parametrize("workers,examples", [("1", 150), ("2", 10)])
-def test_no_corpus_bytes_exit_1(workdir, capsys, workers, examples):
+def test_no_corpus_bytes_exit_1(workdir, capsys, monkeypatch, workers, examples):
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)  # blocks enough for two workers
     @given(_corpus_lines)
     @settings(max_examples=examples, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -296,7 +415,8 @@ _tsv_files = st.lists(
 
 
 @pytest.mark.parametrize("workers,examples", [("1", 150), ("2", 10)])
-def test_fuzzed_tsv_corpus_exits_as_documented(workdir, capsys, workers, examples):
+def test_fuzzed_tsv_corpus_exits_as_documented(workdir, capsys, monkeypatch, workers, examples):
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)  # blocks enough for two workers
     @given(_tsv_files)
     @settings(max_examples=examples, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -320,7 +440,8 @@ def test_fuzzed_tsv_corpus_exits_as_documented(workdir, capsys, workers, example
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_deeply_nested_json_is_a_parse_skip(workdir, capsys, workers):
+def test_deeply_nested_json_is_a_parse_skip(workdir, capsys, workers, monkeypatch):
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)  # blocks enough for two workers
     lines = (workdir / MINI_CORPUS).read_text().splitlines()
     lines.insert(2, "[" * 100_000 + "]" * 100_000)
     lines.insert(4, '{"id": ' + "[" * 100_000 + "]" * 100_000 + "}")
