@@ -21,9 +21,9 @@ from contextlib import contextmanager
 from . import __version__
 from .corpus import FORMATS, CorpusError
 from .lexicon import DEFAULT_TAU_ANX, DEFAULT_TAU_CALM, Lexicon, LexiconError, lexicon_stats, load_lexicon
-from .pipeline import FAMILIES, ScanResult, scan_corpus
+from .pipeline import FAMILIES, FAMILY_KEYS, ScanResult, scan_corpus
 from .report import Table, base_meta, fmt_p, fmt_stat
-from .slicer import PRONOUNS, Tense, VerbTableError, load_verb_tables
+from .slicer import Tense, VerbTableError, load_verb_tables
 from .stats import DEFAULT_ALPHA, ConstantInputError, InsufficientSampleError, welch_t
 
 EXIT_OK = 0
@@ -91,7 +91,7 @@ def _scan_meta(args: argparse.Namespace, res: ScanResult, **extra: object) -> di
         tau_calm=args.tau_calm,
         **extra,
     )
-    meta.update(res.skip_counts())
+    meta.update(res.counts)
     return meta
 
 
@@ -106,7 +106,7 @@ def _write(table: Table, args: argparse.Namespace) -> None:
 
 
 def _hour_table(args: argparse.Namespace, res: ScanResult) -> Table:
-    rows = [[h, *_agg_cells(res.hours[h])] for h in range(24)]
+    rows = [[h, *_agg_cells(agg)] for h, agg in res.bins["hour"].items()]
     rows.append(["all", *_agg_cells(res.overall)])
     return Table(
         name="hour",
@@ -117,7 +117,7 @@ def _hour_table(args: argparse.Namespace, res: ScanResult) -> Table:
 
 
 def _weekday_table(args: argparse.Namespace, res: ScanResult) -> Table:
-    rows = [[d, WEEKDAY_LABELS[d], *_agg_cells(res.weekdays[d])] for d in range(7)]
+    rows = [[d, WEEKDAY_LABELS[d], *_agg_cells(agg)] for d, agg in res.bins["weekday"].items()]
     rows.append(["all", "all", *_agg_cells(res.overall)])
     return Table(
         name="weekday",
@@ -128,14 +128,12 @@ def _weekday_table(args: argparse.Namespace, res: ScanResult) -> Table:
 
 
 def _tense_table(args: argparse.Namespace, res: ScanResult) -> Table:
-    verb_tenses = (Tense.PAST, Tense.PRESENT, Tense.FUTURE)
-    verb_cells = [_agg_cells(res.tenses[t]) for t in verb_tenses]
-    verb_posts = sum(cells[0] for cells in verb_cells)
+    cells = {tense: _agg_cells(agg) for tense, agg in res.bins["tense"].items()}
+    verb_posts = sum(c[0] for tense, c in cells.items() if tense is not Tense.NO_VERB)
     rows = []
-    for tense, cells in zip(verb_tenses, verb_cells):
-        pct = 100.0 * cells[0] / verb_posts if verb_posts else None
-        rows.append([tense.value, pct, *cells])
-    rows.append([Tense.NO_VERB.value, None, *_agg_cells(res.tenses[Tense.NO_VERB])])
+    for tense, c in cells.items():
+        pct = 100.0 * c[0] / verb_posts if verb_posts and tense is not Tense.NO_VERB else None
+        rows.append([tense.value, pct, *c])
     rows.append(["all", None, *_agg_cells(res.overall)])
     return Table(
         name="tense",
@@ -154,8 +152,8 @@ def _pronoun_table(args: argparse.Namespace, res: ScanResult) -> Table:
     overall_cells = _agg_cells(res.pronoun_overall)
     n_pronoun_posts = overall_cells[0]
     rows = []
-    for pron in PRONOUNS:
-        cells = _agg_cells(res.pronouns[pron])
+    for pron, agg in res.bins["pronoun"].items():
+        cells = _agg_cells(agg)
         pct = 100.0 * cells[0] / n_pronoun_posts if n_pronoun_posts else None
         rows.append([pron, pct, *cells])
     rows.append(["all_pronoun", None, *overall_cells])
@@ -165,7 +163,7 @@ def _pronoun_table(args: argparse.Namespace, res: ScanResult) -> Table:
         meta=_scan_meta(
             args,
             res,
-            pronoun_keys=",".join(PRONOUNS),
+            pronoun_keys=",".join(res.bins["pronoun"]),
             pct_denominator="posts containing at least one pronoun key",
             multi_pronoun_rule="a post with k distinct pronouns counts in all k bins",
         ),
@@ -186,40 +184,33 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_slice(text: str) -> tuple[str, str]:
+def _slice_key(text: str) -> tuple[str, object]:
+    """The family and typed bin key of a ``family=key`` slice, checked against ``FAMILY_KEYS``."""
     family, sep, key = text.partition("=")
     family = family.strip().lower()
     key = key.strip().lower()
     if not sep or not key:
         raise UsageError(f"slice must look like family=key (e.g. hour=8), got {text!r}")
-    if family not in FAMILIES:
+    if family not in FAMILY_KEYS:
         raise UsageError(f"unknown slice family {family!r}; choose from {FAMILIES}")
     if family == "weekday" and key in WEEKDAY_LABELS:
         key = str(WEEKDAY_LABELS.index(key))
-    return family, key
-
-
-def _slice_bin(res: ScanResult, text: str):
-    """The bin of a ``family=key`` slice; a key out of range is not in its family's dict."""
-    family, key = _parse_slice(text)
-    bins, key_type = {"hour": (res.hours, int), "weekday": (res.weekdays, int),
-                      "tense": (res.tenses, Tense), "pronoun": (res.pronouns, str)}[family]
+    keys = FAMILY_KEYS[family]
     try:
-        return bins[key_type(key)]
-    except (KeyError, ValueError):
-        raise UsageError(f"no such slice: {text!r}") from None
+        typed = type(keys[0])(key)  # int, Tense or str
+    except ValueError:
+        typed = None
+    if typed not in keys:
+        raise UsageError(f"no such slice: {text!r}")
+    return family, typed
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    slices = (args.slice_a, args.slice_b)
-    families = tuple({_parse_slice(text)[0] for text in slices})
-    # A key that names no bin is a usage error before any post is read.
-    for text in slices:
-        _slice_bin(ScanResult(families), text)
+    # A slice that names no bin is a usage error before any post is read.
+    slices = [_slice_key(text) for text in (args.slice_a, args.slice_b)]
     lexicon = _load_lexicon(args)
-    res = _scan(args, families, lexicon)
-    agg_a = _slice_bin(res, args.slice_a)
-    agg_b = _slice_bin(res, args.slice_b)
+    res = _scan(args, tuple({family for family, _ in slices}), lexicon)
+    agg_a, agg_b = (res.bins[family][key] for family, key in slices)
     for label, agg in ((args.slice_a, agg_a), (args.slice_b, agg_b)):
         if agg.totals().n_posts < 2:
             raise DataError(f"slice {label!r} has fewer than 2 scored posts")
@@ -268,11 +259,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_arc(args: argparse.Namespace) -> int:
+    if len(args.corpus) != 1:
+        raise UsageError("eval-arc takes exactly one --corpus file")
     with _synth() as synth:
         spec = synth.ArcSpec.from_json(args.arc_spec)
         lexicon = _load_lexicon(args)
-        if len(args.corpus) != 1:
-            raise UsageError("eval-arc takes exactly one --corpus file")
         report = synth.evaluate_arc(args.corpus[0], lexicon, spec, workers=args.workers)
     table = Table(
         name="arc",
@@ -326,8 +317,8 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     # Headline pairwise tests, plus the two baselines.
     rows = []
     for slice_a, slice_b in _REPLICATE_PAIRS:
-        agg_a = _slice_bin(res, slice_a)
-        agg_b = _slice_bin(res, slice_b)
+        agg_a, agg_b = (res.bins[family][key]
+                        for family, key in map(_slice_key, (slice_a, slice_b)))
         rows.append(_compare_row(slice_a, slice_b, agg_a, agg_b, args.alpha))
     rows.append(_compare_row("all", "all_pronoun", res.overall, res.pronoun_overall, args.alpha))
     table = Table(

@@ -1,5 +1,9 @@
 """Corpus scan: stream posts, score them, and fill per-slice bin aggregates.
 
+The slice families and the keys of their bins are named once, in
+``FAMILY_KEYS``; a ``ScanResult`` holds one bin per key of each requested
+family (``bins[family][key]``) and its counters in one dict (``counts``).
+
 Every corpus file of a run is checked before the first block is read, then
 opened only when its turn comes, and read as blocks of whole lines of about
 ``CHUNK_BYTES`` each (``corpus.read_blocks``; a block never spans two
@@ -10,7 +14,7 @@ With more workers (``workers.scan_in_workers``) the parent still cuts and
 numbers every block, but it hands each worker only the spans of the blocks
 it asks for; a worker reads its spans back from the file, scans them all
 into one result of its own and sends that result back once, at the end.
-Every aggregate field is an exact integer sum, so the final result does not
+Every bin and counter is an exact integer sum, so the final result does not
 depend on the worker count, the block size or how the input is split into
 files. Each skip event carries its stream position (file index, line
 number), and a merge keeps the first ``MAX_RECORDED_SKIPS`` events of the
@@ -48,7 +52,14 @@ from .slicer import (
     token_table,
 )
 
-FAMILIES = ("hour", "weekday", "tense", "pronoun")
+# Each slice family and its bin keys, in report order.
+FAMILY_KEYS: dict[str, tuple] = {
+    "hour": tuple(range(24)),
+    "weekday": tuple(range(7)),
+    "tense": tuple(Tense),
+    "pronoun": PRONOUNS,
+}
+FAMILIES = tuple(FAMILY_KEYS)
 
 # Bytes per block, up to the end of the line that reaches it; the scan holds
 # one block at a time at one worker. Results do not depend on it: aggregates
@@ -71,56 +82,37 @@ class _ScanState(NamedTuple):
 
 
 class ScanResult:
-    """Aggregates for one scan: overall bin plus the requested slice families."""
+    """Aggregates for one scan: the overall bins, the requested families' bins, the counters.
+
+    ``bins[family][key]`` is a slice's bin, for each requested family and
+    each key of it in ``FAMILY_KEYS``. ``counts`` holds the records read and
+    the three kinds of skip, in the order of the report's meta keys.
+    """
 
     def __init__(self, families: Iterable[str]):
-        self.families = frozenset(families)
-        unknown = self.families.difference(FAMILIES)
+        families = frozenset(families)
+        unknown = families.difference(FAMILY_KEYS)
         if unknown:
             raise ValueError(f"unknown slice families: {sorted(unknown)}")
         self.overall = BinAggregate()
-        self.hours: dict[int, BinAggregate] = {}
-        self.weekdays: dict[int, BinAggregate] = {}
-        self.tenses: dict[Tense, BinAggregate] = {}
-        self.pronouns: dict[str, BinAggregate] = {}
         self.pronoun_overall = BinAggregate()
-        if "hour" in self.families:
-            self.hours = {h: BinAggregate() for h in range(24)}
-        if "weekday" in self.families:
-            self.weekdays = {d: BinAggregate() for d in range(7)}
-        if "tense" in self.families:
-            self.tenses = {t: BinAggregate() for t in Tense}
-        if "pronoun" in self.families:
-            self.pronouns = {p: BinAggregate() for p in PRONOUNS}
-        self.n_records = 0
-        self.n_parse_skips = 0
-        self.n_empty_skips = 0
-        self.n_tz_skips = 0
-        self.skip_events: list[SkipEvent] = []
-
-    def skip_counts(self) -> dict[str, int]:
-        return {
-            "n_records": self.n_records,
-            "n_parse_skips": self.n_parse_skips,
-            "n_empty_skips": self.n_empty_skips,
-            "n_tz_skips": self.n_tz_skips,
+        self.bins: dict[str, dict[object, BinAggregate]] = {
+            family: {key: BinAggregate() for key in keys}
+            for family, keys in FAMILY_KEYS.items() if family in families
         }
+        self.counts: dict[str, int] = dict.fromkeys(
+            ("n_records", "n_parse_skips", "n_empty_skips", "n_tz_skips"), 0)
+        self.skip_events: list[SkipEvent] = []
 
     def merge_from(self, other: ScanResult) -> None:
         self.overall.merge_from(other.overall)
         self.pronoun_overall.merge_from(other.pronoun_overall)
-        for key, agg in other.hours.items():
-            self.hours[key].merge_from(agg)
-        for key, agg in other.weekdays.items():
-            self.weekdays[key].merge_from(agg)
-        for tense, agg in other.tenses.items():
-            self.tenses[tense].merge_from(agg)
-        for pron, agg in other.pronouns.items():
-            self.pronouns[pron].merge_from(agg)
-        self.n_records += other.n_records
-        self.n_parse_skips += other.n_parse_skips
-        self.n_empty_skips += other.n_empty_skips
-        self.n_tz_skips += other.n_tz_skips
+        for family, bins in other.bins.items():
+            mine = self.bins[family]
+            for key, agg in bins.items():
+                mine[key].merge_from(agg)
+        for name, n in other.counts.items():
+            self.counts[name] += n
         if other.skip_events:
             # Each result holds the first events of its own stream, so the
             # first of the union are among them, whatever the merge order.
@@ -138,13 +130,14 @@ def _bin_lookups(res: ScanResult) -> _Lookups:
     pronoun bins by the flags from PRONOUN_SHIFT up; either is None when
     the result has no such family.
     """
-    tense_bins = None
-    if res.tenses:
-        tense_bins = tuple(res.tenses[tense_of(f)] for f in range(1 << PRONOUN_SHIFT))
-    pronoun_bins = None
-    if res.pronouns:
+    tense_bins = pronoun_bins = None
+    tenses = res.bins.get("tense")
+    if tenses:
+        tense_bins = tuple(tenses[tense_of(f)] for f in range(1 << PRONOUN_SHIFT))
+    pronouns = res.bins.get("pronoun")
+    if pronouns:
         pronoun_bins = tuple(
-            (res.pronoun_overall, *(res.pronouns[k] for k in keys)) if keys else ()
+            (res.pronoun_overall, *(pronouns[k] for k in keys)) if keys else ()
             for keys in PRONOUN_KEYS_BY_BITS
         )
     return tense_bins, pronoun_bins
@@ -160,8 +153,9 @@ def _scan_chunk(index: int, path: str, first_line_no: int, lines: list[bytes], s
     score_text = _kernel.score_text
     update = BinAggregate.update_counts
     overall = res.overall
-    hours = res.hours
-    weekdays = res.weekdays
+    counts = res.counts
+    hours = res.bins.get("hour")
+    weekdays = res.bins.get("weekday")
     need_time = bool(hours or weekdays)
     tense_bins, pronoun_bins = lookups
     low_bits = (1 << PRONOUN_SHIFT) - 1
@@ -171,14 +165,14 @@ def _scan_chunk(index: int, path: str, first_line_no: int, lines: list[bytes], s
         try:
             text, stamp, zone = parse_record(line, fmt)
         except ValueError as exc:
-            res.n_parse_skips += 1
+            counts["n_parse_skips"] += 1
             if len(res.skip_events) < MAX_RECORDED_SKIPS:
                 res.skip_events.append(SkipEvent(index, line_no, path, str(exc)))
             continue
 
         n_tok, n_anx, n_calm, flags = score_text(text, table, miss)
         if n_tok == 0:
-            res.n_empty_skips += 1
+            counts["n_empty_skips"] += 1
             continue
 
         bins = [overall]
@@ -186,7 +180,7 @@ def _scan_chunk(index: int, path: str, first_line_no: int, lines: list[bytes], s
             try:
                 hour, weekday = localize(stamp, zone)
             except UnknownTimezoneError:
-                res.n_tz_skips += 1
+                counts["n_tz_skips"] += 1
             else:
                 if hours:
                     bins.append(hours[hour])
@@ -197,7 +191,7 @@ def _scan_chunk(index: int, path: str, first_line_no: int, lines: list[bytes], s
         if pronoun_bins is not None:
             bins += pronoun_bins[flags >> PRONOUN_SHIFT]
         update(bins, n_tok, n_anx, n_calm)
-    res.n_records += n_records
+    counts["n_records"] += n_records
 
 
 _FileKey = tuple[int, int, int]  # (st_dev, st_ino, st_size) of a corpus file

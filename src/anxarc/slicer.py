@@ -5,13 +5,14 @@ bundled tables of irregular/base verb forms plus suffix rules, no POS
 tagger. Tables are user-replaceable via a directory of plain-text files
 (``irregular_past.txt``, ``irregular_base.txt``, ``ed_stoplist.txt``).
 
-A scan does not call ``classify_tense`` and ``pronoun_keys`` per post: they
-are the reference rules. ``token_table`` folds them, with the lexicon's
-class map, into one word -> bits dict, once per scan, and
-``anxarc._kernel.score_text`` ORs the bits of a post's tokens in the same
-pass that tokenizes the post and counts its lexicon classes. ``tense_of``
-turns those flags into the label ``classify_tense`` gives, and
-``PRONOUN_KEYS_BY_BITS`` into the keys ``pronoun_keys`` gives.
+A scan does not call ``classify_tense`` per post: it is the reference
+rule. ``token_table`` folds the per-word tense rules and the pronoun keys,
+with the lexicon's class map, into one word -> bits dict, once per scan,
+and ``anxarc._kernel.score_text`` ORs the bits of a post's tokens in the
+same pass that tokenizes the post and counts its lexicon classes.
+``tense_of`` turns those flags into the label ``classify_tense`` gives, and
+``PRONOUN_KEYS_BY_BITS`` into the post's pronoun keys: the distinct
+``PRONOUNS`` among its tokens.
 
 The table's keys are the class-map terms and every word that a set rule
 names: irregular past and base forms, base+``s`` and base+``es``, the
@@ -42,7 +43,6 @@ class Tense(enum.Enum):
 # The fixed pronoun key set. "us" is deliberately absent: in lower-cased
 # corpora it is indistinguishable from the country abbreviation.
 PRONOUNS: tuple[str, ...] = ("i", "me", "you", "he", "him", "she", "her", "we", "they", "them")
-_PRONOUN_SET = frozenset(PRONOUNS)
 
 AUX_PRESENT = frozenset({"is", "are", "am", "do", "does", "have", "has", "can", "may", "must"})
 AUX_PAST = frozenset({"was", "were", "did", "had", "could", "might"})
@@ -150,14 +150,6 @@ def classify_tense(tokens: list[str], tables: VerbTables) -> Tense:
             return Tense.FUTURE
         return Tense.PRESENT
     return Tense.NO_VERB
-
-
-def pronoun_keys(tokens: Iterable[str]) -> set[str]:
-    """Distinct pronoun keys appearing among the tokens; possibly empty.
-
-    A post with several pronouns belongs to every matching pronoun bin.
-    """
-    return set(_PRONOUN_SET.intersection(tokens))
 
 
 def token_table(class_map: dict[str, int], tables: VerbTables | None) -> dict[str, int]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .lexicon import Lexicon, TermClass
-from .pipeline import ScanResult, scan_corpus
+from .pipeline import FAMILY_KEYS, ScanResult, scan_corpus
 from .stats import pearson, spearman
 
 AXES = ("hour", "weekday")
@@ -65,7 +65,7 @@ class ArcSpec:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ArcSpecError(f"axis must be one of {AXES}, got {self.axis!r}")
-        limit = 24 if self.axis == "hour" else 7
+        limit = len(FAMILY_KEYS[self.axis])
         if not self.bins:
             raise ArcSpecError("bins must be non-empty")
         if len(set(self.bins)) != len(self.bins):
@@ -232,7 +232,7 @@ def evaluate_arc(
     result: ScanResult = scan_corpus(
         corpus_path, lexicon=lexicon, families=(spec.axis,), workers=workers
     )
-    bins = result.hours if spec.axis == "hour" else result.weekdays
+    bins = result.bins[spec.axis]
     recovered = []
     for bin_id in spec.bins:
         totals = bins[bin_id].totals()

@@ -23,7 +23,7 @@ from anxarc.cli import main as cli_main
 from anxarc.pipeline import FAMILIES, scan_corpus
 from anxarc._kernel import score_text
 from anxarc.scoring import BinAggregate
-from anxarc.slicer import PRONOUNS, classify_tense, load_verb_tables, pronoun_keys
+from anxarc.slicer import PRONOUNS, classify_tense, load_verb_tables
 from anxarc.stats import pearson, spearman, welch_t
 from anxarc.synth import ArcSpec, evaluate_arc, generate_file
 
@@ -93,13 +93,13 @@ def test_criterion_2_oracle_equivalence(lex, acceptance_tmp, monkeypatch):
                 assert util.counters_of(res.overall) == oracle["overall"], (case, workers)
                 assert util.counters_of(res.pronoun_overall) == oracle["pronoun_overall"]
                 for h in range(24):
-                    assert util.counters_of(res.hours[h]) == oracle["hour"][h]
+                    assert util.counters_of(res.bins["hour"][h]) == oracle["hour"][h]
                 for d in range(7):
-                    assert util.counters_of(res.weekdays[d]) == oracle["weekday"][d]
-                for t, agg in res.tenses.items():
+                    assert util.counters_of(res.bins["weekday"][d]) == oracle["weekday"][d]
+                for t, agg in res.bins["tense"].items():
                     assert util.counters_of(agg) == oracle["tense"][t.value]
                 for p in PRONOUNS:
-                    assert util.counters_of(res.pronouns[p]) == oracle["pronoun"][p]
+                    assert util.counters_of(res.bins["pronoun"][p]) == oracle["pronoun"][p]
             path.unlink()
 
 
@@ -177,7 +177,7 @@ def test_criterion_5_pronoun_slicing(lex, acceptance_tmp):
         key_set = set(PRONOUNS)
         for _ in range(10_000):
             toks = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
-            keys = pronoun_keys(toks)
+            keys = util.pronoun_keys(toks)
             assert keys == set(toks) & key_set
             assert "us" not in keys
 
@@ -197,7 +197,7 @@ def test_criterion_5_pronoun_slicing(lex, acceptance_tmp):
         path.write_text("\n".join(json.dumps(p) for p in posts) + "\n")
         res = scan_corpus(str(path), lexicon=lex, families=("pronoun",))
         for p in PRONOUNS:
-            assert res.pronouns[p].totals().n_posts == expected[p], p
+            assert res.bins["pronoun"][p].totals().n_posts == expected[p], p
         assert res.pronoun_overall.totals().n_posts == n_with
 
 

@@ -899,11 +899,15 @@ def test_arc_spec_faults_exit_1(synth_env, capsys, text):
 
 
 def test_eval_arc_of_two_corpus_files_exits_1(synth_env, capsys):
-    code = run("eval-arc", "--lexicon", "lex.tsv", "--arc-spec", "arc.json",
-               "--corpus", "a.jsonl", "b.jsonl", "--out", "reports")
-    assert code == 1
-    assert capsys.readouterr().err == "anxarc: error: eval-arc takes exactly one --corpus file\n"
-    assert not (synth_env / "reports").exists()
+    # The corpus count is checked first: a missing arc spec or lexicon does
+    # not turn this usage error into an i/o or data error.
+    for lexicon, arc_spec in (("lex.tsv", "arc.json"), ("lex.tsv", "missing.json"),
+                              ("missing.tsv", "arc.json")):
+        code = run("eval-arc", "--lexicon", lexicon, "--arc-spec", arc_spec,
+                   "--corpus", "a.jsonl", "b.jsonl", "--out", "reports")
+        assert code == 1
+        assert capsys.readouterr().err == "anxarc: error: eval-arc takes exactly one --corpus file\n"
+        assert not (synth_env / "reports").exists()
 
 
 def test_arc_spec_with_too_few_per_bin_values_exits_1(synth_env, capsys):

@@ -379,7 +379,7 @@ def test_unknown_timezone_is_looked_up_once(tmp_path, lexicon, monkeypatch):
     finally:
         corpus._zone.cache_clear()
     assert looked_up == ["Mars/Colony"]
-    assert res.n_records == 100 and res.n_tz_skips == 100
+    assert res.counts["n_records"] == 100 and res.counts["n_tz_skips"] == 100
 
 
 def test_localize_past_year_9999_is_a_timezone_skip():

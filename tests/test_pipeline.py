@@ -43,16 +43,16 @@ def assert_matches_oracle(res: ScanResult, oracle: dict):
     assert util.counters_of(res.overall) == oracle["overall"]
     assert util.counters_of(res.pronoun_overall) == oracle["pronoun_overall"]
     for h in range(24):
-        assert util.counters_of(res.hours[h]) == oracle["hour"][h], f"hour {h}"
+        assert util.counters_of(res.bins["hour"][h]) == oracle["hour"][h], f"hour {h}"
     for d in range(7):
-        assert util.counters_of(res.weekdays[d]) == oracle["weekday"][d], f"weekday {d}"
+        assert util.counters_of(res.bins["weekday"][d]) == oracle["weekday"][d], f"weekday {d}"
     for t in Tense:
-        assert util.counters_of(res.tenses[t]) == oracle["tense"][t.value], f"tense {t}"
+        assert util.counters_of(res.bins["tense"][t]) == oracle["tense"][t.value], f"tense {t}"
     for p in PRONOUNS:
-        assert util.counters_of(res.pronouns[p]) == oracle["pronoun"][p], f"pronoun {p}"
-    assert res.n_records == oracle["n_records"]
-    assert res.n_empty_skips == oracle["n_empty"]
-    assert res.n_tz_skips == oracle["n_tz"]
+        assert util.counters_of(res.bins["pronoun"][p]) == oracle["pronoun"][p], f"pronoun {p}"
+    assert res.counts["n_records"] == oracle["n_records"]
+    assert res.counts["n_empty_skips"] == oracle["n_empty"]
+    assert res.counts["n_tz_skips"] == oracle["n_tz"]
 
 
 def test_scan_matches_brute_force(random_corpus, lexicon):
@@ -81,9 +81,6 @@ def test_worker_counts_agree_exactly(random_corpus, lexicon, monkeypatch):
         assert util.result_state(other) == util.result_state(base)
 
 
-FAMILY_FIELDS = {"hour": "hours", "weekday": "weekdays", "tense": "tenses", "pronoun": "pronouns"}
-
-
 def test_families_limit_work(random_corpus, lexicon, monkeypatch):
     # Every family subset fills exactly its own bins, each equal to the same
     # bin of the full scan, whatever the worker count.
@@ -99,8 +96,7 @@ def test_families_limit_work(random_corpus, lexicon, monkeypatch):
                 got = util.result_state(res)
                 where = (families, workers)
                 assert got["overall"] == want["overall"], where
-                for family, field in FAMILY_FIELDS.items():
-                    assert got[field] == (want[field] if family in families else {}), where
+                assert got["bins"] == {f: want["bins"][f] for f in families}, where
                 if "pronoun" in families:
                     assert got["pronoun_overall"] == want["pronoun_overall"], where
 
@@ -112,11 +108,11 @@ def test_tz_skips_exclude_time_bins_only(tmp_path, lexicon):
     ]
     path = write_corpus(tmp_path, lines)
     res = scan_corpus(path, lexicon=lexicon, families=FAMILIES)
-    assert res.n_tz_skips == 1
+    assert res.counts["n_tz_skips"] == 1
     assert res.overall.totals().n_posts == 2  # bad-tz post still scored overall
-    assert sum(a.totals().n_posts for a in res.hours.values()) == 1
-    assert res.tenses[Tense.PAST].totals().n_posts == 1  # "went" still tense-sliced
-    assert res.pronouns["i"].totals().n_posts == 1
+    assert sum(a.totals().n_posts for a in res.bins["hour"].values()) == 1
+    assert res.bins["tense"][Tense.PAST].totals().n_posts == 1  # "went" still tense-sliced
+    assert res.bins["pronoun"]["i"].totals().n_posts == 1
 
 
 def test_parse_and_empty_skips_counted(tmp_path, lexicon):
@@ -127,14 +123,15 @@ def test_parse_and_empty_skips_counted(tmp_path, lexicon):
     ]
     path = write_corpus(tmp_path, lines)
     res = scan_corpus(path, lexicon=lexicon, families=("hour",))
-    assert res.n_records == 3
-    assert res.n_parse_skips == 1
-    assert res.n_empty_skips == 1
+    assert res.counts["n_records"] == 3
+    assert res.counts["n_parse_skips"] == 1
+    assert res.counts["n_empty_skips"] == 1
     assert res.overall.totals().n_posts == 1
     assert res.skip_events[0].line_no == 1
     assert res.skip_events[0].path == path
     # records = scored + parse skips + empty skips
-    assert res.n_records == res.overall.totals().n_posts + res.n_parse_skips + res.n_empty_skips
+    counts, scored = res.counts, res.overall.totals().n_posts
+    assert counts["n_records"] == scored + counts["n_parse_skips"] + counts["n_empty_skips"]
 
 
 GOOD_RECORD = (
@@ -144,8 +141,8 @@ GOOD_RECORD = (
 
 
 def assert_all_records_accounted(res: ScanResult):
-    skips = res.n_parse_skips + res.n_empty_skips
-    assert res.n_records == res.overall.totals().n_posts + skips
+    skips = res.counts["n_parse_skips"] + res.counts["n_empty_skips"]
+    assert res.counts["n_records"] == res.overall.totals().n_posts + skips
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -155,8 +152,8 @@ def test_invalid_utf8_line_is_a_parse_skip(tmp_path, lexicon, workers, monkeypat
     bad = b'{"id":"2","text":"bad \xff\xfe","timestamp_utc":"2020-01-01T05:00:00Z","timezone":"UTC"}'
     path.write_bytes(b"\n".join([GOOD_RECORD % 1, bad, GOOD_RECORD % 3]) + b"\n")
     res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, workers=workers)
-    assert res.n_records == 3
-    assert res.n_parse_skips == 1
+    assert res.counts["n_records"] == 3
+    assert res.counts["n_parse_skips"] == 1
     assert res.overall.totals().n_posts == 2
     assert [(e.path, e.line_no, e.reason) for e in res.skip_events] == [
         (str(path), 2, "invalid UTF-8 at byte 22")
@@ -194,7 +191,7 @@ def test_any_bytes_scan_without_error(tmp_path, lexicon, workers, examples, monk
         path.write_bytes(b"\n".join(lines))
         res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, workers=workers)
         assert_all_records_accounted(res)
-        assert res.n_records == sum(map(is_record, lines))
+        assert res.counts["n_records"] == sum(map(is_record, lines))
         assert res.overall.totals().n_posts == sum(len(line) > 40 for line in lines)
 
     check()
@@ -257,7 +254,8 @@ def test_skip_events_name_their_file(tmp_path, lexicon, workers, monkeypatch):
     assert [(e.path, e.line_no) for e in res.skip_events] == [
         (first, 1), (first, 3), (second, 3)
     ]
-    assert res.n_records == 5 and res.n_parse_skips == 3 and res.overall.totals().n_posts == 2
+    assert res.counts["n_records"] == 5 and res.counts["n_parse_skips"] == 3
+    assert res.overall.totals().n_posts == 2
 
 
 def test_missing_later_corpus_fails_before_any_record_is_read(tmp_path, lexicon, monkeypatch):
@@ -325,7 +323,7 @@ def test_merge_results_accumulates(random_corpus, lexicon):
     b = scan_corpus(path, lexicon=lexicon, families=("hour",))
     a.merge_from(b)
     assert a.overall.totals().n_posts == 2 * oracle["overall"][0]
-    assert a.n_records == 2 * oracle["n_records"]
+    assert a.counts["n_records"] == 2 * oracle["n_records"]
 
 
 def test_one_worker_scan_holds_one_block(tmp_path, lexicon, tables, monkeypatch):
@@ -460,7 +458,7 @@ def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon):
 
     span = (0, 1, 0, 4, len(data))
     status, res = run_worker([(str(path), key())], lexicon, span)
-    assert status == "ok" and res.n_records == 4 and res.skip_events == []
+    assert status == "ok" and res.counts["n_records"] == 4 and res.skip_events == []
 
     def assert_fault(files, match):
         status, exc = run_worker(files, lexicon, span)
@@ -505,7 +503,7 @@ def test_worker_results_merge_alike_in_any_order(tmp_path, lexicon, tables, monk
         assert status == "ok" and res.skip_events
         results.append(res)
     whole = scan_corpus(*paths, lexicon=lexicon, families=FAMILIES, tables=tables)
-    assert whole.n_parse_skips > pipeline.MAX_RECORDED_SKIPS
+    assert whole.counts["n_parse_skips"] > pipeline.MAX_RECORDED_SKIPS
     for order in itertools.permutations(results):
         merged = ScanResult(FAMILIES)
         for res in order:

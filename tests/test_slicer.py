@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import util
 from anxarc._kernel import ANX, CALM, PRONOUN_SHIFT, score_text, tokenize
 from anxarc.slicer import (
     AUX_PAST,
@@ -25,7 +26,6 @@ from anxarc.slicer import (
     detect_present_verb,
     has_future_signal,
     load_verb_tables,
-    pronoun_keys,
     tense_of,
     token_table,
 )
@@ -148,10 +148,10 @@ def test_bigram_requires_adjacency(tables):
 
 
 def test_pronoun_keys_examples():
-    assert pronoun_keys(["i", "told", "him"]) == {"i", "him"}
-    assert pronoun_keys(["we", "love", "you"]) == {"we", "you"}
-    assert pronoun_keys(["trust", "us"]) == set()
-    assert pronoun_keys([]) == set()
+    assert util.pronoun_keys(["i", "told", "him"]) == {"i", "him"}
+    assert util.pronoun_keys(["we", "love", "you"]) == {"we", "you"}
+    assert util.pronoun_keys(["trust", "us"]) == set()
+    assert util.pronoun_keys([]) == set()
 
 
 def test_pronoun_keys_never_us_and_subset():
@@ -159,7 +159,7 @@ def test_pronoun_keys_never_us_and_subset():
     vocab = list(PRONOUNS) + ["us", "it", "trust", "love", "i've", "y'all"]
     for _ in range(2000):
         toks = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
-        keys = pronoun_keys(toks)
+        keys = util.pronoun_keys(toks)
         assert keys == set(toks) & set(PRONOUNS)
         assert "us" not in keys
         assert keys <= set(PRONOUNS)
@@ -171,7 +171,7 @@ def test_pronoun_keys_monotone_under_extension():
     for _ in range(500):
         base = [rng.choice(vocab) for _ in range(rng.randint(0, 6))]
         extra = [rng.choice(vocab) for _ in range(rng.randint(0, 6))]
-        assert pronoun_keys(base) <= pronoun_keys(base + extra)
+        assert util.pronoun_keys(base) <= util.pronoun_keys(base + extra)
 
 
 
@@ -244,7 +244,7 @@ def check_one_pass(text: str, tables: VerbTables) -> None:
         *got, flags = score_text(text, table)
         assert tuple(got) == counts
         keys = PRONOUN_KEYS_BY_BITS[flags >> PRONOUN_SHIFT]
-        assert set(keys) == pronoun_keys(tokens)
+        assert set(keys) == util.pronoun_keys(tokens)
         assert list(keys) == [p for p in PRONOUNS if p in keys]
         if with_tense:
             assert tense_of(flags) is classify_tense(tokens, tables)
@@ -276,4 +276,4 @@ def test_token_table_examples(tables):
         flags = score_text(text, table)[3]
         assert tense_of(flags) is tense is classify_tense(tokens, tables)
         assert PRONOUN_KEYS_BY_BITS[flags >> PRONOUN_SHIFT] == keys
-        assert set(keys) == pronoun_keys(tokens)
+        assert set(keys) == util.pronoun_keys(tokens)

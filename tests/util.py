@@ -94,6 +94,15 @@ def random_corpus_lines(rng: random.Random, n_posts: int, bad_tz_rate: float = 0
     return lines
 
 
+def pronoun_keys(tokens: list[str]) -> set[str]:
+    """Distinct pronoun keys appearing among the tokens; possibly empty.
+
+    The reference rule for ``slicer.PRONOUN_KEYS_BY_BITS``: a post with
+    several pronouns belongs to every matching pronoun bin.
+    """
+    return set(PRONOUNS).intersection(tokens)
+
+
 def _zero() -> list[int]:
     return [0, 0, 0, 0]  # posts, tokens, anx, calm
 
@@ -161,13 +170,18 @@ def counters_of(agg) -> list[int]:
 
 def result_state(res) -> dict:
     """Every field of a ScanResult as plain values; skip events by reason only."""
+
+    def agg_state(agg) -> tuple:
+        return (*counters_of(agg), agg.hist)
+
     state = {}
     for name, value in vars(res).items():
         if name == "skip_events":
             value = [event.reason for event in value]
-        elif isinstance(value, dict):
-            value = {key: (*counters_of(agg), agg.hist) for key, agg in value.items()}
-        elif hasattr(value, "hist"):
-            value = (*counters_of(value), value.hist)
+        elif name == "bins":
+            value = {family: {key: agg_state(agg) for key, agg in bins.items()}
+                     for family, bins in value.items()}
+        elif name != "counts":
+            value = agg_state(value)
         state[name] = value
     return state
