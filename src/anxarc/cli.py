@@ -1,12 +1,12 @@
 """Command-line surface: analysis commands, significance tests, synth harness.
 
 Exit codes are a stable contract: 0 success, 1 usage/configuration error,
-2 data error. Every option of the command being run can also be set by an
-environment variable: ``--tau-anx`` by ``ANXARC_TAU_ANX``. A set variable is
-read as that command's own ``--flag=value`` placed before the command line's
-flags, so argparse types, checks and defaults both alike, a bad value is
-reported as the flag would be, and the command line wins. An empty variable
-counts as unset; ``ANXARC_CORPUS`` names one file.
+2 data error. A command declares only the options it reads, and each can
+also be set by an environment variable: ``--tau-anx`` by ``ANXARC_TAU_ANX``.
+A set variable is read as the command's own ``--flag=value`` placed before
+the command line's flags, so argparse types, checks and defaults both alike,
+a bad value is reported as the flag would be, and the command line wins. An
+empty variable counts as unset; ``ANXARC_CORPUS`` names one file.
 The ``synth`` module is imported only by the ``synth`` and ``eval-arc``
 commands, so the start-up of every other run does not pay for it.
 """
@@ -195,14 +195,12 @@ def _slice_key(text: str) -> tuple[str, object]:
         raise UsageError(f"unknown slice family {family!r}; choose from {FAMILIES}")
     if family == "weekday" and key in WEEKDAY_LABELS:
         key = str(WEEKDAY_LABELS.index(key))
-    keys = FAMILY_KEYS[family]
-    try:
-        typed = type(keys[0])(key)  # int, Tense or str
-    except ValueError:
-        typed = None
-    if typed not in keys:
+    elif key.isascii() and key.isdigit():  # not int(): it also reads "+8", "0_8" and "٨" as 8
+        key = key.lstrip("0") or "0"
+    bins = {(k.value if isinstance(k, Tense) else str(k)): k for k in FAMILY_KEYS[family]}
+    if key not in bins:
         raise UsageError(f"no such slice: {text!r}")
-    return family, typed
+    return family, bins[key]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -259,17 +257,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_arc(args: argparse.Namespace) -> int:
-    if len(args.corpus) != 1:
-        raise UsageError("eval-arc takes exactly one --corpus file")
     with _synth() as synth:
         spec = synth.ArcSpec.from_json(args.arc_spec)
         lexicon = _load_lexicon(args)
-        report = synth.evaluate_arc(args.corpus[0], lexicon, spec, workers=args.workers)
+        report = synth.evaluate_arc(args.corpus, lexicon, spec, workers=args.workers)
     table = Table(
         name="arc",
         meta=base_meta(
             lexicon=args.lexicon,
-            corpus=args.corpus[0],
+            corpus=args.corpus,
             tau_anx=args.tau_anx,
             tau_calm=args.tau_calm,
             axis=report.axis,
@@ -278,10 +274,7 @@ def cmd_eval_arc(args: argparse.Namespace) -> int:
             spearman_r=report.spearman_r,
         ),
         columns=["bin", "planted", "recovered"],
-        rows=[
-            [b, p, r]
-            for b, p, r in zip(report.bins, report.planted, report.recovered)
-        ],
+        rows=[list(row) for row in zip(report.bins, report.planted, report.recovered)],
     )
     # The arc report proper is JSON; a plot-ready CSV is emitted alongside
     # when CSV output was requested.
@@ -380,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="anxarc",
         description="Lexicon-based anxiety scoring and temporal arc analysis of post streams.",
-        epilog="Every option of a command can be set by an ANXARC_* environment variable "
-               "(--tau-anx by ANXARC_TAU_ANX); an empty one is unset, and the command line wins.",
+        epilog="Each command takes only the options it reads; each can also be set by an ANXARC_* "
+               "variable (--tau-anx by ANXARC_TAU_ANX). An empty one is unset; the command line wins.",
     )
     parser.add_argument("--version", action="version", version=f"anxarc {__version__}")
 
@@ -396,28 +389,30 @@ def build_parser() -> argparse.ArgumentParser:
     corp.add_argument("--corpus", nargs="+", required=True, help="corpus file(s)")
     corp.add_argument("--format", choices=FORMATS, default="jsonl", help="corpus format")
 
-    out = _Parser(add_help=False)
-    out.add_argument("--out", default=".", help="output directory (default: current directory)")
-    out.add_argument("--out-format", choices=("csv", "json"), default="csv")
-
     scan = _Parser(add_help=False)
+    scan.add_argument("--out", default=".", help="output directory (default: current directory)")
+    scan.add_argument("--out-format", choices=("csv", "json"), default="csv")
     scan.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
-    scan.add_argument("--verb-tables", help="directory overriding the bundled verb tables")
-    scan.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                      help=f"significance level (default {DEFAULT_ALPHA})")
+
+    verbs = _Parser(add_help=False)
+    verbs.add_argument("--verb-tables", help="directory overriding the bundled verb tables")
+
+    alpha = _Parser(add_help=False)
+    alpha.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                       help=f"significance level (default {DEFAULT_ALPHA})")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for family, help_text in (
-        ("hour", "per-hour anxiety scores (24 bins + overall)"),
-        ("weekday", "per-weekday anxiety scores (Monday-first)"),
-        ("tense", "tense distribution and per-tense scores"),
-        ("pronoun", "per-pronoun scores and baselines"),
+    for family, extra, help_text in (
+        ("hour", [], "per-hour anxiety scores (24 bins + overall)"),
+        ("weekday", [], "per-weekday anxiety scores (Monday-first)"),
+        ("tense", [verbs], "tense distribution and per-tense scores"),
+        ("pronoun", [], "per-pronoun scores and baselines"),
     ):
-        p = sub.add_parser(f"analyze-{family}", parents=[lex, corp, out, scan], help=help_text)
+        p = sub.add_parser(f"analyze-{family}", parents=[lex, corp, scan, *extra], help=help_text)
         p.set_defaults(func=cmd_analyze, family=family)
 
-    p = sub.add_parser("compare", parents=[lex, corp, out, scan],
+    p = sub.add_parser("compare", parents=[lex, corp, scan, verbs, alpha],
                        help="Welch t-test between two slices")
     p.add_argument("--slice-a", required=True, help="e.g. hour=8, weekday=wed, tense=past, pronoun=i")
     p.add_argument("--slice-b", required=True)
@@ -430,17 +425,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("eval-arc", parents=[lex, corp, out, scan],
+    p = sub.add_parser("eval-arc", parents=[lex, scan],
                        help="recover an arc from a corpus and compare to the planted one")
+    p.add_argument("--corpus", required=True, help="corpus file (JSONL)")
     p.add_argument("--arc-spec", required=True)
     p.set_defaults(func=cmd_eval_arc)
 
-    p = sub.add_parser("replicate", parents=[lex, corp, out, scan],
+    p = sub.add_parser("replicate", parents=[lex, corp, scan, verbs, alpha],
                        help="emit all four analysis tables plus headline comparisons")
     p.set_defaults(func=cmd_replicate)
 
-    # Its own --out, without a default: the table is written only when asked
-    # for. (set_defaults would change the default of the shared --out too.)
+    # Its own --out, without a default: the table is written only when asked for.
     p = sub.add_parser("lexicon-stats", parents=[lex],
                        help="lexicon size and class proportions")
     p.add_argument("--out", help="write the class table to this directory")

@@ -101,17 +101,15 @@ class ArcSpec:
     @classmethod
     def from_dict(cls, obj: dict) -> ArcSpec:
         try:
-            bins = tuple(int(b) for b in obj["bins"])
-            p_anx = _per_bin(obj["p_anx"], len(bins))
-            p_calm = _per_bin(obj["p_calm"], len(bins))
+            bins = tuple(_int("bins", b) for b in obj["bins"])
             lo, hi = obj["tokens_per_post"]
             return cls(
                 bins=bins,
-                p_anx=p_anx,
-                p_calm=p_calm,
-                posts_per_bin=int(obj["posts_per_bin"]),
-                tokens_per_post=(int(lo), int(hi)),
-                seed=int(obj["seed"]),
+                p_anx=_per_bin(obj["p_anx"], len(bins)),
+                p_calm=_per_bin(obj["p_calm"], len(bins)),
+                posts_per_bin=_int("posts_per_bin", obj["posts_per_bin"]),
+                tokens_per_post=(_int("tokens_per_post", lo), _int("tokens_per_post", hi)),
+                seed=_int("seed", obj["seed"]),
                 axis=str(obj.get("axis", "hour")),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -129,6 +127,13 @@ class ArcSpec:
         if not isinstance(obj, dict):
             raise ArcSpecError("arc spec must be a JSON object")
         return cls.from_dict(obj)
+
+
+def _int(name: str, value) -> int:
+    # A JSON integer, not a bool: int() would truncate 2.7 and read "7".
+    if type(value) is not int:
+        raise ArcSpecError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _per_bin(value, n_bins: int) -> tuple[float, ...]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import multiprocessing
@@ -149,14 +150,17 @@ def test_env_overrides(workdir, monkeypatch):
 ])
 def test_bad_env_values_exit_1(workdir, capsys, monkeypatch, name, value):
     # A bad variable is reported exactly as the same bad flag: argparse's
-    # usage line and its message, exit 1, and nothing written.
-    argv = ["analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS, "--out", "envout"]
+    # usage line and its message, exit 1, and nothing written. Only the
+    # commands that run a t-test take --alpha.
+    command = (["compare", "--slice-a", "tense=past", "--slice-b", "tense=future"]
+               if name == "ALPHA" else ["analyze-hour"])
+    argv = [*command, "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS, "--out", "envout"]
     flag = "--" + name.lower().replace("_", "-")
     assert run(*argv, f"{flag}={value}") == 1
     by_flag = capsys.readouterr().err
-    assert by_flag.startswith("usage: anxarc analyze-hour ")
+    assert by_flag.startswith(f"usage: anxarc {command[0]} ")
     assert by_flag.splitlines()[-1].startswith(
-        f"anxarc analyze-hour: error: argument {flag}: invalid ")
+        f"anxarc {command[0]}: error: argument {flag}: invalid ")
     assert repr(value) in by_flag.splitlines()[-1]
     monkeypatch.setenv("ANXARC_" + name, value)
     assert run(*argv) == 1
@@ -167,8 +171,8 @@ def test_bad_env_values_exit_1(workdir, capsys, monkeypatch, name, value):
 # Values for the options of the property below: a few that parse and a few
 # that do not, and any text that an environment variable can hold (no NUL,
 # no lone surrogate). An empty variable is unset, so values are not empty.
-# The keys are in the order of the command's options, which is the order in
-# which the variables are read.
+# The keys are in the order of the options of compare, which reads them all,
+# and that is the order in which the variables are read.
 _env_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
                     min_size=1, max_size=6)
 _env_options = {
@@ -188,7 +192,8 @@ _env_options = {
 def test_env_values_read_as_their_flags(workdir, capsys, env_values):
     # The same options set by variables and by --flag=value give the same
     # exit code, the same stderr and the same report bytes.
-    argv = ["analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS]
+    argv = ["compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
+            "--slice-a", "tense=past", "--slice-b", "tense=future"]
     flags = [f"--{name.lower().replace('_', '-')}={env_values[name]}"
              for name in _env_options if name in env_values]
     outcomes = []
@@ -231,15 +236,53 @@ def test_env_sets_every_option_of_its_command(workdir, capsys, monkeypatch, fixt
     assert by_env == (workdir / "flag" / "hour.csv").read_bytes()
 
 
-def test_env_for_an_option_the_command_lacks_is_ignored(synth_env, capsys, monkeypatch):
-    # synth has no --workers (nor --format, --alpha): those variables are
-    # not read, even when they hold no valid value.
+def test_env_for_an_option_the_command_lacks_is_ignored(synth_env, fixtures_dir, capsys,
+                                                        monkeypatch):
+    # A variable of an option that the command lacks is not read, even when
+    # it holds no valid value. synth has no --workers, --format or --alpha.
     for name in ("WORKERS", "FORMAT", "ALPHA"):
         monkeypatch.setenv("ANXARC_" + name, "two")
     assert run("synth", "--lexicon", "lex.tsv", "--arc-spec", "arc.json",
                "--out-corpus", "corpus.jsonl") == 0
     assert capsys.readouterr().err == ""
     assert (synth_env / "corpus.jsonl").exists()
+    # eval-arc has no --alpha or --format: it always reads JSONL.
+    monkeypatch.delenv("ANXARC_WORKERS")
+    monkeypatch.setenv("ANXARC_ALPHA", "2")
+    monkeypatch.setenv("ANXARC_FORMAT", "xml")
+    assert run("eval-arc", "--lexicon", "lex.tsv", "--arc-spec", "arc.json",
+               "--corpus", "corpus.jsonl", "--out", "arc") == 0
+    assert (synth_env / "arc" / "arc.json").exists()
+    # analyze-hour has no --alpha or --verb-tables.
+    monkeypatch.delenv("ANXARC_FORMAT")
+    monkeypatch.setenv("ANXARC_VERB_TABLES", "missing")
+    for name in (MINI_LEX, MINI_CORPUS):
+        shutil.copy(fixtures_dir / name, synth_env / name)
+    assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS) == 0
+    assert (synth_env / "hour.csv").read_bytes() == (fixtures_dir / "golden" / "hour.csv").read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+def test_each_command_declares_the_options_it_reads():
+    # The parser says which command reads which option, and so which
+    # ANXARC_* variables it reads, in this order: 74 pairs in all.
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {name: [a.option_strings[-1] for a in p._actions if a.nargs != 0]
+                for name, p in sub.choices.items()}
+    lex = ["--lexicon", "--tau-anx", "--tau-calm"]
+    scan = [*lex, "--corpus", "--format", "--out", "--out-format", "--workers"]
+    assert declared == {
+        "analyze-hour": scan,
+        "analyze-weekday": scan,
+        "analyze-tense": [*scan, "--verb-tables"],
+        "analyze-pronoun": scan,
+        "compare": [*scan, "--verb-tables", "--alpha", "--slice-a", "--slice-b"],
+        "synth": [*lex, "--arc-spec", "--out-corpus", "--seed"],
+        "eval-arc": [*lex, "--out", "--out-format", "--workers", "--corpus", "--arc-spec"],
+        "replicate": [*scan, "--verb-tables", "--alpha"],
+        "lexicon-stats": [*lex, "--out", "--out-format"],
+    }
+    assert sum(map(len, declared.values())) == 74
 
 
 def test_flag_beats_env(workdir, monkeypatch, fixtures_dir):
@@ -260,8 +303,8 @@ def test_flag_beats_env(workdir, monkeypatch, fixtures_dir):
 def test_exit_code_usage_errors(workdir, capsys):
     assert run("analyze-hour", "--corpus", MINI_CORPUS) == 1  # no lexicon
     assert run("analyze-hour", "--lexicon", MINI_LEX) == 1  # no corpus
-    assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
-               "--alpha", "2.0") == 1
+    assert run("compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
+               "--slice-a", "tense=past", "--slice-b", "tense=future", "--alpha", "2.0") == 1
     assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
                "--workers", "0") == 1
     assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
@@ -269,8 +312,10 @@ def test_exit_code_usage_errors(workdir, capsys):
     assert run("bogus-command") == 1
     assert run("compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
                "--slice-a", "hour8", "--slice-b", "hour=9") == 1
-    # A key out of range, of the wrong type or not in the family is no bin.
-    for bad in ("pronoun=us", "hour=24", "hour=eight", "tense=pluperfect"):
+    # A key out of range, of the wrong type or not in the family is no bin,
+    # and a number is ASCII digits only (not "+8", "0_8" or an Arabic-Indic 8).
+    for bad in ("pronoun=us", "hour=24", "hour=eight", "tense=pluperfect",
+                "hour=+8", "hour=0_8", "hour=\u0668"):
         capsys.readouterr()
         assert run("compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
                    "--slice-a", bad, "--slice-b", "pronoun=i") == 1
@@ -884,8 +929,20 @@ def test_verb_tables_invalid_utf8_exits_1(workdir, capsys):
     b'"tokens_per_post": [1, 2], "seed": 1}',
     b'{"bins": [0, 1], "p_anx": 0.2, "p_calm": 0.1, "posts_per_bin": 1000000000000, '
     b'"tokens_per_post": [1, 2], "seed": 1}',
+    # Counts, bins and seeds are JSON integers, not numbers to truncate.
+    b'{"bins": [0.9, 1.5, "2"], "p_anx": 0.2, "p_calm": 0.1, "posts_per_bin": 2, '
+    b'"tokens_per_post": [1, 2], "seed": 1}',
+    b'{"bins": [0, 1], "p_anx": 0.2, "p_calm": 0.1, "posts_per_bin": 2.7, '
+    b'"tokens_per_post": [1, 2], "seed": 1}',
+    b'{"bins": [0, 1], "p_anx": 0.2, "p_calm": 0.1, "posts_per_bin": 2, '
+    b'"tokens_per_post": [1.2, 3.9], "seed": 1}',
+    b'{"bins": [0, 1], "p_anx": 0.2, "p_calm": 0.1, "posts_per_bin": 2, '
+    b'"tokens_per_post": [1, 2], "seed": "7"}',
+    b'{"bins": [0, 1], "p_anx": 0.2, "p_calm": 0.1, "posts_per_bin": true, '
+    b'"tokens_per_post": [1, 2], "seed": 1}',
 ], ids=["truncated", "not-utf8", "nested", "posts-inf", "tokens-inf", "seed-inf",
-        "p-anx-nan", "p-calm-nan", "over-the-cap"])
+        "p-anx-nan", "p-calm-nan", "over-the-cap", "bins-float", "posts-float",
+        "tokens-float", "seed-string", "posts-bool"])
 def test_arc_spec_faults_exit_1(synth_env, capsys, text):
     (synth_env / "bad.json").write_bytes(text)
     # eval-arc reads the spec before the corpus, which need not exist. It
@@ -899,14 +956,16 @@ def test_arc_spec_faults_exit_1(synth_env, capsys, text):
 
 
 def test_eval_arc_of_two_corpus_files_exits_1(synth_env, capsys):
-    # The corpus count is checked first: a missing arc spec or lexicon does
-    # not turn this usage error into an i/o or data error.
+    # eval-arc's --corpus takes one file: argparse rejects a second before
+    # any file is read, so a missing arc spec or lexicon does not turn this
+    # usage error into an i/o or data error.
     for lexicon, arc_spec in (("lex.tsv", "arc.json"), ("lex.tsv", "missing.json"),
                               ("missing.tsv", "arc.json")):
         code = run("eval-arc", "--lexicon", lexicon, "--arc-spec", arc_spec,
                    "--corpus", "a.jsonl", "b.jsonl", "--out", "reports")
         assert code == 1
-        assert capsys.readouterr().err == "anxarc: error: eval-arc takes exactly one --corpus file\n"
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "anxarc: error: unrecognized arguments: b.jsonl")
         assert not (synth_env / "reports").exists()
 
 
