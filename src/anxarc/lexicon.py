@@ -1,17 +1,17 @@
-"""Word-anxiety association lexicon: loading, validation, and term classification.
+"""Word-anxiety association lexicon: loading and validation.
 
 The lexicon file format is two-column TSV, ``term<TAB>association``, one
 record per line (lines end at ``\n``, as in a corpus), UTF-8, with an
 optional literal ``term<TAB>association`` header. Associations are real
 values in [-3.0, +3.0]; positive means anxiety-associated, negative means
 calmness-associated. Terms are single words and are lower-cased at load.
-A loaded ``Lexicon`` holds a plain term -> association dict.
+A loaded ``Lexicon`` holds a plain term -> association dict and the class
+map that the text kernel reads.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import IO, Iterator, NamedTuple
+from typing import IO, NamedTuple
 
 from ._kernel import ANX, CALM
 
@@ -49,18 +49,6 @@ class EmptyLexiconError(LexiconError):
     """The source contained no records."""
 
 
-class TermClass(enum.Enum):
-    ANXIETY = "anxiety"
-    CALM = "calm"
-    NEUTRAL = "neutral"
-    UNKNOWN = "unknown"
-
-
-class LexiconEntry(NamedTuple):
-    term: str
-    association: float
-
-
 class LexiconStats(NamedTuple):
     total: int
     n_anxiety: int
@@ -68,49 +56,17 @@ class LexiconStats(NamedTuple):
     n_neutral: int
 
 
-class Lexicon:
-    """Immutable term -> association map plus classification thresholds.
+class Lexicon(NamedTuple):
+    """A loaded lexicon, built by ``load_lexicon``.
 
-    Built by ``load_lexicon``; safe to share across threads and processes.
-    ``class_map`` is the compact term -> {ANX, CALM} dict consumed by the
-    text kernel: the terms at or beyond a threshold.
+    ``assoc`` maps every term to its association. ``class_map`` is the
+    compact term -> {ANX, CALM} dict consumed by the text kernel: the terms
+    at or beyond a threshold. Terms in ``assoc`` but not in ``class_map``
+    are neutral.
     """
 
-    __slots__ = ("_assoc", "class_map", "tau_anx", "tau_calm")
-
-    def __init__(self, assoc: dict[str, float], class_map: dict[str, int],
-                 tau_anx: float, tau_calm: float):
-        self._assoc = assoc
-        self.class_map = class_map
-        self.tau_anx = tau_anx
-        self.tau_calm = tau_calm
-
-    def __len__(self) -> int:
-        return len(self._assoc)
-
-    def __contains__(self, term: str) -> bool:
-        return term in self._assoc
-
-    def __iter__(self) -> Iterator[LexiconEntry]:
-        return map(LexiconEntry._make, self._assoc.items())
-
-    def association(self, term: str) -> float | None:
-        return self._assoc.get(term)
-
-    def classify(self, term: str) -> TermClass:
-        """Classify a normalized term; Unknown for out-of-vocabulary terms."""
-        assoc = self._assoc.get(term)
-        if assoc is None:
-            return TermClass.UNKNOWN
-        if assoc >= self.tau_anx:
-            return TermClass.ANXIETY
-        if assoc <= self.tau_calm:
-            return TermClass.CALM
-        return TermClass.NEUTRAL
-
-    def terms_of_class(self, cls: TermClass) -> tuple[str, ...]:
-        """All lexicon terms of the given class, sorted for determinism."""
-        return tuple(sorted(t for t in self._assoc if self.classify(t) is cls))
+    assoc: dict[str, float]
+    class_map: dict[str, int]
 
 
 def lexicon_stats(lexicon: Lexicon) -> LexiconStats:
@@ -118,17 +74,19 @@ def lexicon_stats(lexicon: Lexicon) -> LexiconStats:
     codes = list(lexicon.class_map.values())
     n_anx = codes.count(ANX)
     n_calm = codes.count(CALM)
-    return LexiconStats(len(lexicon), n_anx, n_calm, len(lexicon) - n_anx - n_calm)
+    total = len(lexicon.assoc)
+    return LexiconStats(total, n_anx, n_calm, total - n_anx - n_calm)
 
 
 def load_lexicon(
-    source: str | IO[bytes] | IO[str],
+    source: str | IO[bytes],
     thresholds: tuple[float, float] = (DEFAULT_TAU_ANX, DEFAULT_TAU_CALM),
 ) -> Lexicon:
-    """Load a TSV lexicon from a path or an open stream.
+    """Load a TSV lexicon from a path or an open binary stream.
 
-    Raises LexiconParseError, DuplicateTermError, or EmptyLexiconError on
-    malformed input; the returned Lexicon is immutable.
+    A term is anxiety at or above ``tau_anx`` and calm at or below
+    ``tau_calm``. Raises LexiconParseError, DuplicateTermError, or
+    EmptyLexiconError on malformed input.
     """
     tau_anx, tau_calm = thresholds
     if not (tau_calm < 0.0 < tau_anx):
@@ -141,12 +99,11 @@ def load_lexicon(
 
     raw = source.read()
     try:
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = raw.count(b"\n", 0, exc.start) + 1
         raise LexiconParseError(line_no, f"invalid UTF-8 at byte {exc.start}") from None
 
-    tau_anx, tau_calm = float(tau_anx), float(tau_calm)
     assoc: dict[str, float] = {}
     class_map: dict[str, int] = {}
     # A CRLF line's "\r" goes with the whitespace stripped from its fields.
@@ -187,4 +144,4 @@ def load_lexicon(
 
     if not assoc:
         raise EmptyLexiconError("lexicon source contains no records")
-    return Lexicon(assoc, class_map, tau_anx, tau_calm)
+    return Lexicon(assoc, class_map)

@@ -21,7 +21,8 @@ import random
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-from .lexicon import Lexicon, TermClass
+from ._kernel import ANX, CALM
+from .lexicon import Lexicon
 from .pipeline import FAMILY_KEYS, ScanResult, scan_corpus
 from .stats import pearson, spearman
 
@@ -105,8 +106,8 @@ class ArcSpec:
             lo, hi = obj["tokens_per_post"]
             return cls(
                 bins=bins,
-                p_anx=_per_bin(obj["p_anx"], len(bins)),
-                p_calm=_per_bin(obj["p_calm"], len(bins)),
+                p_anx=_per_bin("p_anx", obj["p_anx"], len(bins)),
+                p_calm=_per_bin("p_calm", obj["p_calm"], len(bins)),
                 posts_per_bin=_int("posts_per_bin", obj["posts_per_bin"]),
                 tokens_per_post=(_int("tokens_per_post", lo), _int("tokens_per_post", hi)),
                 seed=_int("seed", obj["seed"]),
@@ -136,14 +137,15 @@ def _int(name: str, value) -> int:
     return value
 
 
-def _per_bin(value, n_bins: int) -> tuple[float, ...]:
-    # A scalar probability broadcasts to every bin.
-    if isinstance(value, (int, float)):
-        return (float(value),) * n_bins
-    out = tuple(float(v) for v in value)
-    if len(out) != n_bins:
-        raise ArcSpecError(f"expected {n_bins} per-bin values, got {len(out)}")
-    return out
+def _per_bin(name: str, value, n_bins: int) -> tuple[float, ...]:
+    # A scalar probability broadcasts to every bin. Each is a JSON number,
+    # not a bool or a string: float() would read true and "0".
+    values = value if type(value) is list else [value] * n_bins
+    if any(type(v) not in (int, float) for v in values):
+        raise ArcSpecError(f"{name} must be a number or a list of numbers, got {value!r}")
+    if len(values) != n_bins:
+        raise ArcSpecError(f"expected {n_bins} per-bin values, got {len(values)}")
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)
@@ -156,15 +158,18 @@ class ArcReport:
     spearman_r: float
 
 
-def _class_terms(lexicon: Lexicon) -> dict[TermClass, tuple[str, ...]]:
-    terms = {cls: lexicon.terms_of_class(cls) for cls in
-             (TermClass.ANXIETY, TermClass.CALM, TermClass.NEUTRAL)}
-    missing = [cls.value for cls, ts in terms.items() if not ts]
+def _class_terms(lexicon: Lexicon) -> tuple[tuple[str, ...], ...]:
+    """The sorted anxiety, calm and neutral term pools."""
+    class_map = lexicon.class_map
+    pools = (tuple(sorted(t for t, code in class_map.items() if code == ANX)),
+             tuple(sorted(t for t, code in class_map.items() if code == CALM)),
+             tuple(sorted(t for t in lexicon.assoc if t not in class_map)))
+    missing = [name for name, pool in zip(("anxiety", "calm", "neutral"), pools) if not pool]
     if missing:
         raise ArcSpecError(
             f"lexicon must contain at least one term of each class; missing: {missing}"
         )
-    return terms
+    return pools
 
 
 def _pick(rng: random.Random, pool: Sequence[str]) -> str:
@@ -187,10 +192,7 @@ def generate(spec: ArcSpec, lexicon: Lexicon, sink: IO[str]) -> int:
     Deterministic: identical (spec, lexicon) inputs yield byte-identical
     output. Posts carry UTC timestamps placed inside their bin.
     """
-    terms = _class_terms(lexicon)
-    anx_pool = terms[TermClass.ANXIETY]
-    calm_pool = terms[TermClass.CALM]
-    neutral_pool = terms[TermClass.NEUTRAL]
+    anx_pool, calm_pool, neutral_pool = _class_terms(lexicon)
     lo, hi = spec.tokens_per_post
     span = hi - lo + 1
 

@@ -940,9 +940,18 @@ def test_verb_tables_invalid_utf8_exits_1(workdir, capsys):
     b'"tokens_per_post": [1, 2], "seed": "7"}',
     b'{"bins": [0, 1], "p_anx": 0.2, "p_calm": 0.1, "posts_per_bin": true, '
     b'"tokens_per_post": [1, 2], "seed": 1}',
+    # Probabilities are JSON numbers or arrays of them: float() would read
+    # "00" character by character and true as 1.
+    b'{"bins": [0, 1], "p_anx": "00", "p_calm": 0.1, "posts_per_bin": 2, '
+    b'"tokens_per_post": [1, 2], "seed": 1}',
+    b'{"bins": [0, 1], "p_anx": 0, "p_calm": true, "posts_per_bin": 2, '
+    b'"tokens_per_post": [1, 2], "seed": 1}',
+    b'{"bins": [0, 1], "p_anx": [true, false], "p_calm": 0, "posts_per_bin": 2, '
+    b'"tokens_per_post": [1, 2], "seed": 1}',
 ], ids=["truncated", "not-utf8", "nested", "posts-inf", "tokens-inf", "seed-inf",
         "p-anx-nan", "p-calm-nan", "over-the-cap", "bins-float", "posts-float",
-        "tokens-float", "seed-string", "posts-bool"])
+        "tokens-float", "seed-string", "posts-bool", "p-anx-string", "p-calm-bool",
+        "p-anx-bool-list"])
 def test_arc_spec_faults_exit_1(synth_env, capsys, text):
     (synth_env / "bad.json").write_bytes(text)
     # eval-arc reads the spec before the corpus, which need not exist. It

@@ -305,6 +305,8 @@ def test_unknown_format_rejected(tmp_path, lexicon):
         scan_corpus(str(path), lexicon=lexicon, fmt="xml")
     with pytest.raises(CorpusError):
         parse_record(GOOD_JSONL, "xml")
+    with pytest.raises(ValueError):  # a worker count below one
+        scan_corpus(str(path), lexicon=lexicon, workers=0)
 
 
 def test_missing_file_is_fatal():

@@ -9,33 +9,44 @@ from hypothesis import strategies as st
 
 from anxarc._kernel import ANX, CALM
 from anxarc.lexicon import (
+    DEFAULT_TAU_ANX,
+    DEFAULT_TAU_CALM,
     DuplicateTermError,
     EmptyLexiconError,
     LexiconError,
     LexiconParseError,
     LexiconStats,
-    TermClass,
     lexicon_stats,
     load_lexicon,
 )
 from util import loads_lexicon
 
 
+def expected_code(value: float, tau_anx: float = DEFAULT_TAU_ANX,
+                  tau_calm: float = DEFAULT_TAU_CALM) -> int | None:
+    """The class code that the threshold rule gives an association; None if neutral."""
+    if value >= tau_anx:
+        return ANX
+    if value <= tau_calm:
+        return CALM
+    return None
+
+
 def test_load_three_rows():
     lex = loads_lexicon("calm\t-2.5\npanic\t3.0\nroad\t0.0\n", (1.0, -1.0))
-    assert len(lex) == 3
-    assert lex.association("panic") == 3.0
-    assert lex.association("calm") == -2.5
+    assert len(lex.assoc) == 3
+    assert lex.assoc["panic"] == 3.0
+    assert lex.assoc["calm"] == -2.5
 
 
 def test_header_line_is_skipped():
     lex = loads_lexicon("term\tassociation\npanic\t3.0\n")
-    assert len(lex) == 1
+    assert len(lex.assoc) == 1
 
 
 def test_byte_stream_input():
     lex = load_lexicon(io.BytesIO(b"panic\t3.0\ncalm\t-2.0\n"))
-    assert len(lex) == 2
+    assert lex.assoc == {"panic": 3.0, "calm": -2.0}
 
 
 def test_duplicate_term_is_error():
@@ -108,18 +119,15 @@ def test_bad_thresholds_rejected():
 
 def test_terms_lower_cased_at_load():
     lex = loads_lexicon("PANIC\t3.0\n")
-    assert "panic" in lex
-    assert "PANIC" not in lex
+    assert "panic" in lex.assoc
+    assert "PANIC" not in lex.assoc
 
 
 def test_classify_term_boundaries():
     lex = loads_lexicon("panic\t3.0\nroad\t0.0\ncalm\t-2.5\nedge\t1.0\nlow\t-1.0\n", (1.0, -1.0))
-    assert lex.classify("panic") is TermClass.ANXIETY
-    assert lex.classify("road") is TermClass.NEUTRAL
-    assert lex.classify("calm") is TermClass.CALM
-    assert lex.classify("edge") is TermClass.ANXIETY  # >= tau_anx
-    assert lex.classify("low") is TermClass.CALM  # <= tau_calm
-    assert lex.classify("zyzzyva") is TermClass.UNKNOWN
+    # edge is at tau_anx and low at tau_calm; neutral road is not in the class map.
+    assert lex.class_map == {"panic": ANX, "calm": CALM, "edge": ANX, "low": CALM}
+    assert "road" in lex.assoc
 
 
 def test_stats_hand_count():
@@ -129,7 +137,7 @@ def test_stats_hand_count():
 
 def test_stats_partition_on_random_lexicons():
     # Counts must partition the total for arbitrary association values, and
-    # agree with classify, also for associations exactly at a threshold.
+    # agree with the threshold rule, also for associations exactly at a threshold.
     rng = random.Random(99)
     for _ in range(1000):
         n = rng.randint(1, 40)
@@ -141,41 +149,29 @@ def test_stats_partition_on_random_lexicons():
         stats = lexicon_stats(lex)
         assert stats.total == n
         assert stats.n_anxiety + stats.n_calm + stats.n_neutral == stats.total
-        classes = [lex.classify(f"w{i}") for i in range(n)]
-        assert stats.n_anxiety == classes.count(TermClass.ANXIETY)
-        assert stats.n_calm == classes.count(TermClass.CALM)
+        codes = [expected_code(v, tau_anx, tau_calm) for v in values]
+        assert stats.n_anxiety == codes.count(ANX)
+        assert stats.n_calm == codes.count(CALM)
 
 
 def test_classify_consistent_with_stats(lexicon):
-    counted = {TermClass.ANXIETY: 0, TermClass.CALM: 0, TermClass.NEUTRAL: 0}
-    for entry in lexicon:
-        counted[lexicon.classify(entry.term)] += 1
-    stats = lexicon_stats(lexicon)
-    assert counted[TermClass.ANXIETY] == stats.n_anxiety
-    assert counted[TermClass.CALM] == stats.n_calm
-    assert counted[TermClass.NEUTRAL] == stats.n_neutral
+    codes = [expected_code(v) for v in lexicon.assoc.values()]
+    assert lexicon_stats(lexicon) == LexiconStats(
+        len(codes), codes.count(ANX), codes.count(CALM), codes.count(None))
 
 
 def test_exactly_one_class_per_entry(lexicon):
-    for entry in lexicon:
-        cls = lexicon.classify(entry.term)
-        assert cls in (TermClass.ANXIETY, TermClass.CALM, TermClass.NEUTRAL)
+    assert set(lexicon.class_map) <= set(lexicon.assoc)
+    assert set(lexicon.class_map.values()) <= {ANX, CALM}
 
 
 def test_round_trip(lexicon):
-    text = "term\tassociation\n" + "".join(f"{e.term}\t{e.association!r}\n" for e in lexicon)
-    again = loads_lexicon(text, (lexicon.tau_anx, lexicon.tau_calm))
-    assert len(again) == len(lexicon)
-    for entry in lexicon:
-        assert again.association(entry.term) == entry.association
+    text = "term\tassociation\n" + "".join(f"{t}\t{v!r}\n" for t, v in lexicon.assoc.items())
+    again = loads_lexicon(text)
+    assert again.assoc == lexicon.assoc
     assert again.class_map == lexicon.class_map
 
 
 def test_class_map_contains_only_affect_terms(lexicon):
-    for term, code in lexicon.class_map.items():
-        assert code in (ANX, CALM)
-        assert lexicon.classify(term) in (TermClass.ANXIETY, TermClass.CALM)
-    n_affect = sum(
-        1 for e in lexicon if lexicon.classify(e.term) is not TermClass.NEUTRAL
-    )
-    assert len(lexicon.class_map) == n_affect
+    expected = {t: expected_code(v) for t, v in lexicon.assoc.items()}
+    assert lexicon.class_map == {t: code for t, code in expected.items() if code is not None}

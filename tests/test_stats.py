@@ -36,6 +36,8 @@ def test_small_sample_rejected():
         welch_t(Counter([1.0]), Counter([1.0, 2.0]))
     with pytest.raises(InsufficientSampleError):
         welch_t(Counter([1.0, 2.0]), Counter([3.0]))
+    with pytest.raises(InsufficientSampleError):
+        pearson([1.0], [2.0])
 
 
 def test_constant_equal_sentinel():
@@ -96,6 +98,8 @@ def test_pearson_constant_input_error():
 def test_pearson_length_mismatch():
     with pytest.raises(ValueError):
         pearson([1, 2], [1, 2, 3])
+    with pytest.raises(ValueError):
+        spearman([1, 2], [1, 2, 3])
 
 
 def test_pearson_affine_invariance():
@@ -147,11 +151,19 @@ def test_p_monotone_decreasing_in_abs_t():
             assert p <= previous + 1e-15
             assert student_t_two_sided_p(-t, df) == p
             previous = p
+        assert student_t_two_sided_p(math.inf, df) == student_t_two_sided_p(-math.inf, df) == 0.0
+    for df in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            student_t_two_sided_p(1.0, df)
 
 
 def test_incomplete_beta_edges():
     assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
     assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
+    assert regularized_incomplete_beta(2.0, 3.0, -0.5) == 0.0
+    for a, b in [(0.0, 3.0), (2.0, -1.0)]:
+        with pytest.raises(ValueError):
+            regularized_incomplete_beta(a, b, 0.5)
     # I_x(1,1) is the identity.
     for x in (0.1, 0.5, 0.9):
         assert regularized_incomplete_beta(1.0, 1.0, x) == pytest.approx(x, abs=1e-14)

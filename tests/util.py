@@ -2,9 +2,9 @@
 
 ``brute_force_recount`` is the independent single-threaded oracle used to
 check pipeline aggregation: it re-reads the corpus with plain json/dict
-code, classifies tokens through ``Lexicon.classify`` (not the kernel's
-class map), and accumulates bare counter lists -- no BinAggregate, no
-merge machinery.
+code, classifies tokens by applying the threshold rule to
+``Lexicon.assoc`` itself (not the kernel's class map), and accumulates
+bare counter lists -- no BinAggregate, no merge machinery.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from zoneinfo import ZoneInfo
 
 from anxarc._kernel import tokenize
-from anxarc.lexicon import DEFAULT_TAU_ANX, DEFAULT_TAU_CALM, Lexicon, TermClass, load_lexicon
+from anxarc.lexicon import DEFAULT_TAU_ANX, DEFAULT_TAU_CALM, Lexicon, load_lexicon
 from anxarc.slicer import PRONOUNS, VerbTables, classify_tense
 
 ANX_WORDS = [f"anx{i:03d}" for i in range(30)]
@@ -53,7 +53,7 @@ def loads_lexicon(
     thresholds: tuple[float, float] = (DEFAULT_TAU_ANX, DEFAULT_TAU_CALM),
 ) -> Lexicon:
     """Load a lexicon from an in-memory string."""
-    return load_lexicon(io.StringIO(text), thresholds)
+    return load_lexicon(io.BytesIO(text.encode("utf-8")), thresholds)
 
 
 def make_lexicon() -> Lexicon:
@@ -115,7 +115,12 @@ def _bump(counter: list[int], n_tok: int, n_anx: int, n_calm: int) -> None:
 
 
 def brute_force_recount(path: str, lexicon: Lexicon, tables: VerbTables) -> dict:
-    """Independent single-threaded recount of every bin counter."""
+    """Independent single-threaded recount of every bin counter.
+
+    ``lexicon`` is loaded at the default thresholds: a token counts as
+    anxiety at or above ``DEFAULT_TAU_ANX`` and as calm at or below
+    ``DEFAULT_TAU_CALM``.
+    """
     counts = {
         "overall": _zero(),
         "pronoun_overall": _zero(),
@@ -138,8 +143,9 @@ def brute_force_recount(path: str, lexicon: Lexicon, tables: VerbTables) -> dict
                 counts["n_empty"] += 1
                 continue
             n_tok = len(toks)
-            n_anx = sum(1 for t in toks if lexicon.classify(t) is TermClass.ANXIETY)
-            n_calm = sum(1 for t in toks if lexicon.classify(t) is TermClass.CALM)
+            values = [lexicon.assoc[t] for t in toks if t in lexicon.assoc]
+            n_anx = sum(1 for v in values if v >= DEFAULT_TAU_ANX)
+            n_calm = sum(1 for v in values if v <= DEFAULT_TAU_CALM)
             _bump(counts["overall"], n_tok, n_anx, n_calm)
 
             try:
