@@ -73,9 +73,11 @@ def _load_lexicon(args: argparse.Namespace) -> Lexicon:
     return load_lexicon(args.lexicon, (args.tau_anx, args.tau_calm))
 
 
-def _scan(args: argparse.Namespace, families: tuple[str, ...], lexicon: Lexicon) -> ScanResult:
+def _scan(args: argparse.Namespace, families: tuple[str, ...]) -> ScanResult:
+    # Only the class map is kept: the associations are freed before the scan.
+    class_map = _load_lexicon(args).class_map
     tables = load_verb_tables(args.verb_tables) if "tense" in families else None
-    res = scan_corpus(*args.corpus, lexicon=lexicon, families=families, fmt=args.format,
+    res = scan_corpus(*args.corpus, class_map=class_map, families=families, fmt=args.format,
                       tables=tables, workers=args.workers)
     if not res.overall.hist:
         raise DataError("zero scoreable posts in the corpus")
@@ -178,8 +180,7 @@ _TABLES = {"hour": _hour_table, "weekday": _weekday_table, "tense": _tense_table
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    lexicon = _load_lexicon(args)
-    res = _scan(args, (args.family,), lexicon)
+    res = _scan(args, (args.family,))
     _write(_TABLES[args.family](args, res), args)
     return EXIT_OK
 
@@ -206,8 +207,7 @@ def _slice_key(text: str) -> tuple[str, object]:
 def cmd_compare(args: argparse.Namespace) -> int:
     # A slice that names no bin is a usage error before any post is read.
     slices = [_slice_key(text) for text in (args.slice_a, args.slice_b)]
-    lexicon = _load_lexicon(args)
-    res = _scan(args, tuple({family for family, _ in slices}), lexicon)
+    res = _scan(args, tuple({family for family, _ in slices}))
     agg_a, agg_b = (res.bins[family][key] for family, key in slices)
     for label, agg in ((args.slice_a, agg_a), (args.slice_b, agg_b)):
         if agg.totals().n_posts < 2:
@@ -259,8 +259,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_eval_arc(args: argparse.Namespace) -> int:
     with _synth() as synth:
         spec = synth.ArcSpec.from_json(args.arc_spec)
-        lexicon = _load_lexicon(args)
-        report = synth.evaluate_arc(args.corpus, lexicon, spec, workers=args.workers)
+        report = synth.evaluate_arc(args.corpus, _load_lexicon(args).class_map, spec,
+                                    workers=args.workers)
     table = Table(
         name="arc",
         meta=base_meta(
@@ -300,8 +300,7 @@ _REPLICATE_PAIRS = [
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
-    lexicon = _load_lexicon(args)
-    res = _scan(args, FAMILIES, lexicon)
+    res = _scan(args, FAMILIES)
 
     # The four headline tables from a single scan.
     for build in _TABLES.values():

@@ -6,11 +6,13 @@ optional literal ``term<TAB>association`` header. Associations are real
 values in [-3.0, +3.0]; positive means anxiety-associated, negative means
 calmness-associated. Terms are single words and are lower-cased at load.
 A loaded ``Lexicon`` holds a plain term -> association dict and the class
-map that the text kernel reads.
+map that the text kernel reads. The loader checks the file's UTF-8 as a
+whole, then walks and decodes its lines one at a time.
 """
 
 from __future__ import annotations
 
+import io
 from typing import IO, NamedTuple
 
 from ._kernel import ANX, CALM
@@ -98,16 +100,19 @@ def load_lexicon(
             return load_lexicon(fh, thresholds)
 
     raw = source.read()
+    # A bad byte anywhere is reported ahead of any malformed record, and no
+    # decoded copy of the whole file is kept.
     try:
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = raw.count(b"\n", 0, exc.start) + 1
         raise LexiconParseError(line_no, f"invalid UTF-8 at byte {exc.start}") from None
 
     assoc: dict[str, float] = {}
     class_map: dict[str, int] = {}
-    # A CRLF line's "\r" goes with the whitespace stripped from its fields.
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    # A line's "\n" (and a CRLF's "\r") goes with the whitespace stripped from its fields.
+    for line_no, line in enumerate(io.BytesIO(raw), start=1):
+        line = line.decode()
         if not line.strip():
             continue
         fields = line.split("\t")

@@ -7,9 +7,12 @@ family (``bins[family][key]``) and its counters in one dict (``counts``).
 Every corpus file of a run is checked before the first block is read, then
 opened only when its turn comes, and read as blocks of whole lines of about
 ``CHUNK_BYTES`` each (``corpus.read_blocks``; a block never spans two
-files). At ``--workers 1`` each block is scanned into the run's one
-``ScanResult`` in place and dropped before the next is read, so the scan's
-working set is one block plus the aggregates, whatever the corpus size.
+files). A run starts no more workers than it has blocks. At one worker,
+as in every one-block run, each block is scanned into the run's one
+``ScanResult`` in place and dropped before the next is read, so the scan
+holds the token table, one block and the aggregates, whatever the corpus
+size. The table is built from the lexicon's class map alone; the commands
+free the associations before it is built.
 With more workers (``workers.scan_in_workers``) the parent still cuts and
 numbers every block, but it hands each worker only the spans of the blocks
 it asks for; a worker reads its spans back from the file, scans them all
@@ -40,7 +43,6 @@ from .corpus import (
     parse_record,
     read_blocks,
 )
-from .lexicon import Lexicon
 from .scoring import BinAggregate
 from .slicer import (
     PRONOUN_KEYS_BY_BITS,
@@ -242,7 +244,7 @@ def _blocks(files: list[_Checked]) -> Iterator[tuple[int, int, list[bytes]]]:
 
 def scan_corpus(
     *paths: str,
-    lexicon: Lexicon,
+    class_map: dict[str, int],
     families: Iterable[str] = FAMILIES,
     fmt: str = "jsonl",
     tables: VerbTables | None = None,
@@ -264,7 +266,7 @@ def scan_corpus(
         tables = None
     elif tables is None:
         tables = load_verb_tables()
-    state = _ScanState(fmt=fmt, families=families, table=token_table(lexicon.class_map, tables),
+    state = _ScanState(fmt=fmt, families=families, table=token_table(class_map, tables),
                        miss=0 if tables is None else None)
 
     # Every path is checked before the first block is read, so a missing or
@@ -275,6 +277,8 @@ def scan_corpus(
         with open_corpus_path(path) as fh:
             files.append((path, _file_key(fh)))
 
+    # No more workers than blocks: each but a file's last has >= CHUNK_BYTES.
+    workers = min(workers, sum(-(-key[2] // CHUNK_BYTES) for _, key in files))
     if workers > 1:
         # Loaded here: a one-worker run never compiles or imports the worker
         # scan, nor multiprocessing.

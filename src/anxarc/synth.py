@@ -23,7 +23,7 @@ from typing import IO, Sequence
 
 from ._kernel import ANX, CALM
 from .lexicon import Lexicon
-from .pipeline import FAMILY_KEYS, ScanResult, scan_corpus
+from .pipeline import FAMILY_KEYS, scan_corpus
 from .stats import pearson, spearman
 
 AXES = ("hour", "weekday")
@@ -229,16 +229,10 @@ def generate_file(spec: ArcSpec, lexicon: Lexicon, path: str) -> int:
         return generate(spec, lexicon, fh)
 
 
-def evaluate_arc(
-    corpus_path: str,
-    lexicon: Lexicon,
-    spec: ArcSpec,
-    workers: int = 1,
-) -> ArcReport:
+def evaluate_arc(corpus_path: str, class_map: dict[str, int], spec: ArcSpec,
+                 workers: int = 1) -> ArcReport:
     """Run the full pipeline over a corpus and compare recovered vs planted arc."""
-    result: ScanResult = scan_corpus(
-        corpus_path, lexicon=lexicon, families=(spec.axis,), workers=workers
-    )
+    result = scan_corpus(corpus_path, class_map=class_map, families=(spec.axis,), workers=workers)
     bins = result.bins[spec.axis]
     recovered = []
     for bin_id in spec.bins:

@@ -1,12 +1,12 @@
 """The scan at ``--workers N``: forked workers that pull spans over pipes.
 
-The parent starts N forked workers, each with a pipe of its own, or fewer
-if the run cannot have N blocks. It still cuts and numbers every block
-(``pipeline._blocks``), but it keeps only the block's span and hands it to
-the next worker that asks for work. A worker reads each span's lines back
-from the file, scans every span it takes into one ``ScanResult`` of its
-own and sends that result back once, at the end; the parent merges the
-results. The protocol on each pipe:
+The parent starts N forked workers, each with a pipe of its own; N is at
+most the run's block count (``pipeline.scan_corpus``). It still cuts and
+numbers every block (``pipeline._blocks``), but it keeps only the block's
+span and hands it to the next worker that asks for work. A worker reads
+each span's lines back from the file, scans every span it takes into one
+``ScanResult`` of its own and sends that result back once, at the end; the
+parent merges the results. The protocol on each pipe:
 
 * worker -> parent: ``None``, a request for the next span;
 * parent -> worker: a span, or ``None`` to stop;
@@ -106,12 +106,10 @@ def scan_in_workers(files: list[pipeline._Checked], state: pipeline._ScanState,
                     workers: int) -> pipeline.ScanResult:
     """Scan the checked files with ``workers`` forked workers, one result each.
 
-    No more workers are started than the run can have blocks: every block
-    but a file's last holds at least ``CHUNK_BYTES`` bytes. A worker that
-    exits without a result is a CorpusError naming the file and first line
-    of its last span. Every worker is killed and joined on every way out.
+    A worker that exits without a result is a CorpusError naming the file
+    and first line of its last span. Every worker is killed and joined on
+    every way out.
     """
-    workers = min(workers, sum(-(-key[2] // pipeline.CHUNK_BYTES) for _, key in files))
     # Forked workers inherit the token table without a pickle or a fresh
     # import; the scanning process starts no threads, so fork is safe.
     ctx = multiprocessing.get_context("fork")

@@ -69,7 +69,7 @@ def test_criterion_1_arc_recovery(lex, acceptance_tmp):
         path = str(acceptance_tmp / "arc_corpus.jsonl")
         n = generate_file(spec, lex, path)
         assert n == 240_000
-        report = evaluate_arc(path, lex, spec)
+        report = evaluate_arc(path, lex.class_map, spec)
         elapsed = time.perf_counter() - start
         print(f"  pearson_r={report.pearson_r:.4f} spearman_r={report.spearman_r:.4f} "
               f"({elapsed:.1f}s)")
@@ -89,7 +89,8 @@ def test_criterion_2_oracle_equivalence(lex, acceptance_tmp, monkeypatch):
             path.write_text("\n".join(util.random_corpus_lines(rng, 1000)) + "\n")
             oracle = util.brute_force_recount(str(path), lex, tables)
             for workers in (1, 4, 8):
-                res = scan_corpus(str(path), lexicon=lex, families=FAMILIES, workers=workers)
+                res = scan_corpus(str(path), class_map=lex.class_map, families=FAMILIES,
+                                  workers=workers)
                 assert util.counters_of(res.overall) == oracle["overall"], (case, workers)
                 assert util.counters_of(res.pronoun_overall) == oracle["pronoun_overall"]
                 for h in range(24):
@@ -195,7 +196,7 @@ def test_criterion_5_pronoun_slicing(lex, acceptance_tmp):
                 expected[p] += 1
         path = acceptance_tmp / "pronouns.jsonl"
         path.write_text("\n".join(json.dumps(p) for p in posts) + "\n")
-        res = scan_corpus(str(path), lexicon=lex, families=("pronoun",))
+        res = scan_corpus(str(path), class_map=lex.class_map, families=("pronoun",))
         for p in PRONOUNS:
             assert res.bins["pronoun"][p].totals().n_posts == expected[p], p
         assert res.pronoun_overall.totals().n_posts == n_with

@@ -10,6 +10,7 @@ import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from datetime import datetime
 from importlib import resources
 from pathlib import Path
@@ -93,7 +94,8 @@ def test_worker_count_does_not_change_bytes(workdir, monkeypatch):
 
 
 def test_no_more_workers_than_blocks(workdir, monkeypatch, fixtures_dir):
-    # The mini corpus is one block, which one worker scans.
+    # The mini corpus is one block, which is scanned in-process; cut into
+    # two blocks, two workers scan it.
     started = []
     real_start = ForkProcess.start
 
@@ -102,9 +104,38 @@ def test_no_more_workers_than_blocks(workdir, monkeypatch, fixtures_dir):
         real_start(proc)
 
     monkeypatch.setattr(ForkProcess, "start", start)
-    got = analyze("hour", workdir, "--workers", "3").read_bytes()
-    assert len(started) == 1
-    assert got == (fixtures_dir / "golden" / "hour.csv").read_bytes()
+    golden = (fixtures_dir / "golden" / "hour.csv").read_bytes()
+    size = (workdir / MINI_CORPUS).stat().st_size
+    for chunk_bytes, forks in ((pipeline.CHUNK_BYTES, 0), (-(-size // 2), 2)):
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", chunk_bytes)
+        started.clear()
+        assert analyze("hour", workdir, "--workers", "3").read_bytes() == golden
+        assert len(started) == forks
+
+
+def test_scan_holds_the_class_map_only(workdir, monkeypatch):
+    # When the first block is scanned, what the lexicon loader allocated and
+    # is still live is the class map: its table and its terms, a fifth of
+    # the lexicon, and not the associations of all its terms.
+    (workdir / "big.tsv").write_text(util.big_lexicon_text(), encoding="utf-8")
+    held = []
+    real_scan_chunk = pipeline._scan_chunk
+
+    def scan_chunk(*args):
+        if not held:
+            lexicon_py = tracemalloc.Filter(True, load_lexicon.__code__.co_filename)
+            snapshot = tracemalloc.take_snapshot().filter_traces([lexicon_py])
+            held.append(sum(stat.size for stat in snapshot.statistics("filename")))
+        return real_scan_chunk(*args)
+
+    monkeypatch.setattr(pipeline, "_scan_chunk", scan_chunk)
+    tracemalloc.start()
+    try:
+        assert run("analyze-hour", "--lexicon", "big.tsv", "--corpus", MINI_CORPUS,
+                   "--out", "reports") == 0
+    finally:
+        tracemalloc.stop()
+    assert held and held[0] < 500_000, held
 
 
 def test_tsv_corpus_roundtrip(workdir):
@@ -516,16 +547,23 @@ def test_missing_second_corpus_exits_2_at_two_workers(workdir):
 
 
 def test_corpus_changed_during_a_two_worker_scan_exits_2(workdir, capsys, monkeypatch):
-    # The parent cuts the first block, then the file is emptied before a
-    # worker reads that block back: one error line names the file.
+    # The parent cuts the first block, then the first line end is
+    # overwritten before a worker reads that block back, so the block no
+    # longer reads back as cut: one error line names the file. The later
+    # blocks read back unchanged, so no other worker can report first.
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)  # blocks enough for two workers
     real_read_blocks = pipeline.read_blocks
+    first_line_end = Path(MINI_CORPUS).read_bytes().index(b"\n")
 
-    def read_then_truncate(fh, size):
-        for block in real_read_blocks(fh, size):
-            Path(MINI_CORPUS).write_bytes(b"")
+    def read_then_join_lines(fh, size):
+        for index, block in enumerate(real_read_blocks(fh, size)):
+            if index == 0:
+                with open(MINI_CORPUS, "r+b") as corpus:
+                    corpus.seek(first_line_end)
+                    corpus.write(b" ")
             yield block
 
-    monkeypatch.setattr(pipeline, "read_blocks", read_then_truncate)
+    monkeypatch.setattr(pipeline, "read_blocks", read_then_join_lines)
     code = run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
                "--workers", "2", "--out", "out")
     err = capsys.readouterr().err
@@ -1000,7 +1038,8 @@ def test_eval_arc_of_a_flat_arc_exits_2(synth_env, capsys):
     assert "constant" in err
 
 
-def test_eval_arc_of_a_bin_without_posts_exits_2(synth_env, capsys):
+def test_eval_arc_of_a_bin_without_posts_exits_2(synth_env, capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)  # blocks enough for two workers
     _write_arc_spec(synth_env / "two.json", bins=[0, 1], p_anx=[0.1, 0.3], posts_per_bin=5)
     _write_arc_spec(synth_env / "three.json", bins=[0, 1, 2], p_anx=[0.1, 0.3, 0.2],
                     posts_per_bin=5)

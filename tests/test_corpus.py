@@ -302,11 +302,11 @@ def test_unknown_format_rejected(tmp_path, lexicon):
     path = tmp_path / "corpus.jsonl"
     path.write_text(GOOD_JSONL + "\n", encoding="utf-8")
     with pytest.raises(CorpusError):
-        scan_corpus(str(path), lexicon=lexicon, fmt="xml")
+        scan_corpus(str(path), class_map=lexicon.class_map, fmt="xml")
     with pytest.raises(CorpusError):
         parse_record(GOOD_JSONL, "xml")
     with pytest.raises(ValueError):  # a worker count below one
-        scan_corpus(str(path), lexicon=lexicon, workers=0)
+        scan_corpus(str(path), class_map=lexicon.class_map, workers=0)
 
 
 def test_missing_file_is_fatal():
@@ -377,7 +377,7 @@ def test_unknown_timezone_is_looked_up_once(tmp_path, lexicon, monkeypatch):
     monkeypatch.setattr(corpus, "ZoneInfo", counting_zone_info)
     corpus._zone.cache_clear()
     try:
-        res = scan_corpus(str(path), lexicon=lexicon, families=("hour",))
+        res = scan_corpus(str(path), class_map=lexicon.class_map, families=("hour",))
     finally:
         corpus._zone.cache_clear()
     assert looked_up == ["Mars/Colony"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,7 @@ from anxarc.lexicon import (
     lexicon_stats,
     load_lexicon,
 )
-from util import loads_lexicon
+from util import big_lexicon_text, loads_lexicon, reference_load
 
 
 def expected_code(value: float, tau_anx: float = DEFAULT_TAU_ANX,
@@ -175,3 +176,69 @@ def test_round_trip(lexicon):
 def test_class_map_contains_only_affect_terms(lexicon):
     expected = {t: expected_code(v) for t, v in lexicon.assoc.items()}
     assert lexicon.class_map == {t: code for t, code in expected.items() if code is not None}
+
+
+# Lines of a lexicon file: well-formed rows, headers and blank lines, each
+# padded with characters that are stripped as whitespace, and faulty lines.
+_pad = st.sampled_from(["", " ", "\r", "\x0c", "\u2028"])
+_term = st.one_of(st.sampled_from(["panic", "PANIC", "calm", "\u00e9t\u00e9", "term"]),
+                  st.text("abcdefghij", min_size=1, max_size=6))
+_value = st.one_of(st.sampled_from(["3.0", "-2.5", "0", "1.0", "-1.0", "+1e0", "association"]),
+                   st.floats(-3.0, 3.0).map(repr))
+_good_line = st.one_of(
+    st.tuples(_pad, _term, _pad, _value, _pad).map(lambda p: f"{p[0]}{p[1]}{p[2]}\t{p[3]}{p[4]}"),
+    st.sampled_from(["term\tassociation", "TERM\tassociation", "", " ", "\r", "\u2028"]),
+).map(str.encode)
+_bad_line = st.one_of(
+    st.sampled_from([b"panic", b"a\tb\tc", b"\t1.0", b"two words\t1.0", b"x\toops", b"x\t4.5",
+                     b"x\t-3.5", b"x\tnan", b"x\tinf", b"x\t\xff", b"\xc3", b"\xe2\x80"]),
+    st.binary(max_size=6),
+)
+
+
+def _outcome(load, raw: bytes, thresholds):
+    """A load's result, as the dicts' items in order, or its error's type, message and line."""
+    try:
+        lex = load(raw, thresholds)
+    except LexiconError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return list(lex.assoc.items()), list(lex.class_map.items())
+
+
+@given(st.lists(_good_line, max_size=12), st.lists(_bad_line, max_size=2), st.booleans(),
+       st.sampled_from([(DEFAULT_TAU_ANX, DEFAULT_TAU_CALM), (2.0, -0.5)]), st.data())
+def test_line_walk_matches_the_whole_text_loader(lines, bad, newline_at_end, thresholds, data):
+    # Walking the lines one at a time gives what decoding the whole file and
+    # splitting it gives: the same dicts in the same order, or the same error.
+    for line in bad:
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    raw = b"\n".join(lines) + (b"\n" if newline_at_end else b"")
+    got = _outcome(lambda r, t: load_lexicon(io.BytesIO(r), t), raw, thresholds)
+    assert got == _outcome(reference_load, raw, thresholds)
+
+
+def test_bad_byte_is_reported_before_an_earlier_malformed_row():
+    with pytest.raises(LexiconParseError) as exc:
+        loads_lexicon("a\tb\tc\nok\t1\n")  # well-formed UTF-8 so far
+    assert exc.value.line_no == 1
+    with pytest.raises(LexiconParseError) as exc:
+        load_lexicon(io.BytesIO(b"a\tb\tc\nok\t1\n\xff\n"))
+    assert str(exc.value) == "line 3: invalid UTF-8 at byte 11"
+    assert exc.value.line_no == 3
+
+
+def test_load_holds_the_file_once(tmp_path):
+    # While it walks the lines the loader holds the file's bytes, but no
+    # decoded copy and no list of its lines: its peak over what it returns
+    # is about the file's size.
+    path = tmp_path / "lexicon.tsv"
+    path.write_text(big_lexicon_text(), encoding="utf-8")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        lex = load_lexicon(str(path))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lex.assoc) == 14_000
+    assert peak - retained < 1.5 * size, (peak - retained, size)

@@ -57,14 +57,14 @@ def assert_matches_oracle(res: ScanResult, oracle: dict):
 
 def test_scan_matches_brute_force(random_corpus, lexicon):
     path, oracle = random_corpus
-    res = scan_corpus(path, lexicon=lexicon, families=FAMILIES)
+    res = scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES)
     assert_matches_oracle(res, oracle)
 
 
 def test_scan_parallel_matches_brute_force(random_corpus, lexicon, monkeypatch):
     path, oracle = random_corpus
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 16384)
-    res = scan_corpus(path, lexicon=lexicon, families=FAMILIES, workers=4)
+    res = scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, workers=4)
     assert_matches_oracle(res, oracle)
 
 
@@ -72,7 +72,7 @@ def test_worker_counts_agree_exactly(random_corpus, lexicon, monkeypatch):
     path, _ = random_corpus
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 32768)
     results = [
-        scan_corpus(path, lexicon=lexicon, families=FAMILIES, workers=w)
+        scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, workers=w)
         for w in (1, 2, 3, 4)
     ]
     base = results[0]
@@ -86,13 +86,14 @@ def test_families_limit_work(random_corpus, lexicon, monkeypatch):
     # bin of the full scan, whatever the worker count.
     path, oracle = random_corpus
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 65536)
-    full = scan_corpus(path, lexicon=lexicon, families=FAMILIES)
+    full = scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES)
     assert_matches_oracle(full, oracle)
     want = util.result_state(full)
     for n in range(1, len(FAMILIES) + 1):
         for families in itertools.combinations(FAMILIES, n):
             for workers in (1, 2):
-                res = scan_corpus(path, lexicon=lexicon, families=families, workers=workers)
+                res = scan_corpus(path, class_map=lexicon.class_map, families=families,
+                                  workers=workers)
                 got = util.result_state(res)
                 where = (families, workers)
                 assert got["overall"] == want["overall"], where
@@ -107,7 +108,7 @@ def test_tz_skips_exclude_time_bins_only(tmp_path, lexicon):
         '{"id":"2","text":"i went home","timestamp_utc":"2020-01-01T05:00:00Z","timezone":"UTC"}',
     ]
     path = write_corpus(tmp_path, lines)
-    res = scan_corpus(path, lexicon=lexicon, families=FAMILIES)
+    res = scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES)
     assert res.counts["n_tz_skips"] == 1
     assert res.overall.totals().n_posts == 2  # bad-tz post still scored overall
     assert sum(a.totals().n_posts for a in res.bins["hour"].values()) == 1
@@ -122,7 +123,7 @@ def test_parse_and_empty_skips_counted(tmp_path, lexicon):
         '{"id":"2","text":"neut000","timestamp_utc":"2020-01-01T05:00:00Z","timezone":"UTC"}',
     ]
     path = write_corpus(tmp_path, lines)
-    res = scan_corpus(path, lexicon=lexicon, families=("hour",))
+    res = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
     assert res.counts["n_records"] == 3
     assert res.counts["n_parse_skips"] == 1
     assert res.counts["n_empty_skips"] == 1
@@ -151,7 +152,7 @@ def test_invalid_utf8_line_is_a_parse_skip(tmp_path, lexicon, workers, monkeypat
     path = tmp_path / "corpus.jsonl"
     bad = b'{"id":"2","text":"bad \xff\xfe","timestamp_utc":"2020-01-01T05:00:00Z","timezone":"UTC"}'
     path.write_bytes(b"\n".join([GOOD_RECORD % 1, bad, GOOD_RECORD % 3]) + b"\n")
-    res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, workers=workers)
+    res = scan_corpus(str(path), class_map=lexicon.class_map, families=FAMILIES, workers=workers)
     assert res.counts["n_records"] == 3
     assert res.counts["n_parse_skips"] == 1
     assert res.overall.totals().n_posts == 2
@@ -189,7 +190,8 @@ def test_any_bytes_scan_without_error(tmp_path, lexicon, workers, examples, monk
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def check(lines):
         path.write_bytes(b"\n".join(lines))
-        res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, workers=workers)
+        res = scan_corpus(str(path), class_map=lexicon.class_map, families=FAMILIES,
+                          workers=workers)
         assert_all_records_accounted(res)
         assert res.counts["n_records"] == sum(map(is_record, lines))
         assert res.overall.totals().n_posts == sum(len(line) > 40 for line in lines)
@@ -235,7 +237,7 @@ def test_any_block_size_keeps_the_result(tmp_path, lexicon, tables, workers, exa
 
         def scan(size, workers):
             monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
-            res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, fmt=fmt,
+            res = scan_corpus(str(path), class_map=lexicon.class_map, families=FAMILIES, fmt=fmt,
                               tables=tables, workers=workers)
             return util.result_state(res), res.skip_events
 
@@ -250,7 +252,8 @@ def test_skip_events_name_their_file(tmp_path, lexicon, workers, monkeypatch):
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 16)
     first = write_corpus(tmp_path, ["bad one", GOOD_RECORD.decode() % 1, "bad two"], "a.jsonl")
     second = write_corpus(tmp_path, [GOOD_RECORD.decode() % 2, "", "bad three"], "b.jsonl")
-    res = scan_corpus(first, second, lexicon=lexicon, families=FAMILIES, workers=workers)
+    res = scan_corpus(first, second, class_map=lexicon.class_map, families=FAMILIES,
+                      workers=workers)
     assert [(e.path, e.line_no) for e in res.skip_events] == [
         (first, 1), (first, 3), (second, 3)
     ]
@@ -264,7 +267,7 @@ def test_missing_later_corpus_fails_before_any_record_is_read(tmp_path, lexicon,
     real_parse = pipeline.parse_record
     monkeypatch.setattr(pipeline, "parse_record", lambda *a: parsed.append(a) or real_parse(*a))
     with pytest.raises(CorpusError, match="missing.jsonl"):
-        scan_corpus(first, str(tmp_path / "missing.jsonl"), lexicon=lexicon, workers=1)
+        scan_corpus(first, str(tmp_path / "missing.jsonl"), class_map=lexicon.class_map, workers=1)
     assert parsed == []
 
 
@@ -272,7 +275,7 @@ def test_corpus_that_is_not_a_regular_file_is_refused(tmp_path, lexicon):
     # Blocks are read back by offset, so a device or pipe cannot be a corpus.
     first = write_corpus(tmp_path, [GOOD_RECORD.decode() % 1])
     with pytest.raises(CorpusError, match=f"not a regular file: {os.devnull}"):
-        scan_corpus(first, os.devnull, lexicon=lexicon)
+        scan_corpus(first, os.devnull, class_map=lexicon.class_map)
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +295,7 @@ def test_splitting_into_files_keeps_the_result(tmp_path_factory, lexicon, tables
                                                workers, examples, monkeypatch):
     tmp = tmp_path_factory.mktemp("split")
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 8192)
-    whole = scan_corpus(write_corpus(tmp, mixed_lines), lexicon=lexicon,
+    whole = scan_corpus(write_corpus(tmp, mixed_lines), class_map=lexicon.class_map,
                         families=FAMILIES, tables=tables)
     expected = util.result_state(whole)
 
@@ -305,7 +308,7 @@ def test_splitting_into_files_keeps_the_result(tmp_path_factory, lexicon, tables
             write_corpus(tmp, mixed_lines[lo:hi], f"part{i}.jsonl")
             for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
         ]
-        res = scan_corpus(*paths, lexicon=lexicon, families=FAMILIES, tables=tables,
+        res = scan_corpus(*paths, class_map=lexicon.class_map, families=FAMILIES, tables=tables,
                           workers=workers)
         assert util.result_state(res) == expected
 
@@ -319,8 +322,8 @@ def test_unknown_family_rejected(lexicon):
 
 def test_merge_results_accumulates(random_corpus, lexicon):
     path, oracle = random_corpus
-    a = scan_corpus(path, lexicon=lexicon, families=("hour",))
-    b = scan_corpus(path, lexicon=lexicon, families=("hour",))
+    a = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
+    b = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
     a.merge_from(b)
     assert a.overall.totals().n_posts == 2 * oracle["overall"][0]
     assert a.counts["n_records"] == 2 * oracle["n_records"]
@@ -334,13 +337,13 @@ def test_one_worker_scan_holds_one_block(tmp_path, lexicon, tables, monkeypatch)
     path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(5), 16_000))
     # A first scan pays for one-time imports and caches; without it, the
     # slope would depend on which test ran first.
-    scan_corpus(path, lexicon=lexicon, families=FAMILIES, tables=tables)
+    scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, tables=tables)
     peaks = {}
     for size in (1 << 18, 1 << 20):
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
         tracemalloc.start()
         try:
-            scan_corpus(path, lexicon=lexicon, families=FAMILIES, tables=tables)
+            scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, tables=tables)
             peaks[size] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -367,15 +370,18 @@ def spy_worker_spans(monkeypatch) -> list[tuple]:
 @pytest.mark.parametrize("size", [4096, 1 << 20])
 def test_pool_tasks_are_small_spans(random_corpus, lexicon, monkeypatch, size):
     # A message to a worker carries a block's span, not its lines, whatever
-    # the block size.
+    # the block size. At 1 MiB the corpus is one block, which is scanned
+    # with no worker and no message; cut in halves, each span is small.
     path, oracle = random_corpus
-    monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
-    spans = spy_worker_spans(monkeypatch)
-    res = scan_corpus(path, lexicon=lexicon, families=FAMILIES, workers=2)
-    assert_matches_oracle(res, oracle)
-    assert spans
-    assert max(len(pickle.dumps(span)) for span in spans) < 1024
-    assert multiprocessing.active_children() == []
+    n_bytes = os.path.getsize(path)
+    for chunk_bytes in (size, n_bytes // 2 + 1):
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", chunk_bytes)
+        spans = spy_worker_spans(monkeypatch)
+        res = scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, workers=2)
+        assert_matches_oracle(res, oracle)
+        assert bool(spans) == (chunk_bytes < n_bytes)
+        assert all(len(pickle.dumps(span)) < 1024 for span in spans)
+        assert multiprocessing.active_children() == []
 
 
 def test_block_cut_at_a_line_end_keeps_the_result(tmp_path, lexicon, tables, monkeypatch):
@@ -389,7 +395,7 @@ def test_block_cut_at_a_line_end_keeps_the_result(tmp_path, lexicon, tables, mon
 
     def scan(size, workers):
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
-        res = scan_corpus(str(path), lexicon=lexicon, families=FAMILIES, tables=tables,
+        res = scan_corpus(str(path), class_map=lexicon.class_map, families=FAMILIES, tables=tables,
                           workers=workers)
         return util.result_state(res), res.skip_events
 
@@ -408,13 +414,15 @@ def test_two_worker_scan_parent_holds_one_block(tmp_path, lexicon, tables, monke
     # block per block byte. A parent that kept the blocks in flight, or
     # their pickles, would grow by several bytes per block byte.
     path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(5), 16_000))
-    scan_corpus(path, lexicon=lexicon, families=FAMILIES, tables=tables, workers=2)  # warm-up
+    scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, tables=tables,
+                workers=2)  # warm-up
     peaks = {}
     for size in (1 << 18, 1 << 20):
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
         tracemalloc.start()
         try:
-            scan_corpus(path, lexicon=lexicon, families=FAMILIES, tables=tables, workers=2)
+            scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, tables=tables,
+                        workers=2)
             peaks[size] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -502,7 +510,7 @@ def test_worker_results_merge_alike_in_any_order(tmp_path, lexicon, tables, monk
         status, res = run_worker(files, lexicon, *spans[k::3], state=state)
         assert status == "ok" and res.skip_events
         results.append(res)
-    whole = scan_corpus(*paths, lexicon=lexicon, families=FAMILIES, tables=tables)
+    whole = scan_corpus(*paths, class_map=lexicon.class_map, families=FAMILIES, tables=tables)
     assert whole.counts["n_parse_skips"] > pipeline.MAX_RECORDED_SKIPS
     for order in itertools.permutations(results):
         merged = ScanResult(FAMILIES)

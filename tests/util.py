@@ -15,8 +15,19 @@ import random
 from datetime import datetime, timezone
 from zoneinfo import ZoneInfo
 
-from anxarc._kernel import tokenize
-from anxarc.lexicon import DEFAULT_TAU_ANX, DEFAULT_TAU_CALM, Lexicon, load_lexicon
+from anxarc._kernel import ANX, CALM, tokenize
+from anxarc.lexicon import (
+    _HEADER,
+    ASSOC_MAX,
+    ASSOC_MIN,
+    DEFAULT_TAU_ANX,
+    DEFAULT_TAU_CALM,
+    DuplicateTermError,
+    EmptyLexiconError,
+    Lexicon,
+    LexiconParseError,
+    load_lexicon,
+)
 from anxarc.slicer import PRONOUNS, VerbTables, classify_tense
 
 ANX_WORDS = [f"anx{i:03d}" for i in range(30)]
@@ -58,6 +69,71 @@ def loads_lexicon(
 
 def make_lexicon() -> Lexicon:
     return loads_lexicon(lexicon_text())
+
+
+def big_lexicon_text(n_terms: int = 14_000, seed: int = 0) -> str:
+    """A lexicon of the paper's size: a tenth of the terms anxiety, a tenth calm."""
+    rng = random.Random(seed)
+    rows = ["term\tassociation"]
+    for i in range(n_terms):
+        word = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(rng.randint(4, 9)))
+        value = rng.uniform(1.0, 3.0) if i % 10 == 0 else rng.uniform(-3.0, -1.0) if i % 10 == 1 \
+            else rng.uniform(-0.99, 0.99)
+        rows.append(f"{word}{i}\t{value:.3f}")
+    return "\n".join(rows) + "\n"
+
+
+def reference_load(raw: bytes, thresholds: tuple[float, float]) -> Lexicon:
+    """The loader that decodes the whole file and splits the text: the rule
+    that ``load_lexicon``, which walks the lines one at a time, must keep
+    for every input, errors included. The thresholds are taken as valid."""
+    tau_anx, tau_calm = thresholds
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise LexiconParseError(line_no, f"invalid UTF-8 at byte {exc.start}") from None
+
+    assoc: dict[str, float] = {}
+    class_map: dict[str, int] = {}
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise LexiconParseError(
+                line_no, f"expected 2 tab-separated fields, got {len(fields)}"
+            )
+        term, assoc_text = fields[0].strip(), fields[1].strip()
+        if line_no == 1 and (term, assoc_text) == _HEADER:
+            continue
+        term = term.lower()
+        if not term:
+            raise LexiconParseError(line_no, "empty term")
+        if len(term.split()) != 1:
+            raise LexiconParseError(line_no, f"term contains whitespace: {term!r}")
+        try:
+            value = float(assoc_text)
+        except ValueError:
+            raise LexiconParseError(
+                line_no, f"non-numeric association: {assoc_text!r}"
+            ) from None
+        if not (ASSOC_MIN <= value <= ASSOC_MAX):
+            raise LexiconParseError(
+                line_no,
+                f"association {value} outside [{ASSOC_MIN}, {ASSOC_MAX}]",
+            )
+        if term in assoc:
+            raise DuplicateTermError(term, line_no)
+        assoc[term] = value
+        if value >= tau_anx:
+            class_map[term] = ANX
+        elif value <= tau_calm:
+            class_map[term] = CALM
+
+    if not assoc:
+        raise EmptyLexiconError("lexicon source contains no records")
+    return Lexicon(assoc, class_map)
 
 
 def random_post_text(rng: random.Random) -> str:
