@@ -1,33 +1,24 @@
 """The scan at ``--workers N``: forked workers that pull spans over pipes.
 
-The parent starts N forked workers, each with a pipe of its own; N is at
-most the run's block count (``pipeline.scan_corpus``). It still cuts and
-numbers every block (``pipeline._blocks``), but it keeps only the block's
-span and hands it to the next worker that asks for work. A worker reads
-each span's lines back from the file, scans every span it takes into one
-``ScanResult`` of its own and sends that result back once, at the end; the
-parent merges the results. The protocol on each pipe:
-
-* worker -> parent: ``None``, a request for the next span;
-* parent -> worker: a span, or ``None`` to stop;
-* worker -> parent, last: ``("ok", result)``, or ``("error", exception)``
-  if a span could not be read back or scanned; the parent raises that
-  exception.
-
-Results are merged as they arrive: ``ScanResult.merge_from`` gives the
-same result, skip events included, in any order.
-
-The parent blocks only in ``wait`` on the pipes and sends one small
-message per request, so neither side can wait on the other forever, and a
-worker that exits without a result reads as EOF on its pipe.
+The parent forks N workers (at most the run's block count), each with a
+pipe each way. It still cuts every block (``pipeline._blocks``), but hands
+a worker that asks only the block's span; the worker reads its spans back
+from the file, scans them into one ``ScanResult`` and sends that back once,
+at the end. Each message is a pickle after its length: ``None`` asks for a
+span, the parent answers with a span or ``None`` to stop, and the worker's
+last message is ``("ok", result)`` or ``("error", exception)``, which the
+parent raises. Results merge alike in any order. The parent blocks only in
+``poll`` and a worker that exits without a result reads as EOF, so neither
+side waits on the other forever.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import os
+import pickle
+import select
+import signal
 from itertools import islice
-from multiprocessing.connection import Connection, wait
-from multiprocessing.process import BaseProcess
 from typing import Iterator
 
 from . import pipeline
@@ -36,6 +27,28 @@ from .corpus import CorpusError
 # What a worker is sent instead of a block's lines: (file index, first line
 # number, byte offset, line count, byte count).
 _Span = tuple[int, int, int, int, int]
+
+
+def _send(fd: int, obj: object) -> None:
+    """Write ``obj`` to the pipe ``fd`` as one message: its pickle's length, then the pickle."""
+    data = pickle.dumps(obj)
+    view = memoryview(len(data).to_bytes(8, "big") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, n: int) -> bytearray:
+    buf = bytearray()
+    while len(buf) < n:
+        if not (chunk := os.read(fd, n - len(buf))):
+            raise EOFError
+        buf += chunk
+    return buf
+
+
+def _recv(fd: int) -> object:
+    """Read one message of ``_send`` from the pipe ``fd``; EOFError if the writer is gone."""
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "big")))
 
 
 def _spans(files: list[pipeline._Checked]) -> Iterator[_Span]:
@@ -50,28 +63,19 @@ def _spans(files: list[pipeline._Checked]) -> Iterator[_Span]:
         offset += nbytes
 
 
-def _scan_worker(conn: Connection, state: pipeline._ScanState, files: list[pipeline._Checked],
-                 parent_ends: list[Connection]) -> None:
-    """A scan worker: take spans from the parent and scan them into one result.
+def _scan_worker(span_fd: int, reply_fd: int, state: pipeline._ScanState,
+                 files: list[pipeline._Checked]) -> None:
+    """A scan worker: ask for spans on ``reply_fd``, take them from ``span_fd``, reply.
 
-    Each span's lines are read back from the file by line count and checked
-    against the byte total of the block the parent cut. Spans come in
-    stream order, so the worker holds one file open at a time, and its
-    result records the first skip events of its own spans.
-
-    ``parent_ends`` are the parent's ends of the pipes made so far, which
-    the fork copied; the worker closes them, so that its ``recv`` reads EOF
-    if the parent dies.
+    Spans come in stream order, so the worker holds one file open at a time.
     """
-    for end in parent_ends:
-        end.close()
     res = pipeline.ScanResult(state.families)
     lookups = pipeline._bin_lookups(res)
     open_index, fh = -1, None
     try:
         while True:
-            conn.send(None)
-            span = conn.recv()
+            _send(reply_fd, None)
+            span = _recv(span_fd)
             if span is None:
                 break
             index, first_line_no, offset, n_lines, nbytes = span
@@ -82,9 +86,8 @@ def _scan_worker(conn: Connection, state: pipeline._ScanState, files: list[pipel
                 fh = pipeline._open_checked(files[index], first_line_no)
                 open_index = index
             fh.seek(offset)
-            # Read back by line count: fh.readlines(nbytes) would overshoot,
-            # since on a buffered file it stops at the first line that goes
-            # past the hint.
+            # Read back by line count, checked against the block's byte
+            # count: on a buffered file, fh.readlines(nbytes) overshoots.
             lines = list(islice(fh, n_lines))
             if len(lines) != n_lines or sum(map(len, lines)) != nbytes:
                 raise pipeline._changed(path, first_line_no)
@@ -96,64 +99,75 @@ def _scan_worker(conn: Connection, state: pipeline._ScanState, files: list[pipel
     finally:
         if fh is not None:
             fh.close()
-    try:
-        conn.send(reply)
-    except BrokenPipeError:  # the parent is gone; nobody is left to tell
-        pass
+    _send(reply_fd, reply)
 
 
 def scan_in_workers(files: list[pipeline._Checked], state: pipeline._ScanState,
                     workers: int) -> pipeline.ScanResult:
     """Scan the checked files with ``workers`` forked workers, one result each.
 
-    A worker that exits without a result is a CorpusError naming the file
-    and first line of its last span. Every worker is killed and joined on
-    every way out.
+    A worker that exits without a result is a CorpusError naming its last
+    span; every worker is killed and reaped on every way out.
     """
     # Forked workers inherit the token table without a pickle or a fresh
     # import; the scanning process starts no threads, so fork is safe.
-    ctx = multiprocessing.get_context("fork")
     spans = _spans(files)
-    procs: dict[Connection, BaseProcess] = {}
-    last: dict[Connection, _Span] = {}
+    pids: list[int] = []
+    span_fds: dict[int, int] = {}  # each worker's reply pipe -> its span pipe
+    last: dict[int, _Span] = {}
     total = pipeline.ScanResult(state.families)
+    poller = select.poll()
     try:
         for _ in range(workers):
-            conn, child_conn = ctx.Pipe()
-            procs[conn] = proc = ctx.Process(
-                target=_scan_worker, args=(child_conn, state, files, [conn, *procs]), daemon=True)
-            proc.start()
-            # Closed before the next fork, so this pipe reads EOF once its
-            # worker is gone.
-            child_conn.close()
+            span_r, span_w = os.pipe()
+            reply_r, reply_w = os.pipe()
+            span_fds[reply_r] = span_w
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        # Close the parent's ends, earlier workers' too: EOF if it dies.
+                        for end in (*span_fds, *span_fds.values()):
+                            os.close(end)
+                        _scan_worker(span_r, reply_w, state, files)
+                    finally:
+                        # Never into the parent's stack, atexit hooks or stdio buffers.
+                        os._exit(0)
+            finally:
+                # Closed before the next fork: a pipe reads EOF once its worker is gone.
+                os.close(span_r)
+                os.close(reply_w)
+            pids.append(pid)
+            poller.register(reply_r, select.POLLIN)
         span = next(spans, None)
-        live = list(procs)
+        live = len(pids)
         while live:
-            for conn in wait(live):
+            for fd, _ in poller.poll():
                 try:
-                    msg = conn.recv()
+                    msg = _recv(fd)
                     if msg is None:
-                        conn.send(span)
+                        _send(span_fds[fd], span)
                 except (EOFError, ConnectionError):
-                    if conn not in last:
+                    if fd not in last:
                         raise CorpusError("a scan worker died before its first span") from None
-                    index, line_no = last[conn][:2]
+                    index, line_no = last[fd][:2]
                     raise CorpusError(
                         f"a scan worker died at {files[index][0]} line {line_no}") from None
                 if msg is None:
                     if span is not None:
-                        last[conn] = span
+                        last[fd] = span
                         span = next(spans, None)
                     continue
                 status, value = msg
                 if status == "error":
                     raise value
                 total.merge_from(value)
-                live.remove(conn)
+                poller.unregister(fd)
+                live -= 1
     finally:
-        for proc in procs.values():
-            proc.kill()
-        for conn, proc in procs.items():
-            proc.join()
-            conn.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for end in (*span_fds, *span_fds.values()):
+            os.close(end)
     return total

@@ -3,8 +3,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
-from multiprocessing.context import ForkProcess
 import os
 import random
 import shutil
@@ -97,13 +95,13 @@ def test_no_more_workers_than_blocks(workdir, monkeypatch, fixtures_dir):
     # The mini corpus is one block, which is scanned in-process; cut into
     # two blocks, two workers scan it.
     started = []
-    real_start = ForkProcess.start
+    real_fork = os.fork
 
-    def start(proc):
-        started.append(proc)
-        real_start(proc)
+    def fork():
+        started.append(None)
+        return real_fork()
 
-    monkeypatch.setattr(ForkProcess, "start", start)
+    monkeypatch.setattr(os, "fork", fork)
     golden = (fixtures_dir / "golden" / "hour.csv").read_bytes()
     size = (workdir / MINI_CORPUS).stat().st_size
     for chunk_bytes, forks in ((pipeline.CHUNK_BYTES, 0), (-(-size // 2), 2)):
@@ -571,7 +569,37 @@ def test_corpus_changed_during_a_two_worker_scan_exits_2(workdir, capsys, monkey
     assert err.splitlines() == [
         f"anxarc: data error: corpus changed during the scan: {MINI_CORPUS} (from line 1)"
     ]
-    assert multiprocessing.active_children() == []
+    util.assert_no_child_left()
+
+
+@pytest.mark.parametrize("change", ["truncate", "append"])
+def test_corpus_changed_during_a_one_worker_scan_exits_2(workdir, capsys, monkeypatch, change):
+    # The file is cut short, or gains a line, after its first block is read:
+    # the scan then ends before or after the size checked at the start,
+    # which stops the run as it does at two workers.
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)
+    real_read_blocks = pipeline.read_blocks
+    data = Path(MINI_CORPUS).read_bytes()
+
+    def read_then_change(fh, size):
+        for index, block in enumerate(real_read_blocks(fh, size)):
+            if index == 0:
+                with open(MINI_CORPUS, "r+b") as corpus:
+                    if change == "truncate":
+                        corpus.truncate(len(data) // 2)
+                    else:
+                        corpus.seek(0, os.SEEK_END)
+                        corpus.write(data[:data.index(b"\n") + 1])
+            yield block
+
+    monkeypatch.setattr(pipeline, "read_blocks", read_then_change)
+    code = run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
+               "--workers", "1", "--out", "out")
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        f"anxarc: data error: corpus changed during the scan: {MINI_CORPUS} (from line "), lines
 
 
 def test_compare_undersized_slice_names_it(workdir, capsys):

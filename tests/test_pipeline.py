@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import multiprocessing.connection
 import os
 import pickle
 import random
@@ -17,11 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import util
-from anxarc import pipeline
+from anxarc import pipeline, workers
 from anxarc.corpus import CorpusError
 from anxarc.pipeline import FAMILIES, ScanResult, scan_corpus
 from anxarc.slicer import PRONOUNS, Tense, token_table
-from anxarc.workers import _scan_worker, _spans
+from anxarc.workers import _recv, _scan_worker, _send, _spans
 
 
 def write_corpus(tmp_path, lines, name="corpus.jsonl"):
@@ -354,16 +352,15 @@ def test_one_worker_scan_holds_one_block(tmp_path, lexicon, tables, monkeypatch)
 def spy_worker_spans(monkeypatch) -> list[tuple]:
     """Record every span the parent sends to a scan worker."""
     spans = []
-    real = multiprocessing.connection.Connection.send
 
-    def send(self, obj):
+    def send(fd, obj):
         # The parent answers a request with a span or None (stop); what a
         # forked worker sends lands in its own copy of the list.
         if obj is not None:
             spans.append(obj)
-        return real(self, obj)
+        return _send(fd, obj)
 
-    monkeypatch.setattr(multiprocessing.connection.Connection, "send", send)
+    monkeypatch.setattr(workers, "_send", send)
     return spans
 
 
@@ -381,7 +378,7 @@ def test_pool_tasks_are_small_spans(random_corpus, lexicon, monkeypatch, size):
         assert_matches_oracle(res, oracle)
         assert bool(spans) == (chunk_bytes < n_bytes)
         assert all(len(pickle.dumps(span)) < 1024 for span in spans)
-        assert multiprocessing.active_children() == []
+        util.assert_no_child_left()
 
 
 def test_block_cut_at_a_line_end_keeps_the_result(tmp_path, lexicon, tables, monkeypatch):
@@ -438,18 +435,35 @@ def run_worker(files, lexicon, *spans, state=None):
     if state is None:
         state = pipeline._ScanState(fmt="jsonl", families=frozenset(["hour"]),
                                     table=token_table(lexicon.class_map, None), miss=0)
-    parent, child = multiprocessing.Pipe()
+    span_r, span_w = os.pipe()
+    reply_r, reply_w = os.pipe()
     try:
         for span in spans:
-            parent.send(span)
-        parent.send(None)
-        _scan_worker(child, state, files, [])
-        while (reply := parent.recv()) is None:  # a request for the next span
+            _send(span_w, span)
+        _send(span_w, None)
+        _scan_worker(span_r, reply_w, state, files)
+        while (reply := _recv(reply_r)) is None:  # a request for the next span
             pass
         return reply
     finally:
-        parent.close()
-        child.close()
+        for fd in (span_r, span_w, reply_r, reply_w):
+            os.close(fd)
+
+
+def test_recv_from_a_closed_pipe_is_eof():
+    # A worker that dies before or while it writes a message leaves its pipe
+    # closed: the parent reads EOF, which it reports as a dead worker, never
+    # a short message or a wait for bytes that cannot come.
+    message = (100).to_bytes(8, "big") + b"partial"
+    for data in (b"", message[:3], message):
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        try:
+            with pytest.raises(EOFError):
+                _recv(read_end)
+        finally:
+            os.close(read_end)
 
 
 def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon):
@@ -520,14 +534,17 @@ def test_worker_results_merge_alike_in_any_order(tmp_path, lexicon, tables, monk
         assert merged.skip_events == whole.skip_events
 
 
-# Runs the CLI at two workers with every scan worker ending itself by
-# os._exit(1), as an OOM kill would: on its second span, or before its first.
+# Runs the CLI at two workers with a scan worker ending itself by
+# os._exit(1), as an OOM kill would: every worker on its second span or
+# before its first, or only the first worker forked, on its first span, while
+# the other scans on. Then checks that no child process is left.
 DEAD_WORKER_RUN = """
-import multiprocessing, os, sys
-sys.path.insert(0, sys.argv[1])
+import os, sys
+sys.path[:0] = sys.argv[1:3]
+import util
 from anxarc import cli, pipeline
 
-calls = []
+calls, forks = [], []
 
 def die_on_second_span(*args):
     calls.append(args)
@@ -535,30 +552,75 @@ def die_on_second_span(*args):
         os._exit(1)
     return real_scan_chunk(*args)
 
-real_scan_chunk = pipeline._scan_chunk
+def die_in_first_worker(*args):
+    if len(forks) == 1:
+        os._exit(1)
+    return real_scan_chunk(*args)
+
+def fork():
+    forks.append(None)
+    return real_fork()
+
+real_scan_chunk, real_fork = pipeline._scan_chunk, os.fork
+os.fork = fork
 pipeline.CHUNK_BYTES = 256
-if sys.argv[2] == "second-span":
+if sys.argv[3] == "second-span":
     pipeline._scan_chunk = die_on_second_span
+elif sys.argv[3] == "first-worker":
+    pipeline._scan_chunk = die_in_first_worker
 else:
     pipeline._bin_lookups = lambda res: os._exit(1)
 code = cli.main(["analyze-hour", "--lexicon", "lexicon.tsv", "--corpus", "corpus.jsonl",
                  "--workers", "2", "--out", "out"])
-print(code, len(multiprocessing.active_children()))
+util.assert_no_child_left()
+print(code, len(forks))
 """
 
 
 @pytest.mark.parametrize("when,message", [
     ("second-span", r"a scan worker died at corpus\.jsonl line \d+"),
     ("start", "a scan worker died before its first span"),
+    ("first-worker", r"a scan worker died at corpus\.jsonl line \d+"),
 ])
 def test_dead_worker_exits_2(tmp_path, when, message):
     (tmp_path / "lexicon.tsv").write_text(util.lexicon_text(), encoding="utf-8")
     write_corpus(tmp_path, util.random_corpus_lines(random.Random(3), 100))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-c", DEAD_WORKER_RUN, src, when], cwd=tmp_path,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.stdout.split() == ["2", "0"], proc.stderr
+    here = Path(__file__).resolve().parent
+    proc = subprocess.run([sys.executable, "-c", DEAD_WORKER_RUN, str(here.parent / "src"),
+                           str(here), when], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stdout.split() == ["2", "2"], proc.stderr
     assert re.fullmatch(f"anxarc: data error: {message}\n", proc.stderr), proc.stderr
+
+
+# A two-worker scan in a fresh interpreter: prints the records scanned, the
+# forks and which of the named modules were imported.
+TWO_WORKER_IMPORTS_RUN = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from anxarc import pipeline
+from anxarc.lexicon import load_lexicon
+
+forks, real_fork = [], os.fork
+os.fork = lambda: forks.append(None) or real_fork()
+pipeline.CHUNK_BYTES = 256
+res = pipeline.scan_corpus("corpus.jsonl", class_map=load_lexicon("lexicon.tsv").class_map,
+                           workers=2)
+print(res.counts["n_records"], len(forks), *(m for m in sys.argv[2:] if m in sys.modules))
+"""
+
+
+def test_two_worker_scan_leaves_out_multiprocessing(tmp_path):
+    # The workers need a fork, pipes and a wait on them; multiprocessing and
+    # the socket, selectors and subprocess modules it loads add a megabyte
+    # to the parent before it forks.
+    (tmp_path / "lexicon.tsv").write_text(util.lexicon_text(), encoding="utf-8")
+    write_corpus(tmp_path, util.random_corpus_lines(random.Random(3), 100))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    unwanted = ["multiprocessing", "socket", "selectors", "subprocess"]
+    proc = subprocess.run([sys.executable, "-c", TWO_WORKER_IMPORTS_RUN, src, *unwanted],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["100", "2"], proc.stderr
 
 
 # Scans the same posts as many files under a lowered open-file limit at one

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 from datetime import datetime, timezone
 from zoneinfo import ZoneInfo
@@ -267,3 +268,12 @@ def result_state(res) -> dict:
             value = agg_state(value)
         state[name] = value
     return state
+
+
+def assert_no_child_left() -> None:
+    """Assert this process has no child process left, alive or a zombie."""
+    try:
+        child = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError(f"a child process is left: (pid, status) {child}")
