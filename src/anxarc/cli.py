@@ -22,7 +22,7 @@ from . import __version__
 from .corpus import FORMATS, CorpusError
 from .lexicon import DEFAULT_TAU_ANX, DEFAULT_TAU_CALM, Lexicon, LexiconError, lexicon_stats, load_lexicon
 from .pipeline import FAMILIES, FAMILY_KEYS, ScanResult, scan_corpus
-from .report import Table, base_meta, fmt_p, fmt_stat
+from .report import Table, base_meta, cell
 from .slicer import Tense, VerbTableError, load_verb_tables
 from .stats import DEFAULT_ALPHA, ConstantInputError, InsufficientSampleError, welch_t
 
@@ -40,7 +40,6 @@ _COMPARE_COLUMNS = [
     "slice_a", "slice_b", "n_a", "n_b", "mean_a", "mean_b",
     "t", "df", "p", "significant", "alpha",
 ]
-_COMPARE_FORMATS = {"t": fmt_stat, "df": fmt_stat, "p": fmt_p}
 _COMPARE_TEST = "welch two-sided t-test on per-post scores"
 
 
@@ -218,15 +217,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         meta=_scan_meta(args, res, test=_COMPARE_TEST),
         columns=_COMPARE_COLUMNS,
         rows=[row],
-        csv_formats=_COMPARE_FORMATS,
     )
     _write(table, args)
-    cell = dict(zip(_COMPARE_COLUMNS, row))
-    verdict = "significant" if cell["significant"] else "not significant"
-    print(
-        f"{args.slice_a} vs {args.slice_b}: t={fmt_stat(cell['t'])} "
-        f"df={fmt_stat(cell['df'])} p={fmt_p(cell['p'])} ({verdict} at alpha={cell['alpha']})"
-    )
+    values = dict(zip(_COMPARE_COLUMNS, row))
+    t, df, p = (cell(col, values[col]) for col in ("t", "df", "p"))
+    verdict = "significant" if values["significant"] else "not significant"
+    print(f"{args.slice_a} vs {args.slice_b}: t={t} df={df} p={p} ({verdict} at alpha={args.alpha})")
     return EXIT_OK
 
 
@@ -318,7 +314,6 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         meta=_scan_meta(args, res, test=_COMPARE_TEST),
         columns=_COMPARE_COLUMNS,
         rows=rows,
-        csv_formats=_COMPARE_FORMATS,
     )
     _write(table, args)
     print("replication tables written; see docs/replication.md for the expected shapes")

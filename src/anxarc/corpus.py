@@ -22,6 +22,7 @@ become counted skips that surface in the final reports.
 from __future__ import annotations
 
 import json
+import re
 from datetime import datetime, timezone
 from functools import lru_cache
 from typing import IO, Iterator, NamedTuple
@@ -53,14 +54,23 @@ class SkipEvent(NamedTuple):
     reason: str
 
 
+# An RFC 3339 date-time in ASCII digits ("(?a)"); a space may stand for the "T".
+_RFC3339 = re.compile(r"(?a)(\d{4}-\d\d-\d\d[Tt ]\d\d:\d\d:\d\d)(?:\.(\d+))?(?:[Zz]|([+-]\d\d:\d\d))")
+
+
 def parse_rfc3339(text: str) -> datetime:
-    """Parse an RFC 3339 timestamp to an aware UTC datetime."""
-    s = text.strip()
-    if s.endswith(("Z", "z")):
-        s = s[:-1] + "+00:00"
-    dt = datetime.fromisoformat(s)
-    if dt.tzinfo is None:
-        raise ValueError(f"timestamp lacks a UTC offset: {text!r}")
+    """Parse an RFC 3339 timestamp to an aware UTC datetime, to the microsecond.
+
+    Only RFC 3339 is read, so the result does not depend on the Python
+    version's ``fromisoformat`` grammar; a longer fraction is cut.
+    """
+    match = _RFC3339.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not an RFC 3339 date-time: {text!r}")
+    stamp, fraction, offset = match.groups()
+    if fraction:
+        stamp += "." + fraction[:6].ljust(6, "0")
+    dt = datetime.fromisoformat(stamp + (offset or "+00:00"))
     try:
         return dt.astimezone(timezone.utc)
     except OverflowError:

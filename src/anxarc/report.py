@@ -5,6 +5,12 @@ output contract documented in docs/format.md; golden-file tests pin the
 exact bytes. Every table carries self-describing metadata (tool version,
 scoring variant, thresholds, skip counts) so no emitted number is
 unlabeled.
+
+One rule writes every CSV cell (``cell``): a missing value is empty, a
+boolean ``true``/``false``, a float ``%.6e`` in a column named ``p`` and
+``%.6f`` in any other (so a non-finite float is ``inf``, ``-inf`` or
+``nan``), and any other value its ``str``. JSON keeps values as they are,
+but a non-finite float is the string its CSV cell holds.
 """
 
 from __future__ import annotations
@@ -12,49 +18,28 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import __version__
 from .slicer import TENSE_PRECEDENCE
 
-Formatter = Callable[[object], str]
 
-
-def fmt_score(value: object) -> str:
-    """Fixed 6-decimal formatting for scores."""
-    return f"{value:.6f}"
-
-
-def fmt_p(value: object) -> str:
-    """Scientific formatting for p-values (keeps tiny tails visible)."""
-    if value is None:
-        return ""
-    return f"{value:.6e}"
-
-
-def fmt_stat(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.6f}"
-
-
-def _json_value(value: object) -> object:
-    """A non-finite float as the string the CSV writes for it; JSON has no such number."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return "inf" if value > 0 else "-inf" if value < 0 else "nan"
-    return value
-
-
-def _fmt_default(value: object) -> str:
+def cell(column: str, value: object) -> str:
+    """The CSV text of ``value`` in ``column``."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return fmt_score(value)
+        return f"{value:.6e}" if column == "p" else f"{value:.6f}"
     return str(value)
+
+
+def _json_value(key: str, value: object) -> object:
+    """A non-finite float as the string the CSV writes for it; JSON has no such number."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return cell(key, value)
+    return value
 
 
 class Table(NamedTuple):
@@ -62,23 +47,20 @@ class Table(NamedTuple):
     meta: dict[str, object]
     columns: list[str]
     rows: list[list[object]]
-    csv_formats: dict[str, Formatter] | None = None
 
     def to_csv(self) -> str:
         lines = [f"# {key}={value}" for key, value in self.meta.items()]
         lines.append(",".join(self.columns))
-        formats = self.csv_formats or {}
-        formatters = [formats.get(col, _fmt_default) for col in self.columns]
         for row in self.rows:
-            lines.append(",".join(fmt(v) for fmt, v in zip(formatters, row)))
+            lines.append(",".join(map(cell, self.columns, row)))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         payload = {
-            "meta": {key: _json_value(value) for key, value in self.meta.items()},
+            "meta": {key: _json_value(key, value) for key, value in self.meta.items()},
             "columns": self.columns,
             "rows": [
-                {col: _json_value(v) for col, v in zip(self.columns, row)} for row in self.rows
+                {col: _json_value(col, v) for col, v in zip(self.columns, row)} for row in self.rows
             ],
         }
         return json.dumps(payload, ensure_ascii=False, indent=2, default=str,

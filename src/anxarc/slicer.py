@@ -5,11 +5,15 @@ bundled tables of irregular/base verb forms plus suffix rules, no POS
 tagger. Tables are user-replaceable via a directory of plain-text files
 (``irregular_past.txt``, ``irregular_base.txt``, ``ed_stoplist.txt``).
 
-A scan does not call ``classify_tense`` per post: it is the reference
-rule. ``token_table`` folds the per-word tense rules and the pronoun keys,
-with the lexicon's class map, into one word -> bits dict, once per scan,
-and ``anxarc._kernel.score_text`` ORs the bits of a post's tokens in the
-same pass that tokenizes the post and counts its lexicon classes.
+Each per-word tense rule is written once: ``_is_past_word``,
+``_is_present_word`` and membership in ``FUTURE_SIGNAL_WORDS``.
+``classify_tense``, the reference rule, applies them to every token of a
+post (only the ``next day/week/month/year`` bigram spans two tokens). A
+scan does not call it per post: ``token_table`` applies them to each word
+once and folds the result, the pronoun keys and the lexicon's class map
+into one word -> bits dict, once per scan, and ``anxarc._kernel.score_text``
+ORs the bits of a post's tokens in the same pass that tokenizes the post
+and counts its lexicon classes.
 ``tense_of`` turns those flags into the label ``classify_tense`` gives, and
 ``PRONOUN_KEYS_BY_BITS`` into the post's pronoun keys: the distinct
 ``PRONOUNS`` among its tokens.
@@ -101,32 +105,28 @@ def load_verb_tables(directory: str | os.PathLike[str] | None = None) -> VerbTab
     return VerbTables(past, base_forms, stoplist)
 
 
+def _is_past_word(word: str, tables: VerbTables) -> bool:
+    """True iff the word looks like a past-tense verb form."""
+    return (word in tables.irregular_past or word in AUX_PAST
+            or len(word) >= 4 and word.endswith("ed") and word not in tables.ed_stoplist)
+
+
+def _is_present_word(word: str, tables: VerbTables) -> bool:
+    """True iff the word looks like a present-tense verb form."""
+    base = tables.irregular_base
+    return (word in AUX_PRESENT or word in base or len(word) >= 5 and word.endswith("ing")
+            or word.endswith("s") and (word[:-1] in base
+                                       or word.endswith("es") and word[:-2] in base))
+
+
 def detect_past_verb(tokens: Iterable[str], tables: VerbTables) -> bool:
     """True iff some token looks like a past-tense verb form."""
-    past = tables.irregular_past
-    stop = tables.ed_stoplist
-    for tok in tokens:
-        if tok in past or tok in AUX_PAST:
-            return True
-        if len(tok) >= 4 and tok.endswith("ed") and tok not in stop:
-            return True
-    return False
+    return any(_is_past_word(tok, tables) for tok in tokens)
 
 
 def detect_present_verb(tokens: Iterable[str], tables: VerbTables) -> bool:
     """True iff some token looks like a present-tense verb form."""
-    base = tables.irregular_base
-    for tok in tokens:
-        if tok in AUX_PRESENT or tok in base:
-            return True
-        if len(tok) >= 5 and tok.endswith("ing"):
-            return True
-        if tok.endswith("s"):
-            if tok[:-1] in base:
-                return True
-            if tok.endswith("es") and tok[:-2] in base:
-                return True
-    return False
+    return any(_is_present_word(tok, tables) for tok in tokens)
 
 
 def has_future_signal(tokens: Iterable[str]) -> bool:
@@ -172,19 +172,12 @@ def token_table(class_map: dict[str, int], tables: VerbTables | None) -> dict[st
     words.update(AUX_PAST, AUX_PRESENT, FUTURE_SIGNAL_WORDS, FUTURE_BIGRAM_SECOND)
     words.add(FUTURE_BIGRAM_FIRST)
     for word in words:
-        one = (word,)
-        bits = table.get(word, 0)
-        if detect_past_verb(one, tables):
-            bits |= PAST
-        if detect_present_verb(one, tables):
-            bits |= PRESENT
-        if has_future_signal(one):
-            bits |= FUTURE
-        if word == FUTURE_BIGRAM_FIRST:
-            bits |= NEXT
-        if word in FUTURE_BIGRAM_SECOND:
-            bits |= PERIOD
-        table[word] = bits
+        table[word] = (table.get(word, 0)
+                       | PAST * _is_past_word(word, tables)
+                       | PRESENT * _is_present_word(word, tables)
+                       | FUTURE * (word in FUTURE_SIGNAL_WORDS)
+                       | NEXT * (word == FUTURE_BIGRAM_FIRST)
+                       | PERIOD * (word in FUTURE_BIGRAM_SECOND))
     return table
 
 

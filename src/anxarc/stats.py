@@ -201,6 +201,4 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rank correlation with average ranks for ties."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     return pearson(_average_ranks(x), _average_ranks(y))

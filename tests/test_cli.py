@@ -623,15 +623,20 @@ def _strict_json(text: str) -> dict:
     return json.loads(text, parse_constant=reject)
 
 
-def test_infinite_t_is_valid_json(workdir):
-    # Two bins of constant, different scores: t=+inf, written as "inf".
+def _constant_corpus() -> str:
+    """Two bins of constant, different scores (hour 5 and hour 8): t=+inf."""
     stamps = ["2020-01-01T05:00:00Z", "2020-01-01T08:00:00Z"]
     with open("const.jsonl", "w", encoding="utf-8") as fh:
         for i in range(4):
             text = "panic" if i % 2 == 0 else "road"
             fh.write(json.dumps({"id": str(i), "text": text, "timestamp_utc": stamps[i % 2],
                                  "timezone": "UTC"}) + "\n")
-    common = ["--lexicon", MINI_LEX, "--corpus", "const.jsonl", "--out-format", "json"]
+    return "const.jsonl"
+
+
+def test_infinite_t_is_valid_json(workdir):
+    # t=+inf is written as "inf".
+    common = ["--lexicon", MINI_LEX, "--corpus", _constant_corpus(), "--out-format", "json"]
     assert run("compare", *common, "--slice-a", "hour=5", "--slice-b", "hour=8",
                "--out", "cmp") == 0
     row = _strict_json((workdir / "cmp" / "compare.json").read_text())["rows"][0]
@@ -641,6 +646,16 @@ def test_infinite_t_is_valid_json(workdir):
     assert rows[0]["slice_a"] == "hour=5" and rows[0]["t"] == "inf"
     for name in ("hour", "weekday", "tense", "pronoun"):
         _strict_json((workdir / "rep" / f"{name}.json").read_text())
+
+
+def test_compare_prints_infinite_t(workdir, capsys):
+    assert run("compare", "--lexicon", MINI_LEX, "--corpus", _constant_corpus(),
+               "--slice-a", "hour=5", "--slice-b", "hour=8", "--out", "cmp") == 0
+    assert capsys.readouterr().out == (
+        "wrote cmp/compare.csv\n"
+        "hour=5 vs hour=8: t=inf df=2.000000 p=0.000000e+00 (significant at alpha=0.05)\n")
+    assert (workdir / "cmp" / "compare.csv").read_text().splitlines()[-1] == (
+        "hour=5,hour=8,2,2,100.000000,0.000000,inf,2.000000,0.000000e+00,true,0.050000")
 
 
 def test_compare_self_is_p1(workdir, capsys):

@@ -57,6 +57,13 @@ def test_parse_tsv_record():
         ('{"id":"1","text":"x","timestamp_utc":"2020-01-01T00:00:00","timezone":"UTC"}', "jsonl"),
         ("a\tb\tc", "tsv"),  # 3 columns
         ("a\tb\tc\td\te", "tsv"),  # 5 columns
+        # One case for each check of a field's type.
+        ('{"id":"1","text":"x","timestamp_utc":0,"timezone":"UTC"}', "jsonl"),
+        ('{"id":null,"text":"x","timestamp_utc":"2020-01-01T00:00:00Z","timezone":"UTC"}', "jsonl"),
+        ('{"id":"1","text":7,"timestamp_utc":"2020-01-01T00:00:00Z","timezone":"UTC"}', "jsonl"),
+        ('{"id":"1","text":"x","timestamp_utc":"2020-01-01T00:00:00Z","timezone":5}', "jsonl"),
+        ('{"id":"1","text":"x","timestamp_utc":"2020-01-01T00:00:00Z","timezone":" "}', "jsonl"),
+        ('["1","x","2020-01-01T00:00:00Z","UTC"]', "jsonl"),  # not an object
     ],
 )
 def test_malformed_records_raise(line, fmt):
@@ -146,6 +153,38 @@ def test_deeply_nested_json_is_a_bad_record():
 def test_rfc3339_offset_normalized_to_utc():
     dt = parse_rfc3339("2020-06-15T14:00:00+02:00")
     assert dt == datetime(2020, 6, 15, 12, 0, tzinfo=timezone.utc)
+
+
+# ISO 8601 forms that are not RFC 3339; some Python versions' fromisoformat
+# reads them (the week date as 2019-12-30).
+@pytest.mark.parametrize("stamp", [
+    "2020-W01-1T05:00:00Z", "20200101T050000Z", "2020-01-01T05Z", "2020-01-01T05:00:00+0530",
+    "2020-01-01T05:00:00+05:30:00", "2020-01-01T05:00:00,5Z", "2020-01-01T05:00:00.Z",
+    "\uff12020-01-01T05:00:00Z",  # a fullwidth digit
+])
+def test_iso_8601_beyond_rfc3339_is_a_bad_timestamp(stamp):
+    with pytest.raises(ValueError, match="bad timestamp: not an RFC 3339 date-time"):
+        parse_record(GOOD_JSONL.replace("2020-06-15T12:00:00Z", stamp), "jsonl")
+
+
+# Every RFC 3339 fraction length, a lowercase "t" or "z" and a space separator
+# parse to the same instant on every supported Python; past microseconds the
+# fraction is cut.
+@pytest.mark.parametrize("stamp,microsecond", [
+    ("2020-06-15T12:00:00.5Z", 500000),
+    ("2020-06-15T12:00:00.25Z", 250000),
+    ("2020-06-15T12:00:00.1234Z", 123400),
+    ("2020-06-15T12:00:00.12345Z", 123450),
+    ("2020-06-15T12:00:00.1234567Z", 123456),
+    ("2020-06-15T17:30:00.123456789+05:30", 123456),
+    ("2020-06-15t12:00:00Z", 0),
+    ("2020-06-15T12:00:00z", 0),
+    ("2020-06-15 12:00:00Z", 0),
+])
+def test_rfc3339_forms_parse_alike(stamp, microsecond):
+    _, dt, _ = parse_record(GOOD_JSONL.replace("2020-06-15T12:00:00Z", stamp), "jsonl")
+    assert dt == datetime(2020, 6, 15, 12, 0, 0, microsecond, tzinfo=timezone.utc)
+    assert dt.tzinfo is timezone.utc
 
 
 def lines_of(data: bytes) -> list[bytes]:

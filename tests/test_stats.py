@@ -96,9 +96,10 @@ def test_pearson_constant_input_error():
 
 
 def test_pearson_length_mismatch():
-    with pytest.raises(ValueError):
+    # spearman's ranks keep the lengths, so pearson's check is its check too.
+    with pytest.raises(ValueError, match="^length mismatch: 2 vs 3$"):
         pearson([1, 2], [1, 2, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^length mismatch: 2 vs 3$"):
         spearman([1, 2], [1, 2, 3])
 
 
