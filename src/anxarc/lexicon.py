@@ -5,14 +5,13 @@ record per line (lines end at ``\n``, as in a corpus), UTF-8, with an
 optional literal ``term<TAB>association`` header. Associations are real
 values in [-3.0, +3.0]; positive means anxiety-associated, negative means
 calmness-associated. Terms are single words and are lower-cased at load.
-A loaded ``Lexicon`` holds a plain term -> association dict and the class
-map that the text kernel reads. The loader checks the file's UTF-8 as a
-whole, then walks and decodes its lines one at a time.
+A loaded ``Lexicon`` holds the class map that the text kernel reads and
+the set of neutral terms; no association value is kept. The loader reads
+and decodes one line at a time and never holds the whole file.
 """
 
 from __future__ import annotations
 
-import io
 from typing import IO, NamedTuple
 
 from ._kernel import ANX, CALM
@@ -61,14 +60,13 @@ class LexiconStats(NamedTuple):
 class Lexicon(NamedTuple):
     """A loaded lexicon, built by ``load_lexicon``.
 
-    ``assoc`` maps every term to its association. ``class_map`` is the
-    compact term -> {ANX, CALM} dict consumed by the text kernel: the terms
-    at or beyond a threshold. Terms in ``assoc`` but not in ``class_map``
-    are neutral.
+    ``class_map`` is the compact term -> {ANX, CALM} dict consumed by the
+    text kernel: the terms at or beyond a threshold. ``neutral`` holds the
+    other terms.
     """
 
-    assoc: dict[str, float]
     class_map: dict[str, int]
+    neutral: set[str]
 
 
 def lexicon_stats(lexicon: Lexicon) -> LexiconStats:
@@ -76,7 +74,7 @@ def lexicon_stats(lexicon: Lexicon) -> LexiconStats:
     codes = list(lexicon.class_map.values())
     n_anx = codes.count(ANX)
     n_calm = codes.count(CALM)
-    total = len(lexicon.assoc)
+    total = len(codes) + len(lexicon.neutral)
     return LexiconStats(total, n_anx, n_calm, total - n_anx - n_calm)
 
 
@@ -84,7 +82,8 @@ def load_lexicon(
     source: str | IO[bytes],
     thresholds: tuple[float, float] = (DEFAULT_TAU_ANX, DEFAULT_TAU_CALM),
 ) -> Lexicon:
-    """Load a TSV lexicon from a path or an open binary stream.
+    """Load a TSV lexicon from a path or an open binary stream; a stream is
+    read once from its current position and never sought.
 
     A term is anxiety at or above ``tau_anx`` and calm at or below
     ``tau_calm``. Raises LexiconParseError, DuplicateTermError, or
@@ -99,54 +98,60 @@ def load_lexicon(
         with open(source, "rb") as fh:
             return load_lexicon(fh, thresholds)
 
-    raw = source.read()
-    # A bad byte anywhere is reported ahead of any malformed record, and no
-    # decoded copy of the whole file is kept.
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
-        raise LexiconParseError(line_no, f"invalid UTF-8 at byte {exc.start}") from None
-
-    assoc: dict[str, float] = {}
     class_map: dict[str, int] = {}
-    # A line's "\n" (and a CRLF's "\r") goes with the whitespace stripped from its fields.
-    for line_no, line in enumerate(io.BytesIO(raw), start=1):
-        line = line.decode()
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise LexiconParseError(
-                line_no, f"expected 2 tab-separated fields, got {len(fields)}"
-            )
-        term, assoc_text = fields[0].strip(), fields[1].strip()
-        if line_no == 1 and (term, assoc_text) == _HEADER:
-            continue
-        term = term.lower()
-        if not term:
-            raise LexiconParseError(line_no, "empty term")
-        if len(term.split()) != 1:
-            raise LexiconParseError(line_no, f"term contains whitespace: {term!r}")
+    neutral: set[str] = set()
+    lines = enumerate(source, start=1)
+    offset = 0  # bytes of the file before the line being decoded
+    try:
         try:
-            value = float(assoc_text)
-        except ValueError:
-            raise LexiconParseError(
-                line_no, f"non-numeric association: {assoc_text!r}"
-            ) from None
-        if not (ASSOC_MIN <= value <= ASSOC_MAX):
-            raise LexiconParseError(
-                line_no,
-                f"association {value} outside [{ASSOC_MIN}, {ASSOC_MAX}]",
-            )
-        if term in assoc:
-            raise DuplicateTermError(term, line_no)
-        assoc[term] = value
-        if value >= tau_anx:
-            class_map[term] = ANX
-        elif value <= tau_calm:
-            class_map[term] = CALM
+            # A line's "\n" (and a CRLF's "\r") goes with the whitespace stripped from its fields.
+            for line_no, raw in lines:
+                line = raw.decode()
+                offset += len(raw)
+                if not line.strip():
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 2:
+                    raise LexiconParseError(
+                        line_no, f"expected 2 tab-separated fields, got {len(fields)}"
+                    )
+                term, assoc_text = fields[0].strip(), fields[1].strip()
+                if line_no == 1 and (term, assoc_text) == _HEADER:
+                    continue
+                term = term.lower()
+                if not term:
+                    raise LexiconParseError(line_no, "empty term")
+                if len(term.split()) != 1:
+                    raise LexiconParseError(line_no, f"term contains whitespace: {term!r}")
+                try:
+                    value = float(assoc_text)
+                except ValueError:
+                    raise LexiconParseError(
+                        line_no, f"non-numeric association: {assoc_text!r}"
+                    ) from None
+                if not (ASSOC_MIN <= value <= ASSOC_MAX):
+                    raise LexiconParseError(
+                        line_no,
+                        f"association {value} outside [{ASSOC_MIN}, {ASSOC_MAX}]",
+                    )
+                if term in class_map or term in neutral:
+                    raise DuplicateTermError(term, line_no)
+                if value >= tau_anx:
+                    class_map[term] = ANX
+                elif value <= tau_calm:
+                    class_map[term] = CALM
+                else:
+                    neutral.add(term)
+        except LexiconError:
+            # A bad byte anywhere is reported ahead of a malformed record:
+            # decode the rest of the file to find one.
+            for line_no, raw in lines:
+                raw.decode()
+                offset += len(raw)
+            raise
+    except UnicodeDecodeError as exc:
+        raise LexiconParseError(line_no, f"invalid UTF-8 at byte {offset + exc.start}") from None
 
-    if not assoc:
+    if not class_map and not neutral:
         raise EmptyLexiconError("lexicon source contains no records")
-    return Lexicon(assoc, class_map)
+    return Lexicon(class_map, neutral)

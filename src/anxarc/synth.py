@@ -163,7 +163,7 @@ def _class_terms(lexicon: Lexicon) -> tuple[tuple[str, ...], ...]:
     class_map = lexicon.class_map
     pools = (tuple(sorted(t for t, code in class_map.items() if code == ANX)),
              tuple(sorted(t for t, code in class_map.items() if code == CALM)),
-             tuple(sorted(t for t in lexicon.assoc if t not in class_map)))
+             tuple(sorted(lexicon.neutral)))
     missing = [name for name, pool in zip(("anxiety", "calm", "neutral"), pools) if not pool]
     if missing:
         raise ArcSpecError(

@@ -87,7 +87,7 @@ def test_criterion_2_oracle_equivalence(lex, acceptance_tmp, monkeypatch):
             rng = random.Random(5000 + case)
             path = acceptance_tmp / f"oracle_{case}.jsonl"
             path.write_text("\n".join(util.random_corpus_lines(rng, 1000)) + "\n")
-            oracle = util.brute_force_recount(str(path), lex, tables)
+            oracle = util.brute_force_recount(str(path), util.lexicon_text(), tables)
             for workers in (1, 4, 8):
                 res = scan_corpus(str(path), class_map=lex.class_map, families=FAMILIES,
                                   workers=workers)

@@ -16,11 +16,12 @@ from anxarc.lexicon import (
     EmptyLexiconError,
     LexiconError,
     LexiconParseError,
+    Lexicon,
     LexiconStats,
     lexicon_stats,
     load_lexicon,
 )
-from util import big_lexicon_text, loads_lexicon, reference_load
+from util import big_lexicon_text, lexicon_text, loads_lexicon, read_assoc, reference_load
 
 
 def expected_code(value: float, tau_anx: float = DEFAULT_TAU_ANX,
@@ -35,19 +36,18 @@ def expected_code(value: float, tau_anx: float = DEFAULT_TAU_ANX,
 
 def test_load_three_rows():
     lex = loads_lexicon("calm\t-2.5\npanic\t3.0\nroad\t0.0\n", (1.0, -1.0))
-    assert len(lex.assoc) == 3
-    assert lex.assoc["panic"] == 3.0
-    assert lex.assoc["calm"] == -2.5
+    assert lex.class_map == {"calm": CALM, "panic": ANX}
+    assert lex.neutral == {"road"}
 
 
 def test_header_line_is_skipped():
     lex = loads_lexicon("term\tassociation\npanic\t3.0\n")
-    assert len(lex.assoc) == 1
+    assert lex == Lexicon({"panic": ANX}, set())
 
 
 def test_byte_stream_input():
-    lex = load_lexicon(io.BytesIO(b"panic\t3.0\ncalm\t-2.0\n"))
-    assert lex.assoc == {"panic": 3.0, "calm": -2.0}
+    lex = load_lexicon(io.BytesIO(b"panic\t3.0\ncalm\t-2.0\nroad\t0.5\n"))
+    assert lex == Lexicon({"panic": ANX, "calm": CALM}, {"road"})
 
 
 def test_duplicate_term_is_error():
@@ -119,16 +119,15 @@ def test_bad_thresholds_rejected():
 
 
 def test_terms_lower_cased_at_load():
-    lex = loads_lexicon("PANIC\t3.0\n")
-    assert "panic" in lex.assoc
-    assert "PANIC" not in lex.assoc
+    lex = loads_lexicon("PANIC\t3.0\nROAD\t0.0\n")
+    assert lex == Lexicon({"panic": ANX}, {"road"})
 
 
 def test_classify_term_boundaries():
     lex = loads_lexicon("panic\t3.0\nroad\t0.0\ncalm\t-2.5\nedge\t1.0\nlow\t-1.0\n", (1.0, -1.0))
     # edge is at tau_anx and low at tau_calm; neutral road is not in the class map.
     assert lex.class_map == {"panic": ANX, "calm": CALM, "edge": ANX, "low": CALM}
-    assert "road" in lex.assoc
+    assert lex.neutral == {"road"}
 
 
 def test_stats_hand_count():
@@ -156,26 +155,29 @@ def test_stats_partition_on_random_lexicons():
 
 
 def test_classify_consistent_with_stats(lexicon):
-    codes = [expected_code(v) for v in lexicon.assoc.values()]
+    codes = [expected_code(v) for v in read_assoc(lexicon_text()).values()]
     assert lexicon_stats(lexicon) == LexiconStats(
         len(codes), codes.count(ANX), codes.count(CALM), codes.count(None))
 
 
 def test_exactly_one_class_per_entry(lexicon):
-    assert set(lexicon.class_map) <= set(lexicon.assoc)
+    assert set(lexicon.class_map).isdisjoint(lexicon.neutral)
+    assert set(lexicon.class_map) | lexicon.neutral == set(read_assoc(lexicon_text()))
     assert set(lexicon.class_map.values()) <= {ANX, CALM}
 
 
 def test_round_trip(lexicon):
-    text = "term\tassociation\n" + "".join(f"{t}\t{v!r}\n" for t, v in lexicon.assoc.items())
-    again = loads_lexicon(text)
-    assert again.assoc == lexicon.assoc
-    assert again.class_map == lexicon.class_map
+    # Each term written back at an association of its class loads to the same lexicon.
+    value = {ANX: 3.0, CALM: -3.0}
+    rows = [f"{t}\t{value[code]}\n" for t, code in lexicon.class_map.items()]
+    rows += [f"{t}\t0.0\n" for t in lexicon.neutral]
+    assert loads_lexicon("term\tassociation\n" + "".join(rows)) == lexicon
 
 
 def test_class_map_contains_only_affect_terms(lexicon):
-    expected = {t: expected_code(v) for t, v in lexicon.assoc.items()}
+    expected = {t: expected_code(v) for t, v in read_assoc(lexicon_text()).items()}
     assert lexicon.class_map == {t: code for t, code in expected.items() if code is not None}
+    assert lexicon.neutral == {t for t, code in expected.items() if code is None}
 
 
 # Lines of a lexicon file: well-formed rows, headers and blank lines, each
@@ -197,24 +199,55 @@ _bad_line = st.one_of(
 
 
 def _outcome(load, raw: bytes, thresholds):
-    """A load's result, as the dicts' items in order, or its error's type, message and line."""
+    """A load's result, as the class map's items in order and the neutral
+    terms, or its error's type, message and line."""
     try:
         lex = load(raw, thresholds)
     except LexiconError as exc:
         return type(exc), str(exc), getattr(exc, "line_no", None)
-    return list(lex.assoc.items()), list(lex.class_map.items())
+    return list(lex.class_map.items()), lex.neutral
 
 
 @given(st.lists(_good_line, max_size=12), st.lists(_bad_line, max_size=2), st.booleans(),
        st.sampled_from([(DEFAULT_TAU_ANX, DEFAULT_TAU_CALM), (2.0, -0.5)]), st.data())
 def test_line_walk_matches_the_whole_text_loader(lines, bad, newline_at_end, thresholds, data):
     # Walking the lines one at a time gives what decoding the whole file and
-    # splitting it gives: the same dicts in the same order, or the same error.
+    # splitting it gives: the same class map in the same order and the same
+    # neutral terms, or the same error.
     for line in bad:
         lines.insert(data.draw(st.integers(0, len(lines))), line)
     raw = b"\n".join(lines) + (b"\n" if newline_at_end else b"")
     got = _outcome(lambda r, t: load_lexicon(io.BytesIO(r), t), raw, thresholds)
     assert got == _outcome(reference_load, raw, thresholds)
+
+
+class _Pipe(io.RawIOBase):
+    """A byte stream that cannot seek, such as a pipe; it returns at most
+    five bytes a read."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+
+    def readable(self) -> bool:
+        return True
+
+    def seekable(self) -> bool:
+        return False
+
+    def readinto(self, buffer) -> int:
+        n = min(len(buffer), len(self._data), 5)
+        buffer[:n] = self._data[:n]
+        self._data = self._data[n:]
+        return n
+
+
+@given(st.lists(st.one_of(_good_line, _bad_line), max_size=12), st.booleans(),
+       st.sampled_from([(DEFAULT_TAU_ANX, DEFAULT_TAU_CALM), (2.0, -0.5)]))
+def test_non_seekable_stream_loads_alike(lines, newline_at_end, thresholds):
+    # The loader never seeks: a pipe-like stream gives what a BytesIO gives.
+    raw = b"\n".join(lines) + (b"\n" if newline_at_end else b"")
+    got = _outcome(lambda r, t: load_lexicon(io.BufferedReader(_Pipe(r), 16), t), raw, thresholds)
+    assert got == _outcome(lambda r, t: load_lexicon(io.BytesIO(r), t), raw, thresholds)
 
 
 def test_bad_byte_is_reported_before_an_earlier_malformed_row():
@@ -225,12 +258,33 @@ def test_bad_byte_is_reported_before_an_earlier_malformed_row():
         load_lexicon(io.BytesIO(b"a\tb\tc\nok\t1\n\xff\n"))
     assert str(exc.value) == "line 3: invalid UTF-8 at byte 11"
     assert exc.value.line_no == 3
+    # The same holds for a duplicate term: one on line 2, a bad byte on line 4.
+    with pytest.raises(DuplicateTermError):
+        loads_lexicon("a\t1\na\t2\nok\t0\n")
+    with pytest.raises(LexiconParseError) as exc:
+        load_lexicon(io.BytesIO(b"a\t1\na\t2\nok\t0\nx\xff\t1\n"))
+    assert str(exc.value) == "line 4: invalid UTF-8 at byte 14"
+    assert exc.value.line_no == 4
 
 
-def test_load_holds_the_file_once(tmp_path):
-    # While it walks the lines the loader holds the file's bytes, but no
-    # decoded copy and no list of its lines: its peak over what it returns
-    # is about the file's size.
+def test_load_holds_the_file_once():
+    # A file that the caller holds in memory is not copied: the loader's
+    # peak over what it returns is a small part of the file's size.
+    raw = big_lexicon_text().encode("utf-8")
+    tracemalloc.start()
+    try:
+        lex = load_lexicon(io.BytesIO(raw))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lex.class_map) + len(lex.neutral) == 14_000
+    assert peak - retained < 0.5 * len(raw), (peak - retained, len(raw))
+
+
+def test_load_streams_the_file(tmp_path):
+    # Read from a path, the file is held one line at a time: the loader's
+    # peak over what it returns (a class map and a set of neutral terms,
+    # no association value) is a small part of the file's size.
     path = tmp_path / "lexicon.tsv"
     path.write_text(big_lexicon_text(), encoding="utf-8")
     size = path.stat().st_size
@@ -240,5 +294,5 @@ def test_load_holds_the_file_once(tmp_path):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(lex.assoc) == 14_000
-    assert peak - retained < 1.5 * size, (peak - retained, size)
+    assert lexicon_stats(lex) == LexiconStats(14_000, 1_400, 1_400, 11_200)
+    assert peak - retained < 0.5 * size, (peak - retained, size)

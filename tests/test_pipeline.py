@@ -29,11 +29,11 @@ def write_corpus(tmp_path, lines, name="corpus.jsonl"):
 
 
 @pytest.fixture(scope="module")
-def random_corpus(tmp_path_factory, lexicon, tables):
+def random_corpus(tmp_path_factory, tables):
     tmp = tmp_path_factory.mktemp("pipe")
     rng = random.Random(2024)
     path = write_corpus(tmp, util.random_corpus_lines(rng, 1500))
-    oracle = util.brute_force_recount(path, lexicon, tables)
+    oracle = util.brute_force_recount(path, util.lexicon_text(), tables)
     return path, oracle
 
 

@@ -2,9 +2,10 @@
 
 ``brute_force_recount`` is the independent single-threaded oracle used to
 check pipeline aggregation: it re-reads the corpus with plain json/dict
-code, classifies tokens by applying the threshold rule to
-``Lexicon.assoc`` itself (not the kernel's class map), and accumulates
-bare counter lists -- no BinAggregate, no merge machinery.
+code, reads the associations from the lexicon TSV with its own parser and
+applies the threshold rule to them itself (neither ``load_lexicon`` nor the
+kernel's class map), and accumulates bare counter lists -- no BinAggregate,
+no merge machinery.
 """
 
 from __future__ import annotations
@@ -84,6 +85,15 @@ def big_lexicon_text(n_terms: int = 14_000, seed: int = 0) -> str:
     return "\n".join(rows) + "\n"
 
 
+def read_assoc(lexicon_tsv: str) -> dict[str, float]:
+    """Every term's association in the text of a lexicon like
+    ``lexicon_text()``: a header, then one lower-case
+    ``term<TAB>association`` row a line."""
+    header, *rows = lexicon_tsv.splitlines()
+    assert tuple(header.split("\t")) == _HEADER
+    return {term: float(value) for term, value in (row.split("\t") for row in rows)}
+
+
 def reference_load(raw: bytes, thresholds: tuple[float, float]) -> Lexicon:
     """The loader that decodes the whole file and splits the text: the rule
     that ``load_lexicon``, which walks the lines one at a time, must keep
@@ -95,8 +105,8 @@ def reference_load(raw: bytes, thresholds: tuple[float, float]) -> Lexicon:
         line_no = raw.count(b"\n", 0, exc.start) + 1
         raise LexiconParseError(line_no, f"invalid UTF-8 at byte {exc.start}") from None
 
-    assoc: dict[str, float] = {}
     class_map: dict[str, int] = {}
+    neutral: set[str] = set()
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -124,17 +134,18 @@ def reference_load(raw: bytes, thresholds: tuple[float, float]) -> Lexicon:
                 line_no,
                 f"association {value} outside [{ASSOC_MIN}, {ASSOC_MAX}]",
             )
-        if term in assoc:
+        if term in class_map or term in neutral:
             raise DuplicateTermError(term, line_no)
-        assoc[term] = value
         if value >= tau_anx:
             class_map[term] = ANX
         elif value <= tau_calm:
             class_map[term] = CALM
+        else:
+            neutral.add(term)
 
-    if not assoc:
+    if not class_map and not neutral:
         raise EmptyLexiconError("lexicon source contains no records")
-    return Lexicon(assoc, class_map)
+    return Lexicon(class_map, neutral)
 
 
 def random_post_text(rng: random.Random) -> str:
@@ -191,13 +202,14 @@ def _bump(counter: list[int], n_tok: int, n_anx: int, n_calm: int) -> None:
     counter[3] += n_calm
 
 
-def brute_force_recount(path: str, lexicon: Lexicon, tables: VerbTables) -> dict:
+def brute_force_recount(path: str, lexicon_tsv: str, tables: VerbTables) -> dict:
     """Independent single-threaded recount of every bin counter.
 
-    ``lexicon`` is loaded at the default thresholds: a token counts as
-    anxiety at or above ``DEFAULT_TAU_ANX`` and as calm at or below
-    ``DEFAULT_TAU_CALM``.
+    ``lexicon_tsv`` is the text of a lexicon as ``read_assoc`` takes it. A
+    token counts as anxiety at or above ``DEFAULT_TAU_ANX`` and as calm at
+    or below ``DEFAULT_TAU_CALM``.
     """
+    assoc = read_assoc(lexicon_tsv)
     counts = {
         "overall": _zero(),
         "pronoun_overall": _zero(),
@@ -220,7 +232,7 @@ def brute_force_recount(path: str, lexicon: Lexicon, tables: VerbTables) -> dict
                 counts["n_empty"] += 1
                 continue
             n_tok = len(toks)
-            values = [lexicon.assoc[t] for t in toks if t in lexicon.assoc]
+            values = [assoc[t] for t in toks if t in assoc]
             n_anx = sum(1 for v in values if v >= DEFAULT_TAU_ANX)
             n_calm = sum(1 for v in values if v <= DEFAULT_TAU_CALM)
             _bump(counts["overall"], n_tok, n_anx, n_calm)
