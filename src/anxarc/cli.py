@@ -191,6 +191,8 @@ def _slice_key(text: str) -> tuple[str, object]:
     key = key.strip().lower()
     if not sep or not key:
         raise UsageError(f"slice must look like family=key (e.g. hour=8), got {text!r}")
+    if text.splitlines() != [text]:  # the text is the label of unquoted CSV cells
+        raise UsageError(f"slice must be one line, got {text!r}")
     if family not in FAMILY_KEYS:
         raise UsageError(f"unknown slice family {family!r}; choose from {FAMILIES}")
     if family == "weekday" and key in WEEKDAY_LABELS:
@@ -207,19 +209,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # A slice that names no bin is a usage error before any post is read.
     slices = [_slice_key(text) for text in (args.slice_a, args.slice_b)]
     res = _scan(args, tuple({family for family, _ in slices}))
-    agg_a, agg_b = (res.bins[family][key] for family, key in slices)
-    for label, agg in ((args.slice_a, agg_a), (args.slice_b, agg_b)):
-        if agg.totals().n_posts < 2:
+    for label, (family, key) in zip((args.slice_a, args.slice_b), slices):
+        if res.bins[family][key].totals().n_posts < 2:
             raise DataError(f"slice {label!r} has fewer than 2 scored posts")
-    row = _compare_row(args.slice_a, args.slice_b, agg_a, agg_b, args.alpha)
-    table = Table(
-        name="compare",
-        meta=_scan_meta(args, res, test=_COMPARE_TEST),
-        columns=_COMPARE_COLUMNS,
-        rows=[row],
-    )
+    table = _comparisons_table("compare", args, res, [(args.slice_a, args.slice_b)])
     _write(table, args)
-    values = dict(zip(_COMPARE_COLUMNS, row))
+    values = dict(zip(_COMPARE_COLUMNS, table.rows[0]))
     t, df, p = (cell(col, values[col]) for col in ("t", "df", "p"))
     verdict = "significant" if values["significant"] else "not significant"
     print(f"{args.slice_a} vs {args.slice_b}: t={t} df={df} p={p} ({verdict} at alpha={args.alpha})")
@@ -303,21 +298,24 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         _write(build(args, res), args)
 
     # Headline pairwise tests, plus the two baselines.
-    rows = []
-    for slice_a, slice_b in _REPLICATE_PAIRS:
-        agg_a, agg_b = (res.bins[family][key]
-                        for family, key in map(_slice_key, (slice_a, slice_b)))
-        rows.append(_compare_row(slice_a, slice_b, agg_a, agg_b, args.alpha))
-    rows.append(_compare_row("all", "all_pronoun", res.overall, res.pronoun_overall, args.alpha))
-    table = Table(
-        name="comparisons",
-        meta=_scan_meta(args, res, test=_COMPARE_TEST),
-        columns=_COMPARE_COLUMNS,
-        rows=rows,
-    )
+    table = _comparisons_table("comparisons", args, res, _REPLICATE_PAIRS)
+    table.rows.append(_compare_row("all", "all_pronoun", res.overall, res.pronoun_overall,
+                                   args.alpha))
     _write(table, args)
     print("replication tables written; see docs/replication.md for the expected shapes")
     return EXIT_OK
+
+
+def _comparisons_table(name: str, args: argparse.Namespace, res: ScanResult,
+                       pairs: list[tuple[str, str]]) -> Table:
+    """The Welch test of each pair of ``family=key`` slices, one row a pair."""
+    rows = []
+    for slice_a, slice_b in pairs:
+        agg_a, agg_b = (res.bins[family][key]
+                        for family, key in map(_slice_key, (slice_a, slice_b)))
+        rows.append(_compare_row(slice_a, slice_b, agg_a, agg_b, args.alpha))
+    return Table(name=name, meta=_scan_meta(args, res, test=_COMPARE_TEST),
+                 columns=_COMPARE_COLUMNS, rows=rows)
 
 
 def _compare_row(label_a: str, label_b: str, agg_a, agg_b, alpha: float) -> list[object]:

@@ -83,9 +83,6 @@ class _ScanState(NamedTuple):
     # holds tense bits only when the tense slice is requested. Forked
     # workers inherit it.
     table: dict[str, int]
-    # The kernel's value for a word missing from the table: None applies
-    # the tense suffix rules, 0 skips them when no tense slice reads them.
-    miss: int | None
 
 
 class ScanResult:
@@ -156,7 +153,9 @@ def _scan_chunk(index: int, path: str, first_line_no: int, lines: list[bytes], s
     n_records = 0
     fmt = st.fmt
     table = st.table
-    miss = st.miss
+    # The kernel's value for a word missing from the table: None applies
+    # the tense suffix rules, 0 skips them when no tense slice reads them.
+    miss = None if "tense" in st.families else 0
     score_text = _kernel.score_text
     update = BinAggregate.update_counts
     overall = res.overall
@@ -277,8 +276,7 @@ def scan_corpus(
         tables = None
     elif tables is None:
         tables = load_verb_tables()
-    state = _ScanState(fmt=fmt, families=families, table=token_table(class_map, tables),
-                       miss=0 if tables is None else None)
+    state = _ScanState(fmt=fmt, families=families, table=token_table(class_map, tables))
 
     # Every path is checked before the first block is read, so a missing or
     # unreadable later file fails the run before any scanning. Each is

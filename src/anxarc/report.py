@@ -63,8 +63,7 @@ class Table(NamedTuple):
                 {col: _json_value(col, v) for col, v in zip(self.columns, row)} for row in self.rows
             ],
         }
-        return json.dumps(payload, ensure_ascii=False, indent=2, default=str,
-                          allow_nan=False) + "\n"
+        return json.dumps(payload, ensure_ascii=False, indent=2, allow_nan=False) + "\n"
 
     def write(self, directory: str, fmt: str) -> str:
         os.makedirs(directory, exist_ok=True)

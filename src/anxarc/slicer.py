@@ -7,8 +7,8 @@ tagger. Tables are user-replaceable via a directory of plain-text files
 
 Each per-word tense rule is written once: ``_is_past_word``,
 ``_is_present_word`` and membership in ``FUTURE_SIGNAL_WORDS``.
-``classify_tense``, the reference rule, applies them to every token of a
-post (only the ``next day/week/month/year`` bigram spans two tokens). A
+``classify_tense``, the reference rule, applies them itself to every token
+of a post (only the ``next day/week/month/year`` bigram spans two tokens). A
 scan does not call it per post: ``token_table`` applies them to each word
 once and folds the result, the pronoun keys and the lexicon's class map
 into one word -> bits dict, once per scan, and ``anxarc._kernel.score_text``
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import os
-from typing import Iterable
 
 from ._kernel import FUTURE, NEXT, PAST, PERIOD, PRESENT, PRONOUN_SHIFT
 
@@ -119,37 +118,21 @@ def _is_present_word(word: str, tables: VerbTables) -> bool:
                                        or word.endswith("es") and word[:-2] in base))
 
 
-def detect_past_verb(tokens: Iterable[str], tables: VerbTables) -> bool:
-    """True iff some token looks like a past-tense verb form."""
-    return any(_is_past_word(tok, tables) for tok in tokens)
-
-
-def detect_present_verb(tokens: Iterable[str], tables: VerbTables) -> bool:
-    """True iff some token looks like a present-tense verb form."""
-    return any(_is_present_word(tok, tables) for tok in tokens)
-
-
-def has_future_signal(tokens: Iterable[str]) -> bool:
-    """True iff a future-signal word or 'next day/week/month/year' bigram occurs."""
-    prev = None
-    for tok in tokens:
-        if tok in FUTURE_SIGNAL_WORDS:
-            return True
-        if prev == FUTURE_BIGRAM_FIRST and tok in FUTURE_BIGRAM_SECOND:
-            return True
-        prev = tok
-    return False
-
-
 def classify_tense(tokens: list[str], tables: VerbTables) -> Tense:
-    """Assign exactly one tense label; precedence past > future > present."""
-    if detect_past_verb(tokens, tables):
+    """Assign exactly one tense label; precedence past > future > present.
+
+    Past if a token is a past form, else no verb unless a token is a
+    present form. A present post is future when a future-signal word or a
+    ``next day/week/month/year`` bigram of adjacent tokens occurs in it.
+    """
+    if any(_is_past_word(tok, tables) for tok in tokens):
         return Tense.PAST
-    if detect_present_verb(tokens, tables):
-        if has_future_signal(tokens):
-            return Tense.FUTURE
-        return Tense.PRESENT
-    return Tense.NO_VERB
+    if not any(_is_present_word(tok, tables) for tok in tokens):
+        return Tense.NO_VERB
+    if any(tok in FUTURE_SIGNAL_WORDS or prev == FUTURE_BIGRAM_FIRST and tok in FUTURE_BIGRAM_SECOND
+           for prev, tok in zip([None, *tokens], tokens)):
+        return Tense.FUTURE
+    return Tense.PRESENT
 
 
 def token_table(class_map: dict[str, int], tables: VerbTables | None) -> dict[str, int]:

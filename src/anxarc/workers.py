@@ -3,10 +3,11 @@
 The parent forks N workers (at most the run's block count), each with a
 pipe each way. It still cuts every block (``pipeline._blocks``), but hands
 a worker that asks only the block's span; the worker reads its spans back
-from the file, scans them into one ``ScanResult`` and sends that back once,
-at the end. Each message is a pickle after its length: ``None`` asks for a
-span, the parent answers with a span or ``None`` to stop, and the worker's
-last message is ``("ok", result)`` or ``("error", exception)``, which the
+from the file with the parent's own cut (``fh.readlines(CHUNK_BYTES)`` from
+the block's offset), scans them into one ``ScanResult`` and sends that back
+once, at the end. Each message is a pickle after its length: ``None`` asks
+for a span, the parent answers with a span or ``None`` to stop, and the
+worker's last message is its result or the exception it met, which the
 parent raises. Results merge alike in any order. The parent blocks only in
 ``poll`` and a worker that exits without a result reads as EOF, so neither
 side waits on the other forever.
@@ -18,7 +19,6 @@ import os
 import pickle
 import select
 import signal
-from itertools import islice
 from typing import Iterator
 
 from . import pipeline
@@ -86,16 +86,14 @@ def _scan_worker(span_fd: int, reply_fd: int, state: pipeline._ScanState,
                 fh = pipeline._open_checked(files[index], first_line_no)
                 open_index = index
             fh.seek(offset)
-            # Read back by line count, checked against the block's byte
-            # count: on a buffered file, fh.readlines(nbytes) overshoots.
-            lines = list(islice(fh, n_lines))
+            lines = fh.readlines(pipeline.CHUNK_BYTES)
             if len(lines) != n_lines or sum(map(len, lines)) != nbytes:
                 raise pipeline._changed(path, first_line_no)
             pipeline._scan_chunk(index, path, first_line_no, lines, state, res, lookups)
             del lines
-        reply = ("ok", res)
+        reply = res
     except Exception as exc:  # sent to the parent, which raises it
-        reply = ("error", exc)
+        reply = exc
     finally:
         if fh is not None:
             fh.close()
@@ -158,10 +156,9 @@ def scan_in_workers(files: list[pipeline._Checked], state: pipeline._ScanState,
                         last[fd] = span
                         span = next(spans, None)
                     continue
-                status, value = msg
-                if status == "error":
-                    raise value
-                total.merge_from(value)
+                if isinstance(msg, Exception):
+                    raise msg
+                total.merge_from(msg)
                 poller.unregister(fd)
                 live -= 1
     finally:

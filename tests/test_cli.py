@@ -363,6 +363,25 @@ def test_compare_checks_slice_keys_before_the_scan(workdir, capsys, monkeypatch)
         assert capsys.readouterr().err == "anxarc: error: no such slice: 'hour=24'\n"
 
 
+def test_compare_rejects_a_slice_of_more_than_one_line(workdir, capsys, monkeypatch):
+    # The slice texts are written as given into unquoted CSV cells, so one
+    # that holds a line boundary is a usage error, from a flag or a
+    # variable, before any corpus is read.
+    def no_scan(*paths, **kwargs):
+        raise AssertionError("the corpus was scanned")
+
+    monkeypatch.setattr(cli, "scan_corpus", no_scan)
+    common = ["--lexicon", MINI_LEX, "--corpus", MINI_CORPUS, "--slice-b", " tense = present"]
+    for bad in ("tense=past\n", "tense=past\r", "tense=\npast", "hour=8\x0b", "hour=8\x1c",
+                "hour=8\x85", "pronoun=i\u2028"):
+        capsys.readouterr()
+        assert run("compare", *common, "--slice-a", bad) == 1
+        assert capsys.readouterr().err == f"anxarc: error: slice must be one line, got {bad!r}\n"
+    monkeypatch.setenv("ANXARC_SLICE_A", "tense=past\n")
+    assert run("compare", *common) == 1
+    assert "slice must be one line" in capsys.readouterr().err
+
+
 def _csv_rows(path: Path) -> list[list[str]]:
     return [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
 

@@ -434,7 +434,7 @@ def run_worker(files, lexicon, *spans, state=None):
     """
     if state is None:
         state = pipeline._ScanState(fmt="jsonl", families=frozenset(["hour"]),
-                                    table=token_table(lexicon.class_map, None), miss=0)
+                                    table=token_table(lexicon.class_map, None))
     span_r, span_w = os.pipe()
     reply_r, reply_w = os.pipe()
     try:
@@ -479,12 +479,12 @@ def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon):
             return pipeline._file_key(fh)
 
     span = (0, 1, 0, 4, len(data))
-    status, res = run_worker([(str(path), key())], lexicon, span)
-    assert status == "ok" and res.counts["n_records"] == 4 and res.skip_events == []
+    res = run_worker([(str(path), key())], lexicon, span)
+    assert res.counts["n_records"] == 4 and res.skip_events == []
 
     def assert_fault(files, match):
-        status, exc = run_worker(files, lexicon, span)
-        assert status == "error" and isinstance(exc, CorpusError)
+        exc = run_worker(files, lexicon, span)
+        assert isinstance(exc, CorpusError)
         assert "corpus.jsonl" in str(exc) and match in str(exc)
 
     checked = [(str(path), key())]
@@ -517,12 +517,12 @@ def test_worker_results_merge_alike_in_any_order(tmp_path, lexicon, tables, monk
         with open(path, "rb") as fh:
             files.append((path, pipeline._file_key(fh)))
     state = pipeline._ScanState(fmt="jsonl", families=frozenset(FAMILIES),
-                                table=token_table(lexicon.class_map, tables), miss=None)
+                                table=token_table(lexicon.class_map, tables))
     spans = list(_spans(files))
     results = []
     for k in range(3):
-        status, res = run_worker(files, lexicon, *spans[k::3], state=state)
-        assert status == "ok" and res.skip_events
+        res = run_worker(files, lexicon, *spans[k::3], state=state)
+        assert isinstance(res, ScanResult) and res.skip_events
         results.append(res)
     whole = scan_corpus(*paths, class_map=lexicon.class_map, families=FAMILIES, tables=tables)
     assert whole.counts["n_parse_skips"] > pipeline.MAX_RECORDED_SKIPS
@@ -591,6 +591,32 @@ def test_dead_worker_exits_2(tmp_path, when, message):
                           timeout=60)
     assert proc.stdout.split() == ["2", "2"], proc.stderr
     assert re.fullmatch(f"anxarc: data error: {message}\n", proc.stderr), proc.stderr
+
+
+@pytest.mark.parametrize("when,message", [
+    ("second-span", r"a scan worker died at \S*corpus\.jsonl line \d+"),
+    ("start", "a scan worker died before its first span"),
+])
+def test_dead_worker_is_a_corpus_error(tmp_path, lexicon, monkeypatch, when, message):
+    # test_dead_worker_exits_2 in this process: the parent's dead-worker
+    # branch runs where a line audit of the tests can see it.
+    path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(3), 100))
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 256)
+    if when == "second-span":
+        calls, real_scan_chunk = [], pipeline._scan_chunk
+
+        def die_on_second_span(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                os._exit(1)
+            return real_scan_chunk(*args)
+
+        monkeypatch.setattr(pipeline, "_scan_chunk", die_on_second_span)
+    else:
+        monkeypatch.setattr(pipeline, "_bin_lookups", lambda res: os._exit(1))
+    with pytest.raises(CorpusError, match=f"^{message}$"):
+        scan_corpus(path, class_map=lexicon.class_map, families=["hour"], workers=2)
+    util.assert_no_child_left()
 
 
 # A two-worker scan in a fresh interpreter: prints the records scanned, the

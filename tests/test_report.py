@@ -47,3 +47,11 @@ def test_one_cell_rule_for_csv_and_json(value, plain, p, j):
     table = Table(name="t", meta={"r": value}, columns=["x", "p"], rows=[[value, value]])
     assert table.to_csv() == f"# r={value}\nx,p\n{plain},{p}\n"
     assert table.to_json() == JSON_TEMPLATE % {"j": j}
+
+
+def test_json_rejects_a_value_json_cannot_hold():
+    # No report value is written as its str in JSON: a value of another
+    # type is a fault of the program, not a report.
+    table = Table(name="t", meta={"r": {1, 2}}, columns=["x"], rows=[[1]])
+    with pytest.raises(TypeError):
+        table.to_json()

@@ -21,10 +21,9 @@ from anxarc.slicer import (
     Tense,
     VerbTableError,
     VerbTables,
+    _is_past_word,
+    _is_present_word,
     classify_tense,
-    detect_past_verb,
-    detect_present_verb,
-    has_future_signal,
     load_verb_tables,
     tense_of,
     token_table,
@@ -71,6 +70,27 @@ def test_table_override_dir(tmp_path, tables):
     assert custom.irregular_past == {"went"}
     assert custom.irregular_base == {"go"}
     assert custom.ed_stoplist == {"hundred"}
+
+
+# The per-post detectors of the tense rules, kept here as references for the
+# tests below; has_future_signal does not go through classify_tense, so the
+# check against it is independent.
+
+def detect_past_verb(tokens, tables):
+    return any(_is_past_word(tok, tables) for tok in tokens)
+
+
+def detect_present_verb(tokens, tables):
+    return any(_is_present_word(tok, tables) for tok in tokens)
+
+
+def has_future_signal(tokens):
+    prev = None
+    for tok in tokens:
+        if tok in FUTURE_SIGNAL_WORDS or prev == "next" and tok in FUTURE_BIGRAM_SECOND:
+            return True
+        prev = tok
+    return False
 
 
 def test_detect_past_examples(tables):
