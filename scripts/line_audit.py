@@ -10,17 +10,19 @@ executable lines (those of its compiled code objects) that never ran, with
 their source. PYTEST_ARGS, if given, replace the default selection. The
 exit code is pytest's.
 
-The hook sees this process only. A forked scan worker (``--workers 2`` and
-up) stops tracing as it starts, and a subprocess that a test starts is
-never traced, so lines that run only there are expected in the output.
-Standard library only; ``coverage`` is not needed. The run takes several
-times as long as the same tests untraced.
+A process forked from this one (a ``--workers 2`` scan worker) keeps
+tracing the lines it runs and, when it ends through ``os._exit``, appends
+them to a file that this process merges after the run. A subprocess that a
+test starts is never traced, so lines that run only there are expected in
+the output. Standard library only; ``coverage`` is not needed. The run
+takes several times as long as the same tests untraced.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import tempfile
 import threading
 from pathlib import Path
 from types import CodeType
@@ -72,13 +74,39 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
-    os.register_at_fork(after_in_child=stop_tracing)
+    def trace_child():
+        # The child keeps the parent's tracer; it records only its own lines.
+        for ran in hits.values():
+            ran.clear()
+        sys.settrace(global_trace)
+
+    def exit_child(status):
+        # A forked child ends through os._exit: its lines go to child_lines.
+        if os.getpid() != audit_pid:
+            stop_tracing()
+            lines = "".join(f"{line}\t{name}\n" for name, ran in hits.items() for line in ran)
+            fd = os.open(child_lines, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, lines.encode())
+            os.close(fd)
+        real_exit(status)
+
+    audit_pid, real_exit = os.getpid(), os._exit
+    fd, child_lines = tempfile.mkstemp(prefix="line_audit_", suffix=".tsv")
+    os.close(fd)
+    os.register_at_fork(after_in_child=trace_child)
+    os._exit = exit_child
     threading.settrace(global_trace)
     sys.settrace(global_trace)
     try:
         code = pytest.main(argv or DEFAULT_ARGS)
     finally:
         stop_tracing()
+        os._exit = real_exit
+        with open(child_lines, encoding="utf-8") as fh:
+            for row in fh:
+                line, name = row.rstrip("\n").split("\t", 1)
+                hits.setdefault(name, set()).add(int(line))
+        os.remove(child_lines)
 
     total = 0
     for path in sorted(SRC.glob("*.py")):
@@ -90,7 +118,8 @@ def main(argv: list[str]) -> int:
         print(f"{path.relative_to(ROOT)}: {len(missed)} lines never ran")
         for line in missed:
             print(f"  {line:4d}  {source[line - 1].strip()}")
-    print(f"line audit: {total} lines of {SRC.relative_to(ROOT)} never ran in this process")
+    print(f"line audit: {total} lines of {SRC.relative_to(ROOT)} never ran in this process"
+          " or its forks")
     return int(code)
 
 

@@ -269,10 +269,8 @@ def cmd_eval_arc(args: argparse.Namespace) -> int:
     )
     # The arc report proper is JSON; a plot-ready CSV is emitted alongside
     # when CSV output was requested.
-    path = table.write(args.out, "json")
-    if args.out_format == "csv":
-        table.write(args.out, "csv")
-    print(f"wrote {path}")
+    for fmt in ("json", "csv") if args.out_format == "csv" else ("json",):
+        print(f"wrote {table.write(args.out, fmt)}")
     print(f"pearson_r={report.pearson_r!r} spearman_r={report.spearman_r!r}")
     return EXIT_OK
 

@@ -1,9 +1,9 @@
 """Corpus ingestion and timestamp localization.
 
 A corpus file is read as blocks of whole lines, each a list of the lines'
-bytes (``read_blocks``). The scan's parent process is the only reader that
-cuts and numbers blocks; a scan worker reads a block's lines back from the
-file at the byte offset and line count the parent sends it. The scan
+bytes (``read_blocks``). The scan's parent process is the only reader of
+a corpus file: it cuts and numbers the blocks, and a scan worker gets a
+block's bytes over a pipe and splits them back into the same lines. The scan
 numbers each block's data lines (``data_lines``) and parses each line into
 a plain ``(text, timestamp_utc, timezone)`` tuple (``parse_record``);
 ``localize`` turns the last two into a plain ``(hour, weekday)`` tuple.

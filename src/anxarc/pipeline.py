@@ -14,12 +14,13 @@ holds the token table, one block and the aggregates, whatever the corpus
 size. The table is built from the lexicon's class map alone; the commands
 free the associations before it is built.
 With more workers (``workers.scan_in_workers``: ``os.fork`` and a pipe each
-way, no ``multiprocessing``) the parent still cuts and numbers every block,
-but it hands each worker only the spans of the blocks it asks for; a worker
-reads its spans back from the file, scans them all into one result of its
-own and sends that result back once, at the end. Either way a file that is
-not the file checked when its last block has been read, or that a block no
-longer reads back from, stops the scan with a CorpusError.
+way, no ``multiprocessing``) the parent is the only process that reads a
+corpus file: it cuts and numbers every block and sends each one's bytes to
+the worker that asks for it, dropping the block before it reads the next;
+a worker scans the blocks it gets into one result of its own and sends
+that result back once, at the end. Either way a file that is not the file
+checked, when its turn comes or when its last block has been read, stops
+the scan with a CorpusError.
 Every bin and counter is an exact integer sum, so the final result does not
 depend on the worker count, the block size or how the input is split into
 files. Each skip event carries its stream position (file index, line
@@ -208,29 +209,10 @@ _Checked = tuple[str, _FileKey]
 def _file_key(fh: IO[bytes]) -> _FileKey:
     st = os.fstat(fh.fileno())
     if not S_ISREG(st.st_mode):
-        # Blocks are read back by byte offset, and a pipe cannot be reopened.
+        # Each file is opened twice, to check it and then to read it, and
+        # a pipe cannot be reopened.
         raise CorpusError(f"cannot read corpus: not a regular file: {fh.name}")
     return st.st_dev, st.st_ino, st.st_size
-
-
-def _changed(path: str, line_no: int) -> CorpusError:
-    return CorpusError(f"corpus changed during the scan: {path} (from line {line_no})")
-
-
-def _open_checked(checked: _Checked, line_no: int) -> IO[bytes]:
-    """Open a checked corpus file; CorpusError if it is not the file checked.
-
-    ``line_no`` is the first line the caller is about to read, for the error.
-    """
-    path, key = checked
-    fh = open_corpus_path(path)
-    try:
-        if _file_key(fh) != key:
-            raise _changed(path, line_no)
-    except CorpusError:
-        fh.close()
-        raise
-    return fh
 
 
 def _blocks(files: list[_Checked]) -> Iterator[tuple[int, int, list[bytes]]]:
@@ -238,18 +220,19 @@ def _blocks(files: list[_Checked]) -> Iterator[tuple[int, int, list[bytes]]]:
 
     Each file is opened only when its turn comes and closed after its last
     block, so one file is open at a time however many there are. A file
-    that ends before or after its checked size, or is no longer the file
-    checked, is a CorpusError after its last block.
+    that is no longer the file checked, or that ends before or after its
+    checked size, is a CorpusError after its last block.
     """
     for index, (path, key) in enumerate(files):
-        with _open_checked((path, key), 1) as fh:
+        with open_corpus_path(path) as fh:
             end = 1  # the line after the last line read
-            for line_no, lines in read_blocks(fh, CHUNK_BYTES):
-                end = line_no + len(lines)
-                yield index, line_no, lines
-                del lines
+            if _file_key(fh) == key:
+                for line_no, lines in read_blocks(fh, CHUNK_BYTES):
+                    end = line_no + len(lines)
+                    yield index, line_no, lines
+                    del lines
             if fh.tell() != key[2] or _file_key(fh) != key:
-                raise _changed(path, end)
+                raise CorpusError(f"corpus changed during the scan: {path} (from line {end})")
 
 
 def scan_corpus(

@@ -9,7 +9,8 @@ unlabeled.
 One rule writes every CSV cell (``cell``): a missing value is empty, a
 boolean ``true``/``false``, a float ``%.6e`` in a column named ``p`` and
 ``%.6f`` in any other (so a non-finite float is ``inf``, ``-inf`` or
-``nan``), and any other value its ``str``. JSON keeps values as they are,
+``nan``), and any other value its ``str``. A CSV meta value is its ``str``
+kept to one line (``_META_ESCAPES``). JSON keeps values as they are,
 but a non-finite float is the string its CSV cell holds.
 """
 
@@ -35,6 +36,12 @@ def cell(column: str, value: object) -> str:
     return str(value)
 
 
+# A CSV meta value stays on its line: each backslash is doubled and each
+# line boundary of ``str.splitlines`` is written as its Python escape.
+_META_ESCAPES = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\\\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def _json_value(key: str, value: object) -> object:
     """A non-finite float as the string the CSV writes for it; JSON has no such number."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -49,7 +56,8 @@ class Table(NamedTuple):
     rows: list[list[object]]
 
     def to_csv(self) -> str:
-        lines = [f"# {key}={value}" for key, value in self.meta.items()]
+        lines = [f"# {key}=" + format(value).translate(_META_ESCAPES)
+                 for key, value in self.meta.items()]
         lines.append(",".join(self.columns))
         for row in self.rows:
             lines.append(",".join(map(cell, self.columns, row)))

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import util
 from anxarc import cli, pipeline
 from anxarc.cli import main
+from anxarc.corpus import read_blocks
 from anxarc.lexicon import LexiconError, lexicon_stats, load_lexicon
 from anxarc.slicer import VerbTableError, load_verb_tables
 from anxarc.synth import MAX_PLANTED_TOKENS, ArcSpec, ArcSpecError
@@ -563,45 +564,14 @@ def test_missing_second_corpus_exits_2_at_two_workers(workdir):
     assert "Traceback" not in proc.stderr
 
 
-def test_corpus_changed_during_a_two_worker_scan_exits_2(workdir, capsys, monkeypatch):
-    # The parent cuts the first block, then the first line end is
-    # overwritten before a worker reads that block back, so the block no
-    # longer reads back as cut: one error line names the file. The later
-    # blocks read back unchanged, so no other worker can report first.
+def run_with_corpus_changed(capsys, monkeypatch, change, workers):
+    """Run analyze-hour at ``workers`` on the mini corpus, cut short or grown by a line
+    after its first block is read; return the exit code and stderr lines."""
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)  # blocks enough for two workers
-    real_read_blocks = pipeline.read_blocks
-    first_line_end = Path(MINI_CORPUS).read_bytes().index(b"\n")
-
-    def read_then_join_lines(fh, size):
-        for index, block in enumerate(real_read_blocks(fh, size)):
-            if index == 0:
-                with open(MINI_CORPUS, "r+b") as corpus:
-                    corpus.seek(first_line_end)
-                    corpus.write(b" ")
-            yield block
-
-    monkeypatch.setattr(pipeline, "read_blocks", read_then_join_lines)
-    code = run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
-               "--workers", "2", "--out", "out")
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.splitlines() == [
-        f"anxarc: data error: corpus changed during the scan: {MINI_CORPUS} (from line 1)"
-    ]
-    util.assert_no_child_left()
-
-
-@pytest.mark.parametrize("change", ["truncate", "append"])
-def test_corpus_changed_during_a_one_worker_scan_exits_2(workdir, capsys, monkeypatch, change):
-    # The file is cut short, or gains a line, after its first block is read:
-    # the scan then ends before or after the size checked at the start,
-    # which stops the run as it does at two workers.
-    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)
-    real_read_blocks = pipeline.read_blocks
     data = Path(MINI_CORPUS).read_bytes()
 
     def read_then_change(fh, size):
-        for index, block in enumerate(real_read_blocks(fh, size)):
+        for index, block in enumerate(read_blocks(fh, size)):
             if index == 0:
                 with open(MINI_CORPUS, "r+b") as corpus:
                     if change == "truncate":
@@ -612,13 +582,35 @@ def test_corpus_changed_during_a_one_worker_scan_exits_2(workdir, capsys, monkey
             yield block
 
     monkeypatch.setattr(pipeline, "read_blocks", read_then_change)
-    code = run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
-               "--workers", "1", "--out", "out")
-    lines = capsys.readouterr().err.splitlines()
+    try:
+        code = run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
+                   "--workers", str(workers), "--out", "out")
+    finally:
+        Path(MINI_CORPUS).write_bytes(data)
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("change", ["truncate", "append"])
+def test_corpus_changed_during_a_one_worker_scan_exits_2(workdir, capsys, monkeypatch, change):
+    # The file is cut short, or gains a line, after its first block is read:
+    # the scan then ends before or after the size checked at the start,
+    # which stops the run.
+    code, lines = run_with_corpus_changed(capsys, monkeypatch, change, 1)
     assert code == 2
     assert len(lines) == 1
     assert lines[0].startswith(
         f"anxarc: data error: corpus changed during the scan: {MINI_CORPUS} (from line "), lines
+
+
+def test_corpus_changed_during_a_two_worker_scan_exits_2(workdir, capsys, monkeypatch):
+    # The same changes at two workers: the parent, the only reader of the
+    # file, finds them at the file's end and stops the run with the line
+    # a one-worker scan writes.
+    for change in ("truncate", "append"):
+        code, lines = run_with_corpus_changed(capsys, monkeypatch, change, 2)
+        util.assert_no_child_left()
+        assert code == 2 and len(lines) == 1, lines
+        assert lines == run_with_corpus_changed(capsys, monkeypatch, change, 1)[1]
 
 
 def test_compare_undersized_slice_names_it(workdir, capsys):
@@ -793,6 +785,33 @@ def test_synth_eval_arc_roundtrip(synth_env, capsys):
     report = json.loads((synth_env / "reports" / "arc.json").read_text())
     assert report["meta"]["pearson_r"] > 0.9
     assert len(report["rows"]) == 24
+
+
+def test_eval_arc_prints_each_file_it_writes(synth_env, capsys):
+    # One wrote line per report file, in write order, before the correlations.
+    assert run("synth", "--lexicon", "lex.tsv", "--arc-spec", "arc.json",
+               "--out-corpus", "corpus.jsonl") == 0
+    capsys.readouterr()
+    for fmt, written in [("csv", ["arc.json", "arc.csv"]), ("json", ["arc.json"])]:
+        out = f"out_{fmt}"
+        assert run("eval-arc", "--lexicon", "lex.tsv", "--arc-spec", "arc.json",
+                   "--corpus", "corpus.jsonl", "--out", out, "--out-format", fmt) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [f"wrote {os.path.join(out, name)}" for name in written]
+        assert lines[-1].startswith("pearson_r=")
+        assert sorted(os.listdir(out)) == sorted(written)
+
+
+def test_meta_path_with_a_line_break_stays_on_its_line(workdir, fixtures_dir):
+    # A path is written into the CSV meta header with each line break as
+    # its escape, so the header keeps one line per key.
+    shutil.copy(MINI_LEX, "lex\nx.tsv")
+    assert run("analyze-hour", "--lexicon", "lex\nx.tsv", "--corpus", MINI_CORPUS,
+               "--out", "out") == 0
+    report = (workdir / "out" / "hour.csv").read_text(encoding="utf-8")
+    assert "# lexicon=lex\\nx.tsv\n" in report
+    golden = (fixtures_dir / "golden" / "hour.csv").read_text(encoding="utf-8")
+    assert report.replace("lex\\nx.tsv", MINI_LEX) == golden
 
 
 def test_synth_deterministic_and_seed_override(synth_env):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import pickle
@@ -16,10 +17,10 @@ from hypothesis import strategies as st
 
 import util
 from anxarc import pipeline, workers
-from anxarc.corpus import CorpusError
+from anxarc.corpus import CorpusError, read_blocks
 from anxarc.pipeline import FAMILIES, ScanResult, scan_corpus
 from anxarc.slicer import PRONOUNS, Tense, token_table
-from anxarc.workers import _recv, _scan_worker, _send, _spans
+from anxarc.workers import _scan_worker, _send
 
 
 def write_corpus(tmp_path, lines, name="corpus.jsonl"):
@@ -270,7 +271,8 @@ def test_missing_later_corpus_fails_before_any_record_is_read(tmp_path, lexicon,
 
 
 def test_corpus_that_is_not_a_regular_file_is_refused(tmp_path, lexicon):
-    # Blocks are read back by offset, so a device or pipe cannot be a corpus.
+    # Each file is opened to be checked and again to be read, so a device
+    # or pipe cannot be a corpus.
     first = write_corpus(tmp_path, [GOOD_RECORD.decode() % 1])
     with pytest.raises(CorpusError, match=f"not a regular file: {os.devnull}"):
         scan_corpus(first, os.devnull, class_map=lexicon.class_map)
@@ -349,42 +351,47 @@ def test_one_worker_scan_holds_one_block(tmp_path, lexicon, tables, monkeypatch)
     assert slope < 1.6, peaks
 
 
-def spy_worker_spans(monkeypatch) -> list[tuple]:
-    """Record every span the parent sends to a scan worker."""
-    spans = []
+def spy_worker_blocks(monkeypatch) -> list[tuple]:
+    """Record the header and the bytes of every block the parent sends to a scan worker."""
+    sent = []
 
-    def send(fd, obj):
-        # The parent answers a request with a span or None (stop); what a
-        # forked worker sends lands in its own copy of the list.
-        if obj is not None:
-            spans.append(obj)
-        return _send(fd, obj)
+    def send(fh, obj, lines=()):
+        # Only the parent sends a header, a tuple; what a forked worker sends
+        # lands in its own copy of the list.
+        if isinstance(obj, tuple):
+            sent.append((obj, b"".join(lines)))
+        return _send(fh, obj, lines)
 
     monkeypatch.setattr(workers, "_send", send)
-    return spans
+    return sent
 
 
 @pytest.mark.parametrize("size", [4096, 1 << 20])
-def test_pool_tasks_are_small_spans(random_corpus, lexicon, monkeypatch, size):
-    # A message to a worker carries a block's span, not its lines, whatever
-    # the block size. At 1 MiB the corpus is one block, which is scanned
-    # with no worker and no message; cut in halves, each span is small.
+def test_pool_tasks_are_a_small_header_and_the_block_bytes(random_corpus, lexicon, monkeypatch,
+                                                           size):
+    # A message to a worker is a small pickled header and then the block's
+    # bytes as they are, never a pickle of its lines, whatever the block
+    # size; the blocks sent are the file, each byte once. At 1 MiB the
+    # corpus is one block, which is scanned with no worker and no message.
     path, oracle = random_corpus
-    n_bytes = os.path.getsize(path)
-    for chunk_bytes in (size, n_bytes // 2 + 1):
+    data = Path(path).read_bytes()
+    for chunk_bytes in (size, len(data) // 2 + 1):
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", chunk_bytes)
-        spans = spy_worker_spans(monkeypatch)
+        sent = spy_worker_blocks(monkeypatch)
         res = scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, workers=2)
         assert_matches_oracle(res, oracle)
-        assert bool(spans) == (chunk_bytes < n_bytes)
-        assert all(len(pickle.dumps(span)) < 1024 for span in spans)
+        assert bool(sent) == (chunk_bytes < len(data))
+        assert all(len(pickle.dumps(header)) < 1024 for header, _ in sent)
+        assert all(header[2] == len(block) for header, block in sent)
+        if sent:
+            assert b"".join(block for _, block in sent) == data
         util.assert_no_child_left()
 
 
 def test_block_cut_at_a_line_end_keeps_the_result(tmp_path, lexicon, tables, monkeypatch):
     # Every line is as long as GOOD_RECORD, so a block of CHUNK_BYTES ends
     # exactly at a line end, where a buffered file reads one line past it.
-    # The worker must read back the block's lines, not one more.
+    # A worker must split the bytes it is sent into the block's lines.
     width = len(GOOD_RECORD % 10)
     lines = [GOOD_RECORD % i if i % 7 else b"not json".ljust(width, b"#") for i in range(10, 100)]
     path = tmp_path / "corpus.jsonl"
@@ -398,11 +405,12 @@ def test_block_cut_at_a_line_end_keeps_the_result(tmp_path, lexicon, tables, mon
 
     one_block = scan(len(lines) * (width + 1) + 1, 1)
     assert len(one_block[1]) == 13
-    spans = spy_worker_spans(monkeypatch)
+    sent = spy_worker_blocks(monkeypatch)
     assert scan(4 * (width + 1), 2) == one_block
-    # Five-line spans that tile the file: the cut landed on a line end.
-    assert [span[3] for span in spans] == [5] * 18
-    assert [span[1:3] for span in spans] == [(1 + 5 * k, 5 * k * (width + 1)) for k in range(18)]
+    # Five-line blocks that tile the file: the cut landed on a line end.
+    assert [header for header, _ in sent] == [(0, 1 + 5 * k, 5 * (width + 1)) for k in range(18)]
+    assert [block for _, block in sent] == [b"\n".join(lines[5 * k:5 * k + 5]) + b"\n"
+                                            for k in range(18)]
 
 
 def test_two_worker_scan_parent_holds_one_block(tmp_path, lexicon, tables, monkeypatch):
@@ -427,84 +435,127 @@ def test_two_worker_scan_parent_holds_one_block(tmp_path, lexicon, tables, monke
     assert slope < 1.6, peaks
 
 
-def run_worker(files, lexicon, *spans, state=None):
-    """Run a scan worker in-process on the given spans; return its reply.
-
-    ``state`` defaults to an hour-only scan of JSONL with ``lexicon``.
-    """
-    if state is None:
-        state = pipeline._ScanState(fmt="jsonl", families=frozenset(["hour"]),
-                                    table=token_table(lexicon.class_map, None))
-    span_r, span_w = os.pipe()
-    reply_r, reply_w = os.pipe()
-    try:
-        for span in spans:
-            _send(span_w, span)
-        _send(span_w, None)
-        _scan_worker(span_r, reply_w, state, files)
-        while (reply := _recv(reply_r)) is None:  # a request for the next span
-            pass
-        return reply
-    finally:
-        for fd in (span_r, span_w, reply_r, reply_w):
-            os.close(fd)
+def run_worker(paths, *blocks, state):
+    """Run a scan worker in-process on the given blocks of ``pipeline._blocks``; return its reply."""
+    sent, replies = io.BytesIO(), io.BytesIO()
+    for index, line_no, lines in blocks:
+        _send(sent, (index, line_no, sum(map(len, lines))), lines)
+    _send(sent, None)
+    sent.seek(0)
+    _scan_worker(sent, replies, state, paths)
+    replies.seek(0)
+    while (reply := pickle.load(replies)) is None:  # a request for the next block
+        pass
+    return reply
 
 
-def test_recv_from_a_closed_pipe_is_eof():
-    # A worker that dies before or while it writes a message leaves its pipe
-    # closed: the parent reads EOF, which it reports as a dead worker, never
-    # a short message or a wait for bytes that cannot come.
-    message = (100).to_bytes(8, "big") + b"partial"
-    for data in (b"", message[:3], message):
-        read_end, write_end = os.pipe()
-        os.write(write_end, data)
-        os.close(write_end)
-        try:
-            with pytest.raises(EOFError):
-                _recv(read_end)
-        finally:
-            os.close(read_end)
+def test_worker_dead_partway_through_a_message_is_a_corpus_error(tmp_path, lexicon,
+                                                                 monkeypatch):
+    # A worker that dies while it writes a request or its result leaves a
+    # truncated pickle in its closed pipe: the parent reads that as a dead
+    # worker, never as a message or a wait for bytes that cannot come.
+    path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(3), 100))
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 256)
+    parent = os.getpid()
+    for dies_on, message in [(type(None), "a scan worker died before its first block"),
+                             (ScanResult, r"a scan worker died at \S*corpus\.jsonl line \d+")]:
+
+        def send(fh, obj, lines=(), dies_on=dies_on):
+            if os.getpid() != parent and isinstance(obj, dies_on):
+                data = pickle.dumps(obj)
+                fh.write(data[:len(data) // 2])
+                fh.flush()
+                os._exit(1)
+            return _send(fh, obj, lines)
+
+        monkeypatch.setattr(workers, "_send", send)
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            scan_corpus(path, class_map=lexicon.class_map, families=["hour"], workers=2)
+        util.assert_no_child_left()
 
 
-def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon):
-    # A worker that cannot read its span back as the block the parent cut,
-    # or finds another file than the one checked, replies with a CorpusError
-    # naming the file, which the CLI turns into exit 2.
+def test_worker_dead_before_it_reads_its_block_is_a_corpus_error(tmp_path, lexicon,
+                                                                 monkeypatch):
+    # A worker that dies after a block's header, with the parent still
+    # writing the block's bytes (more than a pipe holds), is a dead worker
+    # at that block; the bytes left unsent are dropped.
+    path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(3), 6000))
+    assert os.path.getsize(path) > 2 * pipeline.CHUNK_BYTES > 1 << 17
+    parent, real_load = os.getpid(), pickle.load
+
+    def load(fh):
+        msg = real_load(fh)
+        if os.getpid() != parent and isinstance(msg, tuple):
+            os._exit(1)
+        return msg
+
+    monkeypatch.setattr(pickle, "load", load)
+    with pytest.raises(CorpusError, match=r"^a scan worker died at \S*corpus\.jsonl line 1$"):
+        scan_corpus(path, class_map=lexicon.class_map, families=["hour"], workers=2)
+    util.assert_no_child_left()
+
+
+def test_worker_exception_is_raised_in_the_parent(tmp_path, lexicon, monkeypatch):
+    # An exception a worker meets is its last message, which the parent raises.
+    path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(3), 100))
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 256)
+
+    def fail(index, path, line_no, *args):
+        raise ValueError(f"cannot scan line {line_no}")
+
+    monkeypatch.setattr(pipeline, "_scan_chunk", fail)
+    with pytest.raises(ValueError, match=r"^cannot scan line \d+$"):
+        scan_corpus(path, class_map=lexicon.class_map, families=["hour"], workers=2)
+    util.assert_no_child_left()
+
+
+def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon, monkeypatch):
+    # A later file of a multi-file scan that is cut short, replaced by
+    # another file of the same size, or deleted before its turn stops the
+    # scan with a CorpusError naming it, which the CLI turns into exit 2.
+    # The parent reads every file, so the error is the same at any worker
+    # count.
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)
     data = b"".join(GOOD_RECORD % i + b"\n" for i in range(4))
-    path = tmp_path / "corpus.jsonl"
-    path.write_bytes(data)
-
-    def key():
-        with open(path, "rb") as fh:
-            return pipeline._file_key(fh)
-
-    span = (0, 1, 0, 4, len(data))
-    res = run_worker([(str(path), key())], lexicon, span)
-    assert res.counts["n_records"] == 4 and res.skip_events == []
-
-    def assert_fault(files, match):
-        exc = run_worker(files, lexicon, span)
-        assert isinstance(exc, CorpusError)
-        assert "corpus.jsonl" in str(exc) and match in str(exc)
-
-    checked = [(str(path), key())]
-    path.write_bytes(data[: len(data) // 2])  # truncated since the check
-    assert_fault(checked, "changed during the scan")
-    assert_fault([(str(path), key())], "changed during the scan")  # span reads back short
-    path.write_bytes(data.replace(b"calm000", b"calm0000"))  # same lines, other bytes
-    assert_fault([(str(path), key())], "changed during the scan")
+    paths = [tmp_path / f"part{k}.jsonl" for k in range(3)]
     other = tmp_path / "other.jsonl"
-    other.write_bytes(data)
-    checked = [(str(path), key())]
-    os.replace(other, path)  # another file of the same size
-    assert_fault(checked, "changed during the scan")
-    path.unlink()
-    assert_fault(checked, "cannot read corpus")
+
+    def truncate(path):
+        path.write_bytes(data[:len(data) // 2])
+
+    def replace(path):
+        other.write_bytes(data)
+        os.replace(other, path)
+
+    for fault, match in [(truncate, r"corpus changed during the scan: {} \(from line 1\)"),
+                         (replace, r"corpus changed during the scan: {} \(from line 1\)"),
+                         (Path.unlink, "cannot read corpus: .*No such file.*: '{}'")]:
+        errors = []
+        for n_workers in (1, 2):
+            for path in paths:
+                path.write_bytes(data)
+
+            done = []
+
+            def read_then_fault(fh, size):
+                for block in read_blocks(fh, size):
+                    if not done:
+                        done.append(fault(paths[2]))
+                    yield block
+
+            monkeypatch.setattr(pipeline, "read_blocks", read_then_fault)
+            with pytest.raises(CorpusError) as info:
+                scan_corpus(*map(str, paths), class_map=lexicon.class_map, families=["hour"],
+                            workers=n_workers)
+            util.assert_no_child_left()
+            assert re.fullmatch(match.format(re.escape(str(paths[2]))), str(info.value))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
 
 def test_worker_results_merge_alike_in_any_order(tmp_path, lexicon, tables, monkeypatch):
     # Three workers' results of one three-file scan, each over every third
-    # span, merge to the one-worker result in every order: aggregates and
+    # block, merge to the one-worker result in every order: aggregates and
     # the first MAX_RECORDED_SKIPS skip events of the union, by stream
     # position, whichever result comes first.
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 2048)
@@ -518,10 +569,10 @@ def test_worker_results_merge_alike_in_any_order(tmp_path, lexicon, tables, monk
             files.append((path, pipeline._file_key(fh)))
     state = pipeline._ScanState(fmt="jsonl", families=frozenset(FAMILIES),
                                 table=token_table(lexicon.class_map, tables))
-    spans = list(_spans(files))
+    blocks = list(pipeline._blocks(files))
     results = []
     for k in range(3):
-        res = run_worker(files, lexicon, *spans[k::3], state=state)
+        res = run_worker(paths, *blocks[k::3], state=state)
         assert isinstance(res, ScanResult) and res.skip_events
         results.append(res)
     whole = scan_corpus(*paths, class_map=lexicon.class_map, families=FAMILIES, tables=tables)
@@ -535,8 +586,9 @@ def test_worker_results_merge_alike_in_any_order(tmp_path, lexicon, tables, monk
 
 
 # Runs the CLI at two workers with a scan worker ending itself by
-# os._exit(1), as an OOM kill would: every worker on its second span or
-# before its first, or only the first worker forked, on its first span, while
+# os._exit(1), as an OOM kill would: every worker on its second block
+# ("second-span") or before its first, or only the first worker forked, on
+# its first block, while
 # the other scans on. Then checks that no child process is left.
 DEAD_WORKER_RUN = """
 import os, sys
@@ -546,7 +598,7 @@ from anxarc import cli, pipeline
 
 calls, forks = [], []
 
-def die_on_second_span(*args):
+def die_on_second_block(*args):
     calls.append(args)
     if len(calls) == 2:
         os._exit(1)
@@ -565,7 +617,7 @@ real_scan_chunk, real_fork = pipeline._scan_chunk, os.fork
 os.fork = fork
 pipeline.CHUNK_BYTES = 256
 if sys.argv[3] == "second-span":
-    pipeline._scan_chunk = die_on_second_span
+    pipeline._scan_chunk = die_on_second_block
 elif sys.argv[3] == "first-worker":
     pipeline._scan_chunk = die_in_first_worker
 else:
@@ -579,7 +631,7 @@ print(code, len(forks))
 
 @pytest.mark.parametrize("when,message", [
     ("second-span", r"a scan worker died at corpus\.jsonl line \d+"),
-    ("start", "a scan worker died before its first span"),
+    ("start", "a scan worker died before its first block"),
     ("first-worker", r"a scan worker died at corpus\.jsonl line \d+"),
 ])
 def test_dead_worker_exits_2(tmp_path, when, message):
@@ -595,7 +647,7 @@ def test_dead_worker_exits_2(tmp_path, when, message):
 
 @pytest.mark.parametrize("when,message", [
     ("second-span", r"a scan worker died at \S*corpus\.jsonl line \d+"),
-    ("start", "a scan worker died before its first span"),
+    ("start", "a scan worker died before its first block"),
 ])
 def test_dead_worker_is_a_corpus_error(tmp_path, lexicon, monkeypatch, when, message):
     # test_dead_worker_exits_2 in this process: the parent's dead-worker
@@ -605,13 +657,13 @@ def test_dead_worker_is_a_corpus_error(tmp_path, lexicon, monkeypatch, when, mes
     if when == "second-span":
         calls, real_scan_chunk = [], pipeline._scan_chunk
 
-        def die_on_second_span(*args):
+        def die_on_second_block(*args):
             calls.append(None)
             if len(calls) == 2:
                 os._exit(1)
             return real_scan_chunk(*args)
 
-        monkeypatch.setattr(pipeline, "_scan_chunk", die_on_second_span)
+        monkeypatch.setattr(pipeline, "_scan_chunk", die_on_second_block)
     else:
         monkeypatch.setattr(pipeline, "_bin_lookups", lambda res: os._exit(1))
     with pytest.raises(CorpusError, match=f"^{message}$"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -55,3 +56,14 @@ def test_json_rejects_a_value_json_cannot_hold():
     table = Table(name="t", meta={"r": {1, 2}}, columns=["x"], rows=[[1]])
     with pytest.raises(TypeError):
         table.to_json()
+
+
+def test_csv_meta_value_stays_on_its_line():
+    # In CSV a meta value's backslashes are doubled and each str.splitlines
+    # boundary is written as its Python escape, so a value such as a path
+    # cannot split the meta header; JSON holds the value as it is.
+    value = "a\\n" + "".join(c + "x" for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+    table = Table(name="t", meta={"r": value, "s": "plain ü"}, columns=["x"], rows=[[1]])
+    assert table.to_csv() == (
+        r"# r=a\\n\nx\rx\x0bx\x0cx\x1cx\x1dx\x1ex\x85x\u2028x\u2029x" + "\n# s=plain ü\nx\n1\n")
+    assert json.loads(table.to_json())["meta"]["r"] == value
