@@ -22,6 +22,7 @@ become counted skips that surface in the final reports.
 from __future__ import annotations
 
 import json
+import os
 import re
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -176,9 +177,13 @@ def parse_record(line: str | bytes, fmt: str) -> tuple[str, datetime, str]:
 
 
 def open_corpus_path(path: str) -> IO[bytes]:
-    """Open a corpus file for ``read_blocks``; CorpusError if it cannot be."""
+    """Open a corpus file for ``read_blocks``; CorpusError if it cannot be.
+
+    The open never blocks: a FIFO with no writer opens at once, to be
+    refused as not a regular file. Reads of a regular file ignore the flag.
+    """
     try:
-        return open(path, "rb")
+        return open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK))
     except OSError as exc:
         raise CorpusError(f"cannot read corpus: {exc}") from None
 

@@ -7,20 +7,20 @@ family (``bins[family][key]``) and its counters in one dict (``counts``).
 Every corpus file of a run is checked before the first block is read, then
 opened only when its turn comes, and read as blocks of whole lines of about
 ``CHUNK_BYTES`` each (``corpus.read_blocks``; a block never spans two
-files). A run starts no more workers than it has blocks. At one worker,
-as in every one-block run, each block is scanned into the run's one
-``ScanResult`` in place and dropped before the next is read, so the scan
-holds the token table, one block and the aggregates, whatever the corpus
-size. The table is built from the lexicon's class map alone; the commands
-free the associations before it is built.
-With more workers (``workers.scan_in_workers``: ``os.fork`` and a pipe each
-way, no ``multiprocessing``) the parent is the only process that reads a
-corpus file: it cuts and numbers every block and sends each one's bytes to
-the worker that asks for it, dropping the block before it reads the next;
-a worker scans the blocks it gets into one result of its own and sends
-that result back once, at the end. Either way a file that is not the file
-checked, when its turn comes or when its last block has been read, stops
-the scan with a CorpusError.
+files). ``_scan`` is the one function that scans posts: it takes any
+iterable of (file index, first line number, lines) blocks, scans each into
+one new ``ScanResult`` and drops it before it takes the next, so it holds
+the token table, one block and the aggregates, whatever the corpus size.
+The table is built from the lexicon's class map alone; the commands free
+the associations before it is built. ``scan_corpus`` binds ``_scan`` to
+the run's arguments and, at one worker (as in every one-block run, since a
+run starts no more workers than it has blocks), runs it on the parent's
+blocks (``_blocks``). With more workers it hands the blocks and the bound
+function to ``workers.scan_in_workers``: the parent stays the only reader
+of a corpus file, each forked worker runs the function on the blocks it is
+sent, and the parent merges their results. Either way a file that is not
+the file checked, when its turn comes or when its last block has been
+read, stops the scan with a CorpusError.
 Every bin and counter is an exact integer sum, so the final result does not
 depend on the worker count, the block size or how the input is split into
 files. Each skip event carries its stream position (file index, line
@@ -31,8 +31,9 @@ union in that order, so results merge to the same events in any order.
 from __future__ import annotations
 
 import os
+from functools import partial
 from stat import S_ISREG
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 
 from . import _kernel
 from ._kernel import PRONOUN_SHIFT
@@ -77,15 +78,6 @@ CHUNK_BYTES = 1 << 18
 MAX_RECORDED_SKIPS = 50
 
 
-class _ScanState(NamedTuple):
-    fmt: str
-    families: frozenset[str]
-    # The token table that scores every post (``slicer.token_table``); it
-    # holds tense bits only when the tense slice is requested. Forked
-    # workers inherit it.
-    table: dict[str, int]
-
-
 class ScanResult:
     """Aggregates for one scan: the overall bins, the requested families' bins, the counters.
 
@@ -124,12 +116,8 @@ class ScanResult:
             self.skip_events = sorted(self.skip_events + other.skip_events)[:MAX_RECORDED_SKIPS]
 
 
-# (tense_bins, pronoun_bins) of one result, from _bin_lookups.
-_Lookups = tuple[tuple[BinAggregate, ...] | None, tuple[tuple[BinAggregate, ...], ...] | None]
-
-
-def _bin_lookups(res: ScanResult) -> _Lookups:
-    """A result's bins by the kernel's flags, built once per result.
+def _bin_lookups(res: ScanResult) -> tuple:
+    """(tense_bins, pronoun_bins): a result's bins by the kernel's flags.
 
     A post's tense bin is indexed by its flags below PRONOUN_SHIFT, and its
     pronoun bins by the flags from PRONOUN_SHIFT up; either is None when
@@ -148,15 +136,19 @@ def _bin_lookups(res: ScanResult) -> _Lookups:
     return tense_bins, pronoun_bins
 
 
-def _scan_chunk(index: int, path: str, first_line_no: int, lines: list[bytes], st: _ScanState,
-                res: ScanResult, lookups: _Lookups) -> None:
-    """Scan one block of file ``index`` into ``res`` in place; ``lookups`` is ``_bin_lookups(res)``."""
+def _scan(paths: tuple[str, ...], fmt: str, families: frozenset[str], table: dict[str, int],
+          blocks: Iterable[tuple[int, int, list[bytes]]]) -> ScanResult:
+    """Scan every (file index, first line number, lines) block of ``blocks`` into one new result.
+
+    ``table`` is the token table that scores every post
+    (``slicer.token_table``); it holds tense bits only when the tense slice
+    is requested. Each block is dropped before the next is taken.
+    """
+    res = ScanResult(families)
     n_records = 0
-    fmt = st.fmt
-    table = st.table
     # The kernel's value for a word missing from the table: None applies
     # the tense suffix rules, 0 skips them when no tense slice reads them.
-    miss = None if "tense" in st.families else 0
+    miss = None if "tense" in families else 0
     score_text = _kernel.score_text
     update = BinAggregate.update_counts
     overall = res.overall
@@ -164,58 +156,60 @@ def _scan_chunk(index: int, path: str, first_line_no: int, lines: list[bytes], s
     hours = res.bins.get("hour")
     weekdays = res.bins.get("weekday")
     need_time = bool(hours or weekdays)
-    tense_bins, pronoun_bins = lookups
+    tense_bins, pronoun_bins = _bin_lookups(res)
     low_bits = (1 << PRONOUN_SHIFT) - 1
 
-    for line_no, line in data_lines(lines, first_line_no, fmt):
-        n_records += 1
-        try:
-            text, stamp, zone = parse_record(line, fmt)
-        except ValueError as exc:
-            counts["n_parse_skips"] += 1
-            if len(res.skip_events) < MAX_RECORDED_SKIPS:
-                res.skip_events.append(SkipEvent(index, line_no, path, str(exc)))
-            continue
-
-        n_tok, n_anx, n_calm, flags = score_text(text, table, miss)
-        if n_tok == 0:
-            counts["n_empty_skips"] += 1
-            continue
-
-        bins = [overall]
-        if need_time:
+    for index, first_line_no, lines in blocks:
+        for line_no, line in data_lines(lines, first_line_no, fmt):
+            n_records += 1
             try:
-                hour, weekday = localize(stamp, zone)
-            except UnknownTimezoneError:
-                counts["n_tz_skips"] += 1
-            else:
-                if hours:
-                    bins.append(hours[hour])
-                if weekdays:
-                    bins.append(weekdays[weekday])
-        if tense_bins is not None:
-            bins.append(tense_bins[flags & low_bits])
-        if pronoun_bins is not None:
-            bins += pronoun_bins[flags >> PRONOUN_SHIFT]
-        update(bins, n_tok, n_anx, n_calm)
-    counts["n_records"] += n_records
+                text, stamp, zone = parse_record(line, fmt)
+            except ValueError as exc:
+                counts["n_parse_skips"] += 1
+                if len(res.skip_events) < MAX_RECORDED_SKIPS:
+                    res.skip_events.append(SkipEvent(index, line_no, paths[index], str(exc)))
+                continue
+
+            n_tok, n_anx, n_calm, flags = score_text(text, table, miss)
+            if n_tok == 0:
+                counts["n_empty_skips"] += 1
+                continue
+
+            bins = [overall]
+            if need_time:
+                try:
+                    hour, weekday = localize(stamp, zone)
+                except UnknownTimezoneError:
+                    counts["n_tz_skips"] += 1
+                else:
+                    if hours:
+                        bins.append(hours[hour])
+                    if weekdays:
+                        bins.append(weekdays[weekday])
+            if tense_bins is not None:
+                bins.append(tense_bins[flags & low_bits])
+            if pronoun_bins is not None:
+                bins += pronoun_bins[flags >> PRONOUN_SHIFT]
+            update(bins, n_tok, n_anx, n_calm)
+        del lines
+    counts["n_records"] = n_records
+    return res
 
 
 _FileKey = tuple[int, int, int]  # (st_dev, st_ino, st_size) of a corpus file
-# A checked corpus file: its path and the key it had when the run began.
-_Checked = tuple[str, _FileKey]
 
 
 def _file_key(fh: IO[bytes]) -> _FileKey:
     st = os.fstat(fh.fileno())
     if not S_ISREG(st.st_mode):
         # Each file is opened twice, to check it and then to read it, and
-        # a pipe cannot be reopened.
+        # a pipe cannot be reopened. The open does not wait for a pipe's
+        # writer (``open_corpus_path``), so a pipe is refused here at once.
         raise CorpusError(f"cannot read corpus: not a regular file: {fh.name}")
     return st.st_dev, st.st_ino, st.st_size
 
 
-def _blocks(files: list[_Checked]) -> Iterator[tuple[int, int, list[bytes]]]:
+def _blocks(files: list[tuple[str, _FileKey]]) -> Iterator[tuple[int, int, list[bytes]]]:
     """Yield (file index, first line number, lines) for every block of the run.
 
     Each file is opened only when its turn comes and closed after its last
@@ -259,7 +253,7 @@ def scan_corpus(
         tables = None
     elif tables is None:
         tables = load_verb_tables()
-    state = _ScanState(fmt=fmt, families=families, table=token_table(class_map, tables))
+    scan = partial(_scan, paths, fmt, families, token_table(class_map, tables))
 
     # Every path is checked before the first block is read, so a missing or
     # unreadable later file fails the run before any scanning. Each is
@@ -276,12 +270,5 @@ def scan_corpus(
         # scan, nor pickle and select.
         from .workers import scan_in_workers
 
-        return scan_in_workers(files, state, workers)
-    # Each block is scanned into the run's one result and dropped before
-    # the next is read, so one block is live at a time.
-    total = ScanResult(families)
-    lookups = _bin_lookups(total)
-    for index, line_no, lines in _blocks(files):
-        _scan_chunk(index, paths[index], line_no, lines, state, total, lookups)
-        del lines
-    return total
+        return scan_in_workers(_blocks(files), scan, paths, workers)
+    return scan(_blocks(files))

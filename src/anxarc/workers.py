@@ -1,16 +1,17 @@
 """The scan at ``--workers N``: forked workers that pull blocks over pipes.
 
 The parent forks N workers (at most the run's block count), each with a
-pipe each way, and it is the only process that reads a corpus file: it
-cuts and numbers every block (``pipeline._blocks``) and hands each one to
-the worker that asks next, as a pickled header ``(file index, first line
-number, byte count)`` and then the lines' bytes as they are, never
-pickled. The worker reads that many bytes, splits them back into the same
-lines, scans every block it gets into one ``ScanResult`` and sends that
-back once, at the end. Each message starts with a pickle: ``None`` asks
-for a block, the parent answers with a block or ``None`` to stop, and the
-worker's last message is its result or the exception it met, which the
-parent raises. Results merge alike in any order.
+pipe each way, and it is the only process that takes the run's blocks: it
+hands each one to the worker that asks next, as a pickled header ``(file
+index, first line number, byte count)`` and then the lines' bytes as they
+are, never pickled. A worker runs the scan function it is given over
+``_received``, which yields each block it is sent split back into the same
+lines, and sends the result back once, at the end; this module knows
+nothing of how a post is scanned. Each message starts with a pickle:
+``None`` asks for a block, the parent answers with a block or ``None`` to
+stop, and the worker's last message is its result or the exception it met,
+which the parent raises. The parent merges the other results into the
+first it gets; results merge alike in any order.
 
 A worker writes only after the parent has read its last message, so each
 worker has at most one unread message in its reply pipe: the parent's
@@ -26,10 +27,12 @@ import os
 import pickle
 import select
 import signal
-from typing import BinaryIO, Iterable
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
-from . import pipeline
 from .corpus import CorpusError
+
+# (file index, first line number, lines) of one block of the run.
+_Block = tuple[int, int, list[bytes]]
 
 
 def _send(fh: BinaryIO, obj: object, lines: Iterable[bytes] = ()) -> None:
@@ -39,40 +42,41 @@ def _send(fh: BinaryIO, obj: object, lines: Iterable[bytes] = ()) -> None:
     fh.flush()
 
 
-def _scan_worker(blocks: BinaryIO, replies: BinaryIO, state: pipeline._ScanState,
-                 paths: list[str]) -> None:
-    """A scan worker: ask for blocks on ``replies``, take them from ``blocks``, reply."""
-    res = pipeline.ScanResult(state.families)
-    lookups = pipeline._bin_lookups(res)
+def _received(blocks: BinaryIO, replies: BinaryIO) -> Iterator[_Block]:
+    """Ask for a block on ``replies`` and yield the block read from ``blocks``, until ``None``."""
+    while True:
+        _send(replies, None)
+        if (header := pickle.load(blocks)) is None:
+            return
+        index, line_no, nbytes = header
+        yield index, line_no, io.BytesIO(blocks.read(nbytes)).readlines()
+
+
+def _scan_worker(blocks: BinaryIO, replies: BinaryIO,
+                 scan: Callable[[Iterator[_Block]], Any]) -> None:
+    """A scan worker: scan the blocks it is sent, then reply with the result."""
     try:
-        while True:
-            _send(replies, None)
-            if (header := pickle.load(blocks)) is None:
-                break
-            index, line_no, nbytes = header
-            lines = io.BytesIO(blocks.read(nbytes)).readlines()
-            pipeline._scan_chunk(index, paths[index], line_no, lines, state, res, lookups)
-            del lines
-        reply = res
+        reply = scan(_received(blocks, replies))
     except Exception as exc:  # sent to the parent, which raises it
         reply = exc
     _send(replies, reply)
 
 
-def scan_in_workers(files: list[pipeline._Checked], state: pipeline._ScanState,
-                    workers: int) -> pipeline.ScanResult:
-    """Scan the checked files with ``workers`` forked workers, one result each.
+def scan_in_workers(blocks: Iterator[_Block], scan: Callable[[Iterator[_Block]], Any],
+                    paths: tuple[str, ...], workers: int) -> Any:
+    """Run ``scan`` in ``workers`` forked workers over ``blocks``; return the merged results.
 
     A worker that exits without a result is a CorpusError naming its last
-    block; every worker is killed and reaped on every way out.
+    block's file in ``paths`` and line; every worker is killed and reaped on
+    every way out.
     """
-    # Forked workers inherit the token table without a pickle or a fresh
-    # import; the scanning process starts no threads, so fork is safe.
-    blocks = pipeline._blocks(files)
+    # Forked workers inherit the scan function and its token table without
+    # a pickle or a fresh import; the scanning process starts no threads,
+    # so fork is safe.
     pids: list[int] = []
     pipes: dict[int, tuple[BinaryIO, BinaryIO]] = {}  # reply fd -> (its reader, block writer)
     last: dict[int, tuple[int, int]] = {}  # reply fd -> (file index, line) of its last block
-    total = pipeline.ScanResult(state.families)
+    total = None
     poller = select.poll()
     try:
         for _ in range(workers):
@@ -87,8 +91,7 @@ def scan_in_workers(files: list[pipeline._Checked], state: pipeline._ScanState,
                         for reader, writer in pipes.values():
                             reader.close()
                             writer.close()
-                        _scan_worker(open(block_r, "rb"), open(reply_w, "wb"), state,
-                                     [path for path, _ in files])
+                        _scan_worker(open(block_r, "rb"), open(reply_w, "wb"), scan)
                     finally:
                         # Never into the parent's stack, atexit hooks or stdio buffers.
                         os._exit(0)
@@ -116,7 +119,7 @@ def scan_in_workers(files: list[pipeline._Checked], state: pipeline._ScanState,
                         raise CorpusError("a scan worker died before its first block") from None
                     index, line_no = last[fd]
                     raise CorpusError(
-                        f"a scan worker died at {files[index][0]} line {line_no}") from None
+                        f"a scan worker died at {paths[index]} line {line_no}") from None
                 if msg is None:
                     if block is not None:
                         del block, lines  # dropped before the next block is read
@@ -124,7 +127,10 @@ def scan_in_workers(files: list[pipeline._Checked], state: pipeline._ScanState,
                     continue
                 if isinstance(msg, Exception):
                     raise msg
-                total.merge_from(msg)
+                if total is None:
+                    total = msg
+                else:
+                    total.merge_from(msg)
                 poller.unregister(fd)
                 live -= 1
     finally:

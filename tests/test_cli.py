@@ -118,16 +118,16 @@ def test_scan_holds_the_class_map_only(workdir, monkeypatch):
     # the lexicon, and not the associations of all its terms.
     (workdir / "big.tsv").write_text(util.big_lexicon_text(), encoding="utf-8")
     held = []
-    real_scan_chunk = pipeline._scan_chunk
+    real_data_lines = pipeline.data_lines
 
-    def scan_chunk(*args):
+    def data_lines(*args):  # called once per block
         if not held:
             lexicon_py = tracemalloc.Filter(True, load_lexicon.__code__.co_filename)
             snapshot = tracemalloc.take_snapshot().filter_traces([lexicon_py])
             held.append(sum(stat.size for stat in snapshot.statistics("filename")))
-        return real_scan_chunk(*args)
+        return real_data_lines(*args)
 
-    monkeypatch.setattr(pipeline, "_scan_chunk", scan_chunk)
+    monkeypatch.setattr(pipeline, "data_lines", data_lines)
     tracemalloc.start()
     try:
         assert run("analyze-hour", "--lexicon", "big.tsv", "--corpus", MINI_CORPUS,

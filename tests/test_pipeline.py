@@ -6,9 +6,11 @@ import os
 import pickle
 import random
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -272,10 +274,26 @@ def test_missing_later_corpus_fails_before_any_record_is_read(tmp_path, lexicon,
 
 def test_corpus_that_is_not_a_regular_file_is_refused(tmp_path, lexicon):
     # Each file is opened to be checked and again to be read, so a device
-    # or pipe cannot be a corpus.
+    # or pipe cannot be a corpus. The open does not wait for a writer, so
+    # a FIFO is refused at once, alone or after another file; the alarm
+    # turns a scan that blocks in its open into a failure, not a hang.
     first = write_corpus(tmp_path, [GOOD_RECORD.decode() % 1])
-    with pytest.raises(CorpusError, match=f"not a regular file: {os.devnull}"):
-        scan_corpus(first, os.devnull, class_map=lexicon.class_map)
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+
+    def hung(*_):
+        raise AssertionError("the scan blocked opening a corpus path")
+
+    handler = signal.signal(signal.SIGALRM, hung)
+    try:
+        for other in (os.devnull, fifo):
+            for paths in ((other,), (first, other)):
+                signal.alarm(10)
+                with pytest.raises(CorpusError, match=f"not a regular file: {other}$"):
+                    scan_corpus(*paths, class_map=lexicon.class_map, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 @pytest.fixture(scope="module")
@@ -435,14 +453,14 @@ def test_two_worker_scan_parent_holds_one_block(tmp_path, lexicon, tables, monke
     assert slope < 1.6, peaks
 
 
-def run_worker(paths, *blocks, state):
+def run_worker(*blocks, scan):
     """Run a scan worker in-process on the given blocks of ``pipeline._blocks``; return its reply."""
     sent, replies = io.BytesIO(), io.BytesIO()
     for index, line_no, lines in blocks:
         _send(sent, (index, line_no, sum(map(len, lines))), lines)
     _send(sent, None)
     sent.seek(0)
-    _scan_worker(sent, replies, state, paths)
+    _scan_worker(sent, replies, scan)
     replies.seek(0)
     while (reply := pickle.load(replies)) is None:  # a request for the next block
         pass
@@ -500,13 +518,19 @@ def test_worker_exception_is_raised_in_the_parent(tmp_path, lexicon, monkeypatch
     path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(3), 100))
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 256)
 
-    def fail(index, path, line_no, *args):
+    def fail(lines, line_no, fmt):  # data_lines, called once per block
         raise ValueError(f"cannot scan line {line_no}")
 
-    monkeypatch.setattr(pipeline, "_scan_chunk", fail)
+    monkeypatch.setattr(pipeline, "data_lines", fail)
     with pytest.raises(ValueError, match=r"^cannot scan line \d+$"):
         scan_corpus(path, class_map=lexicon.class_map, families=["hour"], workers=2)
     util.assert_no_child_left()
+    # The same worker in this process, where a line audit of the tests sees
+    # its except branch: the parent kills a forked worker once its
+    # exception arrives, which can be before the worker's lines are saved.
+    scan = partial(pipeline._scan, (path,), "jsonl", frozenset(["hour"]), {})
+    reply = run_worker((0, 7, [b"\n"]), scan=scan)
+    assert isinstance(reply, ValueError) and str(reply) == "cannot scan line 7"
 
 
 def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon, monkeypatch):
@@ -567,12 +591,12 @@ def test_worker_results_merge_alike_in_any_order(tmp_path, lexicon, tables, monk
     for path in paths:
         with open(path, "rb") as fh:
             files.append((path, pipeline._file_key(fh)))
-    state = pipeline._ScanState(fmt="jsonl", families=frozenset(FAMILIES),
-                                table=token_table(lexicon.class_map, tables))
+    scan = partial(pipeline._scan, tuple(paths), "jsonl", frozenset(FAMILIES),
+                   token_table(lexicon.class_map, tables))
     blocks = list(pipeline._blocks(files))
     results = []
     for k in range(3):
-        res = run_worker(paths, *blocks[k::3], state=state)
+        res = run_worker(*blocks[k::3], scan=scan)
         assert isinstance(res, ScanResult) and res.skip_events
         results.append(res)
     whole = scan_corpus(*paths, class_map=lexicon.class_map, families=FAMILIES, tables=tables)
@@ -588,8 +612,9 @@ def test_worker_results_merge_alike_in_any_order(tmp_path, lexicon, tables, monk
 # Runs the CLI at two workers with a scan worker ending itself by
 # os._exit(1), as an OOM kill would: every worker on its second block
 # ("second-span") or before its first, or only the first worker forked, on
-# its first block, while
-# the other scans on. Then checks that no child process is left.
+# its first block, while the other scans on. pipeline.data_lines runs once
+# per block and pipeline._bin_lookups once per result, in the workers only.
+# Then checks that no child process is left.
 DEAD_WORKER_RUN = """
 import os, sys
 sys.path[:0] = sys.argv[1:3]
@@ -602,24 +627,24 @@ def die_on_second_block(*args):
     calls.append(args)
     if len(calls) == 2:
         os._exit(1)
-    return real_scan_chunk(*args)
+    return real_data_lines(*args)
 
 def die_in_first_worker(*args):
     if len(forks) == 1:
         os._exit(1)
-    return real_scan_chunk(*args)
+    return real_data_lines(*args)
 
 def fork():
     forks.append(None)
     return real_fork()
 
-real_scan_chunk, real_fork = pipeline._scan_chunk, os.fork
+real_data_lines, real_fork = pipeline.data_lines, os.fork
 os.fork = fork
 pipeline.CHUNK_BYTES = 256
 if sys.argv[3] == "second-span":
-    pipeline._scan_chunk = die_on_second_block
+    pipeline.data_lines = die_on_second_block
 elif sys.argv[3] == "first-worker":
-    pipeline._scan_chunk = die_in_first_worker
+    pipeline.data_lines = die_in_first_worker
 else:
     pipeline._bin_lookups = lambda res: os._exit(1)
 code = cli.main(["analyze-hour", "--lexicon", "lexicon.tsv", "--corpus", "corpus.jsonl",
@@ -655,15 +680,15 @@ def test_dead_worker_is_a_corpus_error(tmp_path, lexicon, monkeypatch, when, mes
     path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(3), 100))
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 256)
     if when == "second-span":
-        calls, real_scan_chunk = [], pipeline._scan_chunk
+        calls, real_data_lines = [], pipeline.data_lines
 
-        def die_on_second_block(*args):
+        def die_on_second_block(*args):  # data_lines, called once per block
             calls.append(None)
             if len(calls) == 2:
                 os._exit(1)
-            return real_scan_chunk(*args)
+            return real_data_lines(*args)
 
-        monkeypatch.setattr(pipeline, "_scan_chunk", die_on_second_block)
+        monkeypatch.setattr(pipeline, "data_lines", die_on_second_block)
     else:
         monkeypatch.setattr(pipeline, "_bin_lookups", lambda res: os._exit(1))
     with pytest.raises(CorpusError, match=f"^{message}$"):
@@ -699,6 +724,17 @@ def test_two_worker_scan_leaves_out_multiprocessing(tmp_path):
     proc = subprocess.run([sys.executable, "-c", TWO_WORKER_IMPORTS_RUN, src, *unwanted],
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert proc.stdout.split() == ["100", "2"], proc.stderr
+
+
+def test_worker_module_leaves_out_the_pipeline():
+    # The workers run the scan function they are given over the blocks they
+    # are given, so their module needs nothing of the scan's.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import anxarc.workers; "
+            "print(*(m for m in sys.argv[2:] if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, src, "anxarc.workers", "anxarc.pipeline"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["anxarc.workers"], proc.stderr
 
 
 # Scans the same posts as many files under a lowered open-file limit at one
