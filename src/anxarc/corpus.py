@@ -1,13 +1,10 @@
-"""Corpus ingestion and timestamp localization.
+"""Corpus records: one line to a post, and its timestamp localized.
 
-A corpus file is read as blocks of whole lines, each a list of the lines'
-bytes (``read_blocks``). The scan's parent process is the only reader of
-a corpus file: it cuts and numbers the blocks, and a scan worker gets a
-block's bytes over a pipe and splits them back into the same lines. The scan
-numbers each block's data lines (``data_lines``) and parses each line into
-a plain ``(text, timestamp_utc, timezone)`` tuple (``parse_record``);
-``localize`` turns the last two into a plain ``(hour, weekday)`` tuple.
-Two record formats are supported:
+``data_lines`` numbers a block's lines and keeps its data lines, and
+``parse_record`` parses each into a plain ``(text, timestamp_utc,
+timezone)`` tuple; ``localize`` turns the last two into a plain ``(hour,
+weekday)`` tuple. This module opens no file: ``pipeline`` reads the corpus
+files and cuts them into blocks. Two record formats are supported:
 
 * ``jsonl`` -- one JSON object per line with keys ``id``, ``text``,
   ``timestamp_utc``, ``timezone``;
@@ -22,11 +19,10 @@ become counted skips that surface in the final reports.
 from __future__ import annotations
 
 import json
-import os
 import re
 from datetime import datetime, timezone
 from functools import lru_cache
-from typing import IO, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 FORMATS = ("jsonl", "tsv")
@@ -176,44 +172,10 @@ def parse_record(line: str | bytes, fmt: str) -> tuple[str, datetime, str]:
     return text, stamp, tz.strip()
 
 
-def open_corpus_path(path: str) -> IO[bytes]:
-    """Open a corpus file for ``read_blocks``; CorpusError if it cannot be.
-
-    The open never blocks: a FIFO with no writer opens at once, to be
-    refused as not a regular file. Reads of a regular file ignore the flag.
-    """
-    try:
-        return open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK))
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus: {exc}") from None
-
-
-def read_blocks(fh: IO[bytes], size: int) -> Iterator[tuple[int, list[bytes]]]:
-    """Yield (first_line_no, lines): the stream cut into blocks of whole lines.
-
-    A block is what ``fh.readlines(size)`` returns: whole lines, ending at
-    the first line that takes it to ``size`` bytes or past. Whether a line
-    that ends exactly at ``size`` ends the block depends on the stream: a
-    buffered file reads one more line, ``io.BytesIO`` stops there. Either
-    way a block holds at most ``size`` bytes before its last line, and every
-    block but the stream's last holds at least ``size`` bytes. No line spans
-    two blocks, and every line but the stream's last ends in a line feed.
-    The lines are never joined or copied, and the generator lets go of a
-    block before it reads the next: a consumer that also drops each block
-    before taking the next holds one block at a time.
-    """
-    line_no = 1
-    while lines := fh.readlines(size):
-        n_lines = len(lines)
-        yield line_no, lines
-        del lines
-        line_no += n_lines
-
-
 def data_lines(
     lines: list[bytes], first_line_no: int, fmt: str
 ) -> Iterator[tuple[int, str | bytes]]:
-    """Yield (line_no, line) for every data line of a block from ``read_blocks``.
+    """Yield (line_no, line) for every data line of a block of whole lines.
 
     Each line is decoded as UTF-8 on its own, so a bad byte spoils only its
     own line: that line is yielded as its raw bytes, which ``parse_record``

@@ -108,6 +108,8 @@ def load_lexicon(
             for line_no, raw in lines:
                 line = raw.decode()
                 offset += len(raw)
+                if line_no == 1 and line.startswith("\ufeff"):
+                    raise LexiconParseError(1, "UTF-8 byte order mark at the start of the file")
                 if not line.strip():
                     continue
                 fields = line.split("\t")

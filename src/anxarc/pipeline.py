@@ -5,22 +5,22 @@ The slice families and the keys of their bins are named once, in
 family (``bins[family][key]``) and its counters in one dict (``counts``).
 
 Every corpus file of a run is checked before the first block is read, then
-opened only when its turn comes, and read as blocks of whole lines of about
-``CHUNK_BYTES`` each (``corpus.read_blocks``; a block never spans two
-files). ``_scan`` is the one function that scans posts: it takes any
-iterable of (file index, first line number, lines) blocks, scans each into
-one new ``ScanResult`` and drops it before it takes the next, so it holds
-the token table, one block and the aggregates, whatever the corpus size.
-The table is built from the lexicon's class map alone; the commands free
-the associations before it is built. ``scan_corpus`` binds ``_scan`` to
-the run's arguments and, at one worker (as in every one-block run, since a
-run starts no more workers than it has blocks), runs it on the parent's
-blocks (``_blocks``). With more workers it hands the blocks and the bound
-function to ``workers.scan_in_workers``: the parent stays the only reader
-of a corpus file, each forked worker runs the function on the blocks it is
-sent, and the parent merges their results. Either way a file that is not
-the file checked, when its turn comes or when its last block has been
-read, stops the scan with a CorpusError.
+opened only when its turn comes and cut into blocks of whole lines
+(``_blocks``, which states the cut rule; a block never spans two files).
+``_scan`` is the one function that scans posts: it takes any iterable of
+(file index, first line number, lines) blocks, scans each into one new
+``ScanResult`` and drops it before it takes the next, so it holds the token
+table, one block and the aggregates, whatever the corpus size. The table is
+built from the lexicon's class map alone; the commands free the
+associations before it is built. ``scan_corpus`` binds ``_scan`` to the
+run's arguments and, at one worker (as in every one-block run, since a run
+starts no more workers than it has blocks), runs it on the parent's blocks.
+With more workers it hands the blocks and the bound function to
+``workers.scan_in_workers``: the parent stays the only reader of a corpus
+file, each forked worker runs the function on the blocks it is sent, and
+the parent merges their results. Either way a file that is not the file
+checked, when its turn comes or when its last block has been read, stops
+the scan with a CorpusError.
 Every bin and counter is an exact integer sum, so the final result does not
 depend on the worker count, the block size or how the input is split into
 files. Each skip event carries its stream position (file index, line
@@ -44,9 +44,7 @@ from .corpus import (
     UnknownTimezoneError,
     data_lines,
     localize,
-    open_corpus_path,
     parse_record,
-    read_blocks,
 )
 from .scoring import BinAggregate
 from .slicer import (
@@ -68,11 +66,12 @@ FAMILY_KEYS: dict[str, tuple] = {
 }
 FAMILIES = tuple(FAMILY_KEYS)
 
-# Bytes per block, up to the end of the line that reaches it; the scan holds
-# one block at a time at one worker, and so do the parent and each worker of
-# a scan at more. It sets memory only: 256 KiB of lines are about 0.3 MB of
-# bytes objects, and scan speed is flat from 64 KiB to 4 MiB. Results do not
-# depend on it: aggregates are exact sums and skip events keep stream order.
+# Bytes per block, up to the end of the line that passes it (``_blocks``); the
+# scan holds one block at a time at one worker, and so do the parent and each
+# worker of a scan at more. It sets memory only: 256 KiB of lines are about
+# 0.3 MB of bytes objects, and scan speed is flat from 64 KiB to 4 MiB. Results
+# do not depend on it: aggregates are exact sums and skip events keep stream
+# order.
 CHUNK_BYTES = 1 << 18
 
 MAX_RECORDED_SKIPS = 50
@@ -199,18 +198,34 @@ def _scan(paths: tuple[str, ...], fmt: str, families: frozenset[str], table: dic
 _FileKey = tuple[int, int, int]  # (st_dev, st_ino, st_size) of a corpus file
 
 
-def _file_key(fh: IO[bytes]) -> _FileKey:
+def _open(path: str) -> tuple[IO[bytes], _FileKey]:
+    """Open a corpus file and take its key; CorpusError if it is unreadable or not a regular file.
+
+    Each file is opened twice, to be checked and then to be scanned, and a
+    pipe cannot be reopened. The open never blocks: a FIFO with no writer
+    opens at once, to be refused here. Reads of a regular file ignore the flag.
+    """
+    try:
+        fh = open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK))
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus: {exc}") from None
     st = os.fstat(fh.fileno())
     if not S_ISREG(st.st_mode):
-        # Each file is opened twice, to check it and then to read it, and
-        # a pipe cannot be reopened. The open does not wait for a pipe's
-        # writer (``open_corpus_path``), so a pipe is refused here at once.
-        raise CorpusError(f"cannot read corpus: not a regular file: {fh.name}")
-    return st.st_dev, st.st_ino, st.st_size
+        fh.close()
+        raise CorpusError(f"cannot read corpus: not a regular file: {path}")
+    return fh, (st.st_dev, st.st_ino, st.st_size)
 
 
 def _blocks(files: list[tuple[str, _FileKey]]) -> Iterator[tuple[int, int, list[bytes]]]:
     """Yield (file index, first line number, lines) for every block of the run.
+
+    A block is what ``readlines(CHUNK_BYTES)`` of the buffered file returns:
+    whole lines, up to the first line that takes it past ``CHUNK_BYTES``
+    bytes (a line that ends exactly there does not end it, unlike in
+    ``io.BytesIO``). So a block holds at most ``CHUNK_BYTES`` bytes before
+    its last line, and every block but a file's last holds more. Every line
+    but a file's last ends in a line feed, and the lines are never joined or
+    copied. Each block is dropped before the next is read.
 
     Each file is opened only when its turn comes and closed after its last
     block, so one file is open at a time however many there are. A file
@@ -218,15 +233,17 @@ def _blocks(files: list[tuple[str, _FileKey]]) -> Iterator[tuple[int, int, list[
     checked size, is a CorpusError after its last block.
     """
     for index, (path, key) in enumerate(files):
-        with open_corpus_path(path) as fh:
-            end = 1  # the line after the last line read
-            if _file_key(fh) == key:
-                for line_no, lines in read_blocks(fh, CHUNK_BYTES):
-                    end = line_no + len(lines)
+        fh, now = _open(path)
+        with fh:
+            line_no = 1  # the first line of the next block
+            if now == key:
+                while lines := fh.readlines(CHUNK_BYTES):
+                    n_lines = len(lines)
                     yield index, line_no, lines
                     del lines
-            if fh.tell() != key[2] or _file_key(fh) != key:
-                raise CorpusError(f"corpus changed during the scan: {path} (from line {end})")
+                    line_no += n_lines
+            if now != key or fh.tell() != key[2] or os.fstat(fh.fileno()).st_size != key[2]:
+                raise CorpusError(f"corpus changed during the scan: {path} (from line {line_no})")
 
 
 def scan_corpus(
@@ -260,10 +277,11 @@ def scan_corpus(
     # closed again at once: any number of files can be scanned.
     files = []
     for path in paths:
-        with open_corpus_path(path) as fh:
-            files.append((path, _file_key(fh)))
+        fh, key = _open(path)
+        fh.close()
+        files.append((path, key))
 
-    # No more workers than blocks: each but a file's last has >= CHUNK_BYTES.
+    # No more workers than blocks: each but a file's last has > CHUNK_BYTES.
     workers = min(workers, sum(-(-key[2] // CHUNK_BYTES) for _, key in files))
     if workers > 1:
         # Loaded here: a one-worker run never compiles or imports the worker

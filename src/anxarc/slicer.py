@@ -100,6 +100,8 @@ def load_verb_tables(directory: str | os.PathLike[str] | None = None) -> VerbTab
                 texts.append(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise VerbTableError(f"cannot read verb table {path}: {exc}") from None
+        if texts[-1].startswith("\ufeff"):
+            raise VerbTableError(f"verb table {path} starts with a UTF-8 byte order mark")
     past, base_forms, stoplist = (_read_wordlist(t) for t in texts)
     return VerbTables(past, base_forms, stoplist)
 

@@ -225,6 +225,7 @@ def generate(spec: ArcSpec, lexicon: Lexicon, sink: IO[str]) -> int:
 
 
 def generate_file(spec: ArcSpec, lexicon: Lexicon, path: str) -> int:
+    _class_terms(lexicon)  # checked before the open, which empties an existing file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         return generate(spec, lexicon, fh)
 

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import util
 from anxarc import cli, pipeline
 from anxarc.cli import main
-from anxarc.corpus import read_blocks
 from anxarc.lexicon import LexiconError, lexicon_stats, load_lexicon
 from anxarc.slicer import VerbTableError, load_verb_tables
 from anxarc.synth import MAX_PLANTED_TOKENS, ArcSpec, ArcSpecError
@@ -564,14 +563,19 @@ def test_missing_second_corpus_exits_2_at_two_workers(workdir):
     assert "Traceback" not in proc.stderr
 
 
+# The scan's block reader, taken once: a test that patches it twice must not
+# wrap its own wrapper.
+READ_BLOCKS = pipeline._blocks
+
+
 def run_with_corpus_changed(capsys, monkeypatch, change, workers):
     """Run analyze-hour at ``workers`` on the mini corpus, cut short or grown by a line
     after its first block is read; return the exit code and stderr lines."""
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)  # blocks enough for two workers
     data = Path(MINI_CORPUS).read_bytes()
 
-    def read_then_change(fh, size):
-        for index, block in enumerate(read_blocks(fh, size)):
+    def read_then_change(files):
+        for index, block in enumerate(READ_BLOCKS(files)):
             if index == 0:
                 with open(MINI_CORPUS, "r+b") as corpus:
                     if change == "truncate":
@@ -581,7 +585,7 @@ def run_with_corpus_changed(capsys, monkeypatch, change, workers):
                         corpus.write(data[:data.index(b"\n") + 1])
             yield block
 
-    monkeypatch.setattr(pipeline, "read_blocks", read_then_change)
+    monkeypatch.setattr(pipeline, "_blocks", read_then_change)
     try:
         code = run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
                    "--workers", str(workers), "--out", "out")
@@ -824,14 +828,20 @@ def test_synth_deterministic_and_seed_override(synth_env):
     assert a != (synth_env / "c.jsonl").read_bytes()
 
 
-def test_synth_config_errors(synth_env, tmp_path):
+def test_synth_config_errors(synth_env, tmp_path, capsys):
     (tmp_path / "bad_arc.json").write_text('{"bins": [0]}')
     assert run("synth", "--lexicon", "lex.tsv", "--arc-spec", "bad_arc.json",
                "--out-corpus", "x.jsonl") == 1
-    # Lexicon without a calm class is a configuration error for synth.
+    # Lexicon without a calm class is a configuration error for synth. It is
+    # found before the output is opened, so a file already there keeps its bytes.
     (tmp_path / "anx_only.tsv").write_text("panic\t3.0\nroad\t0.0\n")
+    (tmp_path / "x.jsonl").write_bytes(b"kept\n")
+    capsys.readouterr()
     assert run("synth", "--lexicon", "anx_only.tsv", "--arc-spec", "arc.json",
                "--out-corpus", "x.jsonl") == 1
+    assert capsys.readouterr().err == ("anxarc: config error: lexicon must contain at least "
+                                       "one term of each class; missing: ['calm']\n")
+    assert (tmp_path / "x.jsonl").read_bytes() == b"kept\n"
 
 
 def test_hour_argmax_argmin_recovered(synth_env):
@@ -1016,6 +1026,18 @@ def test_lexicon_invalid_utf8_exits_2(workdir, capsys):
         err = capsys.readouterr().err
         assert_one_error_line(code, err, 2)
         assert "line 3: invalid UTF-8 at byte 23" in err
+
+
+def test_byte_order_mark_in_the_lexicon_exits_2(workdir, capsys):
+    # The mark would otherwise join the first term, or turn the header into
+    # a row with a non-numeric association.
+    for text in ("panic\t3.0\ncalm\t-2.0\nroad\t0.0\n", "term\tassociation\npanic\t3.0\n"):
+        (workdir / "bom_lex.tsv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for argv in (["lexicon-stats"], ["analyze-hour", "--corpus", MINI_CORPUS, "--out", "o"]):
+            code = run(*argv, "--lexicon", "bom_lex.tsv")
+            err = capsys.readouterr().err
+            assert_one_error_line(code, err, 2)
+            assert err.endswith("line 1: UTF-8 byte order mark at the start of the file\n"), err
 
 
 def test_verb_tables_invalid_utf8_exits_1(workdir, capsys):

@@ -7,22 +7,21 @@ import random
 import tempfile
 import weakref
 from datetime import datetime, timezone
+from unittest import mock
 from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anxarc import corpus
+from anxarc import corpus, pipeline
 from anxarc.corpus import (
     CorpusError,
     UnknownTimezoneError,
     data_lines,
     localize,
-    open_corpus_path,
     parse_rfc3339,
     parse_record,
-    read_blocks,
 )
 from anxarc.pipeline import scan_corpus
 
@@ -188,14 +187,26 @@ def test_rfc3339_forms_parse_alike(stamp, microsecond):
 
 
 def lines_of(data: bytes) -> list[bytes]:
-    """A block in ``read_blocks`` form: the lines of ``data``, cut after each line feed."""
+    """``data`` cut after each line feed, as a block holds its lines."""
     return io.BytesIO(data).readlines()
+
+
+def file_blocks(data: bytes, size: int) -> list[tuple[int, list[bytes]]]:
+    """(first line number, lines) of each block that ``pipeline._blocks`` cuts from ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        fh, key = pipeline._open(path)
+        fh.close()
+        with mock.patch.object(pipeline, "CHUNK_BYTES", size):
+            return [(line_no, lines) for _, line_no, lines in pipeline._blocks([(path, key)])]
 
 
 def read_posts(data: bytes, fmt="jsonl", size=1 << 20):
     """Parse every data line: (posts, [(line_no, reason)] of the skipped lines)."""
     posts, skips = [], []
-    for first_line_no, block in read_blocks(io.BytesIO(data), size):
+    for first_line_no, block in file_blocks(data, size):
         for line_no, line in data_lines(block, first_line_no, fmt):
             try:
                 posts.append(parse_record(line, fmt))
@@ -232,7 +243,7 @@ def test_tsv_header_skipped_silently():
 
 
 def test_empty_file_empty_stream():
-    assert list(read_blocks(io.BytesIO(b""), 4)) == []
+    assert file_blocks(b"", 4) == []
     assert list(data_lines([], 1, "jsonl")) == []
 
 
@@ -270,57 +281,58 @@ def test_line_ends():
     assert list(data_lines(block, 7, "jsonl")) == [(7, "a"), (9, "b"), (10, "c\rd"), (11, "e")]
 
 
-def file_blocks(data: bytes, size: int) -> list[tuple[int, list[bytes]]]:
-    """``read_blocks`` of ``data`` read from a real (buffered) file."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "corpus")
-        with open(path, "wb") as fh:
-            fh.write(data)
-        with open_corpus_path(path) as fh:
-            return list(read_blocks(fh, size))
-
-
 @given(st.lists(st.sampled_from([b"\n", b"\r", b"\r\n", b"x", b"yz", b"\xff"]), max_size=30)
        .map(b"".join), st.data())
 @settings(max_examples=500, deadline=None)
 def test_read_blocks_cuts_whole_lines(data, draw):
     size = draw.draw(st.integers(1, len(data) + 1))
-    for blocks in (list(read_blocks(io.BytesIO(data), size)), file_blocks(data, size)):
-        lines = [line for _, block in blocks for line in block]
-        # The stream, cut after each line feed and nowhere else.
-        assert lines == lines_of(data)
-        offset = 0
-        for first_line_no, block in blocks:
-            assert first_line_no == 1 + data.count(b"\n", 0, offset)
-            offset += sum(map(len, block))
-            # A block ends at the first line that takes it to ``size`` bytes
-            # or past: at most ``size`` bytes before its last line, and at
-            # least ``size`` in every block but the last.
-            assert sum(map(len, block[:-1])) <= size
-            if block is not blocks[-1][1]:
-                assert sum(map(len, block)) >= size
+    blocks = file_blocks(data, size)
+    lines = [line for _, block in blocks for line in block]
+    # The file, cut after each line feed and nowhere else.
+    assert lines == lines_of(data)
+    offset = 0
+    for first_line_no, block in blocks:
+        assert first_line_no == 1 + data.count(b"\n", 0, offset)
+        offset += sum(map(len, block))
+        # A block ends at the first line that takes it past ``size`` bytes:
+        # at most ``size`` bytes before its last line, and more in every
+        # block but the last.
+        assert sum(map(len, block[:-1])) <= size
+        if block is not blocks[-1][1]:
+            assert sum(map(len, block)) > size
 
 
 def test_read_blocks_cut_at_a_line_end_depends_on_the_stream():
-    # A line that ends exactly at ``size`` ends a BytesIO block, while a
-    # buffered file reads one more line; both obey the documented rule.
+    # A line that ends exactly at ``size`` does not end a block of the
+    # buffered file, which reads one more line. A scan worker, sent a
+    # block's bytes, splits them back into the same lines.
     data = b"ab\ncd\nef\n"
-    assert list(read_blocks(io.BytesIO(data), 3)) == [(1, [b"ab\n"]), (2, [b"cd\n"]),
-                                                      (3, [b"ef\n"])]
-    assert file_blocks(data, 3) == [(1, [b"ab\n", b"cd\n"]), (3, [b"ef\n"])]
+    blocks = file_blocks(data, 3)
+    assert blocks == [(1, [b"ab\n", b"cd\n"]), (3, [b"ef\n"])]
+    for _, block in blocks:
+        assert io.BytesIO(b"".join(block)).readlines() == block
 
 
 class _Lines(list):
     """A block that, unlike a plain list, can be weakly referenced."""
 
 
-class _WatchedSource:
-    """A line source that records, at each read, whether the last block is still alive."""
+class _WatchedFile:
+    """A corpus file that records, at each read, whether the last block is still alive."""
 
-    def __init__(self, data: bytes):
-        self.fh = io.BytesIO(data)
+    def __init__(self, fh):
+        self.fh = fh
         self.last = None
         self.live_at_read = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):  # tell, fileno
+        return getattr(self.fh, name)
 
     def readlines(self, size: int) -> list[bytes]:
         self.live_at_read.append(self.last is not None and self.last() is not None)
@@ -329,12 +341,24 @@ class _WatchedSource:
         return lines
 
 
-def test_read_blocks_drops_a_block_before_reading_the_next():
-    source = _WatchedSource(b"".join(b"line %d\n" % i for i in range(100)))
-    for _, block in read_blocks(source, 64):
+def test_read_blocks_drops_a_block_before_reading_the_next(tmp_path, monkeypatch):
+    path = tmp_path / "corpus"
+    path.write_bytes(b"".join(b"line %d\n" % i for i in range(100)))
+    real_open, watched = pipeline._open, []
+
+    def watched_open(name):
+        fh, key = real_open(name)
+        watched.append(_WatchedFile(fh))
+        return watched[-1], key
+
+    fh, key = real_open(str(path))
+    fh.close()
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)
+    monkeypatch.setattr(pipeline, "_open", watched_open)
+    for _, _, block in pipeline._blocks([(str(path), key)]):
         del block
-    assert len(source.live_at_read) > 2
-    assert not any(source.live_at_read)
+    assert len(watched[0].live_at_read) > 2
+    assert not any(watched[0].live_at_read)
 
 
 def test_unknown_format_rejected(tmp_path, lexicon):
@@ -350,7 +374,7 @@ def test_unknown_format_rejected(tmp_path, lexicon):
 
 def test_missing_file_is_fatal():
     with pytest.raises(CorpusError):
-        open_corpus_path("/nonexistent/corpus.jsonl")
+        pipeline._open("/nonexistent/corpus.jsonl")
 
 
 @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-05:00"])

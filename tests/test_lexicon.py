@@ -193,7 +193,8 @@ _good_line = st.one_of(
 ).map(str.encode)
 _bad_line = st.one_of(
     st.sampled_from([b"panic", b"a\tb\tc", b"\t1.0", b"two words\t1.0", b"x\toops", b"x\t4.5",
-                     b"x\t-3.5", b"x\tnan", b"x\tinf", b"x\t\xff", b"\xc3", b"\xe2\x80"]),
+                     b"x\t-3.5", b"x\tnan", b"x\tinf", b"x\t\xff", b"\xc3", b"\xe2\x80",
+                     b"\xef\xbb\xbfpanic\t3.0"]),
     st.binary(max_size=6),
 )
 
@@ -265,6 +266,21 @@ def test_bad_byte_is_reported_before_an_earlier_malformed_row():
         load_lexicon(io.BytesIO(b"a\t1\na\t2\nok\t0\nx\xff\t1\n"))
     assert str(exc.value) == "line 4: invalid UTF-8 at byte 14"
     assert exc.value.line_no == 4
+
+
+def test_byte_order_mark_is_a_parse_error():
+    for raw in (b"\xef\xbb\xbfpanic\t3.0\ncalm\t-2.0\n", b"\xef\xbb\xbfterm\tassociation\n",
+                b"\xef\xbb\xbf\n"):
+        with pytest.raises(LexiconParseError) as exc:
+            load_lexicon(io.BytesIO(raw))
+        assert str(exc.value) == "line 1: UTF-8 byte order mark at the start of the file"
+    # A bad byte anywhere is still reported first; a mark after line 1 is
+    # part of its term.
+    with pytest.raises(LexiconParseError) as exc:
+        load_lexicon(io.BytesIO(b"\xef\xbb\xbfpanic\t3.0\nx\xff\t1\n"))
+    assert str(exc.value) == "line 2: invalid UTF-8 at byte 14"
+    assert loads_lexicon("panic\t3.0\n\ufeffcalm\t-2.0\n").class_map == {
+        "panic": ANX, "\ufeffcalm": CALM}
 
 
 def test_load_holds_the_file_once():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import util
 from anxarc import pipeline, workers
-from anxarc.corpus import CorpusError, read_blocks
+from anxarc.corpus import CorpusError
 from anxarc.pipeline import FAMILIES, ScanResult, scan_corpus
 from anxarc.slicer import PRONOUNS, Tense, token_table
 from anxarc.workers import _scan_worker, _send
@@ -29,6 +29,11 @@ def write_corpus(tmp_path, lines, name="corpus.jsonl"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+# The scan's block reader, taken once: a test that patches it twice must not
+# wrap its own wrapper.
+READ_BLOCKS = pipeline._blocks
 
 
 @pytest.fixture(scope="module")
@@ -272,17 +277,27 @@ def test_missing_later_corpus_fails_before_any_record_is_read(tmp_path, lexicon,
     assert parsed == []
 
 
-def test_corpus_that_is_not_a_regular_file_is_refused(tmp_path, lexicon):
+def test_corpus_that_is_not_a_regular_file_is_refused(tmp_path, lexicon, monkeypatch):
     # Each file is opened to be checked and again to be read, so a device
     # or pipe cannot be a corpus. The open does not wait for a writer, so
-    # a FIFO is refused at once, alone or after another file; the alarm
+    # a FIFO is refused at once, alone or after another file, and so is a
+    # later file that is replaced by a FIFO before its turn; the alarm
     # turns a scan that blocks in its open into a failure, not a hang.
-    first = write_corpus(tmp_path, [GOOD_RECORD.decode() % 1])
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 64)  # blocks enough for two workers
+    first = write_corpus(tmp_path, [GOOD_RECORD.decode() % i for i in range(4)])
     fifo = str(tmp_path / "fifo")
     os.mkfifo(fifo)
+    second = tmp_path / "second.jsonl"
 
     def hung(*_):
         raise AssertionError("the scan blocked opening a corpus path")
+
+    def read_then_replace(files):
+        for index, block in enumerate(READ_BLOCKS(files)):
+            if index == 0:
+                second.unlink()
+                os.mkfifo(second)
+            yield block
 
     handler = signal.signal(signal.SIGALRM, hung)
     try:
@@ -291,6 +306,14 @@ def test_corpus_that_is_not_a_regular_file_is_refused(tmp_path, lexicon):
                 signal.alarm(10)
                 with pytest.raises(CorpusError, match=f"not a regular file: {other}$"):
                     scan_corpus(*paths, class_map=lexicon.class_map, workers=2)
+        monkeypatch.setattr(pipeline, "_blocks", read_then_replace)
+        for workers in (1, 2):
+            second.unlink(missing_ok=True)
+            second.write_bytes(GOOD_RECORD % 9 + b"\n")
+            signal.alarm(10)
+            with pytest.raises(CorpusError, match=f"not a regular file: {re.escape(str(second))}$"):
+                scan_corpus(first, str(second), class_map=lexicon.class_map, workers=workers)
+            util.assert_no_child_left()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
@@ -561,13 +584,13 @@ def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon, monkeypatch):
 
             done = []
 
-            def read_then_fault(fh, size):
-                for block in read_blocks(fh, size):
+            def read_then_fault(files):
+                for block in READ_BLOCKS(files):
                     if not done:
                         done.append(fault(paths[2]))
                     yield block
 
-            monkeypatch.setattr(pipeline, "read_blocks", read_then_fault)
+            monkeypatch.setattr(pipeline, "_blocks", read_then_fault)
             with pytest.raises(CorpusError) as info:
                 scan_corpus(*map(str, paths), class_map=lexicon.class_map, families=["hour"],
                             workers=n_workers)
@@ -589,8 +612,9 @@ def test_worker_results_merge_alike_in_any_order(tmp_path, lexicon, tables, monk
     paths = [write_corpus(tmp_path, lines[k::3], f"part{k}.jsonl") for k in range(3)]
     files = []
     for path in paths:
-        with open(path, "rb") as fh:
-            files.append((path, pipeline._file_key(fh)))
+        fh, key = pipeline._open(path)
+        fh.close()
+        files.append((path, key))
     scan = partial(pipeline._scan, tuple(paths), "jsonl", frozenset(FAMILIES),
                    token_table(lexicon.class_map, tables))
     blocks = list(pipeline._blocks(files))

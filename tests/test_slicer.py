@@ -72,6 +72,16 @@ def test_table_override_dir(tmp_path, tables):
     assert custom.ed_stoplist == {"hundred"}
 
 
+def test_byte_order_mark_in_a_table_is_refused(tmp_path):
+    # A mark would join the first word, or turn a file's first "#" comment
+    # into a word.
+    for name in ("irregular_past.txt", "irregular_base.txt", "ed_stoplist.txt"):
+        (tmp_path / name).write_text("# a comment\ngo\n", encoding="utf-8")
+    (tmp_path / "ed_stoplist.txt").write_text("\ufeff# a comment\nhundred\n", encoding="utf-8")
+    with pytest.raises(VerbTableError, match="ed_stoplist.txt starts with a UTF-8 byte order mark"):
+        load_verb_tables(tmp_path)
+
+
 # The per-post detectors of the tense rules, kept here as references for the
 # tests below; has_future_signal does not go through classify_tense, so the
 # check against it is independent.

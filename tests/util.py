@@ -104,6 +104,8 @@ def reference_load(raw: bytes, thresholds: tuple[float, float]) -> Lexicon:
     except UnicodeDecodeError as exc:
         line_no = raw.count(b"\n", 0, exc.start) + 1
         raise LexiconParseError(line_no, f"invalid UTF-8 at byte {exc.start}") from None
+    if text.startswith("\ufeff"):
+        raise LexiconParseError(1, "UTF-8 byte order mark at the start of the file")
 
     class_map: dict[str, int] = {}
     neutral: set[str] = set()
