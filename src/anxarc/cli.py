@@ -96,10 +96,9 @@ def _scan_meta(args: argparse.Namespace, res: ScanResult, **extra: object) -> di
     return meta
 
 
-def _agg_cells(agg) -> list[object]:
+def _agg_cells(agg) -> tuple:
     """One bin's ``_TIME_COLUMNS`` cells; the first is ``n_posts``."""
-    totals = agg.totals()
-    return [*totals, totals.micro_score, agg.macro_score]
+    return agg.summary()[:6]
 
 
 def _write(table: Table, args: argparse.Namespace) -> None:
@@ -210,7 +209,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     slices = [_slice_key(text) for text in (args.slice_a, args.slice_b)]
     res = _scan(args, tuple({family for family, _ in slices}))
     for label, (family, key) in zip((args.slice_a, args.slice_b), slices):
-        if res.bins[family][key].totals().n_posts < 2:
+        if res.bins[family][key].summary().n_posts < 2:
             raise DataError(f"slice {label!r} has fewer than 2 scored posts")
     table = _comparisons_table("compare", args, res, [(args.slice_a, args.slice_b)])
     _write(table, args)
@@ -317,13 +316,12 @@ def _comparisons_table(name: str, args: argparse.Namespace, res: ScanResult,
 
 
 def _compare_row(label_a: str, label_b: str, agg_a, agg_b, alpha: float) -> list[object]:
-    n_a, n_b = agg_a.totals().n_posts, agg_b.totals().n_posts
+    (n_a, *_, mean_a, counts_a), (n_b, *_, mean_b, counts_b) = agg_a.summary(), agg_b.summary()
+    cells = [label_a, label_b, n_a, n_b, mean_a, mean_b]
     if n_a < 2 or n_b < 2:
-        return [label_a, label_b, n_a, n_b, agg_a.macro_score, agg_b.macro_score,
-                None, None, None, None, alpha]
-    r = welch_t(agg_a.score_counts(), agg_b.score_counts(), alpha)
-    return [label_a, label_b, n_a, n_b, agg_a.macro_score, agg_b.macro_score,
-            r.t, r.df, r.p, r.significant, r.alpha]
+        return [*cells, None, None, None, None, alpha]
+    r = welch_t(counts_a, counts_b, alpha)
+    return [*cells, r.t, r.df, r.p, r.significant, r.alpha]
 
 
 def cmd_lexicon_stats(args: argparse.Namespace) -> int:

@@ -156,8 +156,8 @@ def parse_record(line: str | bytes, fmt: str) -> tuple[str, datetime, str]:
     else:
         raise CorpusError(f"unknown corpus format {fmt!r}")
 
-    # An integer id is accepted, as its decimal string would be.
-    if not (isinstance(rid, str) and rid or isinstance(rid, int)):
+    # An integer id is accepted, as its decimal string would be; a bool is not.
+    if not (isinstance(rid, str) and rid or type(rid) is int):
         raise ValueError("id must be a non-empty string")
     if not isinstance(text, str):
         raise ValueError("text must be a string")

@@ -30,6 +30,7 @@ union in that order, so results merge to the same events in any order.
 
 from __future__ import annotations
 
+import io
 import os
 from functools import partial
 from stat import S_ISREG
@@ -198,6 +199,15 @@ def _scan(paths: tuple[str, ...], fmt: str, families: frozenset[str], table: dic
 _FileKey = tuple[int, int, int]  # (st_dev, st_ino, st_size) of a corpus file
 
 
+class _Prefix(io.FileIO):
+    """A file whose reads end after ``left`` more bytes: ``_open`` sets it to the file's size."""
+
+    def readinto(self, buf) -> int:  # how a buffered reader fills its buffer
+        n = super().readinto(memoryview(buf)[:self.left])
+        self.left -= n
+        return n
+
+
 def _open(path: str) -> tuple[IO[bytes], _FileKey]:
     """Open a corpus file and take its key; CorpusError if it is unreadable or not a regular file.
 
@@ -206,14 +216,15 @@ def _open(path: str) -> tuple[IO[bytes], _FileKey]:
     opens at once, to be refused here. Reads of a regular file ignore the flag.
     """
     try:
-        fh = open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK))
+        raw = _Prefix(path, opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK))
     except OSError as exc:
         raise CorpusError(f"cannot read corpus: {exc}") from None
-    st = os.fstat(fh.fileno())
+    st = os.fstat(raw.fileno())
     if not S_ISREG(st.st_mode):
-        fh.close()
+        raw.close()
         raise CorpusError(f"cannot read corpus: not a regular file: {path}")
-    return fh, (st.st_dev, st.st_ino, st.st_size)
+    raw.left = st.st_size
+    return io.BufferedReader(raw), (st.st_dev, st.st_ino, st.st_size)
 
 
 def _blocks(files: list[tuple[str, _FileKey]]) -> Iterator[tuple[int, int, list[bytes]]]:
@@ -227,10 +238,10 @@ def _blocks(files: list[tuple[str, _FileKey]]) -> Iterator[tuple[int, int, list[
     but a file's last ends in a line feed, and the lines are never joined or
     copied. Each block is dropped before the next is read.
 
-    Each file is opened only when its turn comes and closed after its last
-    block, so one file is open at a time however many there are. A file
-    that is no longer the file checked, or that ends before or after its
-    checked size, is a CorpusError after its last block.
+    Each file is opened only when its turn comes, read up to its checked size
+    and closed, so one file is open at a time however many there are. A file
+    that is no longer the file checked or not of its checked size is a
+    CorpusError after its last block, from the line after the last one read.
     """
     for index, (path, key) in enumerate(files):
         fh, now = _open(path)

@@ -8,9 +8,9 @@ Bin aggregates are designed for parallel scans: each worker owns private
 aggregates and a final merge reproduces the single-threaded result exactly,
 in any order. A bin holds two integer sums: a histogram of the
 ``(n_anx - n_calm, n_tokens)`` pairs that fix each post's score, and the
-anxiety-token count ``n_anx``. The post, token and calm-token counts are
-derived from them at report time (``BinAggregate.totals``); the macro score
-and the t-tests are computed exactly from the histogram.
+anxiety-token count ``n_anx``. A report reads a bin through one pass over
+the histogram (``BinAggregate.summary``), which derives its counts, both
+scores and the per-score post counts of the t-tests, all exactly.
 """
 
 from __future__ import annotations
@@ -26,20 +26,16 @@ def post_score_value(n_tokens: int, n_anx: int, n_calm: int) -> float:
     return (100 * (n_anx - n_calm)) / n_tokens
 
 
-class Totals(NamedTuple):
-    """A bin's exact counters, as ``BinAggregate.totals`` derives them."""
+class Summary(NamedTuple):
+    """A bin as a report reads it; its first six fields are a time table's columns."""
 
     n_posts: int
     n_tokens: int
     n_anx: int
     n_calm: int
-
-    @property
-    def micro_score(self) -> float | None:
-        """Pooled-token-count score; None for an empty bin."""
-        if self.n_tokens == 0:
-            return None
-        return post_score_value(self.n_tokens, self.n_anx, self.n_calm)
+    micro_score: float | None  # pooled-token-count score; None for an empty bin
+    macro_score: float | None  # mean of the per-post scores; None for an empty bin
+    score_counts: dict[float, int]  # per-post score -> number of posts with that score
 
 
 class BinAggregate:
@@ -67,27 +63,18 @@ class BinAggregate:
         for key, count in other.hist.items():
             hist[key] = hist.get(key, 0) + count
 
-    def totals(self) -> Totals:
-        """The bin's post, token, anxiety and calm counts, from one pass over the histogram."""
+    def summary(self) -> Summary:
+        """The bin's counts, scores and per-score post counts, from one pass over the histogram."""
         n_posts = n_tokens = diff_sum = 0
+        counts: dict[float, int] = {}
         for (diff, n_tok), count in self.hist.items():
             n_posts += count
             n_tokens += n_tok * count
             diff_sum += diff * count
-        return Totals(n_posts, n_tokens, self.n_anx, self.n_anx - diff_sum)
-
-    def score_counts(self) -> dict[float, int]:
-        """Per-post score -> number of posts in the bin with that score."""
-        counts: dict[float, int] = {}
-        for (diff, n_tokens), count in self.hist.items():
-            score = post_score_value(n_tokens, diff, 0)
+            score = post_score_value(n_tok, diff, 0)
             counts[score] = counts.get(score, 0) + count
-        return counts
-
-    @property
-    def macro_score(self) -> float | None:
-        """Mean of the per-post scores; None for an empty bin."""
-        counts = self.score_counts()
-        if not counts:
-            return None
-        return exact_sum(counts.items()) / sum(counts.values())
+        micro = macro = None
+        if n_posts:
+            micro = post_score_value(n_tokens, diff_sum, 0)
+            macro = exact_sum(counts.items()) / n_posts
+        return Summary(n_posts, n_tokens, self.n_anx, self.n_anx - diff_sum, micro, macro, counts)

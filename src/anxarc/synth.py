@@ -235,12 +235,9 @@ def evaluate_arc(corpus_path: str, class_map: dict[str, int], spec: ArcSpec,
     """Run the full pipeline over a corpus and compare recovered vs planted arc."""
     result = scan_corpus(corpus_path, class_map=class_map, families=(spec.axis,), workers=workers)
     bins = result.bins[spec.axis]
-    recovered = []
-    for bin_id in spec.bins:
-        totals = bins[bin_id].totals()
-        if totals.n_posts == 0:
-            raise EmptyBinError(spec.axis, bin_id)
-        recovered.append(totals.micro_score)
+    recovered = [bins[bin_id].summary().micro_score for bin_id in spec.bins]
+    if None in recovered:  # the score of a bin without posts
+        raise EmptyBinError(spec.axis, spec.bins[recovered.index(None)])
     planted = spec.planted_scores
     return ArcReport(
         axis=spec.axis,

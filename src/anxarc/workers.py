@@ -18,6 +18,10 @@ worker has at most one unread message in its reply pipe: the parent's
 buffered reader never holds bytes that ``poll`` cannot see. A worker that
 exits without a result, even partway through a message, reads as EOF or a
 truncated pickle, so neither side waits on the other forever.
+
+A worker whose last message the parent has read is reaped with
+``os.waitpid`` alone, so what runs at its ``os._exit`` (a line audit's hook)
+is not cut short; every other worker is killed (SIGKILL) and reaped.
 """
 
 from __future__ import annotations
@@ -67,13 +71,13 @@ def scan_in_workers(blocks: Iterator[_Block], scan: Callable[[Iterator[_Block]],
     """Run ``scan`` in ``workers`` forked workers over ``blocks``; return the merged results.
 
     A worker that exits without a result is a CorpusError naming its last
-    block's file in ``paths`` and line; every worker is killed and reaped on
-    every way out.
+    block's file in ``paths`` and line; every worker is reaped, and killed
+    first unless its last message has been read, on every way out.
     """
     # Forked workers inherit the scan function and its token table without
     # a pickle or a fresh import; the scanning process starts no threads,
     # so fork is safe.
-    pids: list[int] = []
+    pids: dict[int, int] = {}  # reply fd -> its worker's pid, until the worker is reaped
     pipes: dict[int, tuple[BinaryIO, BinaryIO]] = {}  # reply fd -> (its reader, block writer)
     last: dict[int, tuple[int, int]] = {}  # reply fd -> (file index, line) of its last block
     total = None
@@ -99,11 +103,10 @@ def scan_in_workers(blocks: Iterator[_Block], scan: Callable[[Iterator[_Block]],
                 # Closed before the next fork: a pipe reads EOF once its worker is gone.
                 os.close(block_r)
                 os.close(reply_w)
-            pids.append(pid)
+            pids[reply_r] = pid
             poller.register(reply_r, select.POLLIN)
         block = next(blocks, None)
-        live = len(pids)
-        while live:
+        while pids:
             for fd, _ in poller.poll():
                 reader, writer = pipes[fd]
                 try:
@@ -125,16 +128,18 @@ def scan_in_workers(blocks: Iterator[_Block], scan: Callable[[Iterator[_Block]],
                         del block, lines  # dropped before the next block is read
                         block = next(blocks, None)
                     continue
+                # Its last message: the worker is on its way to os._exit.
+                poller.unregister(fd)
+                os.waitpid(pids[fd], 0)
+                del pids[fd]
                 if isinstance(msg, Exception):
                     raise msg
                 if total is None:
                     total = msg
                 else:
                     total.merge_from(msg)
-                poller.unregister(fd)
-                live -= 1
     finally:
-        for pid in pids:
+        for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for reader, writer in pipes.values():

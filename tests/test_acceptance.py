@@ -139,15 +139,15 @@ def test_criterion_3_scoring_formula():
         for a, c, n, u in SCORE_CASES_EXACT:
             total = a + c + n + u
             agg = one_post_bin(tokens_for(a, c, n, u))
-            assert agg.totals()[1:] == (total, a, c)
+            assert agg.summary()[1:4] == (total, a, c)
             expected = Fraction(100 * (a - c), total)
-            assert agg.macro_score == float(expected), (a, c, n, u)
+            assert agg.summary().macro_score == float(expected), (a, c, n, u)
 
         for a, c, n, u in SCORE_CASES_REAL:
             total = a + c + n + u
             agg = one_post_bin(tokens_for(a, c, n, u))
             expected = 100.0 * (a - c) / total
-            assert agg.macro_score == pytest.approx(expected, abs=1e-12)
+            assert agg.summary().macro_score == pytest.approx(expected, abs=1e-12)
 
 
 def test_criterion_4_tense_classifier(fixtures_dir):
@@ -198,8 +198,8 @@ def test_criterion_5_pronoun_slicing(lex, acceptance_tmp):
         path.write_text("\n".join(json.dumps(p) for p in posts) + "\n")
         res = scan_corpus(str(path), class_map=lex.class_map, families=("pronoun",))
         for p in PRONOUNS:
-            assert res.bins["pronoun"][p].totals().n_posts == expected[p], p
-        assert res.pronoun_overall.totals().n_posts == n_with
+            assert res.bins["pronoun"][p].summary().n_posts == expected[p], p
+        assert res.pronoun_overall.summary().n_posts == n_with
 
 
 def test_criterion_6_statistics(fixtures_dir):

@@ -597,13 +597,16 @@ def run_with_corpus_changed(capsys, monkeypatch, change, workers):
 @pytest.mark.parametrize("change", ["truncate", "append"])
 def test_corpus_changed_during_a_one_worker_scan_exits_2(workdir, capsys, monkeypatch, change):
     # The file is cut short, or gains a line, after its first block is read:
-    # the scan then ends before or after the size checked at the start,
-    # which stops the run.
+    # the scan then ends before the size checked at the start, or reads up
+    # to it and finds a new size, which stops the run. The appended line,
+    # line 12 of the 11-line corpus, is the first line not read.
     code, lines = run_with_corpus_changed(capsys, monkeypatch, change, 1)
     assert code == 2
     assert len(lines) == 1
     assert lines[0].startswith(
         f"anxarc: data error: corpus changed during the scan: {MINI_CORPUS} (from line "), lines
+    if change == "append":
+        assert lines[0].endswith("(from line 12)"), lines
 
 
 def test_corpus_changed_during_a_two_worker_scan_exits_2(workdir, capsys, monkeypatch):
@@ -615,6 +618,8 @@ def test_corpus_changed_during_a_two_worker_scan_exits_2(workdir, capsys, monkey
         util.assert_no_child_left()
         assert code == 2 and len(lines) == 1, lines
         assert lines == run_with_corpus_changed(capsys, monkeypatch, change, 1)[1]
+        if change == "append":
+            assert lines[0].endswith("(from line 12)"), lines
 
 
 def test_compare_undersized_slice_names_it(workdir, capsys):

@@ -70,6 +70,15 @@ def test_malformed_records_raise(line, fmt):
         parse_record(line, fmt)
 
 
+# An id is a non-empty string or a JSON integer; a boolean is neither,
+# although Python's bool is an int.
+@pytest.mark.parametrize("rid", ["true", "false"])
+def test_id_that_is_not_a_string_or_an_integer_is_a_bad_record(rid):
+    with pytest.raises(ValueError, match="^id must be a non-empty string$"):
+        parse_record(GOOD_JSONL.replace('"id":"1"', f'"id":{rid}'), "jsonl")
+    assert parse_record(GOOD_JSONL.replace('"id":"1"', '"id":0'), "jsonl")[0] == "i hope it works"
+
+
 def reference_parse_jsonl(line: str) -> tuple[str, datetime, str]:
     """parse_record's JSON checks written over plain json.loads."""
     try:
@@ -82,7 +91,7 @@ def reference_parse_jsonl(line: str) -> tuple[str, datetime, str]:
     if missing:
         raise ValueError(f"missing keys: {', '.join(missing)}")
     rid, text, ts, tz = obj["id"], obj["text"], obj["timestamp_utc"], obj["timezone"]
-    if isinstance(rid, int):
+    if isinstance(rid, int) and not isinstance(rid, bool):
         rid = str(rid)
     if not isinstance(rid, str) or not rid:
         raise ValueError("id must be a non-empty string")
@@ -359,6 +368,26 @@ def test_read_blocks_drops_a_block_before_reading_the_next(tmp_path, monkeypatch
         del block
     assert len(watched[0].live_at_read) > 2
     assert not any(watched[0].live_at_read)
+
+
+def test_a_file_that_grows_is_read_up_to_its_checked_size(tmp_path, monkeypatch):
+    # Lines added once the scan has begun are neither read nor scanned, and
+    # the error names the first line that starts at or after the checked
+    # size: the line after the last one read.
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 8)
+    path = tmp_path / "corpus"
+    for data, line_no in [(b"".join(b"line %d\n" % i for i in range(10)), 11), (b"ab\ncd", 3)]:
+        path.write_bytes(data)
+        fh, key = pipeline._open(str(path))
+        fh.close()
+        read = []
+        with pytest.raises(CorpusError, match=rf"\(from line {line_no}\)$"):
+            for _, _, lines in pipeline._blocks([(str(path), key)]):
+                if not read:
+                    with open(path, "ab") as grow:
+                        grow.write(b"more\n" * 100)
+                read += lines
+        assert b"".join(read) == data
 
 
 def test_unknown_format_rejected(tmp_path, lexicon):

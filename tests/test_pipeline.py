@@ -9,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -116,10 +117,10 @@ def test_tz_skips_exclude_time_bins_only(tmp_path, lexicon):
     path = write_corpus(tmp_path, lines)
     res = scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES)
     assert res.counts["n_tz_skips"] == 1
-    assert res.overall.totals().n_posts == 2  # bad-tz post still scored overall
-    assert sum(a.totals().n_posts for a in res.bins["hour"].values()) == 1
-    assert res.bins["tense"][Tense.PAST].totals().n_posts == 1  # "went" still tense-sliced
-    assert res.bins["pronoun"]["i"].totals().n_posts == 1
+    assert res.overall.summary().n_posts == 2  # bad-tz post still scored overall
+    assert sum(a.summary().n_posts for a in res.bins["hour"].values()) == 1
+    assert res.bins["tense"][Tense.PAST].summary().n_posts == 1  # "went" still tense-sliced
+    assert res.bins["pronoun"]["i"].summary().n_posts == 1
 
 
 def test_parse_and_empty_skips_counted(tmp_path, lexicon):
@@ -133,11 +134,11 @@ def test_parse_and_empty_skips_counted(tmp_path, lexicon):
     assert res.counts["n_records"] == 3
     assert res.counts["n_parse_skips"] == 1
     assert res.counts["n_empty_skips"] == 1
-    assert res.overall.totals().n_posts == 1
+    assert res.overall.summary().n_posts == 1
     assert res.skip_events[0].line_no == 1
     assert res.skip_events[0].path == path
     # records = scored + parse skips + empty skips
-    counts, scored = res.counts, res.overall.totals().n_posts
+    counts, scored = res.counts, res.overall.summary().n_posts
     assert counts["n_records"] == scored + counts["n_parse_skips"] + counts["n_empty_skips"]
 
 
@@ -149,7 +150,7 @@ GOOD_RECORD = (
 
 def assert_all_records_accounted(res: ScanResult):
     skips = res.counts["n_parse_skips"] + res.counts["n_empty_skips"]
-    assert res.counts["n_records"] == res.overall.totals().n_posts + skips
+    assert res.counts["n_records"] == res.overall.summary().n_posts + skips
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -161,7 +162,7 @@ def test_invalid_utf8_line_is_a_parse_skip(tmp_path, lexicon, workers, monkeypat
     res = scan_corpus(str(path), class_map=lexicon.class_map, families=FAMILIES, workers=workers)
     assert res.counts["n_records"] == 3
     assert res.counts["n_parse_skips"] == 1
-    assert res.overall.totals().n_posts == 2
+    assert res.overall.summary().n_posts == 2
     assert [(e.path, e.line_no, e.reason) for e in res.skip_events] == [
         (str(path), 2, "invalid UTF-8 at byte 22")
     ]
@@ -200,7 +201,7 @@ def test_any_bytes_scan_without_error(tmp_path, lexicon, workers, examples, monk
                           workers=workers)
         assert_all_records_accounted(res)
         assert res.counts["n_records"] == sum(map(is_record, lines))
-        assert res.overall.totals().n_posts == sum(len(line) > 40 for line in lines)
+        assert res.overall.summary().n_posts == sum(len(line) > 40 for line in lines)
 
     check()
 
@@ -264,7 +265,7 @@ def test_skip_events_name_their_file(tmp_path, lexicon, workers, monkeypatch):
         (first, 1), (first, 3), (second, 3)
     ]
     assert res.counts["n_records"] == 5 and res.counts["n_parse_skips"] == 3
-    assert res.overall.totals().n_posts == 2
+    assert res.overall.summary().n_posts == 2
 
 
 def test_missing_later_corpus_fails_before_any_record_is_read(tmp_path, lexicon, monkeypatch):
@@ -366,7 +367,7 @@ def test_merge_results_accumulates(random_corpus, lexicon):
     a = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
     b = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
     a.merge_from(b)
-    assert a.overall.totals().n_posts == 2 * oracle["overall"][0]
+    assert a.overall.summary().n_posts == 2 * oracle["overall"][0]
     assert a.counts["n_records"] == 2 * oracle["n_records"]
 
 
@@ -548,12 +549,37 @@ def test_worker_exception_is_raised_in_the_parent(tmp_path, lexicon, monkeypatch
     with pytest.raises(ValueError, match=r"^cannot scan line \d+$"):
         scan_corpus(path, class_map=lexicon.class_map, families=["hour"], workers=2)
     util.assert_no_child_left()
-    # The same worker in this process, where a line audit of the tests sees
-    # its except branch: the parent kills a forked worker once its
-    # exception arrives, which can be before the worker's lines are saved.
+    # The same worker in this process, without a fork.
     scan = partial(pipeline._scan, (path,), "jsonl", frozenset(["hour"]), {})
     reply = run_worker((0, 7, [b"\n"]), scan=scan)
     assert isinstance(reply, ValueError) and str(reply) == "cannot scan line 7"
+
+
+def test_worker_whose_last_message_is_read_is_reaped_not_killed(tmp_path, lexicon, monkeypatch):
+    # The worker that scans line 1 raises; its exception, its last message,
+    # leaves it only its os._exit, which is not cut short: the parent reaps
+    # it without a signal. The other worker, still in its block, is killed.
+    path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(3), 100))
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 256)
+
+    def fail_or_hang(lines, line_no, fmt):  # data_lines, called once per block
+        if line_no == 1:
+            raise ValueError(f"worker {os.getpid()} failed")
+        time.sleep(60)  # killed long before it wakes
+
+    kills, real_kill = [], os.kill
+
+    def kill(pid, sig):
+        kills.append((pid, sig))
+        real_kill(pid, sig)
+
+    monkeypatch.setattr(pipeline, "data_lines", fail_or_hang)
+    monkeypatch.setattr(os, "kill", kill)
+    with pytest.raises(ValueError, match=r"^worker \d+ failed$") as info:
+        scan_corpus(path, class_map=lexicon.class_map, families=["hour"], workers=2)
+    util.assert_no_child_left()
+    failed = int(str(info.value).split()[1])
+    assert len(kills) == 1 and kills[0][0] != failed and kills[0][1] == signal.SIGKILL, kills
 
 
 def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon, monkeypatch):

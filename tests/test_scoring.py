@@ -26,7 +26,7 @@ def one_post(tokens: list[str]) -> BinAggregate:
 
 
 def state(agg: BinAggregate) -> tuple:
-    return (*agg.totals(), agg.hist)
+    return (*agg.summary()[:4], agg.hist)
 
 
 def filled(posts) -> BinAggregate:
@@ -39,24 +39,24 @@ def filled(posts) -> BinAggregate:
 def test_score_post_cancel():
     agg = one_post(["storm", "panic", "relax"])
     assert state(agg) == (1, 3, 1, 1, {(0, 3): 1})
-    assert agg.macro_score == 0.0
+    assert agg.summary().macro_score == 0.0
 
 
 def test_score_post_mixed_with_unknown():
     # "ok" is out of vocabulary: counts only in the denominator.
     agg = one_post(["panic", "dread", "calm", "ok"])
-    assert agg.totals()[1:] == (4, 2, 1)
-    assert agg.macro_score == 25.0
+    assert agg.summary()[1:4] == (4, 2, 1)
+    assert agg.summary().macro_score == 25.0
 
 
 def test_score_post_extreme_bound():
-    assert one_post(["calm", "calm", "calm"]).macro_score == -100.0
+    assert one_post(["calm", "calm", "calm"]).summary().macro_score == -100.0
 
 
 def test_repeated_tokens_count_each_occurrence():
     agg = one_post(["panic", "panic", "road"])
     assert agg.n_anx == 2
-    assert agg.macro_score == post_score_value(3, 2, 0)
+    assert agg.summary().macro_score == post_score_value(3, 2, 0)
 
 
 def test_empty_tokens_error():
@@ -86,30 +86,27 @@ def test_update_counts_adds_the_post_to_every_bin():
 
 def test_update_single_post():
     agg = filled([(4, 2, 1)])
-    assert agg.totals().n_posts == 1
-    assert agg.totals().micro_score == 25.0
-    assert agg.macro_score == 25.0
-    assert agg.score_counts() == {25.0: 1}
+    assert agg.summary() == (1, 4, 2, 1, 25.0, 25.0, {25.0: 1})
 
 
 def test_update_pools_token_counts():
     agg = filled([(4, 2, 1), (3, 0, 3)])
     # Pooled: 100 * (2 - 4) / 7
-    assert agg.totals().micro_score == pytest.approx(-28.571428571428573, abs=1e-12)
-    assert agg.macro_score == pytest.approx((25.0 - 100.0) / 2, abs=1e-12)
+    assert agg.summary().micro_score == pytest.approx(-28.571428571428573, abs=1e-12)
+    assert agg.summary().macro_score == pytest.approx((25.0 - 100.0) / 2, abs=1e-12)
 
 
 def test_equal_scores_share_a_histogram_count():
     agg = filled([(2, 1, 0), (4, 2, 0), (4, 3, 1)])
     assert agg.hist == {(1, 2): 1, (2, 4): 2}
-    assert agg.score_counts() == {50.0: 3}
+    assert agg.summary().score_counts == {50.0: 3}
 
 
 def test_merge_identities():
     merged = BinAggregate()
     merged.merge_from(BinAggregate())
     assert state(merged) == state(BinAggregate())
-    assert merged.totals().micro_score is None and merged.macro_score is None
+    assert merged.summary() == (0, 0, 0, 0, None, None, {})
 
     agg = filled([(4, 2, 1)])
     same = filled([(4, 2, 1)])
@@ -122,8 +119,7 @@ def test_merge_equals_sequential_updates():
     c = filled([(4, 2, 1), (3, 0, 3)])
     a.merge_from(b)
     assert state(a) == state(c)
-    assert a.totals().micro_score == c.totals().micro_score
-    assert a.macro_score == c.macro_score
+    assert a.summary() == c.summary()
 
 
 def test_sharded_recount_oracle():
@@ -161,7 +157,7 @@ def test_order_independence_of_counters():
     rng.shuffle(shuffled)
     one, two = filled(posts), filled(shuffled)
     assert state(one) == state(two)
-    assert one.totals().micro_score == two.totals().micro_score
+    assert one.summary() == two.summary()
 
 
 def test_scores_bounded():
@@ -173,8 +169,8 @@ def test_scores_bounded():
         c = rng.randint(0, n - a)
         assert -100.0 <= post_score_value(n, a, c) <= 100.0
         BinAggregate.update_counts([agg], n, a, c)
-    assert -100.0 <= agg.totals().micro_score <= 100.0
-    assert -100.0 <= agg.macro_score <= 100.0
+    assert -100.0 <= agg.summary().micro_score <= 100.0
+    assert -100.0 <= agg.summary().macro_score <= 100.0
 
 
 def test_law_of_large_numbers_micro():
@@ -194,7 +190,7 @@ def test_law_of_large_numbers_micro():
                 c += 1
         BinAggregate.update_counts([agg], n, a, c)
         tokens_left -= n
-    assert agg.totals().micro_score == pytest.approx(100 * (p - q), abs=0.5)
+    assert agg.summary().micro_score == pytest.approx(100 * (p - q), abs=0.5)
 
 
 # Property tests: histograms give exactly what per-post score lists gave.
@@ -227,16 +223,27 @@ def list_welch(a: list[float], b: list[float]) -> TTestResult:
     return TTestResult(t, df, p, p < 0.05, 0.05)
 
 
-@given(st.lists(post_counts(), min_size=1, max_size=200))
+@given(st.lists(post_counts(), min_size=0, max_size=200))
 def test_macro_score_equals_fsum_over_post_scores(posts):
+    # Every field of a bin's summary, against the posts its histogram holds;
+    # an empty bin has zero counts and no scores.
     scores = [post_score_value(*post) for post in posts]
-    assert filled(posts).macro_score == math.fsum(scores) / len(scores)
+    n_tokens = sum(n for n, _, _ in posts)
+    n_anx, n_calm = sum(a for _, a, _ in posts), sum(c for _, _, c in posts)
+    summary = filled(posts).summary()
+    assert summary[:4] == (len(posts), n_tokens, n_anx, n_calm)
+    if posts:
+        assert summary.micro_score == float(Fraction(100 * (n_anx - n_calm), n_tokens))
+        assert summary.macro_score == math.fsum(scores) / len(scores)
+    else:
+        assert summary.micro_score is None and summary.macro_score is None
+    assert Counter(summary.score_counts) == Counter(scores)
 
 
 @given(st.lists(post_counts(), min_size=2, max_size=120),
        st.lists(post_counts(), min_size=2, max_size=120))
 def test_welch_on_histograms_equals_list_welch(posts_a, posts_b):
-    got = welch_t(filled(posts_a).score_counts(), filled(posts_b).score_counts())
+    got = welch_t(filled(posts_a).summary().score_counts, filled(posts_b).summary().score_counts)
     want = list_welch([post_score_value(*p) for p in posts_a],
                       [post_score_value(*p) for p in posts_b])
     assert got == want
@@ -253,11 +260,4 @@ def test_merge_any_order_and_grouping(tagged, rnd):
         shards[i].merge_from(shards.pop(i + 1))
     merged = shards[0]
     assert state(merged) == state(filled(posts))
-    assert merged.macro_score == filled(posts).macro_score
-    # The derived counters are the plain sums over the posts.
-    assert merged.totals() == (
-        len(posts),
-        sum(n for n, _, _ in posts),
-        sum(a for _, a, _ in posts),
-        sum(c for _, _, c in posts),
-    )
+    assert merged.summary() == filled(posts).summary()

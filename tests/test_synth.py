@@ -144,7 +144,7 @@ def test_zero_probabilities_give_exactly_zero_scores(lexicon, tmp_path):
 
     res = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
     for h in range(24):
-        assert res.bins["hour"][h].totals().micro_score == 0.0
+        assert res.bins["hour"][h].summary().micro_score == 0.0
 
 
 def test_pure_anxiety_bin_hits_plus_100(lexicon, tmp_path):
@@ -155,8 +155,8 @@ def test_pure_anxiety_bin_hits_plus_100(lexicon, tmp_path):
     from anxarc.pipeline import scan_corpus
 
     res = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
-    assert res.bins["hour"][23].totals().micro_score == 100.0
-    assert res.bins["hour"][0].totals().micro_score == 0.0
+    assert res.bins["hour"][23].summary().micro_score == 100.0
+    assert res.bins["hour"][0].summary().micro_score == 0.0
 
 
 def test_evaluate_arc_recovers_sinusoid(lexicon, tmp_path):
@@ -204,7 +204,7 @@ def test_weekday_generation_lands_on_weekdays(lexicon, tmp_path):
 
     res = scan_corpus(path, class_map=lexicon.class_map, families=("weekday",))
     for d in range(7):
-        assert res.bins["weekday"][d].totals().n_posts == 8
+        assert res.bins["weekday"][d].summary().n_posts == 8
 
 
 def test_unbiased_recovery_at_scale(lexicon, tmp_path):
@@ -219,8 +219,8 @@ def test_unbiased_recovery_at_scale(lexicon, tmp_path):
     from anxarc.pipeline import scan_corpus
 
     res = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
-    assert res.bins["hour"][0].totals().n_tokens == 1_000_000
-    assert abs(res.bins["hour"][0].totals().micro_score - 15.0) < 0.5
+    assert res.bins["hour"][0].summary().n_tokens == 1_000_000
+    assert abs(res.bins["hour"][0].summary().micro_score - 15.0) < 0.5
 
 
 def test_monotone_fidelity_across_sizes(lexicon, tmp_path):

@@ -262,7 +262,7 @@ def brute_force_recount(path: str, lexicon_tsv: str, tables: VerbTables) -> dict
 
 
 def counters_of(agg) -> list[int]:
-    return list(agg.totals())
+    return list(agg.summary()[:4])
 
 
 def result_state(res) -> dict:
