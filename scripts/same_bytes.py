@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Check that the CLI gives the same bytes as another revision on one fixed matrix.
+
+    python scripts/same_bytes.py REV
+
+Checks REV out with ``git worktree add`` in a temporary directory (no
+network) and runs the same CLI matrix on each side, REV's and this
+checkout's, with ``PYTHONPATH=<side>/src``. Each run has a folder of its own
+and keeps its reports, stdout, stderr and exit code there. The script prints
+``diff -r`` of the two sides' folders and exits 1 on any difference, 0 on
+none. The worktree and the folders are removed afterwards.
+
+The matrix:
+- every command on the test fixtures (the mini lexicon and corpus), the
+  scanning ones at ``--workers`` 1 and 2;
+- ``analyze-hour`` and ``eval-arc`` on the seed-1 synth corpus;
+- ``replicate`` on the seed-1 mixed corpus as one file and as four, at
+  ``--workers`` 1 and 2;
+- ``synth`` and ``lexicon-stats --out`` on the seed-1 benchmark lexicon;
+  ``lexicon-stats`` writes CSV and JSON on both lexicons.
+
+The seed-1 inputs come from ``scanbench/inputs.py`` and are written once,
+for both sides; the synth corpus by this checkout's generator.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
+SEED = 1
+SYNTH_POSTS_PER_BIN = 1_500
+MIXED_RECORDS = 32_768
+
+SCANS = ("analyze-hour", "analyze-weekday", "analyze-tense", "analyze-pronoun", "replicate")
+
+
+def write_inputs(folder: Path) -> None:
+    """The fixtures, the seed-1 benchmark lexicon and corpora, and two arc specs."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scanbench")]
+    import inputs
+
+    for name in ("mini_lexicon.tsv", "mini_corpus.jsonl"):
+        shutil.copy(FIXTURES / name, folder / name)
+    lexicon = folder / "lexicon.tsv"
+    classes = inputs.write_lexicon(lexicon, SEED)
+    inputs.write_synth(folder / "synth.jsonl", lexicon, SEED, SYNTH_POSTS_PER_BIN)
+    lines, _ = inputs.mixed_lines(SEED, MIXED_RECORDS, classes)
+    inputs.write_lines(folder / "mixed.jsonl", lines)
+    for i, part in enumerate(inputs.split_lines(lines, 4)):
+        inputs.write_lines(folder / f"mixed{i}.jsonl", part)
+    arc = {"bins": list(range(24)), "p_anx": list(inputs.ARC_P_ANX), "p_calm": inputs.ARC_P_CALM,
+           "posts_per_bin": SYNTH_POSTS_PER_BIN, "tokens_per_post": list(inputs.ARC_TOKENS_PER_POST),
+           "seed": SEED}
+    (folder / "arc.json").write_text(json.dumps(arc), encoding="utf-8")
+    small = {"bins": [0, 8, 12, 18], "p_anx": [0.1, 0.4, 0.05, 0.2], "p_calm": 0.1,
+             "posts_per_bin": 50, "tokens_per_post": [3, 9], "seed": SEED, "axis": "hour"}
+    (folder / "small_arc.json").write_text(json.dumps(small), encoding="utf-8")
+
+
+def matrix() -> dict[str, list[str]]:
+    """Each run's folder name and arguments."""
+    def inp(name: str) -> str:  # from a run's folder, the same path on both sides
+        return f"../../inputs/{name}"
+
+    mini = ["--lexicon", inp("mini_lexicon.tsv")]
+    bench = ["--lexicon", inp("lexicon.tsv")]
+    runs = {}
+    for workers in ("1", "2"):
+        scan = [*mini, "--corpus", inp("mini_corpus.jsonl"), "--workers", workers]
+        for command in SCANS:
+            runs[f"mini-{command}-w{workers}"] = [command, *scan]
+        runs[f"mini-compare-w{workers}"] = ["compare", *scan, "--slice-a", "tense=past",
+                                            "--slice-b", "tense=future"]
+        runs[f"mini-eval-arc-w{workers}"] = ["eval-arc", *scan, "--arc-spec", inp("small_arc.json")]
+        scan = [*bench, "--corpus", inp("synth.jsonl"), "--workers", workers]
+        runs[f"synth-analyze-hour-w{workers}"] = ["analyze-hour", *scan]
+        runs[f"synth-eval-arc-w{workers}"] = ["eval-arc", *scan, "--arc-spec", inp("arc.json")]
+        for name, files in (("one", ["mixed.jsonl"]),
+                            ("four", [f"mixed{i}.jsonl" for i in range(4)])):
+            runs[f"mixed-{name}-replicate-w{workers}"] = [
+                "replicate", *bench, "--corpus", *map(inp, files), "--workers", workers]
+    runs["mini-synth"] = ["synth", *mini, "--arc-spec", inp("small_arc.json")]
+    runs["bench-synth"] = ["synth", *bench, "--arc-spec", inp("arc.json")]
+    for fmt in ("csv", "json"):
+        runs[f"mini-lexicon-stats-{fmt}"] = ["lexicon-stats", *mini, "--out-format", fmt]
+        runs[f"bench-lexicon-stats-{fmt}"] = ["lexicon-stats", *bench, "--out-format", fmt]
+    return runs
+
+
+def run_side(src: Path, results: Path) -> None:
+    """Run the matrix with ``src`` first on the path, each run in ``results/<name>``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ANXARC_")}
+    env["PYTHONPATH"] = str(src)
+    for name, args in matrix().items():
+        out = results / name
+        out.mkdir(parents=True)
+        extra = ["--out-corpus", "corpus.jsonl"] if args[0] == "synth" else ["--out", "reports"]
+        proc = subprocess.run([sys.executable, "-m", "anxarc.cli", *args, *extra], cwd=out,
+                              env=env, capture_output=True)
+        (out / "stdout").write_bytes(proc.stdout)
+        (out / "stderr").write_bytes(proc.stderr)
+        (out / "exit").write_text(f"{proc.returncode}\n")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp:
+        tmp = Path(tmp)
+        tree = tmp / "rev"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(tree), argv[0]], check=True)
+        try:
+            (tmp / "inputs").mkdir()
+            write_inputs(tmp / "inputs")
+            for side, src in (("a", tree / "src"), ("b", ROOT / "src")):
+                run_side(src, tmp / side)
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                           check=True)
+        print(f"a: {argv[0]}, b: the working tree ({ROOT}); {len(matrix())} runs a side")
+        diff = subprocess.run(["diff", "-r", "a", "b"], cwd=tmp)
+    print("no difference" if diff.returncode == 0 else "DIFFERENT")
+    return 0 if diff.returncode == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

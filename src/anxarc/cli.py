@@ -1,8 +1,10 @@
 """Command-line surface: analysis commands, significance tests, synth harness.
 
 Exit codes are a stable contract: 0 success, 1 usage/configuration error,
-2 data error. A command declares only the options it reads, and each can
-also be set by an environment variable: ``--tau-anx`` by ``ANXARC_TAU_ANX``.
+2 data error; a run stopped by SIGINT or SIGTERM prints ``anxarc:
+interrupted`` and exits 130 or 143, the shell's codes for them. A command
+declares only the options it reads, and each can also be set by an
+environment variable: ``--tau-anx`` by ``ANXARC_TAU_ANX``.
 A set variable is read as the command's own ``--flag=value`` placed before
 the command line's flags, so argparse types, checks and defaults both alike,
 a bad value is reported as the flag would be, and the command line wins. An
@@ -15,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from contextlib import contextmanager
 
 from . import __version__
 from .corpus import FORMATS, CorpusError
-from .lexicon import DEFAULT_TAU_ANX, DEFAULT_TAU_CALM, Lexicon, LexiconError, lexicon_stats, load_lexicon
+from .lexicon import DEFAULT_TAU_ANX, DEFAULT_TAU_CALM, Lexicon, LexiconError, class_terms, load_lexicon
 from .pipeline import FAMILIES, FAMILY_KEYS, ScanResult, scan_corpus
 from .report import Table, base_meta, cell
 from .slicer import Tense, VerbTableError, load_verb_tables
@@ -53,6 +56,18 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     """Bad input data; exits with code 2."""
+
+
+class _Terminated(BaseException):
+    """SIGTERM, raised where the run is, as SIGINT raises KeyboardInterrupt.
+
+    Not an Exception: a forked scan worker leaves through its ``os._exit``
+    instead of sending it to the parent as its result.
+    """
+
+
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 def _check(args: argparse.Namespace) -> None:
@@ -208,12 +223,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # A slice that names no bin is a usage error before any post is read.
     slices = [_slice_key(text) for text in (args.slice_a, args.slice_b)]
     res = _scan(args, tuple({family for family, _ in slices}))
-    for label, (family, key) in zip((args.slice_a, args.slice_b), slices):
-        if res.bins[family][key].summary().n_posts < 2:
-            raise DataError(f"slice {label!r} has fewer than 2 scored posts")
     table = _comparisons_table("compare", args, res, [(args.slice_a, args.slice_b)])
-    _write(table, args)
     values = dict(zip(_COMPARE_COLUMNS, table.rows[0]))
+    for side in ("a", "b"):
+        if values[f"n_{side}"] < 2:
+            raise DataError(f"slice {values['slice_' + side]!r} has fewer than 2 scored posts")
+    _write(table, args)
     t, df, p = (cell(col, values[col]) for col in ("t", "df", "p"))
     verdict = "significant" if values["significant"] else "not significant"
     print(f"{args.slice_a} vs {args.slice_b}: t={t} df={df} p={p} ({verdict} at alpha={args.alpha})")
@@ -325,26 +340,17 @@ def _compare_row(label_a: str, label_b: str, agg_a, agg_b, alpha: float) -> list
 
 
 def cmd_lexicon_stats(args: argparse.Namespace) -> int:
-    lexicon = _load_lexicon(args)
-    stats = lexicon_stats(lexicon)
-    print(f"terms: {stats.total}")
-    for name, count in (
-        ("anxiety", stats.n_anxiety),
-        ("calm", stats.n_calm),
-        ("neutral", stats.n_neutral),
-    ):
-        print(f"{name}: {count} ({100.0 * count / stats.total:.2f}%)")
+    counts = list(zip(("anxiety", "calm", "neutral"), map(len, class_terms(_load_lexicon(args)))))
+    total = sum(count for _, count in counts)
+    print(f"terms: {total}")
+    for name, count in counts:
+        print(f"{name}: {count} ({100.0 * count / total:.2f}%)")
     if args.out:
         table = Table(
             name="lexicon_stats",
             meta=base_meta(lexicon=args.lexicon, tau_anx=args.tau_anx, tau_calm=args.tau_calm),
             columns=["class", "count", "fraction"],
-            rows=[
-                ["anxiety", stats.n_anxiety, stats.n_anxiety / stats.total],
-                ["calm", stats.n_calm, stats.n_calm / stats.total],
-                ["neutral", stats.n_neutral, stats.n_neutral / stats.total],
-                ["total", stats.total, 1.0],
-            ],
+            rows=[*([name, count, count / total] for name, count in counts), ["total", total, 1.0]],
         )
         _write(table, args)
     return EXIT_OK
@@ -463,6 +469,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_env_argv(parser, argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    # SIGTERM unwinds the run as SIGINT does, so every finally runs: workers
+    # are killed and reaped. The caller's handler is put back after the run.
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         _check(args)
         return args.func(args)
@@ -479,6 +488,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"anxarc: i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except (KeyboardInterrupt, _Terminated) as exc:
+        print("anxarc: interrupted", file=sys.stderr)
+        return 128 + (signal.SIGINT if isinstance(exc, KeyboardInterrupt) else signal.SIGTERM)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

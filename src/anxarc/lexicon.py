@@ -8,6 +8,8 @@ calmness-associated. Terms are single words and are lower-cased at load.
 A loaded ``Lexicon`` holds the class map that the text kernel reads and
 the set of neutral terms; no association value is kept. The loader reads
 and decodes one line at a time and never holds the whole file.
+``class_terms`` splits a loaded lexicon into its sorted anxiety, calm and
+neutral terms: ``lexicon-stats`` counts them and ``synth`` draws from them.
 """
 
 from __future__ import annotations
@@ -50,13 +52,6 @@ class EmptyLexiconError(LexiconError):
     """The source contained no records."""
 
 
-class LexiconStats(NamedTuple):
-    total: int
-    n_anxiety: int
-    n_calm: int
-    n_neutral: int
-
-
 class Lexicon(NamedTuple):
     """A loaded lexicon, built by ``load_lexicon``.
 
@@ -69,13 +64,11 @@ class Lexicon(NamedTuple):
     neutral: set[str]
 
 
-def lexicon_stats(lexicon: Lexicon) -> LexiconStats:
-    """Counts of anxiety/calm/neutral entries; always partitions the total."""
-    codes = list(lexicon.class_map.values())
-    n_anx = codes.count(ANX)
-    n_calm = codes.count(CALM)
-    total = len(codes) + len(lexicon.neutral)
-    return LexiconStats(total, n_anx, n_calm, total - n_anx - n_calm)
+def class_terms(lexicon: Lexicon) -> tuple[list[str], list[str], list[str]]:
+    """The sorted anxiety, calm and neutral terms; each term is in exactly one."""
+    anx = sorted(term for term, code in lexicon.class_map.items() if code == ANX)
+    calm = sorted(term for term, code in lexicon.class_map.items() if code == CALM)
+    return anx, calm, sorted(lexicon.neutral)
 
 
 def load_lexicon(

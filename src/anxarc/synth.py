@@ -11,7 +11,11 @@ Randomness comes from Python's Mersenne Twister (``random.Random``), whose
 all draws are derived from ``random()`` only, so identical (spec, lexicon)
 inputs produce byte-identical corpora anywhere. Each bin uses its own
 generator seeded from (seed, bin index), which keeps per-bin output
-independent of generation order.
+independent of generation order. A post's words are drawn from the sorted
+pools of ``lexicon.class_terms``, and its record is one fixed frame around
+the JSON-escaped text: the bytes of ``json.dumps`` of the four-key record
+(``ensure_ascii=False``), since the id, the stamp and ``UTC`` are ASCII
+with nothing to escape.
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
-from ._kernel import ANX, CALM
-from .lexicon import Lexicon
+from .lexicon import Lexicon, class_terms
 from .pipeline import FAMILY_KEYS, scan_corpus
 from .stats import pearson, spearman
 
@@ -158,12 +161,9 @@ class ArcReport:
     spearman_r: float
 
 
-def _class_terms(lexicon: Lexicon) -> tuple[tuple[str, ...], ...]:
-    """The sorted anxiety, calm and neutral term pools."""
-    class_map = lexicon.class_map
-    pools = (tuple(sorted(t for t, code in class_map.items() if code == ANX)),
-             tuple(sorted(t for t, code in class_map.items() if code == CALM)),
-             tuple(sorted(lexicon.neutral)))
+def _class_terms(lexicon: Lexicon) -> tuple[list[str], list[str], list[str]]:
+    """``class_terms``, with a term of each class required."""
+    pools = class_terms(lexicon)
     missing = [name for name, pool in zip(("anxiety", "calm", "neutral"), pools) if not pool]
     if missing:
         raise ArcSpecError(
@@ -172,56 +172,34 @@ def _class_terms(lexicon: Lexicon) -> tuple[tuple[str, ...], ...]:
     return pools
 
 
-def _pick(rng: random.Random, pool: Sequence[str]) -> str:
-    # Derived from random() only; see module docstring.
-    return pool[int(rng.random() * len(pool))]
-
-
-def _timestamp(spec: ArcSpec, bin_id: int, rng: random.Random) -> str:
-    minute = int(rng.random() * 60)
-    second = int(rng.random() * 60)
-    if spec.axis == "hour":
-        return f"{_HOUR_AXIS_DATE}T{bin_id:02d}:{minute:02d}:{second:02d}Z"
-    day = _WEEKDAY_AXIS_MONDAY + bin_id
-    return f"2021-06-{day:02d}T12:{minute:02d}:{second:02d}Z"
-
-
 def generate(spec: ArcSpec, lexicon: Lexicon, sink: IO[str]) -> int:
     """Write a planted-arc corpus as JSONL; returns the number of posts.
 
     Deterministic: identical (spec, lexicon) inputs yield byte-identical
     output. Posts carry UTC timestamps placed inside their bin.
     """
-    anx_pool, calm_pool, neutral_pool = _class_terms(lexicon)
+    anx, calm, neutral = _class_terms(lexicon)
     lo, hi = spec.tokens_per_post
     span = hi - lo + 1
 
-    n_posts = 0
     for idx, bin_id in enumerate(spec.bins):
         rng = random.Random(spec.seed * 1_000_003 + idx)
         p_anx = spec.p_anx[idx]
         p_cut = p_anx + spec.p_calm[idx]
+        # The bin's stamps up to the minute: that hour of one day, or noon of that weekday.
+        day_hour = (f"{_HOUR_AXIS_DATE}T{bin_id:02d}" if spec.axis == "hour"
+                    else f"2021-06-{_WEEKDAY_AXIS_MONDAY + bin_id:02d}T12")
         for i in range(spec.posts_per_bin):
-            stamp = _timestamp(spec, bin_id, rng)
-            n_tokens = lo + int(rng.random() * span)
+            minute, second = int(rng.random() * 60), int(rng.random() * 60)
             words = []
-            for _ in range(n_tokens):
+            for _ in range(lo + int(rng.random() * span)):
                 r = rng.random()
-                if r < p_anx:
-                    words.append(_pick(rng, anx_pool))
-                elif r < p_cut:
-                    words.append(_pick(rng, calm_pool))
-                else:
-                    words.append(_pick(rng, neutral_pool))
-            record = {
-                "id": f"{spec.axis}{bin_id:02d}-{i}",
-                "text": " ".join(words),
-                "timestamp_utc": stamp,
-                "timezone": "UTC",
-            }
-            sink.write(json.dumps(record, ensure_ascii=False) + "\n")
-            n_posts += 1
-    return n_posts
+                pool = anx if r < p_anx else calm if r < p_cut else neutral
+                words.append(pool[int(rng.random() * len(pool))])
+            text = json.dumps(" ".join(words), ensure_ascii=False)
+            sink.write(f'{{"id": "{spec.axis}{bin_id:02d}-{i}", "text": {text}, "timestamp_utc": '
+                       f'"{day_hour}:{minute:02d}:{second:02d}Z", "timezone": "UTC"}}\n')
+    return len(spec.bins) * spec.posts_per_bin
 
 
 def generate_file(spec: ArcSpec, lexicon: Lexicon, path: str) -> int:

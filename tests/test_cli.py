@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import util
 from anxarc import cli, pipeline
 from anxarc.cli import main
-from anxarc.lexicon import LexiconError, lexicon_stats, load_lexicon
+from anxarc.lexicon import LexiconError, class_terms, load_lexicon
 from anxarc.slicer import VerbTableError, load_verb_tables
 from anxarc.synth import MAX_PLANTED_TOKENS, ArcSpec, ArcSpecError
 
@@ -1208,7 +1208,7 @@ def test_fuzzed_lexicon_exits_as_documented(synth_env, fixtures_dir, capsys, dat
         (["analyze-hour", "--corpus", MINI_CORPUS, "--out", "o"], 0),
         (["synth", "--arc-spec", "small.json", "--out-corpus", "s.jsonl"],
          # synth needs a term of every class.
-         0 if lexicon is not None and all(lexicon_stats(lexicon)[1:]) else 1),
+         0 if lexicon is not None and all(class_terms(lexicon)) else 1),
     ):
         capsys.readouterr()
         code = run(*argv, "--lexicon", "fuzz.tsv")

@@ -17,8 +17,7 @@ from anxarc.lexicon import (
     LexiconError,
     LexiconParseError,
     Lexicon,
-    LexiconStats,
-    lexicon_stats,
+    class_terms,
     load_lexicon,
 )
 from util import big_lexicon_text, lexicon_text, loads_lexicon, read_assoc, reference_load
@@ -132,7 +131,7 @@ def test_classify_term_boundaries():
 
 def test_stats_hand_count():
     lex = loads_lexicon("calm\t-2.5\npanic\t3.0\nroad\t0.0\n", (1.0, -1.0))
-    assert lexicon_stats(lex) == LexiconStats(3, 1, 1, 1)
+    assert class_terms(lex) == (["panic"], ["calm"], ["road"])
 
 
 def test_stats_partition_on_random_lexicons():
@@ -146,24 +145,28 @@ def test_stats_partition_on_random_lexicons():
         values = [rng.choice([tau_anx, tau_calm, round(rng.uniform(-3, 3), 3)]) for _ in range(n)]
         lines = [f"w{i}\t{v!r}" for i, v in enumerate(values)]
         lex = loads_lexicon("\n".join(lines) + "\n", (tau_anx, tau_calm))
-        stats = lexicon_stats(lex)
-        assert stats.total == n
-        assert stats.n_anxiety + stats.n_calm + stats.n_neutral == stats.total
+        anx, calm, neutral = class_terms(lex)
+        assert len(anx) + len(calm) + len(neutral) == n
         codes = [expected_code(v, tau_anx, tau_calm) for v in values]
-        assert stats.n_anxiety == codes.count(ANX)
-        assert stats.n_calm == codes.count(CALM)
+        assert len(anx) == codes.count(ANX)
+        assert len(calm) == codes.count(CALM)
 
 
 def test_classify_consistent_with_stats(lexicon):
     codes = [expected_code(v) for v in read_assoc(lexicon_text()).values()]
-    assert lexicon_stats(lexicon) == LexiconStats(
-        len(codes), codes.count(ANX), codes.count(CALM), codes.count(None))
+    assert tuple(map(len, class_terms(lexicon))) == (
+        codes.count(ANX), codes.count(CALM), codes.count(None))
 
 
 def test_exactly_one_class_per_entry(lexicon):
     assert set(lexicon.class_map).isdisjoint(lexicon.neutral)
     assert set(lexicon.class_map) | lexicon.neutral == set(read_assoc(lexicon_text()))
     assert set(lexicon.class_map.values()) <= {ANX, CALM}
+    # Each loaded term is in exactly one sorted list: the one of its class.
+    anx, calm, neutral = class_terms(lexicon)
+    assert all(terms == sorted(terms) for terms in (anx, calm, neutral))
+    assert sorted(anx + calm + neutral) == sorted(set(lexicon.class_map) | lexicon.neutral)
+    assert [lexicon.class_map[t] for t in anx + calm] == [ANX] * len(anx) + [CALM] * len(calm)
 
 
 def test_round_trip(lexicon):
@@ -310,5 +313,5 @@ def test_load_streams_the_file(tmp_path):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert lexicon_stats(lex) == LexiconStats(14_000, 1_400, 1_400, 11_200)
+    assert tuple(map(len, class_terms(lex))) == (1_400, 1_400, 11_200)
     assert peak - retained < 0.5 * size, (peak - retained, size)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import io
 import itertools
 import os
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import util
-from anxarc import pipeline, workers
+from anxarc import cli, pipeline, workers
 from anxarc.corpus import CorpusError
 from anxarc.pipeline import FAMILIES, ScanResult, scan_corpus
 from anxarc.slicer import PRONOUNS, Tense, token_table
@@ -744,6 +745,91 @@ def test_dead_worker_is_a_corpus_error(tmp_path, lexicon, monkeypatch, when, mes
     with pytest.raises(CorpusError, match=f"^{message}$"):
         scan_corpus(path, class_map=lexicon.class_map, families=["hour"], workers=2)
     util.assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing_fork", [1, 2, 3])
+def test_failed_fork_exits_2_and_leaves_no_child(tmp_path, monkeypatch, capsys, failing_fork):
+    # os.fork fails (EAGAIN: the process limit) at the first, second or third
+    # worker of three: the run is an i/o error, and the workers already
+    # forked are killed and reaped.
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text(util.lexicon_text(), encoding="utf-8")
+    path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(3), 100))
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 256)  # blocks enough for three workers
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(None)
+        if len(forks) == failing_fork:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    code = cli.main(["replicate", "--lexicon", str(lexicon), "--corpus", path, "--workers", "3",
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert (code, len(forks)) == (2, failing_fork), err
+    assert err == f"anxarc: i/o error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+    util.assert_no_child_left()
+
+
+# Runs the CLI at two workers whose scans wait in pipeline.data_lines, each
+# once it has printed its pid, until the parent is signalled and kills them.
+WAITING_WORKERS_RUN = """
+import os, signal, sys, time
+sys.path.insert(0, sys.argv[1])
+from anxarc import cli, pipeline
+
+def wait(*args):
+    print("waiting", os.getpid(), flush=True)
+    os.close(1)  # only the parent holds the test's pipes: they close when it exits
+    os.close(2)
+    time.sleep(60)
+
+# The dispositions of a foreground job, whatever the test runner's are.
+signal.signal(signal.SIGINT, signal.default_int_handler)
+signal.signal(signal.SIGTERM, signal.SIG_DFL)
+pipeline.data_lines = wait
+pipeline.CHUNK_BYTES = 256
+sys.exit(cli.main(["analyze-hour", "--lexicon", "lexicon.tsv", "--corpus", "corpus.jsonl",
+                   "--workers", "2", "--out", "out"]))
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("sig,code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)])
+def test_signal_stops_a_two_worker_scan_cleanly(tmp_path, sig, code):
+    # SIGINT and SIGTERM to the parent of a two-worker scan: one line, no
+    # traceback, the shell's exit code, and both workers killed and reaped.
+    (tmp_path / "lexicon.tsv").write_text(util.lexicon_text(), encoding="utf-8")
+    write_corpus(tmp_path, util.random_corpus_lines(random.Random(3), 100))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen([sys.executable, "-c", WAITING_WORKERS_RUN, src], cwd=tmp_path,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    pids = []
+    try:
+        for _ in range(2):
+            line = proc.stdout.readline()
+            assert line.startswith("waiting "), (line, proc.stderr.read())
+            pids.append(int(line.split()[1]))
+        proc.send_signal(sig)
+        _, err = proc.communicate(timeout=60)
+        left = [pid for pid in pids if _alive(pid)]
+    finally:
+        for pid in pids:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, err) == (code, "anxarc: interrupted\n")
+    assert left == []
 
 
 # A two-worker scan in a fresh interpreter: prints the records scanned, the

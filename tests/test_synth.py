@@ -128,6 +128,29 @@ def test_generated_records_are_wellformed(lexicon):
     assert seen_bins == set(range(24))
 
 
+@pytest.mark.parametrize("axis,n_bins", [("hour", 24), ("weekday", 7)])
+def test_record_frame_is_json_dumps_of_the_record(axis, n_bins):
+    # Terms that JSON must escape (quote, backslash, a control character)
+    # and non-ASCII letters, which ensure_ascii=False writes as they are.
+    lex = loads_lexicon('a"b\t2.0\n\\\t3.0\nback\\slash\t-2.0\nctl\x01x\t-1.5\n'
+                        "ñandú\t2.5\nstraße\t0.0\nπόλη\t0.5\n")
+    spec = flat_spec(axis=axis, bins=tuple(range(n_bins)), p_anx=(0.3,) * n_bins,
+                     p_calm=(0.3,) * n_bins, posts_per_bin=20, tokens_per_post=(1, 6))
+    buf = io.StringIO()
+    assert generate(spec, lex, buf) == n_bins * 20
+    lines = buf.getvalue().split("\n")
+    assert lines.pop() == ""
+    for line in lines:
+        rec = json.loads(line)
+        assert line == json.dumps({"id": rec["id"], "text": rec["text"],
+                                   "timestamp_utc": rec["timestamp_utc"],
+                                   "timezone": rec["timezone"]}, ensure_ascii=False)
+    # Every hostile term was planted, each escaped as JSON writes it.
+    words = set(" ".join(json.loads(line)["text"] for line in lines).split())
+    assert words == set(lex.class_map) | lex.neutral
+    assert all(s in buf.getvalue() for s in ('a\\"b', "back\\\\slash", "ctl\\u0001x", "ñandú"))
+
+
 def test_generate_requires_all_classes():
     no_calm = loads_lexicon("panic\t3.0\nroad\t0.0\n")
     with pytest.raises(ArcSpecError):
