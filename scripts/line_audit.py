@@ -16,6 +16,25 @@ them to a file that this process merges after the run. A subprocess that a
 test starts is never traced, so lines that run only there are expected in
 the output. Standard library only; ``coverage`` is not needed. The run
 takes several times as long as the same tests untraced.
+
+The lines the audit is expected to list, and why; any other line it lists
+is new and needs a test or a reason here:
+- ``cli.py``'s ``sys.exit(main())``: it runs only when the module runs as
+  ``__main__``, which happens only in the subprocesses that tests start,
+  and those are not traced.
+- The five ``d = _CF_FPMIN`` / ``c = _CF_FPMIN`` guards of ``stats._betacf``
+  (modified Lentz), which no test input reaches:
+  - the one before the loop is proven unreachable while a + b is well
+    below 1/eps (about 4e15, so a Welch df below about 1e15). Both calls
+    in ``regularized_incomplete_beta`` pass x <= (p+1)/(a+b+2), where p is
+    the first shape argument, so in exact arithmetic d = 1 - (a+b)x/(p+1)
+    >= 2/(a+b+2), and rounding moves it by about eps. Past that size d can
+    round to 0, so the guard is kept;
+  - the four in the loop, on d = 1 + aa*d and c = 1 + aa/c, are not proven
+    unreachable. The partial numerators aa take either sign, by m and the
+    shapes (at the t-test's first call, with b = 1/2, both are negative
+    for every m >= 1), so nothing bounds d or c away from 0. Only no input
+    tried so far brings one below 1e-300. They are kept.
 """
 
 from __future__ import annotations

@@ -1,23 +1,32 @@
 #!/usr/bin/env python3
-"""Check that the CLI gives the same bytes as another revision on one fixed matrix.
+"""Check that the CLI gives the same bytes and exit codes as another revision on one fixed matrix.
 
     python scripts/same_bytes.py REV
 
-Checks REV out with ``git worktree add`` in a temporary directory (no
-network) and runs the same CLI matrix on each side, REV's and this
-checkout's, with ``PYTHONPATH=<side>/src``. Each run has a folder of its own
-and keeps its reports, stdout, stderr and exit code there. The script prints
-``diff -r`` of the two sides' folders and exits 1 on any difference, 0 on
-none. The worktree and the folders are removed afterwards.
+Extracts REV's ``src`` with ``git archive`` into a temporary directory (no
+network, and nothing is added to the repository's metadata) and runs the
+same CLI matrix on each side, REV's and this checkout's, with
+``PYTHONPATH=<side>/src``. Each run has a folder of its own and keeps its
+reports, stdout, stderr and exit code there. The script prints ``diff -r``
+of the two sides' folders and exits 1 on any difference, 0 on none. The
+temporary directory is removed afterwards.
 
 The matrix:
 - every command on the test fixtures (the mini lexicon and corpus), the
   scanning ones at ``--workers`` 1 and 2;
-- ``analyze-hour`` and ``eval-arc`` on the seed-1 synth corpus;
+- ``analyze-hour`` on the seed-1 synth corpus at ``--workers`` 1, 2 and 3,
+  and ``eval-arc`` on it at 1 and 2;
 - ``replicate`` on the seed-1 mixed corpus as one file and as four, at
-  ``--workers`` 1 and 2;
+  ``--workers`` 1, 2 and 3;
 - ``synth`` and ``lexicon-stats --out`` on the seed-1 benchmark lexicon;
-  ``lexicon-stats`` writes CSV and JSON on both lexicons.
+  ``lexicon-stats`` writes CSV and JSON on both lexicons;
+- the CLI's error cases, on the mini fixtures: a slice that names no bin
+  (``compare --slice-a hour=24``, exit 1); a ``compare`` of two weekday
+  slices with ``--verb-tables`` naming a missing directory, which is never
+  read (exit 0); a ``compare`` of two tense slices with that directory and
+  a missing corpus, where the verb tables fail first (exit 1); and a
+  missing corpus file, a lexicon with a duplicate term and a corpus with no
+  scoreable post (exit 2).
 
 The seed-1 inputs come from ``scanbench/inputs.py`` and are written once,
 for both sides; the synth corpus by this checkout's generator.
@@ -63,6 +72,9 @@ def write_inputs(folder: Path) -> None:
     small = {"bins": [0, 8, 12, 18], "p_anx": [0.1, 0.4, 0.05, 0.2], "p_calm": 0.1,
              "posts_per_bin": 50, "tokens_per_post": [3, 9], "seed": SEED, "axis": "hour"}
     (folder / "small_arc.json").write_text(json.dumps(small), encoding="utf-8")
+    (folder / "duplicate_lexicon.tsv").write_text("panic\t3.0\ncalm\t-2.0\npanic\t2.0\n",
+                                                  encoding="utf-8")
+    (folder / "unscoreable.jsonl").write_text("not json\n", encoding="utf-8")
 
 
 def matrix() -> dict[str, list[str]]:
@@ -73,25 +85,40 @@ def matrix() -> dict[str, list[str]]:
     mini = ["--lexicon", inp("mini_lexicon.tsv")]
     bench = ["--lexicon", inp("lexicon.tsv")]
     runs = {}
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
+        scan = [*bench, "--corpus", inp("synth.jsonl"), "--workers", workers]
+        runs[f"synth-analyze-hour-w{workers}"] = ["analyze-hour", *scan]
+        for name, files in (("one", ["mixed.jsonl"]),
+                            ("four", [f"mixed{i}.jsonl" for i in range(4)])):
+            runs[f"mixed-{name}-replicate-w{workers}"] = [
+                "replicate", *bench, "--corpus", *map(inp, files), "--workers", workers]
+        if workers == "3":
+            continue
+        runs[f"synth-eval-arc-w{workers}"] = ["eval-arc", *scan, "--arc-spec", inp("arc.json")]
         scan = [*mini, "--corpus", inp("mini_corpus.jsonl"), "--workers", workers]
         for command in SCANS:
             runs[f"mini-{command}-w{workers}"] = [command, *scan]
         runs[f"mini-compare-w{workers}"] = ["compare", *scan, "--slice-a", "tense=past",
                                             "--slice-b", "tense=future"]
         runs[f"mini-eval-arc-w{workers}"] = ["eval-arc", *scan, "--arc-spec", inp("small_arc.json")]
-        scan = [*bench, "--corpus", inp("synth.jsonl"), "--workers", workers]
-        runs[f"synth-analyze-hour-w{workers}"] = ["analyze-hour", *scan]
-        runs[f"synth-eval-arc-w{workers}"] = ["eval-arc", *scan, "--arc-spec", inp("arc.json")]
-        for name, files in (("one", ["mixed.jsonl"]),
-                            ("four", [f"mixed{i}.jsonl" for i in range(4)])):
-            runs[f"mixed-{name}-replicate-w{workers}"] = [
-                "replicate", *bench, "--corpus", *map(inp, files), "--workers", workers]
     runs["mini-synth"] = ["synth", *mini, "--arc-spec", inp("small_arc.json")]
     runs["bench-synth"] = ["synth", *bench, "--arc-spec", inp("arc.json")]
     for fmt in ("csv", "json"):
         runs[f"mini-lexicon-stats-{fmt}"] = ["lexicon-stats", *mini, "--out-format", fmt]
         runs[f"bench-lexicon-stats-{fmt}"] = ["lexicon-stats", *bench, "--out-format", fmt]
+    mini_scan = [*mini, "--corpus", inp("mini_corpus.jsonl")]
+    no_verbs = ["--verb-tables", inp("no_such_dir")]
+    runs["error-compare-no-such-slice"] = ["compare", *mini_scan, "--slice-a", "hour=24",
+                                           "--slice-b", "hour=8"]
+    runs["error-compare-weekday-verb-tables-unread"] = [
+        "compare", *mini_scan, "--slice-a", "weekday=mon", "--slice-b", "weekday=tue", *no_verbs]
+    runs["error-compare-tense-verb-tables-first"] = [
+        "compare", *mini, "--corpus", inp("no_such_corpus.jsonl"), "--slice-a", "tense=past",
+        "--slice-b", "tense=future", *no_verbs]
+    runs["error-missing-corpus"] = ["analyze-hour", *mini, "--corpus", inp("no_such_corpus.jsonl")]
+    runs["error-duplicate-term"] = ["analyze-hour", "--lexicon", inp("duplicate_lexicon.tsv"),
+                                    "--corpus", inp("mini_corpus.jsonl")]
+    runs["error-no-scoreable-post"] = ["analyze-hour", *mini, "--corpus", inp("unscoreable.jsonl")]
     return runs
 
 
@@ -117,16 +144,14 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp:
         tmp = Path(tmp)
         tree = tmp / "rev"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(tree), argv[0]], check=True)
-        try:
-            (tmp / "inputs").mkdir()
-            write_inputs(tmp / "inputs")
-            for side, src in (("a", tree / "src"), ("b", ROOT / "src")):
-                run_side(src, tmp / side)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
-                           check=True)
+        tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", argv[0], "src"],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        (tmp / "inputs").mkdir()
+        write_inputs(tmp / "inputs")
+        for side, src in (("a", tree / "src"), ("b", ROOT / "src")):
+            run_side(src, tmp / side)
         print(f"a: {argv[0]}, b: the working tree ({ROOT}); {len(matrix())} runs a side")
         diff = subprocess.run(["diff", "-r", "a", "b"], cwd=tmp)
     print("no difference" if diff.returncode == 0 else "DIFFERENT")

@@ -26,7 +26,7 @@ from .corpus import FORMATS, CorpusError
 from .lexicon import DEFAULT_TAU_ANX, DEFAULT_TAU_CALM, Lexicon, LexiconError, class_terms, load_lexicon
 from .pipeline import FAMILIES, FAMILY_KEYS, ScanResult, scan_corpus
 from .report import Table, base_meta, cell
-from .slicer import Tense, VerbTableError, load_verb_tables
+from .slicer import Tense, VerbTableError
 from .stats import DEFAULT_ALPHA, ConstantInputError, InsufficientSampleError, welch_t
 
 EXIT_OK = 0
@@ -90,9 +90,8 @@ def _load_lexicon(args: argparse.Namespace) -> Lexicon:
 def _scan(args: argparse.Namespace, families: tuple[str, ...]) -> ScanResult:
     # Only the class map is kept: the associations are freed before the scan.
     class_map = _load_lexicon(args).class_map
-    tables = load_verb_tables(args.verb_tables) if "tense" in families else None
     res = scan_corpus(*args.corpus, class_map=class_map, families=families, fmt=args.format,
-                      tables=tables, workers=args.workers)
+                      verb_tables=getattr(args, "verb_tables", None), workers=args.workers)
     if not res.overall.hist:
         raise DataError("zero scoreable posts in the corpus")
     return res

@@ -11,9 +11,10 @@ opened only when its turn comes and cut into blocks of whole lines
 (file index, first line number, lines) blocks, scans each into one new
 ``ScanResult`` and drops it before it takes the next, so it holds the token
 table, one block and the aggregates, whatever the corpus size. The table is
-built from the lexicon's class map alone; the commands free the
-associations before it is built. ``scan_corpus`` binds ``_scan`` to the
-run's arguments and, at one worker (as in every one-block run, since a run
+built from the lexicon's class map and, for a tense slice, the verb tables;
+the commands free the associations before it is built, and ``scan_corpus``
+is the one reader of the verb tables. It binds ``_scan`` to the run's
+arguments and, at one worker (as in every one-block run, since a run
 starts no more workers than it has blocks), runs it on the parent's blocks.
 With more workers it hands the blocks and the bound function to
 ``workers.scan_in_workers``: the parent stays the only reader of a corpus
@@ -52,7 +53,6 @@ from .slicer import (
     PRONOUN_KEYS_BY_BITS,
     PRONOUNS,
     Tense,
-    VerbTables,
     load_verb_tables,
     tense_of,
     token_table,
@@ -262,10 +262,16 @@ def scan_corpus(
     class_map: dict[str, int],
     families: Iterable[str] = FAMILIES,
     fmt: str = "jsonl",
-    tables: VerbTables | None = None,
+    verb_tables: str | None = None,
     workers: int = 1,
 ) -> ScanResult:
     """Scan one or more corpus files as one stream of posts.
+
+    ``verb_tables`` is the directory of the verb tables (``--verb-tables``),
+    or None for the bundled ones. It is read only when ``"tense"`` is among
+    the families, after the format check and before any corpus file is
+    opened, so a bad directory is a VerbTableError that comes before every
+    CorpusError; without a tense slice it is never read.
 
     The aggregates do not depend on the worker count or on how the posts
     are split into files: every field is an exact sum. The recorded skip
@@ -277,10 +283,7 @@ def scan_corpus(
         raise ValueError("workers must be >= 1")
     if fmt not in FORMATS:
         raise CorpusError(f"unknown corpus format {fmt!r}")
-    if "tense" not in families:
-        tables = None
-    elif tables is None:
-        tables = load_verb_tables()
+    tables = load_verb_tables(verb_tables) if "tense" in families else None
     scan = partial(_scan, paths, fmt, families, token_table(class_map, tables))
 
     # Every path is checked before the first block is read, so a missing or

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -361,6 +362,22 @@ def test_compare_checks_slice_keys_before_the_scan(workdir, capsys, monkeypatch)
         assert run("compare", "--lexicon", MINI_LEX, "--corpus", corpus,
                    "--slice-a", "hour=24", "--slice-b", "hour=8") == 1
         assert capsys.readouterr().err == "anxarc: error: no such slice: 'hour=24'\n"
+
+
+@pytest.mark.parametrize("sig,code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)])
+def test_signal_during_a_run_prints_one_line(workdir, capsys, monkeypatch, sig, code):
+    # The same run in this process, so the handler's lines are traced: a
+    # SIGINT arrives as KeyboardInterrupt, a SIGTERM through cli's handler.
+    def interrupted_scan(*paths, **kwargs):
+        if sig == signal.SIGINT:
+            raise KeyboardInterrupt
+        os.kill(os.getpid(), sig)
+
+    monkeypatch.setattr(cli, "scan_corpus", interrupted_scan)
+    previous = signal.getsignal(signal.SIGTERM)
+    assert run("analyze-hour", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS) == code
+    assert capsys.readouterr() == ("", "anxarc: interrupted\n")
+    assert signal.getsignal(signal.SIGTERM) is previous
 
 
 def test_compare_rejects_a_slice_of_more_than_one_line(workdir, capsys, monkeypatch):
@@ -1057,6 +1074,27 @@ def test_verb_tables_invalid_utf8_exits_1(workdir, capsys):
     err = capsys.readouterr().err
     assert_one_error_line(code, err, 1)
     assert "ed_stoplist.txt" in err
+
+
+def test_verb_tables_of_a_compare_without_tense_are_never_read(workdir, capsys):
+    # Two weekday slices of two posts each: a missing --verb-tables directory
+    # changes neither the exit code nor a byte of the report or of stdout.
+    argv = ["compare", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
+            "--slice-a", "weekday=mon", "--slice-b", "weekday=tue", "--out", "o"]
+    seen = []
+    for extra in ([], ["--verb-tables", "no_such_dir"]):
+        assert run(*argv, *extra) == 0
+        seen.append(((workdir / "o" / "compare.csv").read_bytes(), capsys.readouterr()))
+    assert seen[0] == seen[1]
+
+
+def test_verb_tables_are_read_before_the_corpus(workdir, capsys):
+    code = run("compare", "--lexicon", MINI_LEX, "--corpus", "no_such_corpus.jsonl",
+               "--slice-a", "tense=past", "--slice-b", "tense=future",
+               "--verb-tables", "no_such_dir", "--out", "o")
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err, 1)
+    assert err.startswith("anxarc: config error: cannot read verb table no_such_dir"), err
 
 
 @pytest.mark.parametrize("text", [

@@ -251,6 +251,23 @@ def test_tsv_header_skipped_silently():
     assert [n for n, _ in data_lines(block, 1, "jsonl")] == [1, 2]
 
 
+@pytest.mark.parametrize("fmt,lines,reason", [
+    ("jsonl", [GOOD_JSONL, GOOD_JSONL], "invalid JSON: Unexpected UTF-8 BOM"),
+    ("tsv", ["id\ttext\ttimestamp_utc\ttimezone", "1\thi\t2020-01-01T00:00:00Z\tUTC"],
+     "bad timestamp: not an RFC 3339 date-time: 'timestamp_utc'"),
+])
+def test_byte_order_mark_spoils_the_first_line_of_a_corpus(tmp_path, lexicon, fmt, lines,
+                                                           reason):
+    # A corpus is not stripped of a leading UTF-8 byte order mark: the first
+    # JSONL record is a parse skip, and a TSV header is no longer a header
+    # but a malformed record.
+    path = tmp_path / f"corpus.{fmt}"
+    path.write_bytes(b"\xef\xbb\xbf" + "".join(line + "\n" for line in lines).encode("utf-8"))
+    res = scan_corpus(str(path), class_map=lexicon.class_map, families=("hour",), fmt=fmt)
+    assert res.counts["n_records"] == 2 and res.counts["n_parse_skips"] == 1
+    assert [(e.line_no, e.reason.startswith(reason)) for e in res.skip_events] == [(1, True)]
+
+
 def test_empty_file_empty_stream():
     assert file_blocks(b"", 4) == []
     assert list(data_lines([], 1, "jsonl")) == []

@@ -77,6 +77,24 @@ def test_malformed_lines_rejected(text):
         loads_lexicon(text)
 
 
+@pytest.mark.parametrize("text,value", [
+    # Python's float() grammar: a sign, an exponent, "_" between digits and
+    # any Unicode decimal digits load.
+    ("+1.5", 1.5), ("1e0", 1.0), ("0.5_0", 0.5), ("١.٥", 1.5), ("１.5", 1.5),
+    # It also reads these, which then fail the range check.
+    ("nan", "outside"), ("inf", "outside"), ("-Infinity", "outside"),
+    ("0x1", "non-numeric"), ("1,5", "non-numeric"),
+])
+def test_association_grammar(text, value):
+    if isinstance(value, str):
+        with pytest.raises(LexiconParseError, match=value):
+            loads_lexicon(f"panic\t{text}\n")
+        return
+    code = expected_code(value)
+    assert loads_lexicon(f"panic\t{text}\n") == (
+        Lexicon({"panic": code}, set()) if code else Lexicon({}, {"panic"}))
+
+
 def test_parse_error_carries_correct_line_number():
     with pytest.raises(LexiconParseError) as exc:
         loads_lexicon("fine\t1.0\nbad\toops\n")

@@ -229,8 +229,7 @@ block_lines = st.lists(
 
 
 @pytest.mark.parametrize("workers,examples", [(1, 300), (2, 15)])
-def test_any_block_size_keeps_the_result(tmp_path, lexicon, tables, workers, examples,
-                                         monkeypatch):
+def test_any_block_size_keeps_the_result(tmp_path, lexicon, workers, examples, monkeypatch):
     # A scan cut into blocks of any size gives the one-block scan's result,
     # skip events with their file and line included.
     path = tmp_path / "corpus.txt"
@@ -246,7 +245,7 @@ def test_any_block_size_keeps_the_result(tmp_path, lexicon, tables, workers, exa
         def scan(size, workers):
             monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
             res = scan_corpus(str(path), class_map=lexicon.class_map, families=FAMILIES, fmt=fmt,
-                              tables=tables, workers=workers)
+                              workers=workers)
             return util.result_state(res), res.skip_events
 
         size = draw.draw(st.integers(1, len(data) + 1))
@@ -334,12 +333,12 @@ def mixed_lines():
 
 
 @pytest.mark.parametrize("workers,examples", [(1, 25), (2, 6)])
-def test_splitting_into_files_keeps_the_result(tmp_path_factory, lexicon, tables, mixed_lines,
+def test_splitting_into_files_keeps_the_result(tmp_path_factory, lexicon, mixed_lines,
                                                workers, examples, monkeypatch):
     tmp = tmp_path_factory.mktemp("split")
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 8192)
     whole = scan_corpus(write_corpus(tmp, mixed_lines), class_map=lexicon.class_map,
-                        families=FAMILIES, tables=tables)
+                        families=FAMILIES)
     expected = util.result_state(whole)
 
     @given(st.sampled_from([1, 2, 4]).flatmap(
@@ -351,8 +350,7 @@ def test_splitting_into_files_keeps_the_result(tmp_path_factory, lexicon, tables
             write_corpus(tmp, mixed_lines[lo:hi], f"part{i}.jsonl")
             for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
         ]
-        res = scan_corpus(*paths, class_map=lexicon.class_map, families=FAMILIES, tables=tables,
-                          workers=workers)
+        res = scan_corpus(*paths, class_map=lexicon.class_map, families=FAMILIES, workers=workers)
         assert util.result_state(res) == expected
 
     check()
@@ -372,7 +370,7 @@ def test_merge_results_accumulates(random_corpus, lexicon):
     assert a.counts["n_records"] == 2 * oracle["n_records"]
 
 
-def test_one_worker_scan_holds_one_block(tmp_path, lexicon, tables, monkeypatch):
+def test_one_worker_scan_holds_one_block(tmp_path, lexicon, monkeypatch):
     # Peak traced memory grows by about one block per block byte: the scan
     # holds the block it is scanning and no copy, no joined block and no
     # block read ahead. A scan that also held the previous block, or a
@@ -380,13 +378,13 @@ def test_one_worker_scan_holds_one_block(tmp_path, lexicon, tables, monkeypatch)
     path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(5), 16_000))
     # A first scan pays for one-time imports and caches; without it, the
     # slope would depend on which test ran first.
-    scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, tables=tables)
+    scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES)
     peaks = {}
     for size in (1 << 18, 1 << 20):
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
         tracemalloc.start()
         try:
-            scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, tables=tables)
+            scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES)
             peaks[size] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -431,7 +429,7 @@ def test_pool_tasks_are_a_small_header_and_the_block_bytes(random_corpus, lexico
         util.assert_no_child_left()
 
 
-def test_block_cut_at_a_line_end_keeps_the_result(tmp_path, lexicon, tables, monkeypatch):
+def test_block_cut_at_a_line_end_keeps_the_result(tmp_path, lexicon, monkeypatch):
     # Every line is as long as GOOD_RECORD, so a block of CHUNK_BYTES ends
     # exactly at a line end, where a buffered file reads one line past it.
     # A worker must split the bytes it is sent into the block's lines.
@@ -442,7 +440,7 @@ def test_block_cut_at_a_line_end_keeps_the_result(tmp_path, lexicon, tables, mon
 
     def scan(size, workers):
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
-        res = scan_corpus(str(path), class_map=lexicon.class_map, families=FAMILIES, tables=tables,
+        res = scan_corpus(str(path), class_map=lexicon.class_map, families=FAMILIES,
                           workers=workers)
         return util.result_state(res), res.skip_events
 
@@ -456,21 +454,19 @@ def test_block_cut_at_a_line_end_keeps_the_result(tmp_path, lexicon, tables, mon
                                             for k in range(18)]
 
 
-def test_two_worker_scan_parent_holds_one_block(tmp_path, lexicon, tables, monkeypatch):
+def test_two_worker_scan_parent_holds_one_block(tmp_path, lexicon, monkeypatch):
     # At two workers the parent reads each block only to cut and number it
     # and drops it before the next, so its traced peak grows by about one
     # block per block byte. A parent that kept the blocks in flight, or
     # their pickles, would grow by several bytes per block byte.
     path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(5), 16_000))
-    scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, tables=tables,
-                workers=2)  # warm-up
+    scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, workers=2)  # warm-up
     peaks = {}
     for size in (1 << 18, 1 << 20):
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
         tracemalloc.start()
         try:
-            scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, tables=tables,
-                        workers=2)
+            scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, workers=2)
             peaks[size] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -650,7 +646,7 @@ def test_worker_results_merge_alike_in_any_order(tmp_path, lexicon, tables, monk
         res = run_worker(*blocks[k::3], scan=scan)
         assert isinstance(res, ScanResult) and res.skip_events
         results.append(res)
-    whole = scan_corpus(*paths, class_map=lexicon.class_map, families=FAMILIES, tables=tables)
+    whole = scan_corpus(*paths, class_map=lexicon.class_map, families=FAMILIES)
     assert whole.counts["n_parse_skips"] > pipeline.MAX_RECORDED_SKIPS
     for order in itertools.permutations(results):
         merged = ScanResult(FAMILIES)
