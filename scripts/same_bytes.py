@@ -18,6 +18,11 @@ The matrix:
   and ``eval-arc`` on it at 1 and 2;
 - ``replicate`` on the seed-1 mixed corpus as one file and as four, at
   ``--workers`` 1, 2 and 3;
+- ``analyze-tense`` and ``replicate`` on the mixed corpus at ``--workers``
+  1 and 2 with a lexicon of the benchmark lexicon's anxiety and calm terms
+  whose only neutral terms are the corpus's real words: verb forms,
+  ``-ed``/``-ing`` words, contractions, future and period words and
+  pronouns;
 - ``synth`` and ``lexicon-stats --out`` on the seed-1 benchmark lexicon;
   ``lexicon-stats`` writes CSV and JSON on both lexicons;
 - the CLI's error cases, on the mini fixtures: a slice that names no bin
@@ -25,8 +30,9 @@ The matrix:
   slices with ``--verb-tables`` naming a missing directory, which is never
   read (exit 0); a ``compare`` of two tense slices with that directory and
   a missing corpus, where the verb tables fail first (exit 1); and a
-  missing corpus file, a lexicon with a duplicate term and a corpus with no
-  scoreable post (exit 2).
+  missing corpus file, a lexicon with a duplicate term, a lexicon with a
+  duplicate term across classes (``road`` neutral, then anxiety) and a
+  corpus with no scoreable post (exit 2).
 
 The seed-1 inputs come from ``scanbench/inputs.py`` and are written once,
 for both sides; the synth corpus by this checkout's generator.
@@ -74,6 +80,16 @@ def write_inputs(folder: Path) -> None:
     (folder / "small_arc.json").write_text(json.dumps(small), encoding="utf-8")
     (folder / "duplicate_lexicon.tsv").write_text("panic\t3.0\ncalm\t-2.0\npanic\t2.0\n",
                                                   encoding="utf-8")
+    (folder / "cross_class_duplicate_lexicon.tsv").write_text(
+        "panic\t3.0\ncalm\t-2.0\nroad\t0.0\nroad\t2.5\n", encoding="utf-8")
+    # The benchmark lexicon's class terms, with the corpus's real words
+    # (the ones the tense and pronoun rules read) as its only neutral terms.
+    real = {w.lower() for w in (*inputs.PRONOUN_FORMS, *inputs.VERB_FORMS, *inputs.FILLERS,
+                                *inputs.CONTRACTIONS)}
+    values = {"anxiety": "2.0", "calm": "-2.0", "neutral": "0.0"}
+    classes = {**classes, "neutral": sorted(real)}
+    (folder / "verbs_lexicon.tsv").write_text(
+        "".join(f"{w}\t{values[c]}\n" for c in values for w in classes[c]), encoding="utf-8")
     (folder / "unscoreable.jsonl").write_text("not json\n", encoding="utf-8")
 
 
@@ -94,6 +110,10 @@ def matrix() -> dict[str, list[str]]:
                 "replicate", *bench, "--corpus", *map(inp, files), "--workers", workers]
         if workers == "3":
             continue
+        for command in ("analyze-tense", "replicate"):
+            runs[f"verbs-mixed-{command}-w{workers}"] = [
+                command, "--lexicon", inp("verbs_lexicon.tsv"), "--corpus", inp("mixed.jsonl"),
+                "--workers", workers]
         runs[f"synth-eval-arc-w{workers}"] = ["eval-arc", *scan, "--arc-spec", inp("arc.json")]
         scan = [*mini, "--corpus", inp("mini_corpus.jsonl"), "--workers", workers]
         for command in SCANS:
@@ -118,6 +138,9 @@ def matrix() -> dict[str, list[str]]:
     runs["error-missing-corpus"] = ["analyze-hour", *mini, "--corpus", inp("no_such_corpus.jsonl")]
     runs["error-duplicate-term"] = ["analyze-hour", "--lexicon", inp("duplicate_lexicon.tsv"),
                                     "--corpus", inp("mini_corpus.jsonl")]
+    runs["error-cross-class-duplicate-term"] = [
+        "analyze-hour", "--lexicon", inp("cross_class_duplicate_lexicon.tsv"),
+        "--corpus", inp("mini_corpus.jsonl")]
     runs["error-no-scoreable-post"] = ["analyze-hour", *mini, "--corpus", inp("unscoreable.jsonl")]
     return runs
 

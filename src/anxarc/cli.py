@@ -23,7 +23,7 @@ from contextlib import contextmanager
 
 from . import __version__
 from .corpus import FORMATS, CorpusError
-from .lexicon import DEFAULT_TAU_ANX, DEFAULT_TAU_CALM, Lexicon, LexiconError, class_terms, load_lexicon
+from .lexicon import DEFAULT_TAU_ANX, DEFAULT_TAU_CALM, LexiconError, class_terms, load_lexicon
 from .pipeline import FAMILIES, FAMILY_KEYS, ScanResult, scan_corpus
 from .report import Table, base_meta, cell
 from .slicer import Tense, VerbTableError
@@ -83,14 +83,18 @@ def _check(args: argparse.Namespace) -> None:
         )
 
 
-def _load_lexicon(args: argparse.Namespace) -> Lexicon:
+def _load_lexicon(args: argparse.Namespace) -> dict[str, int]:
     return load_lexicon(args.lexicon, (args.tau_anx, args.tau_calm))
 
 
+def _class_map(args: argparse.Namespace) -> dict[str, int]:
+    # A scan is handed the anxiety and calm terms only: the neutral terms
+    # (most of a lexicon) are freed before its token table is built.
+    return {term: code for term, code in _load_lexicon(args).items() if code}
+
+
 def _scan(args: argparse.Namespace, families: tuple[str, ...]) -> ScanResult:
-    # Only the class map is kept: the associations are freed before the scan.
-    class_map = _load_lexicon(args).class_map
-    res = scan_corpus(*args.corpus, class_map=class_map, families=families, fmt=args.format,
+    res = scan_corpus(*args.corpus, class_map=_class_map(args), families=families, fmt=args.format,
                       verb_tables=getattr(args, "verb_tables", None), workers=args.workers)
     if not res.overall.hist:
         raise DataError("zero scoreable posts in the corpus")
@@ -263,8 +267,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_eval_arc(args: argparse.Namespace) -> int:
     with _synth() as synth:
         spec = synth.ArcSpec.from_json(args.arc_spec)
-        report = synth.evaluate_arc(args.corpus, _load_lexicon(args).class_map, spec,
-                                    workers=args.workers)
+        report = synth.evaluate_arc(args.corpus, _class_map(args), spec, workers=args.workers)
     table = Table(
         name="arc",
         meta=base_meta(
@@ -365,7 +368,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="anxarc",
-        description="Lexicon-based anxiety scoring and temporal arc analysis of post streams.",
+        description="Anxiety scoring with a word lexicon and temporal arc analysis of post streams.",
         epilog="Each command takes only the options it reads; each can also be set by an ANXARC_* "
                "variable (--tau-anx by ANXARC_TAU_ANX). An empty one is unset; the command line wins.",
     )

@@ -5,16 +5,17 @@ record per line (lines end at ``\n``, as in a corpus), UTF-8, with an
 optional literal ``term<TAB>association`` header. Associations are real
 values in [-3.0, +3.0]; positive means anxiety-associated, negative means
 calmness-associated. Terms are single words and are lower-cased at load.
-A loaded ``Lexicon`` holds the class map that the text kernel reads and
-the set of neutral terms; no association value is kept. The loader reads
-and decodes one line at a time and never holds the whole file.
-``class_terms`` splits a loaded lexicon into its sorted anxiety, calm and
-neutral terms: ``lexicon-stats`` counts them and ``synth`` draws from them.
+A loaded lexicon is one dict that maps every term to its class code:
+``ANX``, ``CALM`` or 0 for a neutral term, the codes of the text kernel's
+token table; no association value is kept. The loader reads and decodes
+one line at a time and never holds the whole file. ``class_terms`` splits
+a loaded lexicon into its sorted anxiety, calm and neutral terms:
+``lexicon-stats`` counts them and ``synth`` draws from them.
 """
 
 from __future__ import annotations
 
-from typing import IO, NamedTuple
+from typing import IO
 
 from ._kernel import ANX, CALM
 
@@ -52,35 +53,25 @@ class EmptyLexiconError(LexiconError):
     """The source contained no records."""
 
 
-class Lexicon(NamedTuple):
-    """A loaded lexicon, built by ``load_lexicon``.
-
-    ``class_map`` is the compact term -> {ANX, CALM} dict consumed by the
-    text kernel: the terms at or beyond a threshold. ``neutral`` holds the
-    other terms.
-    """
-
-    class_map: dict[str, int]
-    neutral: set[str]
-
-
-def class_terms(lexicon: Lexicon) -> tuple[list[str], list[str], list[str]]:
+def class_terms(lexicon: dict[str, int]) -> tuple[list[str], list[str], list[str]]:
     """The sorted anxiety, calm and neutral terms; each term is in exactly one."""
-    anx = sorted(term for term, code in lexicon.class_map.items() if code == ANX)
-    calm = sorted(term for term, code in lexicon.class_map.items() if code == CALM)
-    return anx, calm, sorted(lexicon.neutral)
+    pools: dict[int, list[str]] = {ANX: [], CALM: [], 0: []}
+    for term, code in lexicon.items():
+        pools[code].append(term)
+    return sorted(pools[ANX]), sorted(pools[CALM]), sorted(pools[0])
 
 
 def load_lexicon(
     source: str | IO[bytes],
     thresholds: tuple[float, float] = (DEFAULT_TAU_ANX, DEFAULT_TAU_CALM),
-) -> Lexicon:
+) -> dict[str, int]:
     """Load a TSV lexicon from a path or an open binary stream; a stream is
     read once from its current position and never sought.
 
-    A term is anxiety at or above ``tau_anx`` and calm at or below
-    ``tau_calm``. Raises LexiconParseError, DuplicateTermError, or
-    EmptyLexiconError on malformed input.
+    Returns term -> class code: ``ANX`` at or above ``tau_anx``, ``CALM``
+    at or below ``tau_calm``, 0 (neutral) between them. Raises
+    LexiconParseError, DuplicateTermError, or EmptyLexiconError on
+    malformed input.
     """
     tau_anx, tau_calm = thresholds
     if not (tau_calm < 0.0 < tau_anx):
@@ -91,8 +82,7 @@ def load_lexicon(
         with open(source, "rb") as fh:
             return load_lexicon(fh, thresholds)
 
-    class_map: dict[str, int] = {}
-    neutral: set[str] = set()
+    lexicon: dict[str, int] = {}
     lines = enumerate(source, start=1)
     offset = 0  # bytes of the file before the line being decoded
     try:
@@ -129,14 +119,9 @@ def load_lexicon(
                         line_no,
                         f"association {value} outside [{ASSOC_MIN}, {ASSOC_MAX}]",
                     )
-                if term in class_map or term in neutral:
+                if term in lexicon:
                     raise DuplicateTermError(term, line_no)
-                if value >= tau_anx:
-                    class_map[term] = ANX
-                elif value <= tau_calm:
-                    class_map[term] = CALM
-                else:
-                    neutral.add(term)
+                lexicon[term] = ANX if value >= tau_anx else CALM if value <= tau_calm else 0
         except LexiconError:
             # A bad byte anywhere is reported ahead of a malformed record:
             # decode the rest of the file to find one.
@@ -147,6 +132,6 @@ def load_lexicon(
     except UnicodeDecodeError as exc:
         raise LexiconParseError(line_no, f"invalid UTF-8 at byte {offset + exc.start}") from None
 
-    if not class_map and not neutral:
+    if not lexicon:
         raise EmptyLexiconError("lexicon source contains no records")
-    return Lexicon(class_map, neutral)
+    return lexicon

@@ -11,11 +11,14 @@ opened only when its turn comes and cut into blocks of whole lines
 (file index, first line number, lines) blocks, scans each into one new
 ``ScanResult`` and drops it before it takes the next, so it holds the token
 table, one block and the aggregates, whatever the corpus size. The table is
-built from the lexicon's class map and, for a tense slice, the verb tables;
-the commands free the associations before it is built, and ``scan_corpus``
-is the one reader of the verb tables. It binds ``_scan`` to the run's
-arguments and, at one worker (as in every one-block run, since a run
-starts no more workers than it has blocks), runs it on the parent's blocks.
+built from a class map (term -> class code, as ``load_lexicon`` returns it)
+and, for a tense slice, the verb tables. A 0-coded (neutral) term in the map
+gives the same scan as its absence, but the commands pass only the anxiety
+and calm terms, so the neutral terms are freed before the table is built.
+``scan_corpus`` is the one reader of the verb tables. It binds ``_scan`` to
+the run's arguments and, at one worker (as in every one-block run, since a
+run starts no more workers than it has blocks), runs it on the parent's
+blocks.
 With more workers it hands the blocks and the bound function to
 ``workers.scan_in_workers``: the parent stays the only reader of a corpus
 file, each forked worker runs the function on the blocks it is sent, and

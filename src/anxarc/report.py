@@ -11,7 +11,8 @@ boolean ``true``/``false``, a float ``%.6e`` in a column named ``p`` and
 ``%.6f`` in any other (so a non-finite float is ``inf``, ``-inf`` or
 ``nan``), and any other value its ``str``. A CSV meta value is its ``str``
 kept to one line (``_META_ESCAPES``). JSON keeps values as they are,
-but a non-finite float is the string its CSV cell holds.
+but a non-finite float is the string its CSV cell holds. In either format
+a lone surrogate is written as its escape (``\\udcff``).
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ class Table(NamedTuple):
     def write(self, directory: str, fmt: str) -> str:
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"{self.name}.{fmt}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        # A meta value such as a path from an undecodable file name holds a
+        # lone surrogate; it is written as its escape, ``\udcff``.
+        with open(path, "w", encoding="utf-8", errors="backslashreplace", newline="\n") as fh:
             fh.write(self.to_json() if fmt == "json" else self.to_csv())
         return path
 

@@ -12,8 +12,9 @@ all draws are derived from ``random()`` only, so identical (spec, lexicon)
 inputs produce byte-identical corpora anywhere. Each bin uses its own
 generator seeded from (seed, bin index), which keeps per-bin output
 independent of generation order. A post's words are drawn from the sorted
-pools of ``lexicon.class_terms``, and its record is one fixed frame around
-the JSON-escaped text: the bytes of ``json.dumps`` of the four-key record
+pools that ``lexicon.class_terms`` splits a loaded lexicon (term -> class
+code) into, and its record is one fixed frame around the JSON-escaped
+text: the bytes of ``json.dumps`` of the four-key record
 (``ensure_ascii=False``), since the id, the stamp and ``UTC`` are ASCII
 with nothing to escape.
 """
@@ -25,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import IO
 
-from .lexicon import Lexicon, class_terms
+from .lexicon import class_terms
 from .pipeline import FAMILY_KEYS, scan_corpus
 from .stats import pearson, spearman
 
@@ -161,7 +162,7 @@ class ArcReport:
     spearman_r: float
 
 
-def _class_terms(lexicon: Lexicon) -> tuple[list[str], list[str], list[str]]:
+def _class_terms(lexicon: dict[str, int]) -> tuple[list[str], list[str], list[str]]:
     """``class_terms``, with a term of each class required."""
     pools = class_terms(lexicon)
     missing = [name for name, pool in zip(("anxiety", "calm", "neutral"), pools) if not pool]
@@ -172,7 +173,7 @@ def _class_terms(lexicon: Lexicon) -> tuple[list[str], list[str], list[str]]:
     return pools
 
 
-def generate(spec: ArcSpec, lexicon: Lexicon, sink: IO[str]) -> int:
+def generate(spec: ArcSpec, lexicon: dict[str, int], sink: IO[str]) -> int:
     """Write a planted-arc corpus as JSONL; returns the number of posts.
 
     Deterministic: identical (spec, lexicon) inputs yield byte-identical
@@ -202,7 +203,7 @@ def generate(spec: ArcSpec, lexicon: Lexicon, sink: IO[str]) -> int:
     return len(spec.bins) * spec.posts_per_bin
 
 
-def generate_file(spec: ArcSpec, lexicon: Lexicon, path: str) -> int:
+def generate_file(spec: ArcSpec, lexicon: dict[str, int], path: str) -> int:
     _class_terms(lexicon)  # checked before the open, which empties an existing file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         return generate(spec, lexicon, fh)

@@ -69,7 +69,7 @@ def test_criterion_1_arc_recovery(lex, acceptance_tmp):
         path = str(acceptance_tmp / "arc_corpus.jsonl")
         n = generate_file(spec, lex, path)
         assert n == 240_000
-        report = evaluate_arc(path, lex.class_map, spec)
+        report = evaluate_arc(path, lex, spec)
         elapsed = time.perf_counter() - start
         print(f"  pearson_r={report.pearson_r:.4f} spearman_r={report.spearman_r:.4f} "
               f"({elapsed:.1f}s)")
@@ -89,7 +89,7 @@ def test_criterion_2_oracle_equivalence(lex, acceptance_tmp, monkeypatch):
             path.write_text("\n".join(util.random_corpus_lines(rng, 1000)) + "\n")
             oracle = util.brute_force_recount(str(path), util.lexicon_text(), tables)
             for workers in (1, 4, 8):
-                res = scan_corpus(str(path), class_map=lex.class_map, families=FAMILIES,
+                res = scan_corpus(str(path), class_map=lex, families=FAMILIES,
                                   workers=workers)
                 assert util.counters_of(res.overall) == oracle["overall"], (case, workers)
                 assert util.counters_of(res.pronoun_overall) == oracle["pronoun_overall"]
@@ -133,7 +133,7 @@ def test_criterion_3_scoring_formula():
 
         def one_post_bin(tokens):
             agg = BinAggregate()
-            BinAggregate.update_counts([agg], *score_text(" ".join(tokens), lex.class_map)[:3])
+            BinAggregate.update_counts([agg], *score_text(" ".join(tokens), lex)[:3])
             return agg
 
         for a, c, n, u in SCORE_CASES_EXACT:
@@ -196,7 +196,7 @@ def test_criterion_5_pronoun_slicing(lex, acceptance_tmp):
                 expected[p] += 1
         path = acceptance_tmp / "pronouns.jsonl"
         path.write_text("\n".join(json.dumps(p) for p in posts) + "\n")
-        res = scan_corpus(str(path), class_map=lex.class_map, families=("pronoun",))
+        res = scan_corpus(str(path), class_map=lex, families=("pronoun",))
         for p in PRONOUNS:
             assert res.bins["pronoun"][p].summary().n_posts == expected[p], p
         assert res.pronoun_overall.summary().n_posts == n_with

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import util
 from anxarc import cli, pipeline
+from anxarc._kernel import ANX, CALM
 from anxarc.cli import main
 from anxarc.lexicon import LexiconError, class_terms, load_lexicon
 from anxarc.slicer import VerbTableError, load_verb_tables
@@ -113,17 +114,18 @@ def test_no_more_workers_than_blocks(workdir, monkeypatch, fixtures_dir):
 
 
 def test_scan_holds_the_class_map_only(workdir, monkeypatch):
-    # When the first block is scanned, what the lexicon loader allocated and
-    # is still live is the class map: its table and its terms, a fifth of
-    # the lexicon, and not the associations of all its terms.
+    # When the first block is scanned, what the lexicon loader and the CLI
+    # allocated and is still live is the class map: its table and its terms,
+    # a fifth of the lexicon, and not the neutral terms or any association.
     (workdir / "big.tsv").write_text(util.big_lexicon_text(), encoding="utf-8")
     held = []
     real_data_lines = pipeline.data_lines
 
     def data_lines(*args):  # called once per block
         if not held:
-            lexicon_py = tracemalloc.Filter(True, load_lexicon.__code__.co_filename)
-            snapshot = tracemalloc.take_snapshot().filter_traces([lexicon_py])
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, load_lexicon.__code__.co_filename),
+                 tracemalloc.Filter(True, cli.__file__)])
             held.append(sum(stat.size for stat in snapshot.statistics("filename")))
         return real_data_lines(*args)
 
@@ -135,6 +137,33 @@ def test_scan_holds_the_class_map_only(workdir, monkeypatch):
     finally:
         tracemalloc.stop()
     assert held and held[0] < 500_000, held
+
+
+def test_scans_are_handed_the_class_terms_only(workdir, monkeypatch):
+    # replicate and eval-arc hand the scan the anxiety and calm terms of the
+    # lexicon and not its neutral terms: a whole map works alike but keeps
+    # the neutral terms alive through the scan, which raises its peak memory.
+    from anxarc import synth
+
+    class_maps = []
+    real_scan_corpus = pipeline.scan_corpus
+
+    def scan_corpus(*paths, class_map, **kwargs):
+        class_maps.append(class_map)
+        return real_scan_corpus(*paths, class_map=class_map, **kwargs)
+
+    monkeypatch.setattr(cli, "scan_corpus", scan_corpus)
+    monkeypatch.setattr(synth, "scan_corpus", scan_corpus)
+    _write_arc_spec(workdir / "arc.json", posts_per_bin=5)
+    assert run("synth", "--lexicon", MINI_LEX, "--arc-spec", "arc.json",
+               "--out-corpus", "synth.jsonl") == 0
+    assert run("replicate", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS, "--out", "r") == 0
+    assert run("eval-arc", "--lexicon", MINI_LEX, "--arc-spec", "arc.json",
+               "--corpus", "synth.jsonl", "--out", "r", "--workers", "2") == 0
+    lexicon = load_lexicon(MINI_LEX)
+    assert class_terms(lexicon)[2]  # the lexicon has neutral terms to leave out
+    assert class_maps == [{term: code for term, code in lexicon.items() if code}] * 2
+    assert {code for class_map in class_maps for code in class_map.values()} == {ANX, CALM}
 
 
 def test_tsv_corpus_roundtrip(workdir):
@@ -838,6 +867,27 @@ def test_meta_path_with_a_line_break_stays_on_its_line(workdir, fixtures_dir):
     assert "# lexicon=lex\\nx.tsv\n" in report
     golden = (fixtures_dir / "golden" / "hour.csv").read_text(encoding="utf-8")
     assert report.replace("lex\\nx.tsv", MINI_LEX) == golden
+
+
+def test_path_that_is_not_utf8_is_written_escaped(workdir, fixtures_dir, capsys):
+    # A file name whose bytes are not UTF-8 reaches the meta header as lone
+    # surrogates (b"\xff" as "\udcff"). A report writes each as its escape,
+    # in CSV and in JSON, and the run succeeds with no traceback.
+    bad = {"--lexicon": os.fsdecode(b"lex\xff.tsv"), "--corpus": os.fsdecode(b"c\xff.jsonl")}
+    given = {"--lexicon": MINI_LEX, "--corpus": MINI_CORPUS}
+    for option, name in bad.items():
+        shutil.copy(given[option], name)
+        for fmt in ("csv", "json"):
+            paths = {**given, option: name}
+            out = f"out-{option[2:]}-{fmt}"
+            assert run("analyze-hour", *(x for pair in paths.items() for x in pair),
+                       "--out", out, "--out-format", fmt) == 0
+            assert capsys.readouterr().err == ""
+            report = (workdir / out / f"hour.{fmt}").read_text(encoding="utf-8")
+            golden = (fixtures_dir / "golden" / f"hour.{fmt}").read_text(encoding="utf-8")
+            assert report.replace(name.replace("\udcff", "\\udcff"), given[option]) == golden
+            if fmt == "json":
+                assert json.loads(report)["meta"][option[2:]] == name
 
 
 def test_synth_deterministic_and_seed_override(synth_env):

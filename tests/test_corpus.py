@@ -263,7 +263,7 @@ def test_byte_order_mark_spoils_the_first_line_of_a_corpus(tmp_path, lexicon, fm
     # but a malformed record.
     path = tmp_path / f"corpus.{fmt}"
     path.write_bytes(b"\xef\xbb\xbf" + "".join(line + "\n" for line in lines).encode("utf-8"))
-    res = scan_corpus(str(path), class_map=lexicon.class_map, families=("hour",), fmt=fmt)
+    res = scan_corpus(str(path), class_map=lexicon, families=("hour",), fmt=fmt)
     assert res.counts["n_records"] == 2 and res.counts["n_parse_skips"] == 1
     assert [(e.line_no, e.reason.startswith(reason)) for e in res.skip_events] == [(1, True)]
 
@@ -411,11 +411,11 @@ def test_unknown_format_rejected(tmp_path, lexicon):
     path = tmp_path / "corpus.jsonl"
     path.write_text(GOOD_JSONL + "\n", encoding="utf-8")
     with pytest.raises(CorpusError):
-        scan_corpus(str(path), class_map=lexicon.class_map, fmt="xml")
+        scan_corpus(str(path), class_map=lexicon, fmt="xml")
     with pytest.raises(CorpusError):
         parse_record(GOOD_JSONL, "xml")
     with pytest.raises(ValueError):  # a worker count below one
-        scan_corpus(str(path), class_map=lexicon.class_map, workers=0)
+        scan_corpus(str(path), class_map=lexicon, workers=0)
 
 
 def test_missing_file_is_fatal():
@@ -486,7 +486,7 @@ def test_unknown_timezone_is_looked_up_once(tmp_path, lexicon, monkeypatch):
     monkeypatch.setattr(corpus, "ZoneInfo", counting_zone_info)
     corpus._zone.cache_clear()
     try:
-        res = scan_corpus(str(path), class_map=lexicon.class_map, families=("hour",))
+        res = scan_corpus(str(path), class_map=lexicon, families=("hour",))
     finally:
         corpus._zone.cache_clear()
     assert looked_up == ["Mars/Colony"]

@@ -16,7 +16,6 @@ from anxarc.lexicon import (
     EmptyLexiconError,
     LexiconError,
     LexiconParseError,
-    Lexicon,
     class_terms,
     load_lexicon,
 )
@@ -24,29 +23,28 @@ from util import big_lexicon_text, lexicon_text, loads_lexicon, read_assoc, refe
 
 
 def expected_code(value: float, tau_anx: float = DEFAULT_TAU_ANX,
-                  tau_calm: float = DEFAULT_TAU_CALM) -> int | None:
-    """The class code that the threshold rule gives an association; None if neutral."""
+                  tau_calm: float = DEFAULT_TAU_CALM) -> int:
+    """The class code that the threshold rule gives an association; 0 if neutral."""
     if value >= tau_anx:
         return ANX
     if value <= tau_calm:
         return CALM
-    return None
+    return 0
 
 
 def test_load_three_rows():
     lex = loads_lexicon("calm\t-2.5\npanic\t3.0\nroad\t0.0\n", (1.0, -1.0))
-    assert lex.class_map == {"calm": CALM, "panic": ANX}
-    assert lex.neutral == {"road"}
+    assert lex == {"calm": CALM, "panic": ANX, "road": 0}
 
 
 def test_header_line_is_skipped():
     lex = loads_lexicon("term\tassociation\npanic\t3.0\n")
-    assert lex == Lexicon({"panic": ANX}, set())
+    assert lex == {"panic": ANX}
 
 
 def test_byte_stream_input():
     lex = load_lexicon(io.BytesIO(b"panic\t3.0\ncalm\t-2.0\nroad\t0.5\n"))
-    assert lex == Lexicon({"panic": ANX, "calm": CALM}, {"road"})
+    assert lex == {"panic": ANX, "calm": CALM, "road": 0}
 
 
 def test_duplicate_term_is_error():
@@ -90,9 +88,7 @@ def test_association_grammar(text, value):
         with pytest.raises(LexiconParseError, match=value):
             loads_lexicon(f"panic\t{text}\n")
         return
-    code = expected_code(value)
-    assert loads_lexicon(f"panic\t{text}\n") == (
-        Lexicon({"panic": code}, set()) if code else Lexicon({}, {"panic"}))
+    assert loads_lexicon(f"panic\t{text}\n") == {"panic": expected_code(value)}
 
 
 def test_parse_error_carries_correct_line_number():
@@ -137,14 +133,13 @@ def test_bad_thresholds_rejected():
 
 def test_terms_lower_cased_at_load():
     lex = loads_lexicon("PANIC\t3.0\nROAD\t0.0\n")
-    assert lex == Lexicon({"panic": ANX}, {"road"})
+    assert lex == {"panic": ANX, "road": 0}
 
 
 def test_classify_term_boundaries():
     lex = loads_lexicon("panic\t3.0\nroad\t0.0\ncalm\t-2.5\nedge\t1.0\nlow\t-1.0\n", (1.0, -1.0))
-    # edge is at tau_anx and low at tau_calm; neutral road is not in the class map.
-    assert lex.class_map == {"panic": ANX, "calm": CALM, "edge": ANX, "low": CALM}
-    assert lex.neutral == {"road"}
+    # edge is at tau_anx and low at tau_calm; road is neutral, coded 0.
+    assert lex == {"panic": ANX, "road": 0, "calm": CALM, "edge": ANX, "low": CALM}
 
 
 def test_stats_hand_count():
@@ -173,32 +168,31 @@ def test_stats_partition_on_random_lexicons():
 def test_classify_consistent_with_stats(lexicon):
     codes = [expected_code(v) for v in read_assoc(lexicon_text()).values()]
     assert tuple(map(len, class_terms(lexicon))) == (
-        codes.count(ANX), codes.count(CALM), codes.count(None))
+        codes.count(ANX), codes.count(CALM), codes.count(0))
 
 
 def test_exactly_one_class_per_entry(lexicon):
-    assert set(lexicon.class_map).isdisjoint(lexicon.neutral)
-    assert set(lexicon.class_map) | lexicon.neutral == set(read_assoc(lexicon_text()))
-    assert set(lexicon.class_map.values()) <= {ANX, CALM}
+    assert set(lexicon) == set(read_assoc(lexicon_text()))
+    assert set(lexicon.values()) <= {ANX, CALM, 0}
     # Each loaded term is in exactly one sorted list: the one of its class.
     anx, calm, neutral = class_terms(lexicon)
     assert all(terms == sorted(terms) for terms in (anx, calm, neutral))
-    assert sorted(anx + calm + neutral) == sorted(set(lexicon.class_map) | lexicon.neutral)
-    assert [lexicon.class_map[t] for t in anx + calm] == [ANX] * len(anx) + [CALM] * len(calm)
+    assert sorted(anx + calm + neutral) == sorted(lexicon)
+    assert [lexicon[t] for t in anx + calm + neutral] == (
+        [ANX] * len(anx) + [CALM] * len(calm) + [0] * len(neutral))
 
 
 def test_round_trip(lexicon):
     # Each term written back at an association of its class loads to the same lexicon.
-    value = {ANX: 3.0, CALM: -3.0}
-    rows = [f"{t}\t{value[code]}\n" for t, code in lexicon.class_map.items()]
-    rows += [f"{t}\t0.0\n" for t in lexicon.neutral]
+    value = {ANX: 3.0, CALM: -3.0, 0: 0.0}
+    rows = [f"{t}\t{value[code]}\n" for t, code in lexicon.items()]
     assert loads_lexicon("term\tassociation\n" + "".join(rows)) == lexicon
 
 
 def test_class_map_contains_only_affect_terms(lexicon):
     expected = {t: expected_code(v) for t, v in read_assoc(lexicon_text()).items()}
-    assert lexicon.class_map == {t: code for t, code in expected.items() if code is not None}
-    assert lexicon.neutral == {t for t, code in expected.items() if code is None}
+    assert lexicon == expected
+    assert list(lexicon) == list(expected)  # in file order
 
 
 # Lines of a lexicon file: well-formed rows, headers and blank lines, each
@@ -221,21 +215,20 @@ _bad_line = st.one_of(
 
 
 def _outcome(load, raw: bytes, thresholds):
-    """A load's result, as the class map's items in order and the neutral
-    terms, or its error's type, message and line."""
+    """A load's result, as its items in order, or its error's type,
+    message and line."""
     try:
         lex = load(raw, thresholds)
     except LexiconError as exc:
         return type(exc), str(exc), getattr(exc, "line_no", None)
-    return list(lex.class_map.items()), lex.neutral
+    return list(lex.items())
 
 
 @given(st.lists(_good_line, max_size=12), st.lists(_bad_line, max_size=2), st.booleans(),
        st.sampled_from([(DEFAULT_TAU_ANX, DEFAULT_TAU_CALM), (2.0, -0.5)]), st.data())
 def test_line_walk_matches_the_whole_text_loader(lines, bad, newline_at_end, thresholds, data):
     # Walking the lines one at a time gives what decoding the whole file and
-    # splitting it gives: the same class map in the same order and the same
-    # neutral terms, or the same error.
+    # splitting it gives: the same map in the same order, or the same error.
     for line in bad:
         lines.insert(data.draw(st.integers(0, len(lines))), line)
     raw = b"\n".join(lines) + (b"\n" if newline_at_end else b"")
@@ -300,7 +293,7 @@ def test_byte_order_mark_is_a_parse_error():
     with pytest.raises(LexiconParseError) as exc:
         load_lexicon(io.BytesIO(b"\xef\xbb\xbfpanic\t3.0\nx\xff\t1\n"))
     assert str(exc.value) == "line 2: invalid UTF-8 at byte 14"
-    assert loads_lexicon("panic\t3.0\n\ufeffcalm\t-2.0\n").class_map == {
+    assert loads_lexicon("panic\t3.0\n\ufeffcalm\t-2.0\n") == {
         "panic": ANX, "\ufeffcalm": CALM}
 
 
@@ -314,14 +307,14 @@ def test_load_holds_the_file_once():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(lex.class_map) + len(lex.neutral) == 14_000
+    assert len(lex) == 14_000
     assert peak - retained < 0.5 * len(raw), (peak - retained, len(raw))
 
 
 def test_load_streams_the_file(tmp_path):
     # Read from a path, the file is held one line at a time: the loader's
-    # peak over what it returns (a class map and a set of neutral terms,
-    # no association value) is a small part of the file's size.
+    # peak over what it returns (a map of each term to its class code, no
+    # association value) is a small part of the file's size.
     path = tmp_path / "lexicon.tsv"
     path.write_text(big_lexicon_text(), encoding="utf-8")
     size = path.stat().st_size

@@ -3,6 +3,7 @@ from __future__ import annotations
 import errno
 import io
 import itertools
+import json
 import os
 import pickle
 import random
@@ -23,7 +24,16 @@ import util
 from anxarc import cli, pipeline, workers
 from anxarc.corpus import CorpusError
 from anxarc.pipeline import FAMILIES, ScanResult, scan_corpus
-from anxarc.slicer import PRONOUNS, Tense, token_table
+from anxarc.slicer import (
+    AUX_PAST,
+    AUX_PRESENT,
+    FUTURE_BIGRAM_FIRST,
+    FUTURE_BIGRAM_SECOND,
+    FUTURE_SIGNAL_WORDS,
+    PRONOUNS,
+    Tense,
+    token_table,
+)
 from anxarc.workers import _scan_worker, _send
 
 
@@ -65,14 +75,14 @@ def assert_matches_oracle(res: ScanResult, oracle: dict):
 
 def test_scan_matches_brute_force(random_corpus, lexicon):
     path, oracle = random_corpus
-    res = scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES)
+    res = scan_corpus(path, class_map=lexicon, families=FAMILIES)
     assert_matches_oracle(res, oracle)
 
 
 def test_scan_parallel_matches_brute_force(random_corpus, lexicon, monkeypatch):
     path, oracle = random_corpus
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 16384)
-    res = scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, workers=4)
+    res = scan_corpus(path, class_map=lexicon, families=FAMILIES, workers=4)
     assert_matches_oracle(res, oracle)
 
 
@@ -80,7 +90,7 @@ def test_worker_counts_agree_exactly(random_corpus, lexicon, monkeypatch):
     path, _ = random_corpus
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 32768)
     results = [
-        scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, workers=w)
+        scan_corpus(path, class_map=lexicon, families=FAMILIES, workers=w)
         for w in (1, 2, 3, 4)
     ]
     base = results[0]
@@ -94,13 +104,13 @@ def test_families_limit_work(random_corpus, lexicon, monkeypatch):
     # bin of the full scan, whatever the worker count.
     path, oracle = random_corpus
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 65536)
-    full = scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES)
+    full = scan_corpus(path, class_map=lexicon, families=FAMILIES)
     assert_matches_oracle(full, oracle)
     want = util.result_state(full)
     for n in range(1, len(FAMILIES) + 1):
         for families in itertools.combinations(FAMILIES, n):
             for workers in (1, 2):
-                res = scan_corpus(path, class_map=lexicon.class_map, families=families,
+                res = scan_corpus(path, class_map=lexicon, families=families,
                                   workers=workers)
                 got = util.result_state(res)
                 where = (families, workers)
@@ -116,7 +126,7 @@ def test_tz_skips_exclude_time_bins_only(tmp_path, lexicon):
         '{"id":"2","text":"i went home","timestamp_utc":"2020-01-01T05:00:00Z","timezone":"UTC"}',
     ]
     path = write_corpus(tmp_path, lines)
-    res = scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES)
+    res = scan_corpus(path, class_map=lexicon, families=FAMILIES)
     assert res.counts["n_tz_skips"] == 1
     assert res.overall.summary().n_posts == 2  # bad-tz post still scored overall
     assert sum(a.summary().n_posts for a in res.bins["hour"].values()) == 1
@@ -131,7 +141,7 @@ def test_parse_and_empty_skips_counted(tmp_path, lexicon):
         '{"id":"2","text":"neut000","timestamp_utc":"2020-01-01T05:00:00Z","timezone":"UTC"}',
     ]
     path = write_corpus(tmp_path, lines)
-    res = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
+    res = scan_corpus(path, class_map=lexicon, families=("hour",))
     assert res.counts["n_records"] == 3
     assert res.counts["n_parse_skips"] == 1
     assert res.counts["n_empty_skips"] == 1
@@ -160,7 +170,7 @@ def test_invalid_utf8_line_is_a_parse_skip(tmp_path, lexicon, workers, monkeypat
     path = tmp_path / "corpus.jsonl"
     bad = b'{"id":"2","text":"bad \xff\xfe","timestamp_utc":"2020-01-01T05:00:00Z","timezone":"UTC"}'
     path.write_bytes(b"\n".join([GOOD_RECORD % 1, bad, GOOD_RECORD % 3]) + b"\n")
-    res = scan_corpus(str(path), class_map=lexicon.class_map, families=FAMILIES, workers=workers)
+    res = scan_corpus(str(path), class_map=lexicon, families=FAMILIES, workers=workers)
     assert res.counts["n_records"] == 3
     assert res.counts["n_parse_skips"] == 1
     assert res.overall.summary().n_posts == 2
@@ -198,7 +208,7 @@ def test_any_bytes_scan_without_error(tmp_path, lexicon, workers, examples, monk
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def check(lines):
         path.write_bytes(b"\n".join(lines))
-        res = scan_corpus(str(path), class_map=lexicon.class_map, families=FAMILIES,
+        res = scan_corpus(str(path), class_map=lexicon, families=FAMILIES,
                           workers=workers)
         assert_all_records_accounted(res)
         assert res.counts["n_records"] == sum(map(is_record, lines))
@@ -244,7 +254,7 @@ def test_any_block_size_keeps_the_result(tmp_path, lexicon, workers, examples, m
 
         def scan(size, workers):
             monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
-            res = scan_corpus(str(path), class_map=lexicon.class_map, families=FAMILIES, fmt=fmt,
+            res = scan_corpus(str(path), class_map=lexicon, families=FAMILIES, fmt=fmt,
                               workers=workers)
             return util.result_state(res), res.skip_events
 
@@ -259,7 +269,7 @@ def test_skip_events_name_their_file(tmp_path, lexicon, workers, monkeypatch):
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 16)
     first = write_corpus(tmp_path, ["bad one", GOOD_RECORD.decode() % 1, "bad two"], "a.jsonl")
     second = write_corpus(tmp_path, [GOOD_RECORD.decode() % 2, "", "bad three"], "b.jsonl")
-    res = scan_corpus(first, second, class_map=lexicon.class_map, families=FAMILIES,
+    res = scan_corpus(first, second, class_map=lexicon, families=FAMILIES,
                       workers=workers)
     assert [(e.path, e.line_no) for e in res.skip_events] == [
         (first, 1), (first, 3), (second, 3)
@@ -274,7 +284,7 @@ def test_missing_later_corpus_fails_before_any_record_is_read(tmp_path, lexicon,
     real_parse = pipeline.parse_record
     monkeypatch.setattr(pipeline, "parse_record", lambda *a: parsed.append(a) or real_parse(*a))
     with pytest.raises(CorpusError, match="missing.jsonl"):
-        scan_corpus(first, str(tmp_path / "missing.jsonl"), class_map=lexicon.class_map, workers=1)
+        scan_corpus(first, str(tmp_path / "missing.jsonl"), class_map=lexicon, workers=1)
     assert parsed == []
 
 
@@ -306,14 +316,14 @@ def test_corpus_that_is_not_a_regular_file_is_refused(tmp_path, lexicon, monkeyp
             for paths in ((other,), (first, other)):
                 signal.alarm(10)
                 with pytest.raises(CorpusError, match=f"not a regular file: {other}$"):
-                    scan_corpus(*paths, class_map=lexicon.class_map, workers=2)
+                    scan_corpus(*paths, class_map=lexicon, workers=2)
         monkeypatch.setattr(pipeline, "_blocks", read_then_replace)
         for workers in (1, 2):
             second.unlink(missing_ok=True)
             second.write_bytes(GOOD_RECORD % 9 + b"\n")
             signal.alarm(10)
             with pytest.raises(CorpusError, match=f"not a regular file: {re.escape(str(second))}$"):
-                scan_corpus(first, str(second), class_map=lexicon.class_map, workers=workers)
+                scan_corpus(first, str(second), class_map=lexicon, workers=workers)
             util.assert_no_child_left()
     finally:
         signal.alarm(0)
@@ -337,7 +347,7 @@ def test_splitting_into_files_keeps_the_result(tmp_path_factory, lexicon, mixed_
                                                workers, examples, monkeypatch):
     tmp = tmp_path_factory.mktemp("split")
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 8192)
-    whole = scan_corpus(write_corpus(tmp, mixed_lines), class_map=lexicon.class_map,
+    whole = scan_corpus(write_corpus(tmp, mixed_lines), class_map=lexicon,
                         families=FAMILIES)
     expected = util.result_state(whole)
 
@@ -350,8 +360,53 @@ def test_splitting_into_files_keeps_the_result(tmp_path_factory, lexicon, mixed_
             write_corpus(tmp, mixed_lines[lo:hi], f"part{i}.jsonl")
             for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
         ]
-        res = scan_corpus(*paths, class_map=lexicon.class_map, families=FAMILIES, workers=workers)
+        res = scan_corpus(*paths, class_map=lexicon, families=FAMILIES, workers=workers)
         assert util.result_state(res) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("workers,examples", [(1, 150), (2, 10)])
+def test_neutral_terms_in_the_class_map_keep_the_scan(tmp_path_factory, lexicon, tables,
+                                                      workers, examples, monkeypatch):
+    # A 0-coded (neutral) term in the class map scans as its absence in every
+    # family, also when it is a word the tense or pronoun rules read: the
+    # token table computes each key's rule bits itself.
+    tmp = tmp_path_factory.mktemp("neutral")
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 2048)
+    class_map = {term: code for term, code in lexicon.items() if code}
+    # The words of the rules, a few of each table, and -ed/-ing words that
+    # only the suffix rules read.
+    rule_words = sorted({
+        *sorted(tables.irregular_past)[::40], *sorted(tables.irregular_base)[::40],
+        *sorted(tables.ed_stoplist)[::10],
+        *(base + "s" for base in sorted(tables.irregular_base)[::80]),
+        *AUX_PAST, *AUX_PRESENT, *FUTURE_SIGNAL_WORDS, FUTURE_BIGRAM_FIRST, *FUTURE_BIGRAM_SECOND,
+        *PRONOUNS, "walked", "wanted", "played", "bed", "seed", "working", "morning", "thing",
+        "sing", "bring",
+    })
+
+    @given(st.lists(st.sampled_from(rule_words), min_size=1, max_size=30), st.data())
+    @settings(max_examples=examples, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def check(neutral, data):
+        # Posts of the neutral terms, class terms and other rule words.
+        words = st.one_of(st.sampled_from(neutral), st.sampled_from([*class_map, *rule_words]))
+        texts = st.lists(words, max_size=12).map(" ".join)
+        zones = st.sampled_from([*util.TIMEZONES, "Mars/Colony"])
+        records = data.draw(st.lists(st.tuples(texts, st.integers(0, 6 * 24 * 3600), zones),
+                                     max_size=80))
+        lines = [json.dumps({"id": str(i), "text": text, "timezone": tz,
+                             "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                                            time.gmtime(1_600_000_000 + sec))})
+                 for i, (text, sec, tz) in enumerate(records)]
+        path = write_corpus(tmp, [*lines, "not json"])
+        whole = class_map | dict.fromkeys(neutral, 0)
+        for family in FAMILIES:
+            got, want = (scan_corpus(path, class_map=m, families=(family,), workers=workers)
+                         for m in (whole, class_map))
+            assert util.result_state(got) == util.result_state(want)
+            assert got.skip_events == want.skip_events
 
     check()
 
@@ -363,8 +418,8 @@ def test_unknown_family_rejected(lexicon):
 
 def test_merge_results_accumulates(random_corpus, lexicon):
     path, oracle = random_corpus
-    a = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
-    b = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
+    a = scan_corpus(path, class_map=lexicon, families=("hour",))
+    b = scan_corpus(path, class_map=lexicon, families=("hour",))
     a.merge_from(b)
     assert a.overall.summary().n_posts == 2 * oracle["overall"][0]
     assert a.counts["n_records"] == 2 * oracle["n_records"]
@@ -378,13 +433,13 @@ def test_one_worker_scan_holds_one_block(tmp_path, lexicon, monkeypatch):
     path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(5), 16_000))
     # A first scan pays for one-time imports and caches; without it, the
     # slope would depend on which test ran first.
-    scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES)
+    scan_corpus(path, class_map=lexicon, families=FAMILIES)
     peaks = {}
     for size in (1 << 18, 1 << 20):
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
         tracemalloc.start()
         try:
-            scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES)
+            scan_corpus(path, class_map=lexicon, families=FAMILIES)
             peaks[size] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -419,7 +474,7 @@ def test_pool_tasks_are_a_small_header_and_the_block_bytes(random_corpus, lexico
     for chunk_bytes in (size, len(data) // 2 + 1):
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", chunk_bytes)
         sent = spy_worker_blocks(monkeypatch)
-        res = scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, workers=2)
+        res = scan_corpus(path, class_map=lexicon, families=FAMILIES, workers=2)
         assert_matches_oracle(res, oracle)
         assert bool(sent) == (chunk_bytes < len(data))
         assert all(len(pickle.dumps(header)) < 1024 for header, _ in sent)
@@ -440,7 +495,7 @@ def test_block_cut_at_a_line_end_keeps_the_result(tmp_path, lexicon, monkeypatch
 
     def scan(size, workers):
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
-        res = scan_corpus(str(path), class_map=lexicon.class_map, families=FAMILIES,
+        res = scan_corpus(str(path), class_map=lexicon, families=FAMILIES,
                           workers=workers)
         return util.result_state(res), res.skip_events
 
@@ -460,13 +515,13 @@ def test_two_worker_scan_parent_holds_one_block(tmp_path, lexicon, monkeypatch):
     # block per block byte. A parent that kept the blocks in flight, or
     # their pickles, would grow by several bytes per block byte.
     path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(5), 16_000))
-    scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, workers=2)  # warm-up
+    scan_corpus(path, class_map=lexicon, families=FAMILIES, workers=2)  # warm-up
     peaks = {}
     for size in (1 << 18, 1 << 20):
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", size)
         tracemalloc.start()
         try:
-            scan_corpus(path, class_map=lexicon.class_map, families=FAMILIES, workers=2)
+            scan_corpus(path, class_map=lexicon, families=FAMILIES, workers=2)
             peaks[size] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -509,7 +564,7 @@ def test_worker_dead_partway_through_a_message_is_a_corpus_error(tmp_path, lexic
 
         monkeypatch.setattr(workers, "_send", send)
         with pytest.raises(CorpusError, match=f"^{message}$"):
-            scan_corpus(path, class_map=lexicon.class_map, families=["hour"], workers=2)
+            scan_corpus(path, class_map=lexicon, families=["hour"], workers=2)
         util.assert_no_child_left()
 
 
@@ -530,7 +585,7 @@ def test_worker_dead_before_it_reads_its_block_is_a_corpus_error(tmp_path, lexic
 
     monkeypatch.setattr(pickle, "load", load)
     with pytest.raises(CorpusError, match=r"^a scan worker died at \S*corpus\.jsonl line 1$"):
-        scan_corpus(path, class_map=lexicon.class_map, families=["hour"], workers=2)
+        scan_corpus(path, class_map=lexicon, families=["hour"], workers=2)
     util.assert_no_child_left()
 
 
@@ -544,7 +599,7 @@ def test_worker_exception_is_raised_in_the_parent(tmp_path, lexicon, monkeypatch
 
     monkeypatch.setattr(pipeline, "data_lines", fail)
     with pytest.raises(ValueError, match=r"^cannot scan line \d+$"):
-        scan_corpus(path, class_map=lexicon.class_map, families=["hour"], workers=2)
+        scan_corpus(path, class_map=lexicon, families=["hour"], workers=2)
     util.assert_no_child_left()
     # The same worker in this process, without a fork.
     scan = partial(pipeline._scan, (path,), "jsonl", frozenset(["hour"]), {})
@@ -573,7 +628,7 @@ def test_worker_whose_last_message_is_read_is_reaped_not_killed(tmp_path, lexico
     monkeypatch.setattr(pipeline, "data_lines", fail_or_hang)
     monkeypatch.setattr(os, "kill", kill)
     with pytest.raises(ValueError, match=r"^worker \d+ failed$") as info:
-        scan_corpus(path, class_map=lexicon.class_map, families=["hour"], workers=2)
+        scan_corpus(path, class_map=lexicon, families=["hour"], workers=2)
     util.assert_no_child_left()
     failed = int(str(info.value).split()[1])
     assert len(kills) == 1 and kills[0][0] != failed and kills[0][1] == signal.SIGKILL, kills
@@ -615,7 +670,7 @@ def test_worker_read_fault_is_a_corpus_error(tmp_path, lexicon, monkeypatch):
 
             monkeypatch.setattr(pipeline, "_blocks", read_then_fault)
             with pytest.raises(CorpusError) as info:
-                scan_corpus(*map(str, paths), class_map=lexicon.class_map, families=["hour"],
+                scan_corpus(*map(str, paths), class_map=lexicon, families=["hour"],
                             workers=n_workers)
             util.assert_no_child_left()
             assert re.fullmatch(match.format(re.escape(str(paths[2]))), str(info.value))
@@ -639,14 +694,14 @@ def test_worker_results_merge_alike_in_any_order(tmp_path, lexicon, tables, monk
         fh.close()
         files.append((path, key))
     scan = partial(pipeline._scan, tuple(paths), "jsonl", frozenset(FAMILIES),
-                   token_table(lexicon.class_map, tables))
+                   token_table(lexicon, tables))
     blocks = list(pipeline._blocks(files))
     results = []
     for k in range(3):
         res = run_worker(*blocks[k::3], scan=scan)
         assert isinstance(res, ScanResult) and res.skip_events
         results.append(res)
-    whole = scan_corpus(*paths, class_map=lexicon.class_map, families=FAMILIES)
+    whole = scan_corpus(*paths, class_map=lexicon, families=FAMILIES)
     assert whole.counts["n_parse_skips"] > pipeline.MAX_RECORDED_SKIPS
     for order in itertools.permutations(results):
         merged = ScanResult(FAMILIES)
@@ -739,7 +794,7 @@ def test_dead_worker_is_a_corpus_error(tmp_path, lexicon, monkeypatch, when, mes
     else:
         monkeypatch.setattr(pipeline, "_bin_lookups", lambda res: os._exit(1))
     with pytest.raises(CorpusError, match=f"^{message}$"):
-        scan_corpus(path, class_map=lexicon.class_map, families=["hour"], workers=2)
+        scan_corpus(path, class_map=lexicon, families=["hour"], workers=2)
     util.assert_no_child_left()
 
 
@@ -777,7 +832,9 @@ sys.path.insert(0, sys.argv[1])
 from anxarc import cli, pipeline
 
 def wait(*args):
-    print("waiting", os.getpid(), flush=True)
+    # One write, as the two workers share the pipe (print writes each of
+    # its pieces apart when output is unbuffered, and the lines interleave).
+    os.write(1, b"waiting %d\\n" % os.getpid())
     os.close(1)  # only the parent holds the test's pipes: they close when it exits
     os.close(2)
     time.sleep(60)
@@ -839,7 +896,7 @@ from anxarc.lexicon import load_lexicon
 forks, real_fork = [], os.fork
 os.fork = lambda: forks.append(None) or real_fork()
 pipeline.CHUNK_BYTES = 256
-res = pipeline.scan_corpus("corpus.jsonl", class_map=load_lexicon("lexicon.tsv").class_map,
+res = pipeline.scan_corpus("corpus.jsonl", class_map=load_lexicon("lexicon.tsv"),
                            workers=2)
 print(res.counts["n_records"], len(forks), *(m for m in sys.argv[2:] if m in sys.modules))
 """

@@ -21,7 +21,7 @@ LEX = loads_lexicon(
 
 def one_post(tokens: list[str]) -> BinAggregate:
     agg = BinAggregate()
-    BinAggregate.update_counts([agg], *score_text(" ".join(tokens), LEX.class_map)[:3])
+    BinAggregate.update_counts([agg], *score_text(" ".join(tokens), LEX)[:3])
     return agg
 
 
@@ -61,7 +61,7 @@ def test_repeated_tokens_count_each_occurrence():
 
 def test_empty_tokens_error():
     # A post with no tokens has no score; the scan counts it as an empty skip.
-    assert score_text("", LEX.class_map) == (0, 0, 0, 0)
+    assert score_text("", LEX) == (0, 0, 0, 0)
     with pytest.raises(ZeroDivisionError):
         post_score_value(0, 0, 0)
 

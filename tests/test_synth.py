@@ -147,7 +147,7 @@ def test_record_frame_is_json_dumps_of_the_record(axis, n_bins):
                                    "timezone": rec["timezone"]}, ensure_ascii=False)
     # Every hostile term was planted, each escaped as JSON writes it.
     words = set(" ".join(json.loads(line)["text"] for line in lines).split())
-    assert words == set(lex.class_map) | lex.neutral
+    assert words == set(lex)
     assert all(s in buf.getvalue() for s in ('a\\"b', "back\\\\slash", "ctl\\u0001x", "ñandú"))
 
 
@@ -165,7 +165,7 @@ def test_zero_probabilities_give_exactly_zero_scores(lexicon, tmp_path):
     # constant arc has no defined correlation, so recover bins directly.
     from anxarc.pipeline import scan_corpus
 
-    res = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
+    res = scan_corpus(path, class_map=lexicon, families=("hour",))
     for h in range(24):
         assert res.bins["hour"][h].summary().micro_score == 0.0
 
@@ -177,7 +177,7 @@ def test_pure_anxiety_bin_hits_plus_100(lexicon, tmp_path):
     generate_file(spec, lexicon, path)
     from anxarc.pipeline import scan_corpus
 
-    res = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
+    res = scan_corpus(path, class_map=lexicon, families=("hour",))
     assert res.bins["hour"][23].summary().micro_score == 100.0
     assert res.bins["hour"][0].summary().micro_score == 0.0
 
@@ -186,7 +186,7 @@ def test_evaluate_arc_recovers_sinusoid(lexicon, tmp_path):
     spec = sinusoidal_spec(posts_per_bin=400)
     path = str(tmp_path / "sin.jsonl")
     generate_file(spec, lexicon, path)
-    report = evaluate_arc(path, lexicon.class_map, spec)
+    report = evaluate_arc(path, lexicon, spec)
     assert isinstance(report, ArcReport)
     assert report.pearson_r > 0.9
     assert report.spearman_r > 0.8
@@ -199,7 +199,7 @@ def test_evaluate_arc_empty_bin_error(lexicon, tmp_path):
     generate_file(spec, lexicon, path)
     full = flat_spec(posts_per_bin=5)
     with pytest.raises(EmptyBinError) as exc:
-        evaluate_arc(path, lexicon.class_map, full)
+        evaluate_arc(path, lexicon, full)
     assert exc.value.bin_id == 2
 
 
@@ -207,7 +207,7 @@ def test_arc_self_correlation_is_one(lexicon, tmp_path):
     spec = sinusoidal_spec(posts_per_bin=120, seed=5)
     path = str(tmp_path / "self.jsonl")
     generate_file(spec, lexicon, path)
-    report = evaluate_arc(path, lexicon.class_map, spec)
+    report = evaluate_arc(path, lexicon, spec)
     from anxarc.stats import pearson
 
     assert pearson(report.recovered, report.recovered) == 1.0
@@ -225,7 +225,7 @@ def test_weekday_generation_lands_on_weekdays(lexicon, tmp_path):
     generate_file(spec, lexicon, path)
     from anxarc.pipeline import scan_corpus
 
-    res = scan_corpus(path, class_map=lexicon.class_map, families=("weekday",))
+    res = scan_corpus(path, class_map=lexicon, families=("weekday",))
     for d in range(7):
         assert res.bins["weekday"][d].summary().n_posts == 8
 
@@ -241,7 +241,7 @@ def test_unbiased_recovery_at_scale(lexicon, tmp_path):
     generate_file(spec, lexicon, path)
     from anxarc.pipeline import scan_corpus
 
-    res = scan_corpus(path, class_map=lexicon.class_map, families=("hour",))
+    res = scan_corpus(path, class_map=lexicon, families=("hour",))
     assert res.bins["hour"][0].summary().n_tokens == 1_000_000
     assert abs(res.bins["hour"][0].summary().micro_score - 15.0) < 0.5
 
@@ -256,6 +256,6 @@ def test_monotone_fidelity_across_sizes(lexicon, tmp_path):
             spec = sinusoidal_spec(posts_per_bin=size, seed=100 + seed)
             path = str(tmp_path / f"fid_{size}_{seed}.jsonl")
             generate_file(spec, lexicon, path)
-            rs.append(evaluate_arc(path, lexicon.class_map, spec).pearson_r)
+            rs.append(evaluate_arc(path, lexicon, spec).pearson_r)
         means.append(sum(rs) / len(rs))
     assert means[0] <= means[1] <= means[2]

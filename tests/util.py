@@ -26,7 +26,6 @@ from anxarc.lexicon import (
     DEFAULT_TAU_CALM,
     DuplicateTermError,
     EmptyLexiconError,
-    Lexicon,
     LexiconParseError,
     load_lexicon,
 )
@@ -64,12 +63,12 @@ def lexicon_text() -> str:
 def loads_lexicon(
     text: str,
     thresholds: tuple[float, float] = (DEFAULT_TAU_ANX, DEFAULT_TAU_CALM),
-) -> Lexicon:
+) -> dict[str, int]:
     """Load a lexicon from an in-memory string."""
     return load_lexicon(io.BytesIO(text.encode("utf-8")), thresholds)
 
 
-def make_lexicon() -> Lexicon:
+def make_lexicon() -> dict[str, int]:
     return loads_lexicon(lexicon_text())
 
 
@@ -94,7 +93,7 @@ def read_assoc(lexicon_tsv: str) -> dict[str, float]:
     return {term: float(value) for term, value in (row.split("\t") for row in rows)}
 
 
-def reference_load(raw: bytes, thresholds: tuple[float, float]) -> Lexicon:
+def reference_load(raw: bytes, thresholds: tuple[float, float]) -> dict[str, int]:
     """The loader that decodes the whole file and splits the text: the rule
     that ``load_lexicon``, which walks the lines one at a time, must keep
     for every input, errors included. The thresholds are taken as valid."""
@@ -107,8 +106,7 @@ def reference_load(raw: bytes, thresholds: tuple[float, float]) -> Lexicon:
     if text.startswith("\ufeff"):
         raise LexiconParseError(1, "UTF-8 byte order mark at the start of the file")
 
-    class_map: dict[str, int] = {}
-    neutral: set[str] = set()
+    lexicon: dict[str, int] = {}
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -136,18 +134,18 @@ def reference_load(raw: bytes, thresholds: tuple[float, float]) -> Lexicon:
                 line_no,
                 f"association {value} outside [{ASSOC_MIN}, {ASSOC_MAX}]",
             )
-        if term in class_map or term in neutral:
+        if term in lexicon:
             raise DuplicateTermError(term, line_no)
         if value >= tau_anx:
-            class_map[term] = ANX
+            lexicon[term] = ANX
         elif value <= tau_calm:
-            class_map[term] = CALM
+            lexicon[term] = CALM
         else:
-            neutral.add(term)
+            lexicon[term] = 0
 
-    if not class_map and not neutral:
+    if not lexicon:
         raise EmptyLexiconError("lexicon source contains no records")
-    return Lexicon(class_map, neutral)
+    return lexicon
 
 
 def random_post_text(rng: random.Random) -> str:
