@@ -29,7 +29,8 @@ The matrix:
   (``compare --slice-a hour=24``, exit 1); a ``compare`` of two weekday
   slices with ``--verb-tables`` naming a missing directory, which is never
   read (exit 0); a ``compare`` of two tense slices with that directory and
-  a missing corpus, where the verb tables fail first (exit 1); and a
+  a missing corpus, where the verb tables fail first (exit 1); an
+  ``analyze-tense`` with an empty ``--verb-tables`` (exit 1); and a
   missing corpus file, a lexicon with a duplicate term, a lexicon with a
   duplicate term across classes (``road`` neutral, then anxiety) and a
   corpus with no scoreable post (exit 2).
@@ -135,6 +136,7 @@ def matrix() -> dict[str, list[str]]:
     runs["error-compare-tense-verb-tables-first"] = [
         "compare", *mini, "--corpus", inp("no_such_corpus.jsonl"), "--slice-a", "tense=past",
         "--slice-b", "tense=future", *no_verbs]
+    runs["error-analyze-tense-empty-verb-tables"] = ["analyze-tense", *mini_scan, "--verb-tables", ""]
     runs["error-missing-corpus"] = ["analyze-hour", *mini, "--corpus", inp("no_such_corpus.jsonl")]
     runs["error-duplicate-term"] = ["analyze-hour", "--lexicon", inp("duplicate_lexicon.tsv"),
                                     "--corpus", inp("mini_corpus.jsonl")]

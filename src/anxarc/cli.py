@@ -76,6 +76,8 @@ def _check(args: argparse.Namespace) -> None:
         raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
     if "workers" in args and args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    if getattr(args, "verb_tables", None) == "":
+        raise UsageError("--verb-tables must name a directory, got ''")
     if not (args.tau_calm < 0.0 < args.tau_anx):
         raise UsageError(
             f"thresholds must satisfy --tau-calm < 0 < --tau-anx, "

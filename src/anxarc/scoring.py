@@ -11,10 +11,16 @@ in any order. A bin holds two integer sums: a histogram of the
 anxiety-token count ``n_anx``. A report reads a bin through one pass over
 the histogram (``BinAggregate.summary``), which derives its counts, both
 scores and the per-score post counts of the t-tests, all exactly.
+
+A histogram key is one int, ``n * n + n + diff`` for the pair ``(diff, n)``,
+smaller than a tuple in memory and pickled. A token is anxiety or calm,
+never both, so ``|diff| <= n``: the key lies in ``[n**2, n**2 + 2n]``, its
+``math.isqrt`` is ``n``, and the pair decodes exactly.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable, NamedTuple
 
 from .stats import exact_sum
@@ -44,14 +50,16 @@ class BinAggregate:
     __slots__ = ("hist", "n_anx")
 
     def __init__(self) -> None:
-        # (n_anx - n_calm, n_tokens) -> number of posts with that pair.
-        self.hist: dict[tuple[int, int], int] = {}
+        # n_tokens**2 + n_tokens + n_anx - n_calm (unique, as |n_anx - n_calm|
+        # <= n_tokens) -> number of posts with that pair.
+        self.hist: dict[int, int] = {}
         self.n_anx = 0
 
     @staticmethod
     def update_counts(bins: Iterable[BinAggregate], n_tokens: int, n_anx: int, n_calm: int) -> None:
-        """Add one post with ``n_tokens >= 1`` to every bin in ``bins``."""
-        key = (n_anx - n_calm, n_tokens)
+        """Add one post to every bin in ``bins``; needs ``n_tokens >= 1`` and
+        ``n_anx + n_calm <= n_tokens``."""
+        key = n_tokens * n_tokens + n_tokens + n_anx - n_calm
         for agg in bins:
             agg.n_anx += n_anx
             hist = agg.hist
@@ -67,7 +75,9 @@ class BinAggregate:
         """The bin's counts, scores and per-score post counts, from one pass over the histogram."""
         n_posts = n_tokens = diff_sum = 0
         counts: dict[float, int] = {}
-        for (diff, n_tok), count in self.hist.items():
+        for key, count in self.hist.items():
+            n_tok = isqrt(key)
+            diff = key - n_tok * n_tok - n_tok
             n_posts += count
             n_tokens += n_tok * count
             diff_sum += diff * count

@@ -1138,6 +1138,24 @@ def test_verb_tables_of_a_compare_without_tense_are_never_read(workdir, capsys):
     assert seen[0] == seen[1]
 
 
+def test_empty_verb_tables_is_a_usage_error(workdir, capsys, monkeypatch):
+    # An empty --verb-tables names no directory: the tables are not read
+    # from the current one (here edited copies), and nothing is written.
+    for name in ("irregular_past.txt", "irregular_base.txt", "ed_stoplist.txt"):
+        (workdir / name).write_text("went\n", encoding="utf-8")
+    argv = ["analyze-tense", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS, "--out", "o"]
+    for flag in (["--verb-tables", ""], ["--verb-tables="]):
+        code = run(*argv, *flag)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err, 1)
+        assert err == "anxarc: error: --verb-tables must name a directory, got ''\n"
+        assert not (workdir / "o").exists()
+    # An empty ANXARC_VERB_TABLES is unset: the bundled tables are read.
+    monkeypatch.setenv("ANXARC_VERB_TABLES", "")
+    assert run(*argv) == 0
+    assert "# verb_tables=bundled\n" in (workdir / "o" / "tense.csv").read_text(encoding="utf-8")
+
+
 def test_verb_tables_are_read_before_the_corpus(workdir, capsys):
     code = run("compare", "--lexicon", MINI_LEX, "--corpus", "no_such_corpus.jsonl",
                "--slice-a", "tense=past", "--slice-b", "tense=future",

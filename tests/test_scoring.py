@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from anxarc._kernel import score_text
 from anxarc.scoring import BinAggregate, post_score_value
 from anxarc.stats import TTestResult, student_t_two_sided_p, welch_t
-from util import loads_lexicon
+from util import hist_pairs, loads_lexicon
 
 LEX = loads_lexicon(
     "panic\t3.0\ndread\t2.0\nrelax\t-2.0\ncalm\t-2.5\nstorm\t0.0\nroad\t0.0\n"
@@ -26,7 +26,7 @@ def one_post(tokens: list[str]) -> BinAggregate:
 
 
 def state(agg: BinAggregate) -> tuple:
-    return (*agg.summary()[:4], agg.hist)
+    return (*agg.summary()[:4], hist_pairs(agg))
 
 
 def filled(posts) -> BinAggregate:
@@ -98,7 +98,7 @@ def test_update_pools_token_counts():
 
 def test_equal_scores_share_a_histogram_count():
     agg = filled([(2, 1, 0), (4, 2, 0), (4, 3, 1)])
-    assert agg.hist == {(1, 2): 1, (2, 4): 2}
+    assert hist_pairs(agg) == {(1, 2): 1, (2, 4): 2}
     assert agg.summary().score_counts == {50.0: 3}
 
 
@@ -261,3 +261,38 @@ def test_merge_any_order_and_grouping(tagged, rnd):
     merged = shards[0]
     assert state(merged) == state(filled(posts))
     assert merged.summary() == filled(posts).summary()
+
+
+@st.composite
+def wide_post_counts(draw):
+    # Small counts make neighbouring pairs (and so neighbouring keys) likely.
+    n = draw(st.integers(1, 8) | st.integers(1, 10**12))
+    a = draw(st.integers(0, n))
+    c = draw(st.integers(0, n - a))
+    return n, a, c
+
+
+@given(st.lists(st.tuples(wide_post_counts(), st.integers(0, 3)), max_size=40), st.randoms())
+def test_integer_keys_are_exact_at_any_token_count(tagged, rnd):
+    posts = [post for post, _ in tagged]
+    keys = {}
+    for n, a, c in posts:
+        agg = filled([(n, a, c)])
+        assert hist_pairs(agg) == {(a - c, n): 1}
+        keys[a - c, n] = next(iter(agg.hist))
+    assert len(set(keys.values())) == len(keys)
+
+    shards = [filled(post for post, shard in tagged if shard == k) for k in range(4)]
+    rnd.shuffle(shards)
+    while len(shards) > 1:
+        i = rnd.randrange(len(shards) - 1)
+        shards[i].merge_from(shards.pop(i + 1))
+    merged = shards[0]
+    # The tuple-keyed reference: the pairs and every summary field, from the posts.
+    scores = [post_score_value(*post) for post in posts]
+    n_tokens = sum(n for n, _, _ in posts)
+    n_anx, n_calm = sum(a for _, a, _ in posts), sum(c for _, _, c in posts)
+    micro = float(Fraction(100 * (n_anx - n_calm), n_tokens)) if posts else None
+    macro = math.fsum(scores) / len(scores) if posts else None
+    assert hist_pairs(merged) == Counter((a - c, n) for n, a, c in posts)
+    assert merged.summary() == (len(posts), n_tokens, n_anx, n_calm, micro, macro, Counter(scores))

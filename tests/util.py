@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import random
 from datetime import datetime, timezone
@@ -263,11 +264,24 @@ def counters_of(agg) -> list[int]:
     return list(agg.summary()[:4])
 
 
+def hist_pairs(agg) -> dict[tuple[int, int], int]:
+    """A bin's histogram as ``{(n_anx - n_calm, n_tokens): count}``.
+
+    A bin keys the pair ``(diff, n)`` by ``n * n + n + diff``, with
+    ``|diff| <= n``, so ``n`` is the key's integer square root.
+    """
+    pairs = {}
+    for key, count in agg.hist.items():
+        n_tok = math.isqrt(key)
+        pairs[key - n_tok * n_tok - n_tok, n_tok] = count
+    return pairs
+
+
 def result_state(res) -> dict:
     """Every field of a ScanResult as plain values; skip events by reason only."""
 
     def agg_state(agg) -> tuple:
-        return (*counters_of(agg), agg.hist)
+        return (*counters_of(agg), hist_pairs(agg))
 
     state = {}
     for name, value in vars(res).items():
