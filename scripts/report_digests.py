@@ -7,11 +7,13 @@ Writes the seed-1 benchmark inputs (``scanbench/inputs.py``) to a temporary
 directory and runs, with that directory as the working directory and the
 inputs named by relative paths:
 - ``replicate`` on the mixed corpus;
+- ``analyze-tense`` and ``analyze-pronoun`` on the mixed corpus as one
+  file: each reads one family's bits of the token table without the others;
 - ``analyze-hour`` on the synth corpus.
 
 Each report is hashed without its ``# corpus=`` line, so the digests hold
 for the mixed corpus as one file and as four. ``tests/test_report_digests.py``
-runs the matrix at ``--workers`` 1 and 2, the mixed corpus both ways, and
+runs the matrix at ``--workers`` 1 and 2, ``replicate``'s corpus both ways, and
 checks every report against the committed digests. A change that alters
 them says why, as it would for a golden file.
 """
@@ -35,6 +37,8 @@ MIXED_PARTS = 4
 # command -> each way of naming its corpus; the digests are made from the first
 MATRIX = {
     "replicate": (("mixed.jsonl",), tuple(f"mixed{i}.jsonl" for i in range(MIXED_PARTS))),
+    "analyze-tense": (("mixed.jsonl",),),
+    "analyze-pronoun": (("mixed.jsonl",),),
     "analyze-hour": (("synth.jsonl",),),
 }
 

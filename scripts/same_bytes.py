@@ -30,7 +30,9 @@ The matrix:
   slices with ``--verb-tables`` naming a missing directory, which is never
   read (exit 0); a ``compare`` of two tense slices with that directory and
   a missing corpus, where the verb tables fail first (exit 1); an
-  ``analyze-tense`` with an empty ``--verb-tables`` (exit 1); and a
+  ``analyze-tense`` with an empty ``--verb-tables`` (exit 1); an
+  ``analyze-tense`` with verb tables whose ``irregular_past.txt`` ends in
+  the line ``used to`` (exit 1); and a
   missing corpus file, a lexicon with a duplicate term, a lexicon with a
   duplicate term across classes (``road`` neutral, then anxiety) and a
   corpus with no scoreable post (exit 2).
@@ -92,6 +94,10 @@ def write_inputs(folder: Path) -> None:
     (folder / "verbs_lexicon.tsv").write_text(
         "".join(f"{w}\t{values[c]}\n" for c in values for w in classes[c]), encoding="utf-8")
     (folder / "unscoreable.jsonl").write_text("not json\n", encoding="utf-8")
+    spaced = folder / "spaced_verbs"
+    shutil.copytree(ROOT / "src" / "anxarc" / "data", spaced)
+    with open(spaced / "irregular_past.txt", "a", encoding="utf-8") as fh:
+        fh.write("used to\n")
 
 
 def matrix() -> dict[str, list[str]]:
@@ -137,6 +143,8 @@ def matrix() -> dict[str, list[str]]:
         "compare", *mini, "--corpus", inp("no_such_corpus.jsonl"), "--slice-a", "tense=past",
         "--slice-b", "tense=future", *no_verbs]
     runs["error-analyze-tense-empty-verb-tables"] = ["analyze-tense", *mini_scan, "--verb-tables", ""]
+    runs["error-analyze-tense-verb-table-whitespace"] = [
+        "analyze-tense", *mini_scan, "--verb-tables", inp("spaced_verbs")]
     runs["error-missing-corpus"] = ["analyze-hour", *mini, "--corpus", inp("no_such_corpus.jsonl")]
     runs["error-duplicate-term"] = ["analyze-hour", "--lexicon", inp("duplicate_lexicon.tsv"),
                                     "--corpus", inp("mini_corpus.jsonl")]

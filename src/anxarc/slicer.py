@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import os
+from itertools import chain
 
 from ._kernel import FUTURE, NEXT, PAST, PERIOD, PRESENT, PRONOUN_SHIFT
 
@@ -61,7 +62,7 @@ TENSE_PRECEDENCE = "past>future>present"
 
 
 class VerbTableError(ValueError):
-    """A verb table file is missing, unreadable, or empty."""
+    """A verb table file is missing, unreadable or empty, or holds a word with whitespace."""
 
 
 class VerbTables:
@@ -76,11 +77,15 @@ class VerbTables:
         self.ed_stoplist = ed_stoplist
 
 
-def _read_wordlist(text: str) -> frozenset[str]:
+def _read_wordlist(path: str, text: str) -> frozenset[str]:
     words = set()
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.splitlines(), 1):
         word = line.strip().lower()
         if word and not word.startswith("#"):
+            # No token holds whitespace, so such a word could never match.
+            if len(word.split()) != 1:
+                raise VerbTableError(f"verb table {path} line {line_no}: "
+                                     f"word contains whitespace: {line.strip()!r}")
             words.add(word)
     return frozenset(words)
 
@@ -92,18 +97,18 @@ def load_verb_tables(directory: str | os.PathLike[str] | None = None) -> VerbTab
     """Load verb tables from a directory, or the bundled defaults."""
     if directory is None:
         directory = os.path.join(os.path.dirname(__file__), "data")
-    texts = []
+    lists = []
     for name in _TABLE_FILES:
         path = os.path.join(directory, name)
         try:
             with open(path, encoding="utf-8") as fh:
-                texts.append(fh.read())
+                text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise VerbTableError(f"cannot read verb table {path}: {exc}") from None
-        if texts[-1].startswith("\ufeff"):
+        if text.startswith("\ufeff"):
             raise VerbTableError(f"verb table {path} starts with a UTF-8 byte order mark")
-    past, base_forms, stoplist = (_read_wordlist(t) for t in texts)
-    return VerbTables(past, base_forms, stoplist)
+        lists.append(_read_wordlist(path, text))
+    return VerbTables(*lists)
 
 
 def _is_past_word(word: str, tables: VerbTables) -> bool:
@@ -149,14 +154,12 @@ def token_table(class_map: dict[str, int], tables: VerbTables | None) -> dict[st
         table[pron] = table.get(pron, 0) | 1 << (PRONOUN_SHIFT + i)
     if tables is None:
         return table
-    words = set(table)
-    words.update(tables.irregular_past, tables.irregular_base, tables.ed_stoplist)
-    for base in tables.irregular_base:
-        words.add(base + "s")
-        words.add(base + "es")
-    words.update(AUX_PAST, AUX_PRESENT, FUTURE_SIGNAL_WORDS, FUTURE_BIGRAM_SECOND)
-    words.add(FUTURE_BIGRAM_FIRST)
-    for word in words:
+    # The keys are copied first, since the loop adds to the table. A word in
+    # two lists gets the same bits twice, which OR leaves as they are.
+    base = tables.irregular_base
+    for word in chain(list(table), tables.irregular_past, base, (w + "s" for w in base),
+                      (w + "es" for w in base), tables.ed_stoplist, AUX_PAST, AUX_PRESENT,
+                      FUTURE_SIGNAL_WORDS, FUTURE_BIGRAM_SECOND, (FUTURE_BIGRAM_FIRST,)):
         table[word] = (table.get(word, 0)
                        | PAST * _is_past_word(word, tables)
                        | PRESENT * _is_present_word(word, tables)
@@ -176,7 +179,9 @@ def tense_of(flags: int) -> Tense:
 
 
 # Pronoun keys of a post, indexed by ``flags >> PRONOUN_SHIFT``.
-PRONOUN_KEYS_BY_BITS: tuple[tuple[str, ...], ...] = tuple(
-    tuple(p for i, p in enumerate(PRONOUNS) if bits >> i & 1)
-    for bits in range(1 << len(PRONOUNS))
-)
+# Each pronoun doubles the list: the keys without it, then the same keys with it.
+_keys: list[tuple[str, ...]] = [()]
+for _pron in PRONOUNS:
+    _keys += [k + (_pron,) for k in _keys]
+PRONOUN_KEYS_BY_BITS: tuple[tuple[str, ...], ...] = tuple(_keys)
+del _keys, _pron

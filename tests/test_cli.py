@@ -1126,6 +1126,22 @@ def test_verb_tables_invalid_utf8_exits_1(workdir, capsys):
     assert "ed_stoplist.txt" in err
 
 
+def test_verb_table_word_with_whitespace_exits_1(workdir, capsys):
+    tables = workdir / "verbs"
+    tables.mkdir()
+    for name in ("irregular_past.txt", "irregular_base.txt", "ed_stoplist.txt"):
+        (tables / name).write_bytes((resources.files("anxarc") / "data" / name).read_bytes())
+    n_lines = len((tables / "irregular_past.txt").read_bytes().splitlines())
+    with open(tables / "irregular_past.txt", "ab") as fh:
+        fh.write(b"used to\n")
+    code = run("analyze-tense", "--lexicon", MINI_LEX, "--corpus", MINI_CORPUS,
+               "--verb-tables", str(tables), "--out", "o")
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err, 1)
+    assert err.endswith(f"irregular_past.txt line {n_lines + 1}: word contains whitespace: 'used to'\n")
+    assert not (workdir / "o").exists()
+
+
 def test_verb_tables_of_a_compare_without_tense_are_never_read(workdir, capsys):
     # Two weekday slices of two posts each: a missing --verb-tables directory
     # changes neither the exit code nor a byte of the report or of stdout.

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from anxarc._kernel import ANX, CALM, PRONOUN_SHIFT, score_text, tokenize
+from anxarc._kernel import (ANX, CALM, FUTURE, NEXT, PAST, PERIOD, PRESENT, PRONOUN_SHIFT,
+                            score_text, tokenize)
 from anxarc.slicer import (
     AUX_PAST,
     AUX_PRESENT,
+    FUTURE_BIGRAM_FIRST,
     FUTURE_BIGRAM_SECOND,
     FUTURE_SIGNAL_WORDS,
     PRONOUN_KEYS_BY_BITS,
@@ -79,6 +82,17 @@ def test_byte_order_mark_in_a_table_is_refused(tmp_path):
         (tmp_path / name).write_text("# a comment\ngo\n", encoding="utf-8")
     (tmp_path / "ed_stoplist.txt").write_text("\ufeff# a comment\nhundred\n", encoding="utf-8")
     with pytest.raises(VerbTableError, match="ed_stoplist.txt starts with a UTF-8 byte order mark"):
+        load_verb_tables(tmp_path)
+
+
+def test_a_table_word_with_whitespace_inside_is_refused(tmp_path):
+    # No token holds whitespace, so such a word could never match; a comment
+    # may hold spaces.
+    for name in ("irregular_past.txt", "irregular_base.txt", "ed_stoplist.txt"):
+        (tmp_path / name).write_text("# a comment\ngo\n", encoding="utf-8")
+    (tmp_path / "irregular_past.txt").write_text("# a comment\nwent\n  Used\tto \n", encoding="utf-8")
+    with pytest.raises(VerbTableError, match=r"irregular_past.txt line 3: word contains whitespace: "
+                                             r"'Used\\tto'$"):
         load_verb_tables(tmp_path)
 
 
@@ -175,6 +189,12 @@ def test_bigram_requires_adjacency(tables):
     assert not has_future_signal(["next", "big", "week"])
     assert has_future_signal(["next", "week"])
     assert not has_future_signal(["week", "next"])
+
+
+def test_pronoun_keys_by_bits_holds_the_pronouns_of_each_bit():
+    assert PRONOUN_KEYS_BY_BITS == tuple(
+        tuple(p for i, p in enumerate(PRONOUNS) if bits >> i & 1)
+        for bits in range(1 << len(PRONOUNS)))
 
 
 def test_pronoun_keys_examples():
@@ -307,3 +327,44 @@ def test_token_table_examples(tables):
         assert tense_of(flags) is tense is classify_tense(tokens, tables)
         assert PRONOUN_KEYS_BY_BITS[flags >> PRONOUN_SHIFT] == keys
         assert set(keys) == util.pronoun_keys(tokens)
+
+
+def reference_token_table(class_map: dict[str, int], tables: VerbTables) -> dict[str, int]:
+    """The table built from one set of every word, then the per-word rules."""
+    table = dict(class_map)
+    for i, pron in enumerate(PRONOUNS):
+        table[pron] = table.get(pron, 0) | 1 << (PRONOUN_SHIFT + i)
+    words = set(table) | tables.irregular_past | tables.irregular_base | tables.ed_stoplist
+    words |= {base + end for base in tables.irregular_base for end in ("s", "es")}
+    words |= AUX_PAST | AUX_PRESENT | FUTURE_SIGNAL_WORDS | FUTURE_BIGRAM_SECOND | {FUTURE_BIGRAM_FIRST}
+    for word in words:
+        table[word] = (table.get(word, 0)
+                       | PAST * _is_past_word(word, tables)
+                       | PRESENT * _is_present_word(word, tables)
+                       | FUTURE * (word in FUTURE_SIGNAL_WORDS)
+                       | NEXT * (word == FUTURE_BIGRAM_FIRST)
+                       | PERIOD * (word in FUTURE_BIGRAM_SECOND))
+    return table
+
+
+def test_token_table_equals_the_reference_and_leaves_its_argument(tables, custom_tables):
+    for verb_tables in (tables, custom_tables):
+        before = dict(TABLE_CLASS_MAP)
+        assert token_table(TABLE_CLASS_MAP, verb_tables) == reference_token_table(before, verb_tables)
+        assert TABLE_CLASS_MAP == before
+
+
+def test_token_table_builds_no_word_set(tables, custom_tables):
+    # The class terms of a lexicon of the paper's size: the build may hold
+    # little beyond the table it returns.
+    lexicon = util.loads_lexicon(util.big_lexicon_text())
+    class_map = {term: code for term, code in lexicon.items() if code}
+    for verb_tables in (tables, custom_tables):
+        tracemalloc.start()
+        try:
+            table = token_table(class_map, verb_tables)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 128 * 1024, (held, peak)
+        assert table == reference_token_table(class_map, verb_tables)
