@@ -13,8 +13,9 @@ inputs named by relative paths:
 
 Each report is hashed without its ``# corpus=`` line, so the digests hold
 for the mixed corpus as one file and as four. ``tests/test_report_digests.py``
-runs the matrix at ``--workers`` 1 and 2, ``replicate``'s corpus both ways, and
-checks every report against the committed digests. A change that alters
+runs the matrix at ``--workers`` 1 and 2 and without the flag (the usable
+CPUs), ``replicate``'s corpus both ways, and checks every report against the
+committed digests. A change that alters
 them says why, as it would for a golden file.
 """
 
@@ -59,12 +60,14 @@ def write_inputs(folder: Path) -> None:
         inputs.write_lines(folder / f"mixed{i}.jsonl", part)
 
 
-def run_digests(command: str, corpus: tuple[str, ...], workers: int, out: str) -> dict[str, str]:
-    """Run ``command`` in the working directory; each report's sha256 without its ``# corpus=`` line."""
+def run_digests(command: str, corpus: tuple[str, ...], workers: int | None,
+                out: str) -> dict[str, str]:
+    """Run ``command`` in the working directory, at ``workers`` or, for None, without
+    ``--workers``; each report's sha256 without its ``# corpus=`` line."""
     from anxarc.cli import main
 
-    code = main([command, "--lexicon", "lexicon.tsv", "--corpus", *corpus,
-                 "--workers", str(workers), "--out", out])
+    flags = [] if workers is None else ["--workers", str(workers)]
+    code = main([command, "--lexicon", "lexicon.tsv", "--corpus", *corpus, *flags, "--out", out])
     if code != 0:
         raise RuntimeError(f"{command} exited {code}")
     digests = {}

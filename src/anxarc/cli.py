@@ -390,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan = _Parser(add_help=False)
     scan.add_argument("--out", default=".", help="output directory (default: current directory)")
     scan.add_argument("--out-format", choices=("csv", "json"), default="csv")
-    scan.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    scan.add_argument("--workers", type=int, default=cpus or 1,
+                      help="worker processes (default: the usable CPUs, %(default)s here)")
 
     verbs = _Parser(add_help=False)
     verbs.add_argument("--verb-tables", help="directory overriding the bundled verb tables")

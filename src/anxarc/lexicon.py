@@ -4,7 +4,8 @@ The lexicon file format is two-column TSV, ``term<TAB>association``, one
 record per line (lines end at ``\n``, as in a corpus), UTF-8, with an
 optional literal ``term<TAB>association`` header. Associations are real
 values in [-3.0, +3.0]; positive means anxiety-associated, negative means
-calmness-associated. Terms are single words and are lower-cased at load.
+calmness-associated. Terms are lower-cased at load; each must read as one
+token of itself (``tokenize(term) == [term]``), as no post can score another.
 A loaded lexicon is one dict that maps every term to its class code:
 ``ANX``, ``CALM`` or 0 for a neutral term, the codes of the text kernel's
 token table; no association value is kept. The loader reads and decodes
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from typing import IO
 
-from ._kernel import ANX, CALM
+from ._kernel import ANX, CALM, tokenize
 
 ASSOC_MIN = -3.0
 ASSOC_MAX = 3.0
@@ -106,8 +107,8 @@ def load_lexicon(
                 term = term.lower()
                 if not term:
                     raise LexiconParseError(line_no, "empty term")
-                if len(term.split()) != 1:
-                    raise LexiconParseError(line_no, f"term contains whitespace: {term!r}")
+                if not term.isalnum() and (toks := tokenize(term)) != [term]:
+                    raise LexiconParseError(line_no, f"term {term!r} is read as the tokens {toks}")
                 try:
                     value = float(assoc_text)
                 except ValueError:

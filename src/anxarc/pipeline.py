@@ -18,13 +18,12 @@ and calm terms, so the neutral terms are freed before the table is built.
 ``scan_corpus`` is the one reader of the verb tables. It binds ``_scan`` to
 the run's arguments and, at one worker (as in every one-block run, since a
 run starts no more workers than it has blocks), runs it on the parent's
-blocks.
-With more workers it hands the blocks and the bound function to
+blocks. With more workers it hands the blocks and the bound function to
 ``workers.scan_in_workers``: the parent stays the only reader of a corpus
 file, each forked worker runs the function on the blocks it is sent, and
-the parent merges their results. Either way a file that is not the file
-checked, when its turn comes or when its last block has been read, stops
-the scan with a CorpusError.
+the parent merges their results one part at a time (``ScanResult.parts``).
+Either way a file that is not the file checked, when its turn comes or
+when its last block has been read, stops the scan with a CorpusError.
 Every bin and counter is an exact integer sum, so the final result does not
 depend on the worker count, the block size or how the input is split into
 files. Each skip event carries its stream position (file index, line
@@ -104,19 +103,33 @@ class ScanResult:
             ("n_records", "n_parse_skips", "n_empty_skips", "n_tz_skips"), 0)
         self.skip_events: list[SkipEvent] = []
 
+    def parts(self) -> Iterator[ScanResult | tuple]:
+        """A header (this result's counters, empty bins), then ``(family, key, bin)`` for each
+        bin, the overall bins first as family None; each part merges alone (``merge_part``)."""
+        head = ScanResult(self.bins)
+        head.counts, head.skip_events = self.counts, self.skip_events
+        yield head
+        yield None, 0, self.overall
+        yield None, 1, self.pronoun_overall
+        for family, bins in self.bins.items():
+            yield from ((family, key, agg) for key, agg in bins.items())
+
+    def merge_part(self, part: ScanResult | tuple) -> None:
+        if isinstance(part, ScanResult):
+            for name, n in part.counts.items():
+                self.counts[name] += n
+            if part.skip_events:
+                # Each result holds the first events of its own stream, so the
+                # first of the union are among them, whatever the merge order.
+                self.skip_events = sorted(self.skip_events + part.skip_events)[:MAX_RECORDED_SKIPS]
+        else:
+            family, key, agg = part
+            mine = (self.overall, self.pronoun_overall) if family is None else self.bins[family]
+            mine[key].merge_from(agg)
+
     def merge_from(self, other: ScanResult) -> None:
-        self.overall.merge_from(other.overall)
-        self.pronoun_overall.merge_from(other.pronoun_overall)
-        for family, bins in other.bins.items():
-            mine = self.bins[family]
-            for key, agg in bins.items():
-                mine[key].merge_from(agg)
-        for name, n in other.counts.items():
-            self.counts[name] += n
-        if other.skip_events:
-            # Each result holds the first events of its own stream, so the
-            # first of the union are among them, whatever the merge order.
-            self.skip_events = sorted(self.skip_events + other.skip_events)[:MAX_RECORDED_SKIPS]
+        for part in other.parts():
+            self.merge_part(part)
 
 
 def _bin_lookups(res: ScanResult) -> tuple:

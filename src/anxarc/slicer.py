@@ -34,7 +34,7 @@ import enum
 import os
 from itertools import chain
 
-from ._kernel import FUTURE, NEXT, PAST, PERIOD, PRESENT, PRONOUN_SHIFT
+from ._kernel import FUTURE, NEXT, PAST, PERIOD, PRESENT, PRONOUN_SHIFT, tokenize
 
 
 class Tense(enum.Enum):
@@ -62,7 +62,7 @@ TENSE_PRECEDENCE = "past>future>present"
 
 
 class VerbTableError(ValueError):
-    """A verb table file is missing, unreadable or empty, or holds a word with whitespace."""
+    """A verb table file is missing, unreadable or empty, or holds a word no token can equal."""
 
 
 class VerbTables:
@@ -82,10 +82,10 @@ def _read_wordlist(path: str, text: str) -> frozenset[str]:
     for line_no, line in enumerate(text.splitlines(), 1):
         word = line.strip().lower()
         if word and not word.startswith("#"):
-            # No token holds whitespace, so such a word could never match.
-            if len(word.split()) != 1:
+            # The tokenizer is the rule: a word that no token can equal never matches.
+            if not word.isalnum() and (tokens := tokenize(word)) != [word]:
                 raise VerbTableError(f"verb table {path} line {line_no}: "
-                                     f"word contains whitespace: {line.strip()!r}")
+                                     f"word {word!r} is read as the tokens {tokens}")
             words.add(word)
     return frozenset(words)
 

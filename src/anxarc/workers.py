@@ -6,22 +6,24 @@ hands each one to the worker that asks next, as a pickled header ``(file
 index, first line number, byte count)`` and then the lines' bytes as they
 are, never pickled. A worker runs the scan function it is given over
 ``_received``, which yields each block it is sent split back into the same
-lines, and sends the result back once, at the end; this module knows
-nothing of how a post is scanned. Each message starts with a pickle:
-``None`` asks for a block, the parent answers with a block or ``None`` to
-stop, and the worker's last message is its result or the exception it met,
-which the parent raises. The parent merges the other results into the
-first it gets; results merge alike in any order.
+lines, and replies once, at the end; this module knows nothing of how a
+post is scanned. Each message starts with a pickle: ``None`` asks for a
+block, the parent answers with a block or ``None`` to stop, and a reply is
+the exception the worker met, which the parent raises, or the result's
+``parts()`` and then ``None``. The parent keeps the first part it gets as
+its total and merges each other part into it as soon as it reads it, so it
+holds one part of a reply, never a second result; parts merge alike in any order.
 
-A worker writes only after the parent has read its last message, so each
-worker has at most one unread message in its reply pipe: the parent's
-buffered reader never holds bytes that ``poll`` cannot see. A worker that
-exits without a result, even partway through a message, reads as EOF or a
-truncated pickle, so neither side waits on the other forever.
+A worker asks for a block only after the parent has read its last message,
+and the parent reads a reply to its end once it has its first part. So each
+worker has at most one unread message in its reply pipe when the parent
+polls: the parent's buffered reader never holds bytes that ``poll`` cannot
+see. A worker that exits without its whole reply, even partway through a
+message, reads as EOF or a truncated pickle, so neither side waits forever.
 
-A worker whose last message the parent has read is reaped with
-``os.waitpid`` alone, so what runs at its ``os._exit`` (a line audit's hook)
-is not cut short; every other worker is killed (SIGKILL) and reaped.
+A worker whose reply the parent has read is reaped with ``os.waitpid``
+alone, so what runs at its ``os._exit`` (a line audit's hook) is not cut
+short; every other worker is killed (SIGKILL) and reaped.
 """
 
 from __future__ import annotations
@@ -58,21 +60,34 @@ def _received(blocks: BinaryIO, replies: BinaryIO) -> Iterator[_Block]:
 
 def _scan_worker(blocks: BinaryIO, replies: BinaryIO,
                  scan: Callable[[Iterator[_Block]], Any]) -> None:
-    """A scan worker: scan the blocks it is sent, then reply with the result."""
+    """A scan worker: scan the blocks it is sent, then reply with the result's parts."""
     try:
-        reply = scan(_received(blocks, replies))
+        reply = [*scan(_received(blocks, replies)).parts(), None]
     except Exception as exc:  # sent to the parent, which raises it
-        reply = exc
-    _send(replies, reply)
+        reply = [exc]
+    for part in reply:
+        _send(replies, part)
+
+
+def _reply(replies: BinaryIO, head: Any, total: Any) -> Any:
+    """Merge a reply part by part into ``total`` (None: into ``head``, its first); return it."""
+    if total is None:
+        total = head
+    else:
+        total.merge_part(head)
+    while (part := pickle.load(replies)) is not None:
+        total.merge_part(part)
+        del part  # dropped before the next part is read
+    return total
 
 
 def scan_in_workers(blocks: Iterator[_Block], scan: Callable[[Iterator[_Block]], Any],
                     paths: tuple[str, ...], workers: int) -> Any:
     """Run ``scan`` in ``workers`` forked workers over ``blocks``; return the merged results.
 
-    A worker that exits without a result is a CorpusError naming its last
+    A worker that exits without its whole reply is a CorpusError naming its last
     block's file in ``paths`` and line; every worker is reaped, and killed
-    first unless its last message has been read, on every way out.
+    first unless its whole reply has been read, on every way out.
     """
     # Forked workers inherit the scan function and its token table without
     # a pickle or a fresh import; the scanning process starts no threads,
@@ -117,6 +132,8 @@ def scan_in_workers(blocks: Iterator[_Block], scan: Callable[[Iterator[_Block]],
                         index, line_no, lines = block
                         last[fd] = index, line_no
                         _send(writer, (index, line_no, sum(map(len, lines))), lines)
+                    elif not isinstance(msg, Exception):  # a result's first part
+                        msg = _reply(reader, msg, total)
                 except (EOFError, pickle.UnpicklingError, ConnectionError):
                     if fd not in last:
                         raise CorpusError("a scan worker died before its first block") from None
@@ -128,16 +145,13 @@ def scan_in_workers(blocks: Iterator[_Block], scan: Callable[[Iterator[_Block]],
                         del block, lines  # dropped before the next block is read
                         block = next(blocks, None)
                     continue
-                # Its last message: the worker is on its way to os._exit.
+                # Its whole reply: the worker is on its way to os._exit.
                 poller.unregister(fd)
                 os.waitpid(pids[fd], 0)
                 del pids[fd]
                 if isinstance(msg, Exception):
                     raise msg
-                if total is None:
-                    total = msg
-                else:
-                    total.merge_from(msg)
+                total = msg
     finally:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)

@@ -113,6 +113,29 @@ def test_no_more_workers_than_blocks(workdir, monkeypatch, fixtures_dir):
         assert len(started) == forks
 
 
+def test_workers_default_to_the_usable_cpus(workdir, monkeypatch, fixtures_dir):
+    # Without --workers a run may use every CPU it can run on, here three;
+    # it still starts no more workers than blocks, and none for one block.
+    started = []
+    real_fork = os.fork
+
+    def fork():
+        started.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    golden = (fixtures_dir / "golden" / "hour.csv").read_bytes()
+    size = (workdir / MINI_CORPUS).stat().st_size
+    for chunk_bytes, forks in ((pipeline.CHUNK_BYTES, 0), (-(-size // 2), 2)):
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", chunk_bytes)
+        started.clear()
+        assert analyze("hour", workdir).read_bytes() == golden
+        assert len(started) == forks
+    assert cli.build_parser().parse_args(["analyze-hour", "--lexicon", MINI_LEX,
+                                          "--corpus", MINI_CORPUS]).workers == 3
+
+
 def test_scan_holds_the_class_map_only(workdir, monkeypatch):
     # When the first block is scanned, what the lexicon loader and the CLI
     # allocated and is still live is the class map: its table and its terms,
@@ -1138,7 +1161,8 @@ def test_verb_table_word_with_whitespace_exits_1(workdir, capsys):
                "--verb-tables", str(tables), "--out", "o")
     err = capsys.readouterr().err
     assert_one_error_line(code, err, 1)
-    assert err.endswith(f"irregular_past.txt line {n_lines + 1}: word contains whitespace: 'used to'\n")
+    assert err.endswith(f"irregular_past.txt line {n_lines + 1}: "
+                        "word 'used to' is read as the tokens ['used', 'to']\n")
     assert not (workdir / "o").exists()
 
 

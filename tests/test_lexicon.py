@@ -75,6 +75,21 @@ def test_malformed_lines_rejected(text):
         loads_lexicon(text)
 
 
+@pytest.mark.parametrize("term,tokens", [
+    ("panic!", ["panic"]), ("'tis", ["tis"]), ("a.m.", ["a.m"]), ("#panic", ["panic"]),
+    ("@panic", []), ("http://x", []), ("www.x", []), ("i\u0307", ["i"]),
+    ("two words", ["two", "words"]), ("two\x0bwords", ["two", "words"]),
+])
+def test_a_term_that_no_token_can_equal_is_refused(term, tokens):
+    # The tokenizer strips, drops or splits such a term in every post, so it
+    # could never score; the error names the tokens it is read as.
+    with pytest.raises(LexiconParseError) as exc:
+        loads_lexicon(f"calm\t-2.0\n{term}\t3.0\n")
+    assert str(exc.value) == f"line 2: term {term!r} is read as the tokens {tokens}"
+    assert loads_lexicon("won't\t3.0\na.m\t-3.0\n\u00e9t\u00e9\t1.0\n") == {
+        "won't": ANX, "a.m": CALM, "\u00e9t\u00e9": ANX}
+
+
 @pytest.mark.parametrize("text,value", [
     # Python's float() grammar: a sign, an exponent, "_" between digits and
     # any Unicode decimal digits load.
@@ -209,7 +224,8 @@ _good_line = st.one_of(
 _bad_line = st.one_of(
     st.sampled_from([b"panic", b"a\tb\tc", b"\t1.0", b"two words\t1.0", b"x\toops", b"x\t4.5",
                      b"x\t-3.5", b"x\tnan", b"x\tinf", b"x\t\xff", b"\xc3", b"\xe2\x80",
-                     b"\xef\xbb\xbfpanic\t3.0"]),
+                     b"\xef\xbb\xbfpanic\t3.0", b"panic!\t3.0", b"#x\t1", b"@x\t-1",
+                     b"http://x\t0", b"a.m.\t1", b"i\xcc\x87\t1"]),
     st.binary(max_size=6),
 )
 
@@ -289,12 +305,13 @@ def test_byte_order_mark_is_a_parse_error():
             load_lexicon(io.BytesIO(raw))
         assert str(exc.value) == "line 1: UTF-8 byte order mark at the start of the file"
     # A bad byte anywhere is still reported first; a mark after line 1 is
-    # part of its term.
+    # part of its term, which no token can then equal.
     with pytest.raises(LexiconParseError) as exc:
         load_lexicon(io.BytesIO(b"\xef\xbb\xbfpanic\t3.0\nx\xff\t1\n"))
     assert str(exc.value) == "line 2: invalid UTF-8 at byte 14"
-    assert loads_lexicon("panic\t3.0\n\ufeffcalm\t-2.0\n") == {
-        "panic": ANX, "\ufeffcalm": CALM}
+    with pytest.raises(LexiconParseError) as exc:
+        loads_lexicon("panic\t3.0\n\ufeffcalm\t-2.0\n")
+    assert str(exc.value) == "line 2: term %r is read as the tokens ['calm']" % "\ufeffcalm"
 
 
 def test_load_holds_the_file_once():

@@ -529,8 +529,86 @@ def test_two_worker_scan_parent_holds_one_block(tmp_path, lexicon, monkeypatch):
     assert slope < 1.6, peaks
 
 
+def wide_corpus(tmp_path, n_posts: int) -> str:
+    """Posts of 1 to 24 tokens with any mix of anxiety and calm tokens, over every
+    hour and weekday: each bin holds hundreds of histogram keys, most of them in
+    both halves of the corpus."""
+    rng = random.Random(12)
+    lines = []
+    for i in range(n_posts):
+        n_tok = rng.randint(1, 24)
+        n_anx = rng.randint(0, n_tok)
+        n_calm = rng.randint(0, n_tok - n_anx)
+        words = [util.ANX_WORDS[0]] * n_anx + [util.CALM_WORDS[0]] * n_calm
+        text = " ".join(words + ["day"] * (n_tok - n_anx - n_calm))
+        lines.append(json.dumps({"id": str(i), "text": text, "timezone": "UTC",
+                                 "timestamp_utc": f"2020-01-{1 + i % 28:02d}T{i % 24:02d}:00:00Z"}))
+    return write_corpus(tmp_path, lines)
+
+
+def held_when_read(obj) -> int:
+    """Traced bytes of ``obj`` read back from its pickle, with the pickle itself."""
+    data = pickle.dumps(obj)
+    tracemalloc.start()
+    try:
+        pickle.loads(data)
+        return len(data) + tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_two_worker_parent_holds_one_part_of_a_reply(tmp_path, lexicon, monkeypatch):
+    # A worker's reply is its counters and then one message per bin, and the
+    # parent merges each part into its total before it reads the next. So
+    # over what the result holds, the parent's traced peak grows by at most
+    # one block, the largest bin read back from its pickle, and a slack for
+    # the pipes' buffers and the parent's bookkeeping (64 KiB). A parent that
+    # read a whole second result would hold it beside the first: here that
+    # is about 0.5 MB over the result, against a bound of about 0.15 MB.
+    path = wide_corpus(tmp_path, 20_000)
+    families = ("hour", "weekday")
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 1 << 14)
+    scan_corpus(path, class_map=lexicon, families=families, workers=2)  # warm-up
+    tracemalloc.start()
+    try:
+        res = scan_corpus(path, class_map=lexicon, families=families, workers=2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    util.assert_no_child_left()
+    bins = [res.overall, *(agg for family in families for agg in res.bins[family].values())]
+    bound = 2 * pipeline.CHUNK_BYTES + max(map(held_when_read, bins)) + (64 << 10)
+    assert held > 4 * bound  # a second result could not hide in the bound
+    assert peak - held <= bound, (peak, held, bound)
+
+
+def test_worker_dead_partway_through_its_bins_is_a_corpus_error(tmp_path, lexicon, monkeypatch):
+    # A worker that dies after some of its bin messages, partway through the
+    # next, is a dead worker at its last block, like one that dies in a
+    # block; the parent kills and reaps the other.
+    path = write_corpus(tmp_path, util.random_corpus_lines(random.Random(3), 100))
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 256)
+    parent, sent = os.getpid(), []
+
+    def send(fh, obj, lines=()):
+        if os.getpid() != parent and isinstance(obj, tuple) and len(obj) == 3:
+            sent.append(obj)  # a bin message: (family, key, bin)
+            if len(sent) == 5:
+                data = pickle.dumps(obj)
+                fh.write(data[:len(data) // 2])
+                fh.flush()
+                os._exit(1)
+        return _send(fh, obj, lines)
+
+    monkeypatch.setattr(workers, "_send", send)
+    with pytest.raises(CorpusError, match=r"^a scan worker died at \S*corpus\.jsonl line \d+$"):
+        scan_corpus(path, class_map=lexicon, families=["hour"], workers=2)
+    util.assert_no_child_left()
+
+
 def run_worker(*blocks, scan):
-    """Run a scan worker in-process on the given blocks of ``pipeline._blocks``; return its reply."""
+    """Run a scan worker in-process on the given blocks of ``pipeline._blocks``; return its
+    reply, read whole as the parent reads it: its result, or the exception it met."""
     sent, replies = io.BytesIO(), io.BytesIO()
     for index, line_no, lines in blocks:
         _send(sent, (index, line_no, sum(map(len, lines))), lines)
@@ -538,9 +616,9 @@ def run_worker(*blocks, scan):
     sent.seek(0)
     _scan_worker(sent, replies, scan)
     replies.seek(0)
-    while (reply := pickle.load(replies)) is None:  # a request for the next block
+    while (head := pickle.load(replies)) is None:  # a request for the next block
         pass
-    return reply
+    return head if isinstance(head, Exception) else workers._reply(replies, head, None)
 
 
 def test_worker_dead_partway_through_a_message_is_a_corpus_error(tmp_path, lexicon,

@@ -3,7 +3,7 @@
 ``fixtures/report_digests.json`` holds the sha256 of every report that
 ``scripts/report_digests.py`` writes (without the ``# corpus=`` line); that
 script regenerates it. Every worker count and split of the corpus into
-files must give those bytes.
+files must give those bytes, and so must a run at the default worker count.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ report_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(report_digests)
 
 CASES = [
-    pytest.param(command, corpus, workers, id=f"{command}-{len(corpus)}file-w{workers}")
+    pytest.param(command, corpus, workers,
+                 id=f"{command}-{len(corpus)}file-w{'default' if workers is None else workers}")
     for command, corpora in report_digests.MATRIX.items()
     for corpus in corpora
-    for workers in (1, 2)
+    for workers in (1, 2, None)  # None: no --workers flag, so the usable CPUs
 ]
 
 

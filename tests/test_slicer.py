@@ -91,9 +91,29 @@ def test_a_table_word_with_whitespace_inside_is_refused(tmp_path):
     for name in ("irregular_past.txt", "irregular_base.txt", "ed_stoplist.txt"):
         (tmp_path / name).write_text("# a comment\ngo\n", encoding="utf-8")
     (tmp_path / "irregular_past.txt").write_text("# a comment\nwent\n  Used\tto \n", encoding="utf-8")
-    with pytest.raises(VerbTableError, match=r"irregular_past.txt line 3: word contains whitespace: "
-                                             r"'Used\\tto'$"):
+    with pytest.raises(VerbTableError, match=r"irregular_past.txt line 3: word 'used\\tto' is read "
+                                             r"as the tokens \['used', 'to'\]$"):
         load_verb_tables(tmp_path)
+
+
+@pytest.mark.parametrize("word,tokens", [
+    ("went.", ["went"]), ("'tis", ["tis"]), ("#go", None), ("@go", []), ("www.go", []),
+    ("hundred-", ["hundred"]), ("i\u0307", ["i"]),
+])
+@pytest.mark.parametrize("name", ["irregular_past.txt", "ed_stoplist.txt"])
+def test_a_table_word_that_no_token_can_equal_is_refused(tmp_path, name, word, tokens):
+    # The tokenizer strips or drops such a word in every post, so it could
+    # never match; "#go" is a comment. Inner punctuation is kept: "won't".
+    for table in ("irregular_past.txt", "irregular_base.txt", "ed_stoplist.txt"):
+        (tmp_path / table).write_text("# a comment\ngo\nwon't\n", encoding="utf-8")
+    (tmp_path / name).write_text(f"went\n{word}\n", encoding="utf-8")
+    if tokens is None:
+        assert "#go" not in getattr(load_verb_tables(tmp_path), name[:-4])
+        return
+    with pytest.raises(VerbTableError) as exc:
+        load_verb_tables(tmp_path)
+    assert str(exc.value) == (f"verb table {tmp_path / name} line 2: "
+                              f"word {word!r} is read as the tokens {tokens}")
 
 
 # The per-post detectors of the tense rules, kept here as references for the

@@ -132,7 +132,7 @@ def test_generated_records_are_wellformed(lexicon):
 def test_record_frame_is_json_dumps_of_the_record(axis, n_bins):
     # Terms that JSON must escape (quote, backslash, a control character)
     # and non-ASCII letters, which ensure_ascii=False writes as they are.
-    lex = loads_lexicon('a"b\t2.0\n\\\t3.0\nback\\slash\t-2.0\nctl\x01x\t-1.5\n'
+    lex = loads_lexicon('a"b\t2.0\nx\\\\y\t3.0\nback\\slash\t-2.0\nctl\x01x\t-1.5\n'
                         "ñandú\t2.5\nstraße\t0.0\nπόλη\t0.5\n")
     spec = flat_spec(axis=axis, bins=tuple(range(n_bins)), p_anx=(0.3,) * n_bins,
                      p_calm=(0.3,) * n_bins, posts_per_bin=20, tokens_per_post=(1, 6))

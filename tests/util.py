@@ -94,6 +94,23 @@ def read_assoc(lexicon_tsv: str) -> dict[str, float]:
     return {term: float(value) for term, value in (row.split("\t") for row in rows)}
 
 
+_URL_PREFIXES = ("http://", "https://", "www.")
+
+
+def reference_tokens(text: str) -> list[str]:
+    """The tokenizer's rules (``anxarc._kernel``'s docstring), written out again: each
+    lower-cased chunk but a mention or a URL, cut to its first and last alphanumeric
+    characters, and kept unless that leaves nothing or a URL."""
+    tokens = []
+    for chunk in text.lower().split():
+        if chunk.startswith(_URL_PREFIXES + ("@",)):
+            continue
+        alnum = [i for i, char in enumerate(chunk) if char.isalnum()]
+        if alnum and not (core := chunk[alnum[0]:alnum[-1] + 1]).startswith(_URL_PREFIXES):
+            tokens.append(core)
+    return tokens
+
+
 def reference_load(raw: bytes, thresholds: tuple[float, float]) -> dict[str, int]:
     """The loader that decodes the whole file and splits the text: the rule
     that ``load_lexicon``, which walks the lines one at a time, must keep
@@ -122,8 +139,8 @@ def reference_load(raw: bytes, thresholds: tuple[float, float]) -> dict[str, int
         term = term.lower()
         if not term:
             raise LexiconParseError(line_no, "empty term")
-        if len(term.split()) != 1:
-            raise LexiconParseError(line_no, f"term contains whitespace: {term!r}")
+        if (tokens := reference_tokens(term)) != [term]:
+            raise LexiconParseError(line_no, f"term {term!r} is read as the tokens {tokens}")
         try:
             value = float(assoc_text)
         except ValueError:
