@@ -1,15 +1,17 @@
-"""Report bytes on the seed-1 benchmark inputs, checked against committed digests.
+"""CLI bytes and exit codes on one fixed matrix, checked against committed digests.
 
-``fixtures/report_digests.json`` holds the sha256 of every report that
-``scripts/report_digests.py`` writes (without the ``# corpus=`` line); that
-script regenerates it. Every worker count and split of the corpus into
-files must give those bytes, and so must a run at the default worker count.
+``fixtures/report_digests.json`` holds, for each entry of the matrix in
+``scripts/report_digests.py``, the exit code and the sha256 of the stdout,
+the stderr and every file of one run (each report without its ``# corpus=``
+line); that script regenerates it. Every corpus and worker count of an
+entry must give those bytes, a run at the default worker count included.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -20,24 +22,39 @@ report_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(report_digests)
 
 CASES = [
-    pytest.param(command, corpus, workers,
-                 id=f"{command}-{len(corpus)}file-w{'default' if workers is None else workers}")
-    for command, corpora in report_digests.MATRIX.items()
+    pytest.param(name, corpus, workers,
+                 id=f"{name}-{len(corpus)}file-w{'default' if workers is None else workers}")
+    for name, (_, corpora, worker_counts) in report_digests.MATRIX.items()
     for corpus in corpora
-    for workers in (1, 2, None)  # None: no --workers flag, so the usable CPUs
+    for workers in worker_counts
 ]
 
 
 @pytest.fixture(scope="module")
 def inputs_dir(tmp_path_factory) -> Path:
-    folder = tmp_path_factory.mktemp("seed1")
+    folder = tmp_path_factory.mktemp("inputs")
     report_digests.write_inputs(folder)
     return folder
 
 
-@pytest.mark.parametrize("command,corpus,workers", CASES)
-def test_reports_match_the_digests(inputs_dir, fixtures_dir, monkeypatch, command, corpus, workers):
-    expected = json.loads((fixtures_dir / "report_digests.json").read_text(encoding="utf-8"))
+@pytest.fixture(scope="module")
+def expected(fixtures_dir) -> dict:
+    return json.loads((fixtures_dir / "report_digests.json").read_text(encoding="utf-8"))
+
+
+def test_the_digests_name_the_matrix_entries(expected):
+    assert sorted(expected) == sorted(report_digests.MATRIX)
+
+
+@pytest.mark.parametrize("name,corpus,workers", CASES)
+def test_reports_match_the_digests(inputs_dir, expected, monkeypatch, name, corpus, workers):
     monkeypatch.chdir(inputs_dir)
-    out = f"{command}-{len(corpus)}-w{workers}"
-    assert report_digests.run_digests(command, corpus, workers, out) == expected[command]
+    assert report_digests.run_digests(name, corpus, workers) == expected[name]
+
+
+def test_anxarc_variables_do_not_reach_a_run(inputs_dir, expected, monkeypatch):
+    monkeypatch.setenv("ANXARC_TAU_ANX", "2")
+    monkeypatch.chdir(inputs_dir)
+    assert report_digests.run_digests("mini-analyze-hour", ("mini_corpus.jsonl",), 1) == \
+        expected["mini-analyze-hour"]
+    assert os.environ["ANXARC_TAU_ANX"] == "2"
